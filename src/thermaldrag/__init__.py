@@ -15,15 +15,14 @@ from .coefficients import (AsymptoticsReport, CoefficientReport,
                            quasistatic_force, stocked_quantity_B)
 from .core import (UnitSystem, bose_occupation,
                    bose_occupation_temp_derivative, smoothed_sign)
-from .errors import (ConfigError, DerivativeUnavailable, DivergentBandwidth,
-                     ExtrapolationUnstable, GridTooCoarse,
-                     GrowthBoundExceeded, RegimeViolation, ThermalDragError,
-                     ValidationFailed, WindowTruncationWarning)
+from .errors import (ConfigError, DivergentBandwidth, ExtrapolationUnstable,
+                     GridTooCoarse, GrowthBoundExceeded, RegimeViolation,
+                     ThermalDragError, ValidationFailed,
+                     WindowTruncationWarning)
 from .models import (LorentzianMirror, MirrorModel, PerfectMirror,
-                     RationalMirror, a_function, a_function_from_amplitudes,
-                     alpha_kernel, b_function, b_function_from_amplitudes,
+                     RationalMirror, a_function, alpha_kernel, b_function,
                      reflection_probability, scattering_delay, validate_model)
-from .quadrature import (QuadratureConfig, QuadratureResult, differentiate,
+from .quadrature import (QuadratureConfig, QuadratureResult,
                          hilbert_transform_pv, integrate_finite,
                          integrate_thermal, richardson_extrapolate)
 from .susceptibility import (CorrelationValue, SusceptibilityValue,
@@ -36,17 +35,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticsReport", "CoefficientReport", "ConfigError",
-    "CorrelationValue", "DerivativeUnavailable", "DivergentBandwidth",
-    "ExtrapolationUnstable", "GridTooCoarse", "GrowthBoundExceeded",
+    "CorrelationValue", "DivergentBandwidth", "ExtrapolationUnstable",
+    "GridTooCoarse", "GrowthBoundExceeded",
     "LorentzianMirror", "MassBoundConfig", "MassBoundReport", "MirrorModel",
     "PerfectMirror", "QuadratureConfig", "QuadratureResult", "RationalMirror",
     "RegimeViolation", "SusceptibilityValue", "ThermalDragError", "UnitSystem",
     "ValidationFailed", "WindowTruncationWarning", "a_function",
-    "a_function_from_amplitudes", "alpha_kernel", "asymptotics", "b_function",
-    "b_function_from_amplitudes", "bose_occupation",
+    "alpha_kernel", "asymptotics", "b_function", "bose_occupation",
     "bose_occupation_temp_derivative", "chi_thermal_correction", "chi_total",
     "chi_vacuum", "compute_coefficients", "correlation_spectrum",
-    "correlation_zero_frequency", "differentiate", "dissipative_part",
+    "correlation_zero_frequency", "dissipative_part",
     "einstein_check", "energy_flux_A", "hilbert_transform_pv",
     "integrate_finite", "integrate_thermal", "kramers_kronig_check",
     "lambda_entropic", "lambda_from_chi_slope", "lambda_spectral",

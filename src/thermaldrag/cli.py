@@ -3,8 +3,8 @@
 Subcommands: ``coeffs``, ``sweep``, ``chi``, ``verify``, ``force``,
 ``model-info``.  All numeric CSV fields carry 17 significant digits and
 identical configurations produce byte-identical output.  Exit codes:
-0 ok, 2 config error, 3 route discrepancy above tolerance, 4 model
-validation failure, 5 verify failure.
+0 ok, 2 config error (non-finite numbers included), 3 route discrepancy
+above tolerance or NaN, 4 model validation failure, 5 verify failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import susceptibility as suscept
 from .config import RunConfig, parse_config
 from .errors import (ConfigError, GridTooCoarse, ThermalDragError,
                      ValidationFailed, WindowTruncationWarning)
-from .models import validate_model
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,15 +45,6 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _validation_grid(model):
-    scale = model.cutoff_frequency or 1.0
-    return scale * np.logspace(-3, 3, 400)
-
-
-def _ensure_valid(config: RunConfig):
-    validate_model(config.model, _validation_grid(config.model)).raise_for_failure()
-
-
 def _temperature(config: RunConfig, allow_zero: bool = False) -> float:
     temp = config.get_float("temperature")
     if temp is None:
@@ -65,7 +55,8 @@ def _temperature(config: RunConfig, allow_zero: bool = False) -> float:
     return temp
 
 
-def _sweep_row(config: RunConfig, temp_user: float) -> str:
+def _sweep_row(config: RunConfig,
+               temp_user: float) -> tuple[str, coeff.CoefficientReport]:
     units = config.units
     report = coeff.compute_coefficients(config.model, temp_user, config.quadrature)
     err = report.error_estimates
@@ -85,9 +76,19 @@ def _sweep_row(config: RunConfig, temp_user: float) -> str:
     return ",".join(_fmt(f) for f in fields), report
 
 
+def _route_gate(reports, tol: float) -> int:
+    """EXIT_ROUTE when a route discrepancy exceeds ``tol`` or is NaN."""
+    worst = np.max([(r.route_discrepancy_lambda, r.route_discrepancy_mu)
+                    for r in reports])
+    if not worst <= tol:
+        print(f"route discrepancy {worst:.3e} exceeds tolerance {tol:.3e}",
+              file=sys.stderr)
+        return EXIT_ROUTE
+    return EXIT_OK
+
+
 def cmd_coeffs(args) -> int:
     config = parse_config(args.config)
-    _ensure_valid(config)
     temp = _temperature(config)
     row, report = _sweep_row(config, temp)
     units = config.units
@@ -111,17 +112,11 @@ def cmd_coeffs(args) -> int:
     print("\n".join(lines))
     if args.out:
         _write(SWEEP_HEADER + "\n" + row + "\n", args.out)
-    worst = max(report.route_discrepancy_lambda, report.route_discrepancy_mu)
-    if worst > args.tol:
-        print(f"route discrepancy {worst:.3e} exceeds tolerance {args.tol:.3e}",
-              file=sys.stderr)
-        return EXIT_ROUTE
-    return EXIT_OK
+    return _route_gate([report], args.tol)
 
 
 def cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    _ensure_valid(config)
     t_min = config.require_float("temp_min")
     t_max = config.require_float("temp_max")
     count = config.get_int("count", 2)
@@ -137,24 +132,13 @@ def cmd_sweep(args) -> int:
     else:
         temps = np.linspace(t_min, t_max, count)
 
-    rows = []
-    worst = 0.0
-    for temp in temps:
-        row, report = _sweep_row(config, float(temp))
-        rows.append(row)
-        worst = max(worst, report.route_discrepancy_lambda,
-                    report.route_discrepancy_mu)
+    rows, reports = zip(*(_sweep_row(config, float(temp)) for temp in temps))
     _write(SWEEP_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
-    if worst > args.tol:
-        print(f"route discrepancy {worst:.3e} exceeds tolerance {args.tol:.3e}",
-              file=sys.stderr)
-        return EXIT_ROUTE
-    return EXIT_OK
+    return _route_gate(reports, args.tol)
 
 
 def cmd_chi(args) -> int:
     config = parse_config(args.config)
-    _ensure_valid(config)
     temp = _temperature(config, allow_zero=True)
     omega_min = config.require_float("omega_min")
     omega_max = config.require_float("omega_max")
@@ -185,7 +169,6 @@ def cmd_chi(args) -> int:
 
 def cmd_force(args) -> int:
     config = parse_config(args.config)
-    _ensure_valid(config)
     temp = _temperature(config)
     traj_path = config.get_str("trajectory")
     if traj_path is None:
@@ -234,8 +217,7 @@ def _verify_checks(config: RunConfig, tol: float):
     cfg = config.quadrature
     temp = config.get_float("temperature", 1.0)
 
-    report = validate_model(model, _validation_grid(model))
-    for check in report.checks:
+    for check in config.validation.checks:
         yield check.name, check.max_violation, check.allowed, check.passed
 
     routes = coeff.compute_coefficients(model, temp, cfg)
@@ -316,7 +298,6 @@ def cmd_model_info(args) -> int:
     config = parse_config(args.config)
     model = config.model
     units = config.units
-    report = validate_model(model, _validation_grid(model))
     cutoff = model.cutoff_frequency
     lines = [
         f"kind = {config.model_kind}",
@@ -325,12 +306,11 @@ def cmd_model_info(args) -> int:
         "cutoff_frequency = " + (
             "none" if cutoff is None else _fmt(units.frequency_from_natural(cutoff))),
     ]
-    for check in report.checks:
+    for check in config.validation.checks:
         lines.append(f"validation.{check.name} = {check.max_violation:.6e} "
                      f"(allowed {check.allowed:.1e}, "
                      f"{'PASS' if check.passed else 'FAIL'})")
     print("\n".join(lines))
-    report.raise_for_failure()
     return EXIT_OK
 
 

@@ -110,12 +110,6 @@ class MassBoundReport:
 # ---------------------------------------------------------------------------
 # thermal integrands (Bose weight supplied by integrate_thermal)
 
-def _a_of(model):
-    def f(w):
-        return models.a_function(model, w)
-    return f
-
-
 def energy_flux_A(model: MirrorModel, temp: float,
                   cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Thermal energy flux intercepted by the reflection band (a power).
@@ -232,8 +226,9 @@ def compute_coefficients(model: MirrorModel, temp: float,
     b = _stocked_quantity_quad(model, temp, cfg)
 
     def rel_gap(x, y):
-        scale = max(abs(x), abs(y))
-        return abs(x - y) / scale if scale > 0 else 0.0
+        # NaN when either route is non-finite, so the CLI's route gate trips
+        gap, scale = abs(x - y), max(abs(x), abs(y))
+        return gap / scale if scale > 0 else gap
 
     return CoefficientReport(
         temp=temp,

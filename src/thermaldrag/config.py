@@ -11,11 +11,13 @@ Example::
 
 Models are built in natural units; when the config declares a custom unit
 system (hbar, c), model parameters given in user units are converted here,
-at the I/O boundary.  Rational models are validated before use.
+at the I/O boundary.  Every model is validated once, here, before use.
+Every number is read by one reader, which rejects NaN and infinities.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,31 +25,44 @@ import numpy as np
 
 from .core import UnitSystem
 from .errors import ConfigError
-from .models import (LorentzianMirror, MirrorModel, PerfectMirror,
-                     RationalMirror, validate_model)
+from .models import (LorentzianMirror, MirrorModel, ModelValidationReport,
+                     PerfectMirror, RationalMirror, validate_model)
 from .quadrature import QuadratureConfig
 
 MODEL_KINDS = ("lorentzian", "perfect", "rational")
 
 
+def _number(keys: dict, key: str, default=None, integer: bool = False):
+    """Read ``key`` as a finite number (an integral one when ``integer``)."""
+    raw = keys.get(key)
+    if raw is None:
+        return default
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}' is not a number: {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key '{key}' must be finite, got {raw!r}")
+    if not integer:
+        return value
+    if not value.is_integer():
+        raise ConfigError(f"key '{key}' is not an integer: {raw!r}")
+    return int(value)
+
+
 @dataclass
 class RunConfig:
-    """Parsed configuration: model in natural units plus raw settings."""
+    """Parsed configuration: validated model in natural units plus raw settings."""
 
     model: MirrorModel
     units: UnitSystem
     quadrature: QuadratureConfig
+    validation: ModelValidationReport
     settings: dict = field(default_factory=dict)
     model_kind: str = "lorentzian"
 
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self.settings.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}' is not a number: {raw!r}") from exc
+        return _number(self.settings, key, default)
 
     def require_float(self, key: str) -> float:
         value = self.get_float(key)
@@ -56,13 +71,7 @@ class RunConfig:
         return value
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.settings.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}' is not an integer: {raw!r}") from exc
+        return _number(self.settings, key, default, integer=True)
 
     def get_str(self, key: str, default: str | None = None) -> str | None:
         return self.settings.get(key, default)
@@ -111,7 +120,7 @@ def _scaled_poly(coeffs: list[float], hbar: float) -> list[float]:
 
 
 def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
-    """Construct and (for rational models) validate the configured mirror."""
+    """Construct the configured mirror in natural units."""
     kind = model_keys.get("kind", "").lower()
     if kind not in MODEL_KINDS:
         raise ConfigError(
@@ -120,13 +129,9 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
     if kind == "perfect":
         return PerfectMirror(), kind
     if kind == "lorentzian":
-        raw = model_keys.get("tau0")
-        if raw is None:
+        tau0 = _number(model_keys, "tau0")
+        if tau0 is None:
             raise ConfigError("lorentzian model needs tau0")
-        try:
-            tau0 = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"tau0 is not a number: {raw!r}") from exc
         if not tau0 > 0:
             raise ConfigError(f"tau0 must be > 0, got {tau0}")
         return LorentzianMirror(units.time_to_natural(tau0)), kind
@@ -137,23 +142,15 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
         if raw is None:
             raise ConfigError(f"rational model needs '{key}'")
         lists[key] = _scaled_poly(_coefficient_list(raw, key), units.hbar)
-    cutoff_raw = model_keys.get("cutoff")
-    cutoff = None
-    if cutoff_raw is not None:
-        try:
-            cutoff = units.frequency_to_natural(float(cutoff_raw))
-        except ValueError as exc:
-            raise ConfigError(f"cutoff is not a number: {cutoff_raw!r}") from exc
+    cutoff = _number(model_keys, "cutoff")
+    if cutoff is not None:
+        cutoff = units.frequency_to_natural(cutoff)
     try:
         model = RationalMirror(lists["r_numerator"], lists["r_denominator"],
                                lists["s_numerator"], lists["s_denominator"],
                                cutoff=cutoff)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # mandatory validation before any use of a user-defined model
-    scale = model.cutoff_frequency or 1.0
-    grid = scale * np.logspace(-3, 3, 400)
-    validate_model(model, grid).raise_for_failure()
     return model, kind
 
 
@@ -166,28 +163,23 @@ def parse_config(path) -> RunConfig:
     if not model_keys:
         raise ConfigError("config needs a [model] section")
 
-    def pop_float(key: str, default: float) -> float:
-        raw = main.pop(key, None)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"key '{key}' is not a number: {raw!r}") from exc
-
     try:
-        units = UnitSystem(hbar=pop_float("hbar", 1.0), c=pop_float("c", 1.0))
+        units = UnitSystem(hbar=_number(main, "hbar", 1.0), c=_number(main, "c", 1.0))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     try:
         quadrature = QuadratureConfig(
-            rel_tol=pop_float("rel_tol", 1e-10),
-            abs_tol=pop_float("abs_tol", 1e-14),
-            max_subdivisions=int(pop_float("max_subdivisions", 200)),
+            rel_tol=_number(main, "rel_tol", 1e-10),
+            abs_tol=_number(main, "abs_tol", 1e-14),
+            max_subdivisions=_number(main, "max_subdivisions", 200, integer=True),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     model, kind = build_model(model_keys, units)
+    # mandatory validation before any use, on one grid around the cutoff
+    grid = (model.cutoff_frequency or 1.0) * np.logspace(-3, 3, 400)
+    validation = validate_model(model, grid)
+    validation.raise_for_failure()
     return RunConfig(model=model, units=units, quadrature=quadrature,
-                     settings=main, model_kind=kind)
+                     validation=validation, settings=main, model_kind=kind)

@@ -76,9 +76,6 @@ class UnitSystem:
         return chi / (self.hbar**2 * self.c**2)
 
 
-NATURAL_UNITS = UnitSystem()
-
-
 def occupation_from_ratio(x):
     """Bose-Einstein occupation as a function of x = hbar*omega/T.
 

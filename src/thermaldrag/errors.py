@@ -5,10 +5,6 @@ class ThermalDragError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DerivativeUnavailable(ThermalDragError):
-    """Neither an analytic nor a stable numerical derivative could be obtained."""
-
-
 class ValidationFailed(ThermalDragError):
     """A scattering model violates unitarity, reality or transparency.
 

@@ -15,23 +15,24 @@ The kernels consumed by the susceptibility and coefficient integrals are
     b[w] = i (r'[w] r[-w] + r[w] r'[-w] - s'[w] s[-w] - s[w] s'[-w])
                                  (= 2 (1 - 2 R[w]) tau[w])
 
-Amplitude evaluation is vectorized: ``amplitudes`` must accept numpy
-arrays.  Models are immutable after construction and all operations here
-are pure functions of their arguments.
+A model supplies r, s and their first and second omega-derivatives
+analytically; a subclass without all three methods cannot be
+instantiated.  Every method and kernel here is array-only: an ndarray in
+gives an ndarray of the same shape out, and a scalar in gives a numpy
+scalar (a ``complex`` or ``float`` instance) out.  Models are immutable
+after construction and all operations here are pure functions of their
+arguments.
 """
 
 from __future__ import annotations
 
 import abc
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeUnavailable, ValidationFailed
-
-_REF_FREQUENCY = 1.0  # derivative step scale when a model has no cutoff
+from .errors import ValidationFailed
 
 
 class MirrorModel(abc.ABC):
@@ -41,13 +42,13 @@ class MirrorModel(abc.ABC):
     def amplitudes(self, omega):
         """Return (r, s) at ``omega`` (scalar or ndarray; complex output)."""
 
+    @abc.abstractmethod
     def amplitude_derivatives(self, omega):
-        """Return (dr/domega, ds/domega), or None if not available analytically."""
-        return None
+        """Return (dr/domega, ds/domega) at ``omega``."""
 
+    @abc.abstractmethod
     def amplitude_second_derivatives(self, omega):
-        """Return (d2r/domega2, d2s/domega2), or None."""
-        return None
+        """Return (d2r/domega2, d2s/domega2) at ``omega``."""
 
     @property
     @abc.abstractmethod
@@ -64,12 +65,6 @@ class MirrorModel(abc.ABC):
     def cutoff_frequency(self):
         """Reflection cutoff, or None for a mirror that never turns transparent."""
 
-    @property
-    def reference_frequency(self) -> float:
-        """Scale used for numerical derivative steps."""
-        cut = self.cutoff_frequency
-        return cut if cut else _REF_FREQUENCY
-
 
 class PerfectMirror(MirrorModel):
     """Idealized mirror with r = -1, s = 0 at every frequency.
@@ -80,18 +75,11 @@ class PerfectMirror(MirrorModel):
     """
 
     def amplitudes(self, omega):
-        omega = np.asarray(omega)
-        r = np.full(omega.shape, -1.0 + 0.0j)
-        s = np.zeros(omega.shape, dtype=complex)
-        if omega.ndim == 0:
-            return complex(r), complex(s)
-        return r, s
+        zero = np.zeros(np.shape(omega), dtype=complex)[()]  # [()] unwraps 0-d
+        return zero - 1.0, zero
 
     def amplitude_derivatives(self, omega):
-        omega = np.asarray(omega)
-        zero = np.zeros(omega.shape, dtype=complex)
-        if omega.ndim == 0:
-            return 0j, 0j
+        zero = np.zeros(np.shape(omega), dtype=complex)[()]
         return zero, zero.copy()
 
     def amplitude_second_derivatives(self, omega):
@@ -133,24 +121,16 @@ class LorentzianMirror(MirrorModel):
     def amplitudes(self, omega):
         omega = np.asarray(omega)
         den = 1.0 - 1j * self._tau0 * omega
-        r = -1.0 / den
-        s = -1j * self._tau0 * omega / den
-        if omega.ndim == 0:
-            return complex(r), complex(s)
-        return r, s
+        return -1.0 / den, -1j * self._tau0 * omega / den
 
     def amplitude_derivatives(self, omega):
         den = 1.0 - 1j * self._tau0 * np.asarray(omega)
         d = -1j * self._tau0 / den**2  # r' and s' coincide for this model
-        if np.ndim(omega) == 0:
-            return complex(d), complex(d)
         return d, d.copy()
 
     def amplitude_second_derivatives(self, omega):
         den = 1.0 - 1j * self._tau0 * np.asarray(omega)
         d2 = 2.0 * self._tau0**2 / den**3
-        if np.ndim(omega) == 0:
-            return complex(d2), complex(d2)
         return d2, d2.copy()
 
     @property
@@ -201,53 +181,44 @@ class RationalMirror(MirrorModel):
         if cutoff is not None and not cutoff > 0:
             raise ValueError(f"cutoff must be > 0, got {cutoff}")
         self._cutoff = cutoff
+        # (p, dp/dz, d2p/dz2) coefficients of each numerator and denominator
+        polyder = np.polynomial.polynomial.polyder
+
+        def parts(coeffs):
+            return coeffs, polyder(coeffs), polyder(coeffs, 2)
+
+        self._r_parts = (parts(self._rn), parts(self._rd))
+        self._s_parts = (parts(self._sn), parts(self._sd))
 
     @staticmethod
     def _eval(coeffs, z):
         return np.polynomial.polynomial.polyval(z, coeffs)
 
-    @staticmethod
-    def _deriv(coeffs):
-        return np.polynomial.polynomial.polyder(coeffs)
-
     def amplitudes(self, omega):
         z = 1j * np.asarray(omega)
-        r = self._eval(self._rn, z) / self._eval(self._rd, z)
-        s = self._eval(self._sn, z) / self._eval(self._sd, z)
-        if np.ndim(omega) == 0:
-            return complex(r), complex(s)
-        return r, s
-
-    def _quotient_derivative(self, num, den, z):
-        # d/domega = i d/dz for functions of z = i omega
-        n, d = self._eval(num, z), self._eval(den, z)
-        n1, d1 = self._eval(self._deriv(num), z), self._eval(self._deriv(den), z)
-        return 1j * (n1 * d - n * d1) / d**2
-
-    def _quotient_second_derivative(self, num, den, z):
-        n, d = self._eval(num, z), self._eval(den, z)
-        n1, d1 = self._eval(self._deriv(num), z), self._eval(self._deriv(den), z)
-        n2 = self._eval(self._deriv(self._deriv(num)), z)
-        d2 = self._eval(self._deriv(self._deriv(den)), z)
-        # (i)^2 d^2/dz^2 of n/d
-        value = n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2 + 2.0 * n * d1**2 / d**3
-        return -value
+        return tuple(self._eval(num[0], z) / self._eval(den[0], z)
+                     for num, den in (self._r_parts, self._s_parts))
 
     def amplitude_derivatives(self, omega):
         z = 1j * np.asarray(omega)
-        dr = self._quotient_derivative(self._rn, self._rd, z)
-        ds = self._quotient_derivative(self._sn, self._sd, z)
-        if np.ndim(omega) == 0:
-            return complex(dr), complex(ds)
-        return dr, ds
+        out = []
+        for num, den in (self._r_parts, self._s_parts):
+            n, n1 = (self._eval(c, z) for c in num[:2])
+            d, d1 = (self._eval(c, z) for c in den[:2])
+            # d/domega = i d/dz for functions of z = i omega
+            out.append(1j * (n1 * d - n * d1) / d**2)
+        return tuple(out)
 
     def amplitude_second_derivatives(self, omega):
         z = 1j * np.asarray(omega)
-        d2r = self._quotient_second_derivative(self._rn, self._rd, z)
-        d2s = self._quotient_second_derivative(self._sn, self._sd, z)
-        if np.ndim(omega) == 0:
-            return complex(d2r), complex(d2s)
-        return d2r, d2s
+        out = []
+        for num, den in (self._r_parts, self._s_parts):
+            n, n1, n2 = (self._eval(c, z) for c in num)
+            d, d1, d2 = (self._eval(c, z) for c in den)
+            # (i)^2 d^2/dz^2 of n/d
+            out.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2
+                         + 2.0 * n * d1**2 / d**3))
+        return tuple(out)
 
     @property
     def low_frequency_reflection(self) -> float:
@@ -273,21 +244,14 @@ class RationalMirror(MirrorModel):
 def reflection_probability(model: MirrorModel, omega):
     """Reflection probability R = |r|^2; even in omega."""
     r, _ = model.amplitudes(omega)
-    out = np.abs(r) ** 2
-    return float(out) if np.ndim(omega) == 0 else out
+    return np.abs(r) ** 2
 
 
 def reflection_probability_derivative(model: MirrorModel, omega):
     """dR/domega = 2 Re(r* dr/domega)."""
-    derivs = model.amplitude_derivatives(omega)
-    if derivs is None:
-        from .quadrature import differentiate
-        scale = max(abs(omega), model.reference_frequency)
-        return differentiate(lambda w: reflection_probability(model, w), omega, scale)
     r, _ = model.amplitudes(omega)
-    dr, _ = derivs
-    out = 2.0 * np.real(np.conj(r) * dr)
-    return float(out) if np.ndim(omega) == 0 else out
+    dr, _ = model.amplitude_derivatives(omega)
+    return 2.0 * np.real(np.conj(r) * dr)
 
 
 def scattering_determinant(model: MirrorModel, omega):
@@ -299,66 +263,26 @@ def scattering_determinant(model: MirrorModel, omega):
 def scattering_delay(model: MirrorModel, omega):
     """Scattering delay tau = Delta'/2, half the phase derivative of the determinant.
 
-    Uses analytic amplitude derivatives when the model provides them
-    (tau = Im[(s^2 - r^2)' / (s^2 - r^2)] / 2, exact for unimodular
-    determinants); otherwise differentiates the unwrapped phase of the
-    determinant numerically.  Even in omega.
-
-    Raises
-    ------
-    DerivativeUnavailable
-        If the numerical path detects an unresolvable phase jump across
-        the difference stencil.
+    tau = Im[(s^2 - r^2)' / (s^2 - r^2)] / 2 from the analytic amplitude
+    derivatives, exact for unimodular determinants.  Even in omega.
     """
-    derivs = model.amplitude_derivatives(omega)
-    if derivs is not None:
-        r, s = model.amplitudes(omega)
-        dr, ds = derivs
-        det = s * s - r * r
-        ddet = 2.0 * (s * ds - r * dr)
-        out = 0.5 * np.imag(ddet / det)
-        return float(out) if np.ndim(omega) == 0 else out
-    return _delay_from_phase(model, float(omega))
-
-
-def _delay_from_phase(model: MirrorModel, omega: float) -> float:
-    """Numerical delay: central difference of the determinant phase."""
-    scale = max(abs(omega), model.reference_frequency)
-    h = scale * 1e-6
-
-    def aligned_slope(step):
-        lo = cmath.phase(scattering_determinant(model, omega - step))
-        hi = cmath.phase(scattering_determinant(model, omega + step))
-        # nearest-branch alignment of the two samples
-        hi -= 2.0 * math.pi * round((hi - lo) / (2.0 * math.pi))
-        if abs(hi - lo) > 0.5 * math.pi:
-            raise DerivativeUnavailable(
-                f"phase jump of {hi - lo:.3f} rad across the stencil at omega={omega}"
-            )
-        return (hi - lo) / (2.0 * step)
-
-    coarse = aligned_slope(h)
-    fine = aligned_slope(0.5 * h)
-    return 0.5 * (4.0 * fine - coarse) / 3.0
+    r, s = model.amplitudes(omega)
+    dr, ds = model.amplitude_derivatives(omega)
+    det = s * s - r * r
+    ddet = 2.0 * (s * ds - r * dr)
+    return 0.5 * np.imag(ddet / det)
 
 
 def delay_derivative(model: MirrorModel, omega):
-    """dtau/domega, from second amplitude derivatives when available."""
-    second = model.amplitude_second_derivatives(omega)
-    first = model.amplitude_derivatives(omega)
-    if second is None or first is None:
-        from .quadrature import differentiate
-        scale = max(abs(omega), model.reference_frequency)
-        return differentiate(lambda w: scattering_delay(model, w), omega, scale)
+    """dtau/domega, from the first and second amplitude derivatives."""
     r, s = model.amplitudes(omega)
-    dr, ds = first
-    d2r, d2s = second
+    dr, ds = model.amplitude_derivatives(omega)
+    d2r, d2s = model.amplitude_second_derivatives(omega)
     det = s * s - r * r
     ddet = 2.0 * (s * ds - r * dr)
     d2det = 2.0 * (ds * ds + s * d2s - dr * dr - r * d2r)
     logslope = ddet / det
-    out = 0.5 * np.imag(d2det / det - logslope * logslope)
-    return float(out) if np.ndim(omega) == 0 else out
+    return 0.5 * np.imag(d2det / det - logslope * logslope)
 
 
 def alpha_kernel(model: MirrorModel, omega1, omega2):
@@ -370,17 +294,7 @@ def alpha_kernel(model: MirrorModel, omega1, omega2):
 
 def a_function(model: MirrorModel, omega):
     """Viscosity kernel a = 2 R[omega] (the reduced form of alpha[w, -w])."""
-    out = 2.0 * reflection_probability(model, omega)
-    return out
-
-
-def a_function_from_amplitudes(model: MirrorModel, omega):
-    """a computed literally as 1 + r[w] r[-w] - s[w] s[-w] (identity test form).
-
-    Returns the complex value; unitarity plus reality make it equal the
-    real 2 R[omega].
-    """
-    return alpha_kernel(model, omega, -np.asarray(omega))
+    return 2.0 * reflection_probability(model, omega)
 
 
 def a_function_derivative(model: MirrorModel, omega):
@@ -393,25 +307,6 @@ def b_function(model: MirrorModel, omega):
     big_r = reflection_probability(model, omega)
     tau = scattering_delay(model, omega)
     return 2.0 * (1.0 - 2.0 * big_r) * tau
-
-
-def b_function_from_amplitudes(model: MirrorModel, omega):
-    """b from the amplitude-derivative form (identity test form).
-
-    i (r'[w] r[-w] + r[w] r'[-w]) - i (s'[w] s[-w] + s[w] s'[-w]); needs
-    analytic derivatives.
-    """
-    derivs_p = model.amplitude_derivatives(omega)
-    derivs_m = model.amplitude_derivatives(-np.asarray(omega))
-    if derivs_p is None or derivs_m is None:
-        raise DerivativeUnavailable(
-            "the amplitude form of b needs analytic model derivatives"
-        )
-    r_p, s_p = model.amplitudes(omega)
-    r_m, s_m = model.amplitudes(-np.asarray(omega))
-    dr_p, ds_p = derivs_p
-    dr_m, ds_m = derivs_m
-    return 1j * (dr_p * r_m + r_p * dr_m) - 1j * (ds_p * s_m + s_p * ds_m)
 
 
 def b_function_derivative(model: MirrorModel, omega):

@@ -1,4 +1,4 @@
-"""Adaptive quadrature, numerical differentiation and a discrete Hilbert transform.
+"""Adaptive quadrature, a discrete Hilbert transform and Richardson extrapolation.
 
 The workhorse is a Gauss-Kronrod 7/15 pair with priority-queue interval
 bisection.  Integrands receive numpy arrays of nodes and must return an
@@ -257,20 +257,6 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     # the claimed error must also cover the discarded tail
     result.error_estimate += tail_bound(cutoff)
     return result
-
-
-def differentiate(f, x: float, scale: float) -> float:
-    """Central difference with one Richardson level; O(h^4) on smooth f.
-
-    The base step is ``scale * 1e-6``, balancing truncation against
-    roundoff at double precision.
-    """
-    h = abs(scale) * 1e-6
-    if h == 0.0:
-        raise ValueError("differentiate requires a nonzero scale")
-    coarse = (f(x + h) - f(x - h)) / (2.0 * h)
-    fine = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
-    return (4.0 * fine - coarse) / 3.0
 
 
 def hilbert_transform_pv(samples, at: int) -> float:

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 occupations come from geometric series, Bose moments from zeta sums,
-integrals from brute-force trapezoid rules, and lorentzian scattering
-quantities from their explicit rational closed forms.
+integrals from brute-force trapezoid rules, derivatives from central
+differences, lorentzian scattering quantities from their explicit rational
+closed forms, and the kernels a, b from the literal amplitude products
+instead of R and tau.
 """
 
 import math
@@ -50,6 +52,46 @@ def zeta_sum(p: int, terms: int = 20000) -> float:
 def bose_moment(k: int) -> float:
     """int_0^inf x^k/(e^x - 1) dx = k! zeta(k+1)."""
     return math.factorial(k) * zeta_sum(k + 1)
+
+
+def differentiate(f, x: float, scale: float) -> float:
+    """Central difference with one Richardson level; O(h^4) on smooth f.
+
+    The base step is ``scale * 1e-6``, balancing truncation against
+    roundoff at double precision.
+    """
+    h = abs(scale) * 1e-6
+    if h == 0.0:
+        raise ValueError("differentiate requires a nonzero scale")
+    coarse = (f(x + h) - f(x - h)) / (2.0 * h)
+    fine = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+    return (4.0 * fine - coarse) / 3.0
+
+
+# --- kernels from the raw amplitudes --------------------------------------
+
+def a_function_from_amplitudes(model, omega):
+    """a computed literally as 1 + r[w] r[-w] - s[w] s[-w].
+
+    Returns the complex value; unitarity plus reality make it equal the
+    real 2 R[omega].
+    """
+    r_p, s_p = model.amplitudes(omega)
+    r_m, s_m = model.amplitudes(-np.asarray(omega))
+    return 1.0 + r_p * r_m - s_p * s_m
+
+
+def b_function_from_amplitudes(model, omega):
+    """b from the amplitude-derivative form.
+
+    i (r'[w] r[-w] + r[w] r'[-w]) - i (s'[w] s[-w] + s[w] s'[-w]); equals
+    the real 2 (1 - 2 R[omega]) tau[omega] by unitarity plus reality.
+    """
+    r_p, s_p = model.amplitudes(omega)
+    r_m, s_m = model.amplitudes(-np.asarray(omega))
+    dr_p, ds_p = model.amplitude_derivatives(omega)
+    dr_m, ds_m = model.amplitude_derivatives(-np.asarray(omega))
+    return 1j * (dr_p * r_m + r_p * dr_m) - 1j * (ds_p * s_m + s_p * ds_m)
 
 
 # --- lorentzian closed forms ----------------------------------------------

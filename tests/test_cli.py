@@ -19,6 +19,21 @@ def lorentzian_config(tmp_path, extra=""):
                  "temperature = 1.0\n" + extra + "\n[model]\nkind = lorentzian\ntau0 = 1.0\n")
 
 
+def weak_rational_config(tmp_path, extra=""):
+    """Weak rational mirror (epsilon = 0.3, tau = 1) from the spectral factor."""
+    eps, root = 0.3, math.sqrt(0.09 + 4.0)
+    return write(tmp_path, "weak.cfg", f"""
+temperature = 1.0
+{extra}
+[model]
+kind = rational
+r_numerator = 0, {eps}
+r_denominator = 1, {-root}, 1
+s_numerator = 1, 0, -1
+s_denominator = 1, {-root}, 1
+""")
+
+
 def run(args):
     return cli.main(args)
 
@@ -78,6 +93,36 @@ s_denominator = 1, -1
         assert r == pytest.approx(-1.0 / (1.0 - 1.0j))
         assert s == pytest.approx(-1.0j / (1.0 - 1.0j))
 
+    def test_integer_key_in_exponent_form(self, tmp_path):
+        cfg = parse_config(lorentzian_config(tmp_path, "max_subdivisions = 1e3\n"))
+        assert cfg.quadrature.max_subdivisions == 1000
+
+    @pytest.mark.parametrize("settings", [
+        "temperature = nan", "temperature = inf",
+        "temperature = 1.0\nmax_subdivisions = inf",
+    ], ids=["nan-temperature", "inf-temperature", "inf-max_subdivisions"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, settings):
+        path = write(tmp_path, "c.cfg",
+                     settings + "\n[model]\nkind = lorentzian\ntau0 = 1.0\n")
+        assert run(["coeffs", "--config", path]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_model_validated_once_per_request(self, tmp_path, monkeypatch):
+        from thermaldrag import config, models
+        original = models.validate_model
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        # patch every namespace that looks the name up
+        for module in (cli, config, models):
+            if hasattr(module, "validate_model"):
+                monkeypatch.setattr(module, "validate_model", counting)
+        assert run(["coeffs", "--config", weak_rational_config(tmp_path)]) == 0
+        assert len(calls) == 1
+
 
 class TestCoeffsCommand:
     def test_perfect_mirror_output(self, tmp_path, capsys):
@@ -127,6 +172,18 @@ s_denominator = 1, -1
         path = lorentzian_config(tmp_path)
         assert run(["coeffs", "--config", path, "--tol", "1e-18"]) == 3
         assert "exceeds tolerance" in capsys.readouterr().err
+
+    def test_nan_reflection_trips_route_gate(self, tmp_path, capsys, monkeypatch):
+        # NaN coefficients give NaN route discrepancies, never a pass
+        from thermaldrag import models
+        true_r = models.reflection_probability
+        monkeypatch.setattr(models, "reflection_probability", lambda model, omega:
+                            np.where(np.asarray(omega) > 3.0, np.nan,
+                                     true_r(model, omega)))
+        assert run(["coeffs", "--config", lorentzian_config(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert "route_discrepancy_lambda = nan" in captured.out
+        assert "route discrepancy nan exceeds tolerance" in captured.err
 
 
 class TestSweepCommand:
@@ -270,17 +327,7 @@ class TestVerifyCommand:
 
     def test_weak_rational_mirror_passes(self, tmp_path, capsys):
         # R0 = 0 degenerates the low-T viscosity law; that check is skipped
-        eps, root = 0.3, math.sqrt(0.09 + 4.0)
-        path = write(tmp_path, "weak.cfg", f"""
-temperature = 1.0
-kk_points = 256
-[model]
-kind = rational
-r_numerator = 0, {eps}
-r_denominator = 1, {-root}, 1
-s_numerator = 1, 0, -1
-s_denominator = 1, {-root}, 1
-""")
+        path = weak_rational_config(tmp_path, "kk_points = 256")
         assert run(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
         assert "asymptotic_lambda_low" not in out

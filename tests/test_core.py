@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import occupation_series, occupation_temp_derivative_series
+from oracles import (differentiate, occupation_series,
+                     occupation_temp_derivative_series)
 from thermaldrag import (UnitSystem, bose_occupation,
-                         bose_occupation_temp_derivative, differentiate,
-                         smoothed_sign)
+                         bose_occupation_temp_derivative, smoothed_sign)
 
 
 class TestBoseOccupation:

@@ -1,17 +1,12 @@
-import cmath
-import math
-
 import numpy as np
 import pytest
 
 import oracles
 from conftest import weak_mirror
-from thermaldrag import (DerivativeUnavailable, LorentzianMirror, MirrorModel,
-                         RationalMirror, ValidationFailed,
-                         a_function, a_function_from_amplitudes, alpha_kernel,
-                         b_function, b_function_from_amplitudes,
-                         reflection_probability, scattering_delay,
-                         validate_model)
+from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror,
+                         ValidationFailed, a_function, alpha_kernel,
+                         b_function, reflection_probability,
+                         scattering_delay, validate_model)
 from thermaldrag.models import (b_function_derivative, delay_derivative,
                                 reflection_probability_derivative,
                                 scattering_determinant)
@@ -64,37 +59,6 @@ class TestScatteringDelay:
             assert scattering_delay(lorentzian, w) * (1 + w**2) == pytest.approx(
                 1.0, rel=1e-12)
 
-    def test_numerical_phase_path_agrees(self, lorentzian):
-        # strip the analytic derivatives to force the phase-difference route
-        class NoDerivatives(MirrorModel):
-            low_frequency_reflection = 1.0
-            low_frequency_delay = 1.0
-            cutoff_frequency = 1.0
-
-            def amplitudes(self, omega):
-                return lorentzian.amplitudes(omega)
-
-        numeric = NoDerivatives()
-        for w in (0.0, 0.3, 1.0, 4.0):
-            assert scattering_delay(numeric, w) == pytest.approx(
-                float(oracles.lorentzian_tau(w)), rel=1e-6)
-
-    def test_unresolvable_phase_jump_raises(self):
-        # s = exp(i c omega) with a slope so steep the stencil spans many
-        # branches: nearest-branch alignment cannot make it smooth
-        slope = 0.3 * math.pi / 4e-6 + 2.0 * math.pi / 4e-6 * 10
-
-        class SteepPhase(MirrorModel):
-            low_frequency_reflection = 0.0
-            low_frequency_delay = 0.0
-            cutoff_frequency = 1.0
-
-            def amplitudes(self, omega):
-                return 0.0j, cmath.exp(0.5j * slope * omega)
-
-        with pytest.raises(DerivativeUnavailable):
-            scattering_delay(SteepPhase(), 1.0)
-
     def test_even(self, lorentzian):
         for w in (0.2, 1.7, 9.0):
             assert scattering_delay(lorentzian, -w) == pytest.approx(
@@ -142,7 +106,7 @@ class TestKernelFunctions:
     def test_a_amplitude_form_identity(self, lorentzian):
         rng = np.random.default_rng(17)
         for w in rng.uniform(-20, 20, 50):
-            direct = a_function_from_amplitudes(lorentzian, w)
+            direct = oracles.a_function_from_amplitudes(lorentzian, w)
             assert abs(direct - a_function(lorentzian, w)) < 1e-12
             assert abs(direct.imag) < 1e-12
 
@@ -157,7 +121,7 @@ class TestKernelFunctions:
     def test_b_amplitude_form_identity(self, lorentzian):
         rng = np.random.default_rng(23)
         for w in rng.uniform(-20, 20, 50):
-            direct = b_function_from_amplitudes(lorentzian, w)
+            direct = oracles.b_function_from_amplitudes(lorentzian, w)
             assert abs(direct - b_function(lorentzian, w)) < 1e-12
             assert abs(direct.imag) < 1e-12
 
@@ -168,7 +132,9 @@ class TestKernelFunctions:
             assert b_function_derivative(lorentzian, -w) == pytest.approx(
                 -b_function_derivative(lorentzian, w), rel=1e-11)
 
-    def test_amplitude_form_needs_derivatives(self, lorentzian):
+
+class TestModelContract:
+    def test_model_without_derivatives_rejected(self, lorentzian):
         class NoDerivatives(MirrorModel):
             low_frequency_reflection = 1.0
             low_frequency_delay = 1.0
@@ -177,8 +143,24 @@ class TestKernelFunctions:
             def amplitudes(self, omega):
                 return lorentzian.amplitudes(omega)
 
-        with pytest.raises(DerivativeUnavailable):
-            b_function_from_amplitudes(NoDerivatives(), 1.0)
+        with pytest.raises(TypeError, match="amplitude_derivatives"):
+            NoDerivatives()
+
+    @pytest.mark.parametrize("fixture", ["perfect", "lorentzian", "weak"])
+    def test_scalar_in_scalar_out_array_in_array_out(self, fixture, request):
+        # the .17g CLI output relies on scalars staying complex/float instances
+        model = request.getfixturevalue(fixture)
+        pairs = (model.amplitudes, model.amplitude_derivatives,
+                 model.amplitude_second_derivatives)
+        kernels = (reflection_probability, scattering_delay, delay_derivative,
+                   b_function)
+        grid = np.array([[0.0, 0.5, 2.0], [-1.0, 3.0, 40.0]])
+        cases = [(complex, m(0.5), m(grid)) for m in pairs]
+        cases += [(float, (k(model, 0.5),), (k(model, grid),)) for k in kernels]
+        for kind, scalars, arrays in cases:
+            for scalar, array in zip(scalars, arrays, strict=True):
+                assert isinstance(scalar, kind), type(scalar)
+                assert isinstance(array, np.ndarray) and array.shape == grid.shape
 
 
 class TestReality:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bose_moment, lorentzian_alpha
+from oracles import bose_moment, differentiate, lorentzian_alpha
 from thermaldrag import (ExtrapolationUnstable, GridTooCoarse,
-                         GrowthBoundExceeded, QuadratureConfig, differentiate,
+                         GrowthBoundExceeded, QuadratureConfig,
                          hilbert_transform_pv, integrate_finite,
                          integrate_thermal, richardson_extrapolate)
 
@@ -118,6 +118,8 @@ class TestIntegrateThermal:
 
 
 class TestDifferentiate:
+    """The central-difference oracle that test_core checks dn/domega with."""
+
     def test_square(self):
         assert differentiate(lambda x: x * x, 3.0, 1.0) == pytest.approx(6.0, abs=1e-9)
 
