@@ -10,6 +10,7 @@ above tolerance or NaN, 4 model validation failure, 5 verify failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -45,8 +46,9 @@ def _write(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _temperature(config: RunConfig, allow_zero: bool = False) -> float:
-    temp = config.get_float("temperature")
+def _temperature(config: RunConfig, allow_zero: bool = False,
+                 default: float | None = None) -> float:
+    temp = config.get_float("temperature", default)
     if temp is None:
         raise ConfigError("missing required key 'temperature'")
     if temp < 0 or (temp == 0 and not allow_zero):
@@ -188,9 +190,12 @@ def cmd_force(args) -> int:
         if len(parts) != 2:
             raise ConfigError(f"{path}:{lineno}: expected 't,q', got {raw!r}")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            sample = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: non-numeric entry {raw!r}") from exc
+        if not all(map(math.isfinite, sample)):
+            raise ConfigError(f"{path}:{lineno}: non-finite entry {raw!r}")
+        rows.append(sample)
     if len(rows) < 3:
         raise ConfigError(f"trajectory needs >= 3 points, got {len(rows)}")
 
@@ -215,7 +220,7 @@ def _verify_checks(config: RunConfig, tol: float):
     """Yield (name, measured, allowed, passed) for the invariant suite."""
     model = config.model
     cfg = config.quadrature
-    temp = config.get_float("temperature", 1.0)
+    temp = _temperature(config, default=1.0)
 
     for check in config.validation.checks:
         yield check.name, check.max_violation, check.allowed, check.passed

@@ -134,8 +134,8 @@ def lambda_spectral(model: MirrorModel, temp: float,
 
 def _lambda_spectral_quad(model, temp, cfg) -> QuadratureResult:
     def f(w):
-        a = models.a_function(model, w)
-        da = models.a_function_derivative(model, w)
+        big_r, d_big_r, _, _ = models.reflection_and_delay(model, w)
+        a, da = 2.0 * big_r, 2.0 * d_big_r
         return (2.0 * w * a + w * w * da) / math.pi
 
     return integrate_thermal(f, temp, cfg)
@@ -189,8 +189,9 @@ def mu_spectral(model: MirrorModel, temp: float,
 
 def _mu_spectral_quad(model, temp, cfg) -> QuadratureResult:
     def f(w):
-        b = models.b_function(model, w)
-        db = models.b_function_derivative(model, w)
+        big_r, d_big_r, tau, d_tau = models.reflection_and_delay(model, w, order=2)
+        b = 2.0 * (1.0 - 2.0 * big_r) * tau
+        db = 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
         return (2.0 * w * b + w * w * db) / (2.0 * math.pi)
 
     return integrate_thermal(f, temp, cfg)
@@ -281,10 +282,7 @@ def asymptotics(model: MirrorModel,
         return integrate_finite(mapped, 0.0, 1.0, cfg).value / (2.0 * math.pi)
 
     omega_c_eff = on_half_line(lambda w: models.reflection_probability(model, w))
-    delta_s = on_half_line(
-        lambda w: (1.0 - 2.0 * models.reflection_probability(model, w))
-        * 2.0 * models.scattering_delay(model, w)
-    )
+    delta_s = on_half_line(lambda w: models.b_function(model, w))
     return AsymptoticsReport(float(omega_c_eff), float(delta_s),
                              model.low_frequency_reflection,
                              model.low_frequency_delay)

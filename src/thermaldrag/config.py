@@ -12,7 +12,8 @@ Example::
 Models are built in natural units; when the config declares a custom unit
 system (hbar, c), model parameters given in user units are converted here,
 at the I/O boundary.  Every model is validated once, here, before use.
-Every number is read by one reader, which rejects NaN and infinities.
+Every number is read by one reader, which rejects NaN and infinities
+and integer keys above INTEGER_LIMIT.
 """
 
 from __future__ import annotations
@@ -30,10 +31,11 @@ from .models import (LorentzianMirror, MirrorModel, ModelValidationReport,
 from .quadrature import QuadratureConfig
 
 MODEL_KINDS = ("lorentzian", "perfect", "rational")
+INTEGER_LIMIT = 10**6  # keeps counts and budgets below numpy's allocation limit
 
 
 def _number(keys: dict, key: str, default=None, integer: bool = False):
-    """Read ``key`` as a finite number (an integral one when ``integer``)."""
+    """Read ``key`` as a finite number; integral, within INTEGER_LIMIT, if ``integer``."""
     raw = keys.get(key)
     if raw is None:
         return default
@@ -47,6 +49,8 @@ def _number(keys: dict, key: str, default=None, integer: bool = False):
         return value
     if not value.is_integer():
         raise ConfigError(f"key '{key}' is not an integer: {raw!r}")
+    if abs(value) > INTEGER_LIMIT:
+        raise ConfigError(f"key '{key}' exceeds {INTEGER_LIMIT} in magnitude: {raw!r}")
     return int(value)
 
 

@@ -247,42 +247,35 @@ def reflection_probability(model: MirrorModel, omega):
     return np.abs(r) ** 2
 
 
-def reflection_probability_derivative(model: MirrorModel, omega):
-    """dR/domega = 2 Re(r* dr/domega)."""
-    r, _ = model.amplitudes(omega)
-    dr, _ = model.amplitude_derivatives(omega)
-    return 2.0 * np.real(np.conj(r) * dr)
+def reflection_and_delay(model: MirrorModel, omega, order: int = 1):
+    """Return (R, dR/domega, tau, dtau/domega), calling each amplitude method once.
 
-
-def scattering_determinant(model: MirrorModel, omega):
-    """Determinant s^2 - r^2 of the scattering matrix; unimodular."""
+    tau = Delta'/2 = Im[(s^2 - r^2)' / (s^2 - r^2)] / 2 from the analytic
+    amplitude derivatives, exact for unimodular determinants; R and tau
+    are even in omega, their slopes odd.  ``order`` is the highest
+    amplitude derivative evaluated: at 1 the delay slope is None, at 2 the
+    second derivatives supply it.  This is the one place the determinant
+    and delay algebra is written.
+    """
     r, s = model.amplitudes(omega)
-    return s * s - r * r
+    dr, ds = model.amplitude_derivatives(omega)
+    det = s * s - r * r
+    logslope = 2.0 * (s * ds - r * dr) / det
+    d_tau = None
+    if order > 1:
+        d2r, d2s = model.amplitude_second_derivatives(omega)
+        d2det = 2.0 * (ds * ds + s * d2s - dr * dr - r * d2r)
+        d_tau = 0.5 * np.imag(d2det / det - logslope * logslope)
+    return (np.abs(r) ** 2, 2.0 * np.real(np.conj(r) * dr),
+            0.5 * np.imag(logslope), d_tau)
 
 
 def scattering_delay(model: MirrorModel, omega):
     """Scattering delay tau = Delta'/2, half the phase derivative of the determinant.
 
-    tau = Im[(s^2 - r^2)' / (s^2 - r^2)] / 2 from the analytic amplitude
-    derivatives, exact for unimodular determinants.  Even in omega.
+    Even in omega; see :func:`reflection_and_delay`.
     """
-    r, s = model.amplitudes(omega)
-    dr, ds = model.amplitude_derivatives(omega)
-    det = s * s - r * r
-    ddet = 2.0 * (s * ds - r * dr)
-    return 0.5 * np.imag(ddet / det)
-
-
-def delay_derivative(model: MirrorModel, omega):
-    """dtau/domega, from the first and second amplitude derivatives."""
-    r, s = model.amplitudes(omega)
-    dr, ds = model.amplitude_derivatives(omega)
-    d2r, d2s = model.amplitude_second_derivatives(omega)
-    det = s * s - r * r
-    ddet = 2.0 * (s * ds - r * dr)
-    d2det = 2.0 * (ds * ds + s * d2s - dr * dr - r * d2r)
-    logslope = ddet / det
-    return 0.5 * np.imag(d2det / det - logslope * logslope)
+    return reflection_and_delay(model, omega)[2]
 
 
 def alpha_kernel(model: MirrorModel, omega1, omega2):
@@ -297,25 +290,10 @@ def a_function(model: MirrorModel, omega):
     return 2.0 * reflection_probability(model, omega)
 
 
-def a_function_derivative(model: MirrorModel, omega):
-    """da/domega = 2 dR/domega."""
-    return 2.0 * reflection_probability_derivative(model, omega)
-
-
 def b_function(model: MirrorModel, omega):
     """Inertia kernel b = 2 (1 - 2 R[omega]) tau[omega]; even, units of time."""
-    big_r = reflection_probability(model, omega)
-    tau = scattering_delay(model, omega)
+    big_r, _, tau, _ = reflection_and_delay(model, omega)
     return 2.0 * (1.0 - 2.0 * big_r) * tau
-
-
-def b_function_derivative(model: MirrorModel, omega):
-    """db/domega = 2 (-2 R' tau + (1 - 2 R) tau')."""
-    big_r = reflection_probability(model, omega)
-    d_big_r = reflection_probability_derivative(model, omega)
-    tau = scattering_delay(model, omega)
-    dtau = delay_derivative(model, omega)
-    return 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * dtau)
 
 
 # ---------------------------------------------------------------------------

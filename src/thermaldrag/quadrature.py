@@ -184,7 +184,7 @@ def integrate_finite(f, lo: float, hi: float,
     if lo > hi:
         raise ValueError(f"integrate_finite requires lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
-        return QuadratureResult(0.0, 0.0, 15, True)
+        return QuadratureResult(0.0, 0.0, 0, True)
     return _adaptive(f, [lo, hi], cfg)
 
 

@@ -73,7 +73,7 @@ class CorrelationValue:
 def _vacuum_quad(model: MirrorModel, omega: float,
                  cfg: QuadratureConfig) -> QuadratureResult:
     if omega == 0.0:
-        return QuadratureResult(0.0, 0.0, 1, True)
+        return QuadratureResult(0.0, 0.0, 0, True)
 
     def integrand(wp):
         return wp * (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
@@ -95,7 +95,7 @@ def _thermal_quad(model: MirrorModel, omega: float, temp: float,
         # alpha = 2 collapses the kernel to 4*omega: the integral is the
         # first Bose moment, pi^2 T^2 / 6, known in closed form.
         value = 1j * (2.0 * math.pi / 3.0) * temp**2 * omega
-        return QuadratureResult(value, 0.0, 1, True)
+        return QuadratureResult(value, 0.0, 0, True)
     if model.cutoff_frequency is None:
         raise GrowthBoundExceeded(
             "thermal susceptibility needs a high-frequency transparent model"

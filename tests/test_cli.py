@@ -107,6 +107,15 @@ s_denominator = 1, -1
         assert run(["coeffs", "--config", path]) == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, settings", [
+        ("sweep", "temp_min = 0.5\ntemp_max = 2.0\ncount = 1e300"),
+        ("chi", "omega_min = 0\nomega_max = 1\nomega_count = 1e300"),
+        ("verify", "kk_points = 1e300"),
+    ], ids=["count", "omega_count", "kk_points"])
+    def test_huge_integer_key_exits_2(self, tmp_path, capsys, command, settings):
+        assert run([command, "--config", lorentzian_config(tmp_path, settings)]) == 2
+        assert "exceeds 1000000" in capsys.readouterr().err
+
     def test_model_validated_once_per_request(self, tmp_path, monkeypatch):
         from thermaldrag import config, models
         original = models.validate_model
@@ -308,6 +317,13 @@ class TestForceCommand:
         path = lorentzian_config(tmp_path, f"trajectory = {traj_path}\n")
         assert run(["force", "--config", path]) == 2
 
+    @pytest.mark.parametrize("sample", ["1,nan", "inf,1"])
+    def test_non_finite_sample_exit_2(self, tmp_path, capsys, sample):
+        traj_path = write(tmp_path, "traj.csv", f"t,q\n0,0\n{sample}\n2,0\n3,0\n")
+        path = lorentzian_config(tmp_path, f"trajectory = {traj_path}\n")
+        assert run(["force", "--config", path]) == 2
+        assert f"traj.csv:3: non-finite entry '{sample}'" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_lorentzian_all_pass(self, tmp_path, capsys):
@@ -332,6 +348,13 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "asymptotic_lambda_low" not in out
         assert "asymptotic_mu_low" in out
+
+    @pytest.mark.parametrize("temperature", ["0", "-1"])
+    def test_non_positive_temperature_exits_2(self, tmp_path, capsys, temperature):
+        path = write(tmp_path, "c.cfg", f"temperature = {temperature}\n"
+                     "[model]\nkind = lorentzian\ntau0 = 1.0\n")
+        assert run(["verify", "--config", path]) == 2
+        assert "temperature must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau0", ["0.01", "100.0"])
     def test_scale_covariance(self, tmp_path, capsys, tau0):

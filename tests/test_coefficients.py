@@ -12,6 +12,7 @@ from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          mu_from_chi_curvature, mu_spectral, quasistatic_force,
                          stocked_quantity_B)
 from thermaldrag.coefficients import ROUTE_TOLERANCE
+from thermaldrag.models import MirrorModel
 
 
 class TestEnergyFlux:
@@ -157,6 +158,35 @@ class TestCoefficientReport:
     def test_rejects_zero_temperature(self, lorentzian):
         with pytest.raises(ValueError):
             compute_coefficients(lorentzian, 0.0)
+
+    def test_one_model_call_per_node_array(self, lorentzian):
+        # R, tau and their slopes at a node come from one call per amplitude order
+        class Recording(MirrorModel):
+            low_frequency_reflection = lorentzian.low_frequency_reflection
+            low_frequency_delay = lorentzian.low_frequency_delay
+            cutoff_frequency = lorentzian.cutoff_frequency
+            received = {"amplitudes": [], "amplitude_derivatives": [],
+                        "amplitude_second_derivatives": []}
+
+            def _call(self, name, omega):
+                self.received[name].append(omega)  # kept alive: ids stay unique
+                return getattr(lorentzian, name)(omega)
+
+            def amplitudes(self, omega):
+                return self._call("amplitudes", omega)
+
+            def amplitude_derivatives(self, omega):
+                return self._call("amplitude_derivatives", omega)
+
+            def amplitude_second_derivatives(self, omega):
+                return self._call("amplitude_second_derivatives", omega)
+
+        model = Recording()
+        compute_coefficients(model, 1.0)
+        asymptotics(model)
+        for name, nodes in model.received.items():
+            assert nodes, name
+            assert len({id(w) for w in nodes}) == len(nodes), name
 
 
 class TestAsymptotics:

@@ -7,9 +7,13 @@ from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror,
                          ValidationFailed, a_function, alpha_kernel,
                          b_function, reflection_probability,
                          scattering_delay, validate_model)
-from thermaldrag.models import (b_function_derivative, delay_derivative,
-                                reflection_probability_derivative,
-                                scattering_determinant)
+from thermaldrag.models import reflection_and_delay
+
+
+def b_function_derivative(model, omega):
+    """db/domega = 2 (-2 R' tau + (1 - 2 R) tau') from the one kernel pass."""
+    big_r, d_big_r, tau, d_tau = reflection_and_delay(model, omega, order=2)
+    return 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
 
 
 class TestReflectionProbability:
@@ -40,7 +44,7 @@ class TestReflectionProbability:
 
     def test_derivative_matches_closed_form(self, lorentzian):
         for w in (0.1, 1.0, 7.0):
-            assert reflection_probability_derivative(lorentzian, w) == (
+            assert reflection_and_delay(lorentzian, w)[1] == (
                 pytest.approx(float(oracles.lorentzian_dR(w)), rel=1e-12))
 
 
@@ -66,7 +70,7 @@ class TestScatteringDelay:
 
     def test_delay_derivative_closed_form(self, lorentzian):
         for w in (0.1, 0.9, 3.0):
-            assert delay_derivative(lorentzian, w) == pytest.approx(
+            assert reflection_and_delay(lorentzian, w, order=2)[3] == pytest.approx(
                 float(oracles.lorentzian_dtau(w)), rel=1e-11)
 
 
@@ -152,11 +156,12 @@ class TestModelContract:
         model = request.getfixturevalue(fixture)
         pairs = (model.amplitudes, model.amplitude_derivatives,
                  model.amplitude_second_derivatives)
-        kernels = (reflection_probability, scattering_delay, delay_derivative,
-                   b_function)
+        kernels = (reflection_probability, scattering_delay, b_function)
         grid = np.array([[0.0, 0.5, 2.0], [-1.0, 3.0, 40.0]])
         cases = [(complex, m(0.5), m(grid)) for m in pairs]
         cases += [(float, (k(model, 0.5),), (k(model, grid),)) for k in kernels]
+        cases.append((float, reflection_and_delay(model, 0.5, order=2),
+                      reflection_and_delay(model, grid, order=2)))
         for kind, scalars, arrays in cases:
             for scalar, array in zip(scalars, arrays, strict=True):
                 assert isinstance(scalar, kind), type(scalar)
@@ -234,8 +239,8 @@ class TestRationalMirror:
 
     def test_unimodular_determinant(self, weak):
         for w in (0.1, 1.0, 5.0):
-            assert abs(scattering_determinant(weak, w)) == pytest.approx(1.0,
-                                                                         rel=1e-12)
+            r, s = weak.amplitudes(w)
+            assert abs(s * s - r * r) == pytest.approx(1.0, rel=1e-12)
 
     def test_bad_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -52,6 +52,7 @@ class TestIntegrateFinite:
     def test_empty_range(self):
         res = integrate_finite(lambda x: x, 1.0, 1.0)
         assert res.value == 0.0
+        assert res.evaluations == 0
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ from thermaldrag import (GridTooCoarse, GrowthBoundExceeded, LorentzianMirror,
                          correlation_spectrum, correlation_zero_frequency,
                          dissipative_part, kramers_kronig_check,
                          lambda_spectral, vacuum_cubic_coefficient)
+from thermaldrag import susceptibility
+from thermaldrag.quadrature import DEFAULT_CONFIG
 
 
 class TestChiVacuum:
@@ -23,6 +25,12 @@ class TestChiVacuum:
     def test_zero_frequency(self, lorentzian, perfect):
         assert chi_vacuum(lorentzian, 0.0) == 0.0
         assert chi_vacuum(perfect, 0.0) == 0.0
+
+    def test_closed_forms_report_no_evaluations(self, lorentzian, perfect):
+        # branches that never call the integrand must not count evaluations
+        vacuum = susceptibility._vacuum_quad(lorentzian, 0.0, DEFAULT_CONFIG)
+        thermal = susceptibility._thermal_quad(perfect, 0.5, 1.0, DEFAULT_CONFIG)
+        assert vacuum.evaluations == 0 and thermal.evaluations == 0
 
     def test_against_trapezoid_oracle(self, lorentzian):
         oracle = oracles.trapezoid_chi_vacuum(0.1)
