@@ -10,6 +10,7 @@ above tolerance or NaN, 4 model validation failure, 5 verify failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -319,34 +320,37 @@ def cmd_model_info(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="thermaldrag",
         description="Motional viscosity and inertia of a mirror in a thermal field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "coeffs": (cmd_coeffs, "viscosity and mass correction at one temperature"),
-        "sweep": (cmd_sweep, "coefficient table over a temperature range"),
-        "chi": (cmd_chi, "susceptibility over a frequency grid"),
-        "verify": (cmd_verify, "run the invariant suite for the configured model"),
-        "force": (cmd_force, "quasistatic force along a trajectory CSV"),
-        "model-info": (cmd_model_info, "model parameters and validation report"),
+        "coeffs": "viscosity and mass correction at one temperature",
+        "sweep": "coefficient table over a temperature range",
+        "chi": "susceptibility over a frequency grid",
+        "verify": "run the invariant suite for the configured model",
+        "force": "quasistatic force along a trajectory CSV",
+        "model-info": "model parameters and validation report",
     }
-    for name, (func, help_text) in commands.items():
+    for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the config file")
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
         cmd.add_argument("--tol", type=float, default=1e-6,
                          help="allowed relative route discrepancy")
-        cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* function is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -192,7 +192,11 @@ class RationalMirror(MirrorModel):
 
     @staticmethod
     def _eval(coeffs, z):
-        return np.polynomial.polynomial.polyval(z, coeffs)
+        # Horner with numpy polyval's order of operations, so bit-identical to it
+        acc = coeffs[-1] + z * 0
+        for c in coeffs[-2::-1]:
+            acc = c + acc * z
+        return acc
 
     def amplitudes(self, omega):
         z = 1j * np.asarray(omega)

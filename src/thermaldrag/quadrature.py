@@ -1,11 +1,13 @@
 """Adaptive quadrature, a discrete Hilbert transform and Richardson extrapolation.
 
 The workhorse is a Gauss-Kronrod 7/15 pair with priority-queue interval
-bisection.  Integrands receive numpy arrays of nodes and must return an
-array of values (real or complex); this keeps the Python overhead per
-panel to a single vectorized call.  Results are deterministic for a fixed
-configuration: the priority queue breaks ties by insertion order and the
-final sums run over intervals sorted by left endpoint.
+bisection.  Integrands receive a 1-D numpy array of nodes and must return
+an array of values (real or complex) of the same shape.  Integrands must
+be pointwise: the value at a node may depend on that node only, because
+one call carries the nodes of several panels (all initial panels at once,
+then both halves of each bisected panel).  Results are deterministic for
+a fixed configuration: the priority queue breaks ties by insertion order
+and the final sums run over intervals sorted by left endpoint.
 """
 
 from __future__ import annotations
@@ -102,34 +104,52 @@ class QuadratureResult:
     converged: bool = True
 
 
-def _gk_panel(f, a: float, b: float):
-    """One Gauss-Kronrod 7/15 panel on [a, b]; returns (value, error)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    y = np.asarray(f(mid + half * _NODES))
-    resk = half * (_WK @ y)
-    resg = half * (_WG @ y[_GAUSS_IDX])
-    err = abs(resk - resg)
-    resabs = abs(half) * (_WK @ np.abs(y))
-    if b > a:
-        resasc = abs(half) * (_WK @ np.abs(y - resk / (b - a)))
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    # roundoff floor on the claimed error
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+def _gk_panels(f, panels):
+    """Gauss-Kronrod 7/15 on every (a, b) in ``panels`` from one call of f.
+
+    The nodes of all panels reach ``f`` as one array, so ``f`` must be
+    pointwise.  Each panel is then reduced on its own row with the same
+    1-D dot products as a lone panel: one matrix product over all rows
+    rounds differently.  Returns a list of (value, error), one per panel.
+    """
+    ends = np.array(panels, dtype=float)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+    out = []
+    for (a, b), h, row in zip(panels, half.tolist(),
+                              y.reshape(len(panels), _NODES.size)):
+        resk = h * (_WK @ row)
+        resg = h * (_WG @ row[_GAUSS_IDX])
+        err = abs(resk - resg)
+        resabs = abs(h) * (_WK @ np.abs(row))
+        if b > a:
+            resasc = abs(h) * (_WK @ np.abs(row - resk / (b - a)))
+            if resasc != 0.0 and err != 0.0:
+                err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        # roundoff floor on the claimed error
+        out.append((resk, max(err, 50.0 * _EPS * resabs)))
+    return out
 
 
 def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
-    """Adaptive bisection over the initial panels given by ``breakpoints``."""
-    heap = []  # (-error, insertion counter, a, b, value, error)
-    counter = 0
-    evals = 0
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        value, err = _gk_panel(f, a, b)
-        evals += 15
-        heap.append((-err, counter, a, b, value, err))
-        counter += 1
+    """Adaptive bisection over the initial panels given by ``breakpoints``.
+
+    All initial panels share one call of ``f``, and so do the two halves
+    of each bisected panel.
+    """
+    counter = 0  # panels evaluated so far; breaks ties in the heap
+
+    def evaluate(panels):
+        """Heap items (-error, insertion counter, a, b, value, error)."""
+        nonlocal counter
+        items = []
+        for (a, b), (value, err) in zip(panels, _gk_panels(f, panels)):
+            items.append((-err, counter, a, b, value, err))
+            counter += 1
+        return items
+
+    heap = evaluate(list(zip(breakpoints[:-1], breakpoints[1:])))
     heapq.heapify(heap)
     finished = []  # intervals too narrow to split further
 
@@ -152,17 +172,14 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
             # interval at roundoff width; freeze it
             finished.append(item)
             continue
-        for lo, hi in ((a, mid), (mid, b)):
-            value, err = _gk_panel(f, lo, hi)
-            evals += 15
-            heapq.heappush(heap, (-err, counter, lo, hi, value, err))
-            counter += 1
+        for new_item in evaluate([(a, mid), (mid, b)]):
+            heapq.heappush(heap, new_item)
 
     # deterministic final summation: left-to-right over the interval list
     segments = sorted(heap + finished, key=lambda item: item[2])
     total = sum(item[4] for item in segments)
     total_err = sum(item[5] for item in segments)
-    return QuadratureResult(total, float(total_err), evals, converged)
+    return QuadratureResult(total, float(total_err), _NODES.size * counter, converged)
 
 
 def integrate_finite(f, lo: float, hi: float,

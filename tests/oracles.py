@@ -5,12 +5,18 @@ occupations come from geometric series, Bose moments from zeta sums,
 integrals from brute-force trapezoid rules, derivatives from central
 differences, lorentzian scattering quantities from their explicit rational
 closed forms, and the kernels a, b from the literal amplitude products
-instead of R and tau.
+instead of R and tau.  The adaptive driver is kept as the per-panel loop
+(one integrand call per 15-node panel), sharing only the rule's nodes and
+weights with the package.
 """
 
+import heapq
 import math
 
 import numpy as np
+
+from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _NODES, _WG, _WK,
+                                   QuadratureResult)
 
 
 # --- series oracles -------------------------------------------------------
@@ -187,3 +193,71 @@ def trapezoid_coefficients(temp: float, tau0: float = 1.0,
     flux = temp / math.pi * np.trapezoid(w * big_r * n, x)
     stocked = temp / (2 * math.pi) * np.trapezoid(w * b * n, x)
     return float(lam), float(mu), float(flux), float(stocked)
+
+
+# --- per-panel adaptive driver --------------------------------------------
+# The adaptive Gauss-Kronrod driver as it was before panels were batched:
+# one integrand call per 15-node panel.  The batched driver must return
+# results equal to these with ==.
+
+def gk_panel_per_call(f, a: float, b: float):
+    """One Gauss-Kronrod 7/15 panel on [a, b]; returns (value, error)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    y = np.asarray(f(mid + half * _NODES))
+    resk = half * (_WK @ y)
+    resg = half * (_WG @ y[_GAUSS_IDX])
+    err = abs(resk - resg)
+    resabs = abs(half) * (_WK @ np.abs(y))
+    if b > a:
+        resasc = abs(half) * (_WK @ np.abs(y - resk / (b - a)))
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    # roundoff floor on the claimed error
+    err = max(err, 50.0 * _EPS * resabs)
+    return resk, err
+
+
+def adaptive_per_panel(f, breakpoints, cfg) -> QuadratureResult:
+    """Adaptive bisection over the initial panels given by ``breakpoints``."""
+    heap = []  # (-error, insertion counter, a, b, value, error)
+    counter = 0
+    evals = 0
+    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
+        value, err = gk_panel_per_call(f, a, b)
+        evals += 15
+        heap.append((-err, counter, a, b, value, err))
+        counter += 1
+    heapq.heapify(heap)
+    finished = []  # intervals too narrow to split further
+
+    converged = True
+    while True:
+        total = sum(item[4] for item in heap) + sum(item[4] for item in finished)
+        total_err = sum(item[5] for item in heap) + sum(item[5] for item in finished)
+        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+            break
+        if not heap:
+            converged = False
+            break
+        if len(heap) + len(finished) >= cfg.max_subdivisions:
+            converged = False
+            break
+        item = heapq.heappop(heap)
+        a, b = item[2], item[3]
+        mid = 0.5 * (a + b)
+        if mid - a < _EPS * max(abs(a), abs(b), 1.0):
+            # interval at roundoff width; freeze it
+            finished.append(item)
+            continue
+        for lo, hi in ((a, mid), (mid, b)):
+            value, err = gk_panel_per_call(f, lo, hi)
+            evals += 15
+            heapq.heappush(heap, (-err, counter, lo, hi, value, err))
+            counter += 1
+
+    # deterministic final summation: left-to-right over the interval list
+    segments = sorted(heap + finished, key=lambda item: item[2])
+    total = sum(item[4] for item in segments)
+    total_err = sum(item[5] for item in segments)
+    return QuadratureResult(total, float(total_err), evals, converged)

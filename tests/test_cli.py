@@ -397,6 +397,79 @@ class TestModelInfoCommand:
         assert "cutoff_frequency = none" in capsys.readouterr().out
 
 
+class TestMain:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_patched_handler_called_after_earlier_request(self, tmp_path, capsys,
+                                                          monkeypatch):
+        path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")
+        assert run(["coeffs", "--config", path]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_coeffs", lambda args: seen.append(args) or 7)
+        assert run(["coeffs", "--config", path]) == 7
+        assert [args.config for args in seen] == [path]
+
+    def test_usage_error_then_valid_request(self, tmp_path, capsys):
+        path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")
+        assert run(["coeffs", "--config", path]) == 0
+        expected = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            run(["coeffs", "--tol", "not-a-number"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(["coeffs", "--config", path]) == 0
+        assert capsys.readouterr().out == expected
+
+
+# stdout recorded before the quadrature driver batched its panels; any
+# change in rounding anywhere in the stack shows up here
+GOLDEN_COEFFS_WEAK_RATIONAL = (
+    'temperature = 1\n'
+    'lambda_spectral = 0.024472472594085502 +/- 2.369707260666736e-12\n'
+    'lambda_entropic = 0.024472472594085498 +/- 4.4958345948660654e-13\n'
+    'mu_spectral = 0.7290141940918462 +/- 3.2149610878955793e-11\n'
+    'mu_entropic = 0.7290141940918462 +/- 6.7562114408686878e-12\n'
+    'A = 0.0066075665983137159 +/- 5.6715898812562986e-13\n'
+    'B = 0.51140244744117092 +/- 2.891106256078222e-11\n'
+    'route_discrepancy_lambda = 1.4176936713751225e-16\n'
+    'route_discrepancy_mu = 0\n'
+)
+GOLDEN_CHI_LORENTZIAN_SCALED = (
+    'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
+    're_chi_total,im_chi_total,err\n'
+    '-2,-0.070476377636938509,-0.08553622826578558,-0.05755676815592,'
+    '-0.27237457799202774,-0.12803314579285852,-0.3579108062578133,'
+    '2.7711814618382167e-12\n'
+    '-1,-0.0073022786880829254,-0.015752967709700673,-0.023071561470117224,'
+    '-0.1531666306064437,-0.030373840158200147,-0.16891959831614436,'
+    '5.3690970809663751e-13\n'
+    '0,0,0,7.4669887299969643e-19,0,7.4669887299969643e-19,0,'
+    '1.9965818701703663e-18\n'
+    '1,-0.0073022786880829237,0.015752967709700673,-0.023071561470117224,'
+    '0.1531666306064437,-0.030373840158200147,0.16891959831614436,'
+    '5.3690970809663751e-13\n'
+    '2,-0.070476377636938509,0.08553622826578558,-0.05755676815592,'
+    '0.27237457799202774,-0.12803314579285852,0.3579108062578133,'
+    '2.7711814618382167e-12\n'
+    '3,-0.22729178786830204,0.20327150903182611,-0.08037971158600582,'
+    '0.37487358419767774,-0.30767149945430788,0.5781450932295038,'
+    '7.8148908873361227e-12\n'
+)
+
+
+class TestGoldenStdout:
+    def test_coeffs_weak_rational(self, tmp_path, capsys):
+        assert run(["coeffs", "--config", weak_rational_config(tmp_path)]) == 0
+        assert capsys.readouterr().out == GOLDEN_COEFFS_WEAK_RATIONAL
+
+    def test_chi_lorentzian_scaled_units(self, tmp_path, capsys):
+        path = lorentzian_config(tmp_path, "hbar = 1.5\nc = 2\nomega_min = -2\n"
+                                 "omega_max = 3\nomega_count = 6\n")
+        assert run(["chi", "--config", path]) == 0
+        assert capsys.readouterr().out == GOLDEN_CHI_LORENTZIAN_SCALED
+
+
 class TestUnitConversions:
     def test_viscosity_scales_with_hbar_c(self, tmp_path):
         # same physical mirror described in two unit systems

@@ -249,6 +249,18 @@ class TestRationalMirror:
             RationalMirror(r_num=[1.0], r_den=[1.0, 0.0], s_num=[1.0],
                            s_den=[1.0], cutoff=1.0)
 
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_horner_bit_identical_to_polyval(self, length):
+        rng = np.random.default_rng(length)
+        coeffs = rng.normal(size=length)
+        nodes = 1j * (0.7 + 1.3 * np.polynomial.legendre.leggauss(15)[0])
+        for z in (nodes, 1j * np.asarray(0.37), np.asarray(-2.5j)):
+            ours = RationalMirror._eval(coeffs, z)
+            reference = np.polynomial.polynomial.polyval(z, coeffs)
+            assert np.shape(ours) == np.shape(reference)
+            assert np.result_type(ours) == np.result_type(reference)
+            assert np.array_equal(ours, reference)
+
     def test_custom_epsilon_family_unitary(self):
         for eps in (0.05, 0.5, 0.9):
             model = weak_mirror(epsilon=eps, tau=2.0)

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import bose_moment, differentiate, lorentzian_alpha
+from oracles import (adaptive_per_panel, bose_moment, differentiate,
+                     lorentzian_alpha)
 from thermaldrag import (ExtrapolationUnstable, GridTooCoarse,
                          GrowthBoundExceeded, QuadratureConfig,
                          hilbert_transform_pv, integrate_finite,
                          integrate_thermal, richardson_extrapolate)
+from thermaldrag.quadrature import (_EPS, _THERMAL_BREAKS, DEFAULT_CONFIG,
+                                   _adaptive)
 
 
 class TestIntegrateFinite:
@@ -116,6 +119,67 @@ class TestIntegrateThermal:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             integrate_thermal(lambda w: w, 0.0)
+
+
+# (integrand, breakpoints, config) on which the batched driver must match
+# the per-panel one bit for bit
+_DRIVER_CASES = {
+    "smooth_real": (lambda x: np.exp(-x) * np.cos(3.0 * x), [0.0, 5.0],
+                    DEFAULT_CONFIG),
+    "complex": (lambda x: np.exp(7j * x) / (1.0 + x * x), [-2.0, 0.5, 3.0],
+                DEFAULT_CONFIG),
+    "sharp_peak": (lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-8), [0.0, 0.25, 1.0],
+                   DEFAULT_CONFIG),
+    "budget_exhausted": (lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), [0.0, 1.0],
+                         QuadratureConfig(max_subdivisions=3)),
+    # a tolerance below the roundoff floor: both halves of the first split
+    # are too narrow to split again, so they freeze and the heap empties
+    "roundoff_frozen": (np.exp, [1.0, 1.0 + 4.0 * _EPS],
+                        QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)),
+}
+
+
+class TestBatchedDriver:
+    @pytest.mark.parametrize("case", _DRIVER_CASES)
+    def test_matches_per_panel_driver(self, case):
+        f, breakpoints, cfg = _DRIVER_CASES[case]
+        batched = _adaptive(f, breakpoints, cfg)
+        reference = adaptive_per_panel(f, breakpoints, cfg)
+        assert batched.value == reference.value
+        assert batched.error_estimate == reference.error_estimate
+        assert batched.evaluations == reference.evaluations
+        assert batched.converged == reference.converged
+
+    def test_cases_reach_their_branches(self):
+        assert not _adaptive(*_DRIVER_CASES["budget_exhausted"]).converged
+        frozen = _adaptive(*_DRIVER_CASES["roundoff_frozen"])
+        assert not frozen.converged and frozen.evaluations == 45
+
+    @staticmethod
+    def recording(f):
+        sizes = []
+
+        def g(x):
+            sizes.append(np.asarray(x).size)
+            return f(x)
+        return g, sizes
+
+    def test_finite_one_call_per_step(self):
+        g, sizes = self.recording(lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-4))
+        res = integrate_finite(g, 0.0, 1.0)
+        assert sum(sizes) == res.evaluations
+        assert sizes[0] == 15 and len(sizes) > 2
+        assert set(sizes[1:]) == {30}
+
+    def test_thermal_one_call_per_step(self):
+        g, sizes = self.recording(lambda w: w**3 / (1.0 + (w - 2.0) ** 2))
+        res = integrate_thermal(g, 0.7)
+        assert sum(sizes) == res.evaluations
+        # majorant fit (48 nodes), growth probe (3), then every initial
+        # panel in one call and each bisection's two halves in one call
+        assert sizes[:2] == [48, 3]
+        assert sizes[2] == 15 * len(_THERMAL_BREAKS)
+        assert len(sizes) > 3 and set(sizes[3:]) == {30}
 
 
 class TestDifferentiate:
