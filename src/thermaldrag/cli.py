@@ -316,7 +316,7 @@ def cmd_model_info(args) -> int:
         lines.append(f"validation.{check.name} = {check.max_violation:.6e} "
                      f"(allowed {check.allowed:.1e}, "
                      f"{'PASS' if check.passed else 'FAIL'})")
-    print("\n".join(lines))
+    _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
@@ -340,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the config file")
         cmd.add_argument("--out", default=None, help="output file (default stdout)")
-        cmd.add_argument("--tol", type=float, default=1e-6,
-                         help="allowed relative route discrepancy")
+        if name in ("coeffs", "sweep", "verify"):  # the commands with a route gate
+            cmd.add_argument("--tol", type=float, default=1e-6,
+                             help="allowed relative route discrepancy")
     return parser
 
 

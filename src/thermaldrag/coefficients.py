@@ -36,9 +36,8 @@ from . import susceptibility as suscept
 from .core import occupation_plus_one_from_ratio
 from .errors import DivergentBandwidth, GridTooCoarse, RegimeViolation
 from .models import MirrorModel, PerfectMirror
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureResult,
-                         integrate_finite, integrate_thermal,
-                         richardson_extrapolate)
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate_finite,
+                         integrate_thermal)
 
 ROUTE_TOLERANCE = 1e-6  # default allowed spectral/entropic relative discrepancy
 
@@ -88,17 +87,6 @@ class AsymptoticsReport:
 
 
 @dataclass(frozen=True)
-class MassBoundConfig:
-    """Mirror mass against which the inertia corrections are gauged."""
-
-    mirror_mass: float
-
-    def __post_init__(self):
-        if not self.mirror_mass > 0:
-            raise ValueError(f"mirror_mass must be > 0, got {self.mirror_mass}")
-
-
-@dataclass(frozen=True)
 class MassBoundReport:
     cutoff_condition_holds: bool | None  # None when the model has no cutoff
     mass_condition_holds: bool
@@ -108,123 +96,89 @@ class MassBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# thermal integrands (Bose weight supplied by integrate_thermal)
+# thermal integrals (Bose weight supplied by integrate_thermal)
 
-def energy_flux_A(model: MirrorModel, temp: float,
-                  cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Thermal energy flux intercepted by the reflection band (a power).
+def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
+                       names=None) -> dict:
+    """(value, error estimate) of each named thermal integral, in order.
 
-    A(T) = (1/2 pi) int_0^inf dw 2 w n_T(w) R[w]; strictly increasing in T.
+    The six integrals are named after the report fields they fill;
+    ``names=None`` runs all six in report order.  Each integrand comes
+    with its route factor: the entropic routes are dA/dT and dB/dT
+    differentiated under the integral with dn/dT = n (1 + n) w/T^2, so
+    lambda = 2 T dA/dT and mu = T dB/dT scale the value and its error.
+    A(T) = (1/2 pi) int dw 2 w n_T R[w] is strictly increasing in T; B(T)
+    = (1/2 pi) int dw 2 w n_T (1 - 2 R[w]) tau[w] can take either sign.
     """
-    return float(_energy_flux_quad(model, temp, cfg).value)
-
-
-def _energy_flux_quad(model, temp, cfg) -> QuadratureResult:
-    def f(w):
-        return w * models.reflection_probability(model, w) / math.pi
-
-    return integrate_thermal(f, temp, cfg)
-
-
-def lambda_spectral(model: MirrorModel, temp: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Viscosity from the spectral route; positive for any reflecting model."""
-    return float(_lambda_spectral_quad(model, temp, cfg).value)
-
-
-def _lambda_spectral_quad(model, temp, cfg) -> QuadratureResult:
-    def f(w):
+    def lambda_spectral_f(w):
         big_r, d_big_r, _, _ = models.reflection_and_delay(model, w)
         a, da = 2.0 * big_r, 2.0 * d_big_r
         return (2.0 * w * a + w * w * da) / math.pi
 
-    return integrate_thermal(f, temp, cfg)
-
-
-def lambda_entropic(model: MirrorModel, temp: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Viscosity from the entropic route, lambda = 2 T dA/dT.
-
-    dA/dT is differentiated under the integral using dn/dT = n (1 + n)
-    w/T^2, which reuses the Bose-weighted quadrature; agreement with
-    :func:`lambda_spectral` is the integration-by-parts identity made
-    executable.
-    """
-    return float(_lambda_entropic_quad(model, temp, cfg).value)
-
-
-def _lambda_entropic_quad(model, temp, cfg) -> QuadratureResult:
-    def f(w):
+    def lambda_entropic_f(w):
         big_r = models.reflection_probability(model, w)
         plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
         return w * w * big_r * plus / (math.pi * temp**2)
 
-    res = integrate_thermal(f, temp, cfg)
-    return QuadratureResult(2.0 * temp * res.value,
-                            2.0 * temp * res.error_estimate,
-                            res.evaluations, res.converged)
-
-
-def stocked_quantity_B(model: MirrorModel, temp: float,
-                       cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Delay-weighted thermal flux (an energy); its sign can go either way.
-
-    B(T) = (1/2 pi) int_0^inf dw 2 w n_T(w) (1 - 2 R[w]) tau[w].
-    """
-    return float(_stocked_quantity_quad(model, temp, cfg).value)
-
-
-def _stocked_quantity_quad(model, temp, cfg) -> QuadratureResult:
-    def f(w):
-        return w * models.b_function(model, w) / (2.0 * math.pi)
-
-    return integrate_thermal(f, temp, cfg)
-
-
-def mu_spectral(model: MirrorModel, temp: float,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Mass correction from the spectral route; vanishes for zero delay."""
-    return float(_mu_spectral_quad(model, temp, cfg).value)
-
-
-def _mu_spectral_quad(model, temp, cfg) -> QuadratureResult:
-    def f(w):
+    def mu_spectral_f(w):
         big_r, d_big_r, tau, d_tau = models.reflection_and_delay(model, w, order=2)
         b = 2.0 * (1.0 - 2.0 * big_r) * tau
         db = 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
         return (2.0 * w * b + w * w * db) / (2.0 * math.pi)
 
-    return integrate_thermal(f, temp, cfg)
-
-
-def mu_entropic(model: MirrorModel, temp: float,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Mass correction from the entropic route, mu = T dB/dT."""
-    return float(_mu_entropic_quad(model, temp, cfg).value)
-
-
-def _mu_entropic_quad(model, temp, cfg) -> QuadratureResult:
-    def f(w):
+    def mu_entropic_f(w):
         b = models.b_function(model, w)
         plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
         return w * w * b * plus / (2.0 * math.pi * temp**2)
 
-    res = integrate_thermal(f, temp, cfg)
-    return QuadratureResult(temp * res.value, temp * res.error_estimate,
-                            res.evaluations, res.converged)
+    def a_f(w):
+        return w * models.reflection_probability(model, w) / math.pi
+
+    def b_f(w):
+        return w * models.b_function(model, w) / (2.0 * math.pi)
+
+    integrands = {
+        "lambda_spectral": (lambda_spectral_f, 1.0),
+        "lambda_entropic": (lambda_entropic_f, 2.0 * temp),
+        "mu_spectral": (mu_spectral_f, 1.0),
+        "mu_entropic": (mu_entropic_f, temp),
+        "A": (a_f, 1.0),
+        "B": (b_f, 1.0),
+    }
+    results = {}
+    for name in names or integrands:
+        f, factor = integrands[name]
+        res = integrate_thermal(f, temp, cfg)
+        results[name] = (factor * res.value, factor * res.error_estimate)
+    return results
+
+
+def lambda_spectral(model: MirrorModel, temp: float,
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Viscosity from the spectral route; positive for any reflecting model."""
+    results = _thermal_integrals(model, temp, cfg, ("lambda_spectral",))
+    return float(results["lambda_spectral"][0])
+
+
+def mu_spectral(model: MirrorModel, temp: float,
+                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """Mass correction from the spectral route; vanishes for zero delay."""
+    results = _thermal_integrals(model, temp, cfg, ("mu_spectral",))
+    return float(results["mu_spectral"][0])
 
 
 def compute_coefficients(model: MirrorModel, temp: float,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> CoefficientReport:
-    """Evaluate both routes for lambda and mu plus A and B at one temperature."""
+    """Evaluate both routes for lambda and mu plus A and B at one temperature.
+
+    The entropic routes, A and B are computed only here, as report fields;
+    :func:`lambda_spectral` and :func:`mu_spectral` give a spectral route
+    alone.
+    """
     if not temp > 0:
         raise ValueError(f"requires temp > 0, got {temp}")
-    ls = _lambda_spectral_quad(model, temp, cfg)
-    le = _lambda_entropic_quad(model, temp, cfg)
-    ms = _mu_spectral_quad(model, temp, cfg)
-    me = _mu_entropic_quad(model, temp, cfg)
-    a = _energy_flux_quad(model, temp, cfg)
-    b = _stocked_quantity_quad(model, temp, cfg)
+    results = _thermal_integrals(model, temp, cfg)
+    value = {name: v for name, (v, _) in results.items()}
 
     def rel_gap(x, y):
         # NaN when either route is non-finite, so the CLI's route gate trips
@@ -233,22 +187,11 @@ def compute_coefficients(model: MirrorModel, temp: float,
 
     return CoefficientReport(
         temp=temp,
-        lambda_spectral=float(ls.value),
-        lambda_entropic=float(le.value),
-        mu_spectral=float(ms.value),
-        mu_entropic=float(me.value),
-        A=float(a.value),
-        B=float(b.value),
-        route_discrepancy_lambda=rel_gap(ls.value, le.value),
-        route_discrepancy_mu=rel_gap(ms.value, me.value),
-        error_estimates={
-            "lambda_spectral": ls.error_estimate,
-            "lambda_entropic": le.error_estimate,
-            "mu_spectral": ms.error_estimate,
-            "mu_entropic": me.error_estimate,
-            "A": a.error_estimate,
-            "B": b.error_estimate,
-        },
+        **{name: float(v) for name, v in value.items()},
+        route_discrepancy_lambda=rel_gap(value["lambda_spectral"],
+                                         value["lambda_entropic"]),
+        route_discrepancy_mu=rel_gap(value["mu_spectral"], value["mu_entropic"]),
+        error_estimates={name: err for name, (_, err) in results.items()},
         cutoff_frequency=model.cutoff_frequency,
     )
 
@@ -355,8 +298,8 @@ def einstein_check(model: MirrorModel, temp: float,
 
 def mass_bound_check(model: MirrorModel, temp: float,
                      cfg: QuadratureConfig = DEFAULT_CONFIG,
-                     bound: MassBoundConfig = MassBoundConfig(1.0)) -> MassBoundReport:
-    """Check the cutoff-vs-mass condition and |mu_T| < m.
+                     mirror_mass: float = 1.0) -> MassBoundReport:
+    """Check the cutoff-vs-mass condition and |mu_T| < m, m = ``mirror_mass`` > 0.
 
     The cutoff condition reads omega_C < 0.01 m in natural units (the
     point-mirror description needs the cutoff well below the rest energy);
@@ -364,6 +307,8 @@ def mass_bound_check(model: MirrorModel, temp: float,
     :class:`RegimeViolation` when T >= omega_C, outside the low-temperature
     validity regime.
     """
+    if not mirror_mass > 0:
+        raise ValueError(f"mirror_mass must be > 0, got {mirror_mass}")
     cutoff = model.cutoff_frequency
     if cutoff is not None and temp >= cutoff:
         warnings.warn(
@@ -373,13 +318,12 @@ def mass_bound_check(model: MirrorModel, temp: float,
             stacklevel=2,
         )
     mu = mu_spectral(model, temp, cfg)
-    mass = bound.mirror_mass
-    cutoff_ratio = None if cutoff is None else cutoff / mass
     return MassBoundReport(
-        cutoff_condition_holds=None if cutoff is None else bool(cutoff < 0.01 * mass),
-        mass_condition_holds=bool(abs(mu) < mass),
-        cutoff_ratio=cutoff_ratio,
-        mass_ratio=abs(mu) / mass,
+        cutoff_condition_holds=(None if cutoff is None
+                                else bool(cutoff < 0.01 * mirror_mass)),
+        mass_condition_holds=bool(abs(mu) < mirror_mass),
+        cutoff_ratio=None if cutoff is None else cutoff / mirror_mass,
+        mass_ratio=abs(mu) / mirror_mass,
         mu=mu,
     )
 
@@ -391,16 +335,14 @@ def lambda_from_chi_slope(model: MirrorModel, temp: float,
     Cross-checks the coefficient integrals against the full chi_T; the
     ladder has only even corrections (xi is odd).
     """
-    values = [suscept.dissipative_part(model, w, temp, cfg) / w
-              for w in suscept._omega_ladder(temp)]
-    value, _ = richardson_extrapolate(values, 2.0, first_order=2, order_step=2)
-    return float(value)
+    return suscept._ladder_limit(
+        lambda w: suscept.chi_total(model, w, temp, cfg).chi_total.imag / w,
+        temp, 2)
 
 
 def mu_from_chi_curvature(model: MirrorModel, temp: float,
                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Mass correction from the susceptibility curvature, Re chi_T[w]/w^2 -> mu."""
-    values = [suscept.chi_total(model, w, temp, cfg).chi_total.real / w**2
-              for w in suscept._omega_ladder(temp)]
-    value, _ = richardson_extrapolate(values, 2.0, first_order=2, order_step=2)
-    return float(value)
+    return suscept._ladder_limit(
+        lambda w: suscept.chi_total(model, w, temp, cfg).chi_total.real / w**2,
+        temp, 2)

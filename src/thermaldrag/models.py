@@ -338,14 +338,14 @@ UNITARITY_TOL = 1e-12
 TRANSPARENCY_TOL = 1e-3
 
 
-def validate_model(model: MirrorModel, omegas,
-                   tol: float = UNITARITY_TOL) -> ModelValidationReport:
+def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     """Check unitarity (both relations), reality, and high-frequency transparency.
 
-    Transparency (R -> 0 well above the cutoff) is only checked when the
-    model declares a finite cutoff; the perfect mirror skips it.  Returns
-    the per-check maximal violation and the frequency where it occurs; use
-    ``report.raise_for_failure()`` to turn failures into
+    Unitarity and reality are held to ``UNITARITY_TOL``.  Transparency (R
+    -> 0 well above the cutoff, to ``TRANSPARENCY_TOL``) is only checked
+    when the model declares a finite cutoff; the perfect mirror skips it.
+    Returns the per-check maximal violation and the frequency where it
+    occurs; use ``report.raise_for_failure()`` to turn failures into
     :class:`ValidationFailed`.
     """
     omegas = np.asarray(omegas, dtype=float)
@@ -361,11 +361,11 @@ def validate_model(model: MirrorModel, omegas,
 
     checks = []
     v, w = worst(np.abs(np.abs(r) ** 2 + np.abs(s) ** 2 - 1.0))
-    checks.append(CheckResult("unitarity_modulus", v, w, tol))
+    checks.append(CheckResult("unitarity_modulus", v, w, UNITARITY_TOL))
     v, w = worst(np.abs(s * np.conj(r) + r * np.conj(s)))
-    checks.append(CheckResult("unitarity_orthogonality", v, w, tol))
+    checks.append(CheckResult("unitarity_orthogonality", v, w, UNITARITY_TOL))
     v, w = worst(np.maximum(np.abs(r_neg - np.conj(r)), np.abs(s_neg - np.conj(s))))
-    checks.append(CheckResult("reality", v, w, tol))
+    checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
 
     cutoff = model.cutoff_frequency
     if cutoff is not None:

@@ -208,10 +208,12 @@ def integrate_finite(f, lo: float, hi: float,
 # breakpoints matched to the Bose weight: panels grow geometrically
 _THERMAL_BREAKS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 _MAJORANT_SAFETY = 100.0  # sampled |f| may exceed the fitted majorant this much
+# polynomial majorant order p: |f| may grow no faster than (1 + x^p) in x = omega/T
+_MAJORANT_ORDER = 3
 
 
-def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      growth_order: int = 3) -> QuadratureResult:
+def integrate_thermal(f, temp: float,
+                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
     """Compute the Bose-weighted integral of f over (0, infinity).
 
     Evaluates ``int_0^inf f(omega) n_T(omega) domega`` by substituting
@@ -224,12 +226,10 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     ----------
     f : callable
         Vectorized integrand of the frequency (without the Bose factor);
-        locally integrable on (0, inf) with at most polynomial growth.
+        locally integrable on (0, inf), growing no faster than (1 + x^3)
+        in x = omega/T.
     temp : float
         Temperature, > 0.
-    growth_order : int
-        Declared polynomial majorant order p: |f| is assumed to grow no
-        faster than (1 + x^p) in x = omega/T.
 
     Raises
     ------
@@ -244,13 +244,13 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     xs = np.geomspace(1e-3, 60.0, 48)
     fs = np.abs(np.asarray(f(temp * xs)))
     evals = xs.size
-    scale = float(np.max(fs / (1.0 + xs**growth_order)))
+    scale = float(np.max(fs / (1.0 + xs**_MAJORANT_ORDER)))
 
     # choose the truncation point from the tail bound
     cutoff = 40.0
 
     def tail_bound(x):
-        return 1.6 * temp * scale * (1.0 + 2.0 * x**growth_order) * math.exp(-x)
+        return 1.6 * temp * scale * (1.0 + 2.0 * x**_MAJORANT_ORDER) * math.exp(-x)
 
     while tail_bound(cutoff) > 0.1 * cfg.abs_tol and cutoff < X_UNDERFLOW:
         cutoff *= 1.2
@@ -260,9 +260,10 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     xs_hi = np.array([cutoff, 1.25 * cutoff, 1.5 * cutoff])
     fs_hi = np.abs(np.asarray(f(temp * xs_hi)))
     evals += xs_hi.size
-    if np.any(fs_hi > _MAJORANT_SAFETY * scale * (1.0 + xs_hi**growth_order)):
+    if np.any(fs_hi > _MAJORANT_SAFETY * scale * (1.0 + xs_hi**_MAJORANT_ORDER)):
         raise GrowthBoundExceeded(
-            f"integrand grows faster than the declared (1 + x^{growth_order}) majorant"
+            f"integrand grows faster than the declared "
+            f"(1 + x^{_MAJORANT_ORDER}) majorant"
         )
 
     def weighted(x):
@@ -299,13 +300,12 @@ def hilbert_transform_pv(samples, at: int) -> float:
     return float(np.sum(weights * g / offsets) / math.pi)
 
 
-def richardson_extrapolate(values, step_ratio: float = 2.0,
-                           first_order: int = 1, order_step: int = 1):
-    """Richardson-extrapolate a sequence sampled at steps h0 / step_ratio^k.
+def richardson_extrapolate(values, power: int):
+    """Richardson-extrapolate a sequence sampled at steps h0 / 2^k.
 
-    Assumes an error expansion in powers first_order, first_order +
-    order_step, ... of the step.  Returns (limit, error_estimate) where the
-    estimate is the magnitude of the last diagonal correction.
+    Assumes an error expansion in powers power, 2 power, 3 power, ... of
+    the step.  Returns (limit, error_estimate) where the estimate is the
+    magnitude of the last diagonal correction.
 
     Raises
     ------
@@ -326,7 +326,7 @@ def richardson_extrapolate(values, step_ratio: float = 2.0,
         )
     table = [list(seq)]
     for j in range(1, n):
-        factor = step_ratio ** (first_order + (j - 1) * order_step)
+        factor = 2.0 ** (j * power)
         prev = table[j - 1]
         table.append([
             prev[k + 1] + (prev[k + 1] - prev[k]) / (factor - 1.0)

@@ -44,10 +44,23 @@ def _omega_ladder(temp: float):
     """Shrinking frequency ladder inside the quasistatic window.
 
     The start scales with min(1, T) so the ladder stays below the thermal
-    frequency even for cold runs; at T >= 1 it is the plain 0.1 / 2^k.
+    frequency even for cold runs; at T >= 1 and at T = 0 (the vacuum
+    ladder) it is the plain 0.1 / 2^k.
     """
     start = _LADDER_START * min(1.0, temp) if temp > 0 else _LADDER_START
     return start / 2.0 ** np.arange(_LADDER_STEPS)
+
+
+def _ladder_limit(sample, temp: float, power: int) -> float:
+    """omega -> 0 limit of sample(omega) over the ladder of ``temp``.
+
+    Richardson extrapolation with error powers power, 2 power, 3 power, ...
+    of the ladder step; raises ExtrapolationUnstable if the samples stop
+    contracting.
+    """
+    value, _ = richardson_extrapolate([sample(w) for w in _omega_ladder(temp)],
+                                      power)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -112,34 +125,20 @@ def _thermal_quad(model: MirrorModel, omega: float, temp: float,
                             res.evaluations, res.converged)
 
 
-def chi_vacuum(model: MirrorModel, omega: float,
-               cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Vacuum susceptibility chi_0[omega]; conjugate-symmetric in omega.
-
-    For the perfect mirror this equals i omega^3 / 6 pi.
-    """
-    return _vacuum_quad(model, omega, cfg).value
-
-
-def chi_thermal_correction(model: MirrorModel, omega: float, temp: float,
-                           cfg: QuadratureConfig = DEFAULT_CONFIG) -> complex:
-    """Thermal correction delta chi_T[omega] for temp > 0.
-
-    The generic path needs a transparent model (finite cutoff) so the
-    Bose-weighted integral converges; the perfect mirror takes an exact
-    closed-form branch instead.
-    """
-    if not temp > 0:
-        raise ValueError(f"requires temp > 0, got {temp}")
-    return _thermal_quad(model, omega, temp, cfg).value
-
-
 def chi_total(model: MirrorModel, omega: float, temp: float,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> SusceptibilityValue:
     """Full susceptibility chi_T = chi_0 + delta chi_T with summed errors.
 
-    temp = 0 returns the vacuum part alone (thermal part exactly zero).
+    temp = 0 returns the vacuum part alone (thermal part exactly zero), so
+    ``chi_total(model, omega, 0.0).chi_vacuum`` is chi_0[omega], conjugate
+    symmetric in omega and i omega^3 / 6 pi for the perfect mirror.  The
+    thermal part needs a transparent model (finite cutoff) so the
+    Bose-weighted integral converges; the perfect mirror takes an exact
+    closed-form branch instead.  The dissipative part xi_T is
+    ``chi_total.imag``, odd in omega.
     """
+    if not temp >= 0:
+        raise ValueError(f"requires temp >= 0, got {temp}")
     vac = _vacuum_quad(model, omega, cfg)
     if temp == 0:
         thermal = QuadratureResult(0.0 + 0.0j, 0.0, 0, True)
@@ -155,12 +154,6 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     )
 
 
-def dissipative_part(model: MirrorModel, omega: float, temp: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """xi_T = Im chi_T, the dissipative response; odd in omega."""
-    return chi_total(model, omega, temp, cfg).chi_total.imag
-
-
 def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> CorrelationValue:
     """Force-noise spectrum from the fluctuation-dissipation relation.
@@ -172,7 +165,7 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
         raise ValueError("use correlation_zero_frequency for the omega -> 0 limit")
     if not temp > 0:
         raise ValueError(f"requires temp > 0, got {temp}")
-    xi = dissipative_part(model, omega, temp, cfg)
+    xi = chi_total(model, omega, temp, cfg).chi_total.imag
     x = omega / temp
     if x > 700.0:
         prefactor = 2.0  # deep quantum side: C -> 2 xi
@@ -191,11 +184,8 @@ def correlation_zero_frequency(model: MirrorModel, temp: float,
     assumes error powers 1, 2, 3, ...  Raises ExtrapolationUnstable if the
     estimates stop contracting.
     """
-    values = [correlation_spectrum(model, w, temp, cfg).c_spectrum
-              for w in _omega_ladder(temp)]
-    value, _ = richardson_extrapolate(values, step_ratio=2.0,
-                                      first_order=1, order_step=1)
-    return float(value)
+    return _ladder_limit(
+        lambda w: correlation_spectrum(model, w, temp, cfg).c_spectrum, temp, 1)
 
 
 def vacuum_cubic_coefficient(model: MirrorModel,
@@ -204,13 +194,10 @@ def vacuum_cubic_coefficient(model: MirrorModel,
 
     Im chi_0 / omega^3 has only even corrections, so the ladder is
     extrapolated with error powers 2, 4, 6, ...  Equals 1/6 pi for the
-    perfect mirror.
+    perfect mirror.  Uses the unscaled ladder omega0 / 2^k of temp = 0.
     """
-    ladder = _LADDER_START / 2.0 ** np.arange(_LADDER_STEPS)
-    values = [chi_vacuum(model, w, cfg).imag / w**3 for w in ladder]
-    value, _ = richardson_extrapolate(values, step_ratio=2.0,
-                                      first_order=2, order_step=2)
-    return float(value)
+    return _ladder_limit(
+        lambda w: chi_total(model, w, 0.0, cfg).chi_vacuum.imag / w**3, 0.0, 2)
 
 
 def kramers_kronig_check(model: MirrorModel, temp: float, grid,

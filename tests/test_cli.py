@@ -396,6 +396,15 @@ class TestModelInfoCommand:
         assert run(["model-info", "--config", path]) == 0
         assert "cutoff_frequency = none" in capsys.readouterr().out
 
+    def test_out_writes_stdout_text(self, tmp_path, capsys):
+        path = lorentzian_config(tmp_path)
+        assert run(["model-info", "--config", path]) == 0
+        expected = capsys.readouterr().out
+        out = tmp_path / "info.txt"
+        assert run(["model-info", "--config", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == expected
+
 
 class TestMain:
     def test_parser_built_once(self):
@@ -409,6 +418,14 @@ class TestMain:
         monkeypatch.setattr(cli, "cmd_coeffs", lambda args: seen.append(args) or 7)
         assert run(["coeffs", "--config", path]) == 7
         assert [args.config for args in seen] == [path]
+
+    @pytest.mark.parametrize("command", ["chi", "force", "model-info"])
+    def test_tol_rejected_without_route_gate(self, tmp_path, command):
+        # only coeffs, sweep and verify compare routes against --tol
+        path = lorentzian_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", path, "--tol", "1e-3"])
+        assert exc.value.code == 2
 
     def test_usage_error_then_valid_request(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")

@@ -5,12 +5,11 @@ import pytest
 
 import oracles
 from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
-                         MassBoundConfig, RegimeViolation, asymptotics,
-                         compute_coefficients, einstein_check, energy_flux_A,
-                         lambda_entropic, lambda_from_chi_slope,
-                         lambda_spectral, mass_bound_check, mu_entropic,
-                         mu_from_chi_curvature, mu_spectral, quasistatic_force,
-                         stocked_quantity_B)
+                         RegimeViolation, asymptotics, compute_coefficients,
+                         einstein_check, lambda_from_chi_slope,
+                         lambda_spectral, mass_bound_check,
+                         mu_from_chi_curvature, mu_spectral, quasistatic_force)
+from thermaldrag import coefficients
 from thermaldrag.coefficients import ROUTE_TOLERANCE
 from thermaldrag.models import MirrorModel
 
@@ -18,21 +17,22 @@ from thermaldrag.models import MirrorModel
 class TestEnergyFlux:
     def test_perfect_mirror_bose_moment(self, perfect):
         # R = 1 reduces A to the first Bose moment over pi
-        assert energy_flux_A(perfect, 1.0) == pytest.approx(math.pi / 6.0,
-                                                            rel=1e-10)
+        assert compute_coefficients(perfect, 1.0).A == pytest.approx(
+            math.pi / 6.0, rel=1e-10)
 
     def test_low_temperature_law(self, lorentzian):
         temp = 0.01
-        assert energy_flux_A(lorentzian, temp) == pytest.approx(
+        assert compute_coefficients(lorentzian, temp).A == pytest.approx(
             math.pi * temp**2 / 6.0, rel=0.01)
 
     def test_high_temperature_law(self, lorentzian):
         temp = 100.0
-        assert energy_flux_A(lorentzian, temp) == pytest.approx(
+        assert compute_coefficients(lorentzian, temp).A == pytest.approx(
             2.0 * temp * 0.25, rel=0.02)
 
     def test_increasing_in_temperature(self, lorentzian):
-        values = [energy_flux_A(lorentzian, t) for t in np.geomspace(0.1, 10, 8)]
+        values = [compute_coefficients(lorentzian, t).A
+                  for t in np.geomspace(0.1, 10, 8)]
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
@@ -41,7 +41,8 @@ class TestViscosity:
         for temp in (0.1, 1.0, 10.0):
             law = 2.0 * math.pi * temp**2 / 3.0
             assert lambda_spectral(perfect, temp) == pytest.approx(law, rel=1e-8)
-            assert lambda_entropic(perfect, temp) == pytest.approx(law, rel=1e-8)
+            assert compute_coefficients(perfect, temp).lambda_entropic == pytest.approx(
+                law, rel=1e-8)
 
     def test_low_temperature_law(self, lorentzian):
         temp = 1e-4
@@ -54,13 +55,14 @@ class TestViscosity:
     def test_routes_agree(self, lorentzian):
         for temp in (0.05, 1.0, 20.0):
             spectral = lambda_spectral(lorentzian, temp)
-            entropic = lambda_entropic(lorentzian, temp)
+            entropic = compute_coefficients(lorentzian, temp).lambda_entropic
             assert abs(spectral - entropic) / spectral < 1e-6
 
     def test_against_trapezoid_oracle(self, lorentzian):
         lam, _, flux, _ = oracles.trapezoid_coefficients(1.0)
         assert lambda_spectral(lorentzian, 1.0) == pytest.approx(lam, rel=1e-7)
-        assert energy_flux_A(lorentzian, 1.0) == pytest.approx(flux, rel=1e-7)
+        assert compute_coefficients(lorentzian, 1.0).A == pytest.approx(
+            flux, rel=1e-7)
 
     def test_positive_for_reflecting_models(self, lorentzian, weak, perfect):
         for model in (lorentzian, weak, perfect):
@@ -77,9 +79,9 @@ class TestViscosity:
         # the production route differentiates under the integral; a crude
         # finite-difference dA/dT is kept here as the independent oracle
         temp, h = 1.0, 1e-5
-        fd = (energy_flux_A(lorentzian, temp + h)
-              - energy_flux_A(lorentzian, temp - h)) / (2.0 * h)
-        assert lambda_entropic(lorentzian, temp) == pytest.approx(
+        fd = (compute_coefficients(lorentzian, temp + h).A
+              - compute_coefficients(lorentzian, temp - h).A) / (2.0 * h)
+        assert compute_coefficients(lorentzian, temp).lambda_entropic == pytest.approx(
             2.0 * temp * fd, rel=1e-8)
 
 
@@ -87,7 +89,7 @@ class TestMassCorrection:
     def test_perfect_mirror_vanishes(self, perfect):
         for temp in (0.1, 1.0, 10.0):
             assert mu_spectral(perfect, temp) == 0.0
-            assert mu_entropic(perfect, temp) == 0.0
+            assert compute_coefficients(perfect, temp).mu_entropic == 0.0
 
     def test_low_temperature_law(self, lorentzian):
         temp = 0.01
@@ -104,14 +106,14 @@ class TestMassCorrection:
     def test_routes_agree(self, lorentzian):
         for temp in (0.05, 1.0, 20.0):
             spectral = mu_spectral(lorentzian, temp)
-            entropic = mu_entropic(lorentzian, temp)
+            entropic = compute_coefficients(lorentzian, temp).mu_entropic
             assert abs(spectral - entropic) / abs(spectral) < 1e-6
 
     def test_against_trapezoid_oracle(self, lorentzian):
         _, mu, _, stocked = oracles.trapezoid_coefficients(1.0)
         assert mu_spectral(lorentzian, 1.0) == pytest.approx(mu, rel=1e-7)
-        assert stocked_quantity_B(lorentzian, 1.0) == pytest.approx(stocked,
-                                                                    rel=1e-7)
+        assert compute_coefficients(lorentzian, 1.0).B == pytest.approx(
+            stocked, rel=1e-7)
 
     def test_low_temperature_scaling_with_delay(self):
         # mu ~ -pi tau0 T^2/3; halving T quarters mu
@@ -126,15 +128,15 @@ class TestMassCorrection:
 class TestStockedQuantity:
     def test_perfect_mirror_zero(self, perfect):
         for temp in (0.3, 3.0):
-            assert stocked_quantity_B(perfect, temp) == 0.0
+            assert compute_coefficients(perfect, temp).B == 0.0
 
     def test_high_temperature_vanishes(self, lorentzian):
         temp = 100.0
-        assert abs(stocked_quantity_B(lorentzian, temp)) < 0.02 * temp
+        assert abs(compute_coefficients(lorentzian, temp).B) < 0.02 * temp
 
     def test_low_temperature_law(self, lorentzian):
         temp = 0.01
-        assert stocked_quantity_B(lorentzian, temp) == pytest.approx(
+        assert compute_coefficients(lorentzian, temp).B == pytest.approx(
             -math.pi * temp**2 / 6.0, rel=0.02)
 
 
@@ -158,6 +160,26 @@ class TestCoefficientReport:
     def test_rejects_zero_temperature(self, lorentzian):
         with pytest.raises(ValueError):
             compute_coefficients(lorentzian, 0.0)
+
+    @pytest.mark.parametrize("name", ["perfect", "lorentzian", "weak"])
+    @pytest.mark.parametrize("temp", [0.01, 1.0, 100.0])
+    def test_spectral_functions_equal_report_fields(self, name, temp, request):
+        model = request.getfixturevalue(name)
+        report = compute_coefficients(model, temp)
+        assert lambda_spectral(model, temp) == report.lambda_spectral
+        assert mu_spectral(model, temp) == report.mu_spectral
+
+    def test_six_thermal_integrals_per_report(self, lorentzian, monkeypatch):
+        calls = []
+        original = coefficients.integrate_thermal
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(coefficients, "integrate_thermal", counting)
+        compute_coefficients(lorentzian, 1.0)
+        assert calls == [1.0] * 6
 
     def test_one_model_call_per_node_array(self, lorentzian):
         # R, tau and their slopes at a node come from one call per amplitude order
@@ -251,27 +273,25 @@ class TestEinsteinRelation:
 
 class TestMassBound:
     def test_safe_regime(self, lorentzian):
-        report = mass_bound_check(lorentzian, 0.01,
-                                  bound=MassBoundConfig(mirror_mass=1000.0))
+        report = mass_bound_check(lorentzian, 0.01, mirror_mass=1000.0)
         assert report.cutoff_condition_holds is True
         assert report.mass_condition_holds is True
         assert report.mass_ratio == pytest.approx(math.pi * 1e-4 / 3.0 / 1000.0,
                                                   rel=0.05)
 
     def test_light_mirror_flagged(self, lorentzian):
-        report = mass_bound_check(lorentzian, 0.01,
-                                  bound=MassBoundConfig(mirror_mass=1e-6))
+        report = mass_bound_check(lorentzian, 0.01, mirror_mass=1e-6)
         assert report.cutoff_condition_holds is False
 
     def test_perfect_mirror(self, perfect):
-        report = mass_bound_check(perfect, 0.1, bound=MassBoundConfig(1.0))
+        report = mass_bound_check(perfect, 0.1, mirror_mass=1.0)
         assert report.cutoff_condition_holds is None
         assert report.mass_condition_holds is True
         assert report.mu == 0.0
 
     def test_hot_run_warns(self, lorentzian):
         with pytest.warns(RegimeViolation):
-            mass_bound_check(lorentzian, 10.0, bound=MassBoundConfig(1000.0))
+            mass_bound_check(lorentzian, 10.0, mirror_mass=1000.0)
 
 
 class TestQuasistaticForce:
@@ -331,10 +351,12 @@ class TestSusceptibilityConsistency:
 class TestDopplerCrossover:
     def test_low_temperature_factor_four(self, lorentzian):
         temp = 1e-3
-        ratio = lambda_spectral(lorentzian, temp) / energy_flux_A(lorentzian, temp)
+        ratio = (lambda_spectral(lorentzian, temp)
+                 / compute_coefficients(lorentzian, temp).A)
         assert 3.96 <= ratio <= 4.04
 
     def test_high_temperature_factor_two(self, lorentzian):
         temp = 100.0
-        ratio = lambda_spectral(lorentzian, temp) / energy_flux_A(lorentzian, temp)
+        ratio = (lambda_spectral(lorentzian, temp)
+                 / compute_coefficients(lorentzian, temp).A)
         assert 1.96 <= ratio <= 2.04

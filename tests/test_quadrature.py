@@ -243,26 +243,26 @@ class TestRichardson:
     def test_first_order_sequence(self):
         h = 1.0 / 2.0 ** np.arange(6)
         values = 3.0 + 2.0 * h + 0.5 * h**2 + 0.1 * h**3
-        limit, err = richardson_extrapolate(values, 2.0, 1, 1)
+        limit, err = richardson_extrapolate(values, 1)
         assert limit == pytest.approx(3.0, abs=1e-10)
         assert err < 1e-6
 
     def test_even_order_sequence(self):
         h = 1.0 / 2.0 ** np.arange(6)
         values = -1.5 + 0.3 * h**2 + 0.7 * h**4
-        limit, _ = richardson_extrapolate(values, 2.0, 2, 2)
+        limit, _ = richardson_extrapolate(values, 2)
         assert limit == pytest.approx(-1.5, abs=1e-12)
 
     def test_unstable_sequence_raises(self):
         # settles for a few rungs, then the differences blow up
         values = [2.0, 1.5, 1.49, 1.488, 1.6, 4.0, -20.0]
         with pytest.raises(ExtrapolationUnstable):
-            richardson_extrapolate(values, 2.0, 1, 1)
+            richardson_extrapolate(values, 1)
 
     def test_noise_floor_is_not_flagged(self):
         # a clean first-order ladder sitting on 1e-12 relative noise
         h = 1.0 / 2.0 ** np.arange(7)
         noise = np.array([3.0, -2.0, 1.5, -1.0, 2.0, -1.5, 1.0]) * 1e-12
         values = 4.0 + 1e-4 * h + noise
-        limit, _ = richardson_extrapolate(values, 2.0, 1, 1)
+        limit, _ = richardson_extrapolate(values, 1)
         assert limit == pytest.approx(4.0, rel=1e-10)

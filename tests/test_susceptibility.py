@@ -6,11 +6,10 @@ import pytest
 
 import oracles
 from thermaldrag import (GridTooCoarse, GrowthBoundExceeded, LorentzianMirror,
-                         QuadratureConfig, WindowTruncationWarning,
-                         chi_thermal_correction, chi_total, chi_vacuum,
+                         QuadratureConfig, WindowTruncationWarning, chi_total,
                          correlation_spectrum, correlation_zero_frequency,
-                         dissipative_part, kramers_kronig_check,
-                         lambda_spectral, vacuum_cubic_coefficient)
+                         kramers_kronig_check, lambda_spectral,
+                         vacuum_cubic_coefficient)
 from thermaldrag import susceptibility
 from thermaldrag.quadrature import DEFAULT_CONFIG
 
@@ -18,13 +17,13 @@ from thermaldrag.quadrature import DEFAULT_CONFIG
 class TestChiVacuum:
     def test_perfect_mirror_cubic_law(self, perfect):
         # chi_0 = i omega^3 / 6 pi
-        value = chi_vacuum(perfect, 1.0)
+        value = chi_total(perfect, 1.0, 0.0).chi_vacuum
         assert value.real == pytest.approx(0.0, abs=1e-15)
         assert value.imag == pytest.approx(1.0 / (6.0 * math.pi), rel=1e-12)
 
     def test_zero_frequency(self, lorentzian, perfect):
-        assert chi_vacuum(lorentzian, 0.0) == 0.0
-        assert chi_vacuum(perfect, 0.0) == 0.0
+        assert chi_total(lorentzian, 0.0, 0.0).chi_vacuum == 0.0
+        assert chi_total(perfect, 0.0, 0.0).chi_vacuum == 0.0
 
     def test_closed_forms_report_no_evaluations(self, lorentzian, perfect):
         # branches that never call the integrand must not count evaluations
@@ -34,42 +33,43 @@ class TestChiVacuum:
 
     def test_against_trapezoid_oracle(self, lorentzian):
         oracle = oracles.trapezoid_chi_vacuum(0.1)
-        assert chi_vacuum(lorentzian, 0.1) == pytest.approx(oracle, rel=1e-8)
+        assert chi_total(lorentzian, 0.1, 0.0).chi_vacuum == pytest.approx(
+            oracle, rel=1e-8)
 
     def test_conjugation_symmetry(self, lorentzian):
         for w in (0.3, 1.0, 8.0):
-            assert chi_vacuum(lorentzian, -w) == pytest.approx(
-                chi_vacuum(lorentzian, w).conjugate(), rel=1e-12)
+            assert chi_total(lorentzian, -w, 0.0).chi_vacuum == pytest.approx(
+                chi_total(lorentzian, w, 0.0).chi_vacuum.conjugate(), rel=1e-12)
 
     def test_low_frequency_cubic_scaling(self, lorentzian):
         # |chi_0| / omega^3 constant to 1% over [1e-3, 1e-2]
-        ratios = [abs(chi_vacuum(lorentzian, w)) / w**3
+        ratios = [abs(chi_total(lorentzian, w, 0.0).chi_vacuum) / w**3
                   for w in np.geomspace(1e-3, 1e-2, 7)]
         assert max(ratios) / min(ratios) == pytest.approx(1.0, abs=0.01)
 
 
 class TestChiThermal:
     def test_zero_frequency_cancels(self, lorentzian):
-        value = chi_thermal_correction(lorentzian, 0.0, 1.0)
+        value = chi_total(lorentzian, 0.0, 1.0).chi_thermal
         assert abs(value) < 1e-14
 
     def test_perfect_mirror_linear_in_omega(self, perfect):
         # exact closed form i (2 pi/3) T^2 omega
         for temp, omega in ((1.0, 0.01), (2.5, 0.3)):
-            value = chi_thermal_correction(perfect, omega, temp)
+            value = chi_total(perfect, omega, temp).chi_thermal
             assert value == pytest.approx(
                 1j * 2.0 * math.pi / 3.0 * temp**2 * omega, rel=1e-14)
 
     def test_against_trapezoid_oracle(self, lorentzian):
         for temp in (0.5, 1.0):
             oracle = oracles.trapezoid_chi_thermal(0.05, temp)
-            assert chi_thermal_correction(lorentzian, 0.05, temp) == pytest.approx(
+            assert chi_total(lorentzian, 0.05, temp).chi_thermal == pytest.approx(
                 oracle, rel=1e-7)
 
     def test_conjugation_symmetry(self, lorentzian):
         for w in (0.2, 1.5):
-            assert chi_thermal_correction(lorentzian, -w, 0.7) == pytest.approx(
-                chi_thermal_correction(lorentzian, w, 0.7).conjugate(), rel=1e-11)
+            assert chi_total(lorentzian, -w, 0.7).chi_thermal == pytest.approx(
+                chi_total(lorentzian, w, 0.7).chi_thermal.conjugate(), rel=1e-11)
 
     def test_nontransparent_model_rejected(self, transparent_model):
         # a model without a declared cutoff cannot take the generic path
@@ -79,7 +79,7 @@ class TestChiThermal:
         model = NoCutoff(r_num=[0.0], r_den=[1.0], s_num=[1.0], s_den=[1.0])
         assert model.cutoff_frequency is None
         with pytest.raises(GrowthBoundExceeded):
-            chi_thermal_correction(model, 1.0, 1.0)
+            chi_total(model, 1.0, 1.0).chi_thermal
 
     def test_half_quantum_does_not_give_vacuum(self, lorentzian):
         # replacing the occupation by 1/2 in the thermal kernel must not
@@ -89,7 +89,7 @@ class TestChiThermal:
         kernel = ((omega - x) * oracles.lorentzian_alpha(x, omega - x)
                   + (omega + x) * oracles.lorentzian_alpha(-x, omega + x))
         half_version = 1j / math.pi * np.trapezoid(x * kernel * 0.5, x)
-        vacuum = chi_vacuum(lorentzian, omega)
+        vacuum = chi_total(lorentzian, omega, 0.0).chi_vacuum
         quad_error = 1e-10
         assert abs(half_version - vacuum) > 10.0 * quad_error
 
@@ -142,18 +142,18 @@ class TestChiTotal:
 
 class TestDissipativePart:
     def test_odd_and_zero_at_origin(self, lorentzian):
-        assert dissipative_part(lorentzian, 0.0, 1.0) == pytest.approx(0.0,
-                                                                       abs=1e-14)
+        assert chi_total(lorentzian, 0.0, 1.0).chi_total.imag == pytest.approx(
+            0.0, abs=1e-14)
         for w in (0.4, 2.0):
-            assert dissipative_part(lorentzian, -w, 1.0) == pytest.approx(
-                -dissipative_part(lorentzian, w, 1.0), rel=1e-11)
+            assert chi_total(lorentzian, -w, 1.0).chi_total.imag == pytest.approx(
+                -chi_total(lorentzian, w, 1.0).chi_total.imag, rel=1e-11)
 
     def test_perfect_vacuum_value(self, perfect):
-        assert dissipative_part(perfect, 1.0, 0.0) == pytest.approx(
+        assert chi_total(perfect, 1.0, 0.0).chi_total.imag == pytest.approx(
             1.0 / (6.0 * math.pi), rel=1e-12)
 
     def test_low_frequency_slope_is_viscosity(self, perfect):
-        slope = dissipative_part(perfect, 1e-3, 1.0) / 1e-3
+        slope = chi_total(perfect, 1e-3, 1.0).chi_total.imag / 1e-3
         assert slope == pytest.approx(2.0 * math.pi / 3.0, rel=1e-4)
 
 
@@ -166,7 +166,7 @@ class TestCorrelationSpectrum:
             assert value.c_spectrum * -math.expm1(-omega / temp) / (
                 2.0 * value.xi) == pytest.approx(1.0, rel=1e-14)
             assert value.xi == pytest.approx(
-                dissipative_part(lorentzian, omega, temp), rel=1e-12)
+                chi_total(lorentzian, omega, temp).chi_total.imag, rel=1e-12)
 
     def test_quantum_limit_prefactor(self, lorentzian):
         value = correlation_spectrum(lorentzian, 5.0, 0.01)
@@ -267,9 +267,11 @@ class TestKramersKronig:
 
 
 class TestErrorHandling:
-    def test_thermal_requires_positive_temperature(self, lorentzian):
+    @pytest.mark.parametrize("name", ["perfect", "lorentzian"])
+    def test_negative_temperature_rejected(self, name, request):
+        # the perfect mirror's closed-form thermal branch must not square T = -1
         with pytest.raises(ValueError):
-            chi_thermal_correction(lorentzian, 1.0, 0.0)
+            chi_total(request.getfixturevalue(name), 0.5, -1.0)
 
     def test_tight_config_converges(self, lorentzian):
         cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
