@@ -1,8 +1,10 @@
 """Command-line interface: coefficient reports, sweeps, spectra and checks.
 
 Subcommands: ``coeffs``, ``sweep``, ``chi``, ``verify``, ``force``,
-``model-info``.  All numeric CSV fields carry 17 significant digits and
-identical configurations produce byte-identical output.  Exit codes:
+``model-info``.  Each handler prints its output and returns the exit code;
+``main`` alone sends that output to stdout or to the ``--out`` file.  All
+numeric CSV fields carry 17 significant digits and identical
+configurations produce byte-identical output.  Exit codes:
 0 ok, 2 config error (non-finite numbers included), 3 route discrepancy
 above tolerance or NaN, 4 model validation failure, 5 verify failure.
 """
@@ -10,7 +12,9 @@ above tolerance or NaN, 4 model validation failure, 5 verify failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import math
 import sys
 import warnings
@@ -21,6 +25,7 @@ import numpy as np
 from . import coefficients as coeff
 from . import susceptibility as suscept
 from .config import RunConfig, parse_config
+from .core import UnitSystem
 from .errors import (ConfigError, GridTooCoarse, ThermalDragError,
                      ValidationFailed, WindowTruncationWarning)
 
@@ -35,16 +40,20 @@ SWEEP_HEADER = ("temperature,lambda_spectral,lambda_entropic,"
 CHI_HEADER = ("omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,"
               "im_chi_thermal,re_chi_total,im_chi_total,err")
 
+# each CoefficientReport field, in report order, with its conversion to
+# user units; B is an energy, whose unit the two unit systems share
+_REPORT_UNITS = {
+    "lambda_spectral": UnitSystem.viscosity_from_natural,
+    "lambda_entropic": UnitSystem.viscosity_from_natural,
+    "mu_spectral": UnitSystem.mass_from_natural,
+    "mu_entropic": UnitSystem.mass_from_natural,
+    "A": UnitSystem.power_from_natural,
+    "B": lambda units, value: value,
+}
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def _write(text: str, out_path: str | None):
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _temperature(config: RunConfig, allow_zero: bool = False,
@@ -58,24 +67,21 @@ def _temperature(config: RunConfig, allow_zero: bool = False,
     return temp
 
 
+def _in_user_units(report: coeff.CoefficientReport, units: UnitSystem) -> dict:
+    """{field: (value, error estimate)} in user units, in report order."""
+    return {name: (to_user(units, getattr(report, name)),
+                   to_user(units, report.error_estimates[name]))
+            for name, to_user in _REPORT_UNITS.items()}
+
+
 def _sweep_row(config: RunConfig,
                temp_user: float) -> tuple[str, coeff.CoefficientReport]:
-    units = config.units
     report = coeff.compute_coefficients(config.model, temp_user, config.quadrature)
-    err = report.error_estimates
-    err_lambda = max(err["lambda_spectral"], err["lambda_entropic"])
-    err_mu = max(err["mu_spectral"], err["mu_entropic"])
-    fields = [
-        temp_user,
-        units.viscosity_from_natural(report.lambda_spectral),
-        units.viscosity_from_natural(report.lambda_entropic),
-        units.mass_from_natural(report.mu_spectral),
-        units.mass_from_natural(report.mu_entropic),
-        units.power_from_natural(report.A),
-        report.B,
-        units.viscosity_from_natural(err_lambda),
-        units.mass_from_natural(err_mu),
-    ]
+    user = _in_user_units(report, config.units)
+    # the conversions divide by a positive constant, so they commute with max
+    err_lambda = max(user["lambda_spectral"][1], user["lambda_entropic"][1])
+    err_mu = max(user["mu_spectral"][1], user["mu_entropic"][1])
+    fields = [temp_user, *(value for value, _ in user.values()), err_lambda, err_mu]
     return ",".join(_fmt(f) for f in fields), report
 
 
@@ -93,28 +99,12 @@ def _route_gate(reports, tol: float) -> int:
 def cmd_coeffs(args) -> int:
     config = parse_config(args.config)
     temp = _temperature(config)
-    row, report = _sweep_row(config, temp)
-    units = config.units
-    err = report.error_estimates
-    lines = [
-        f"temperature = {_fmt(temp)}",
-        f"lambda_spectral = {_fmt(units.viscosity_from_natural(report.lambda_spectral))}"
-        f" +/- {_fmt(units.viscosity_from_natural(err['lambda_spectral']))}",
-        f"lambda_entropic = {_fmt(units.viscosity_from_natural(report.lambda_entropic))}"
-        f" +/- {_fmt(units.viscosity_from_natural(err['lambda_entropic']))}",
-        f"mu_spectral = {_fmt(units.mass_from_natural(report.mu_spectral))}"
-        f" +/- {_fmt(units.mass_from_natural(err['mu_spectral']))}",
-        f"mu_entropic = {_fmt(units.mass_from_natural(report.mu_entropic))}"
-        f" +/- {_fmt(units.mass_from_natural(err['mu_entropic']))}",
-        f"A = {_fmt(units.power_from_natural(report.A))}"
-        f" +/- {_fmt(units.power_from_natural(err['A']))}",
-        f"B = {_fmt(report.B)} +/- {_fmt(err['B'])}",
-        f"route_discrepancy_lambda = {_fmt(report.route_discrepancy_lambda)}",
-        f"route_discrepancy_mu = {_fmt(report.route_discrepancy_mu)}",
-    ]
-    print("\n".join(lines))
-    if args.out:
-        _write(SWEEP_HEADER + "\n" + row + "\n", args.out)
+    report = coeff.compute_coefficients(config.model, temp, config.quadrature)
+    print(f"temperature = {_fmt(temp)}")
+    for name, (value, err) in _in_user_units(report, config.units).items():
+        print(f"{name} = {_fmt(value)} +/- {_fmt(err)}")
+    print(f"route_discrepancy_lambda = {_fmt(report.route_discrepancy_lambda)}")
+    print(f"route_discrepancy_mu = {_fmt(report.route_discrepancy_mu)}")
     return _route_gate([report], args.tol)
 
 
@@ -136,7 +126,7 @@ def cmd_sweep(args) -> int:
         temps = np.linspace(t_min, t_max, count)
 
     rows, reports = zip(*(_sweep_row(config, float(temp)) for temp in temps))
-    _write(SWEEP_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
+    print(SWEEP_HEADER, *rows, sep="\n")
     return _route_gate(reports, args.tol)
 
 
@@ -166,7 +156,7 @@ def cmd_chi(args) -> int:
             omega_user, vac.real, vac.imag, thermal.real, thermal.imag,
             total.real, total.imag, err,
         )))
-    _write(CHI_HEADER + "\n" + "\n".join(rows) + "\n", args.out)
+    print(CHI_HEADER, *rows, sep="\n")
     return EXIT_OK
 
 
@@ -212,8 +202,7 @@ def cmd_force(args) -> int:
         raise ConfigError(f"bad trajectory: {exc}") from exc
     t_out = units.time_from_natural(t_nat)
     f_out = units.force_from_natural(force_nat)
-    lines = [f"{_fmt(t)},{_fmt(f)}" for t, f in zip(t_out, f_out)]
-    _write("t,F\n" + "\n".join(lines) + "\n", args.out)
+    print("t,F", *(f"{_fmt(t)},{_fmt(f)}" for t, f in zip(t_out, f_out)), sep="\n")
     return EXIT_OK
 
 
@@ -293,10 +282,7 @@ def cmd_verify(args) -> int:
         all_pass &= passed
         lines.append(f"{name}: measured={measured:.6e} allowed={allowed:.6e} "
                      f"{'PASS' if passed else 'FAIL'}")
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        _write(text, args.out)
+    print(*lines, sep="\n")
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
@@ -316,7 +302,7 @@ def cmd_model_info(args) -> int:
         lines.append(f"validation.{check.name} = {check.max_violation:.6e} "
                      f"(allowed {check.allowed:.1e}, "
                      f"{'PASS' if check.passed else 'FAIL'})")
-    _write("\n".join(lines) + "\n", args.out)
+    print(*lines, sep="\n")
     return EXIT_OK
 
 
@@ -339,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in commands.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the config file")
-        cmd.add_argument("--out", default=None, help="output file (default stdout)")
+        cmd.add_argument("--out", default=None,
+                         help="write the stdout text to this file instead")
         if name in ("coeffs", "sweep", "verify"):  # the commands with a route gate
             cmd.add_argument("--tol", type=float, default=1e-6,
                              help="allowed relative route discrepancy")
@@ -351,7 +338,14 @@ def main(argv=None) -> int:
     # looked up at call time, so a replaced cmd_* function is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return handler(args)
+        if not args.out:
+            return handler(args)
+        # the file is written whenever the handler returns, whatever its
+        # exit code, and never when it raises
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            code = handler(args)
+        Path(args.out).write_text(text.getvalue())
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

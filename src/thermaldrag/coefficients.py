@@ -86,15 +86,6 @@ class AsymptoticsReport:
         return temp * self.delta_S
 
 
-@dataclass(frozen=True)
-class MassBoundReport:
-    cutoff_condition_holds: bool | None  # None when the model has no cutoff
-    mass_condition_holds: bool
-    cutoff_ratio: float | None  # omega_C / m in natural units
-    mass_ratio: float           # |mu_T| / m
-    mu: float
-
-
 # ---------------------------------------------------------------------------
 # thermal integrals (Bose weight supplied by integrate_thermal)
 
@@ -173,10 +164,9 @@ def compute_coefficients(model: MirrorModel, temp: float,
 
     The entropic routes, A and B are computed only here, as report fields;
     :func:`lambda_spectral` and :func:`mu_spectral` give a spectral route
-    alone.
+    alone.  A temperature that is not finite and > 0 raises ValueError
+    from the first integral.
     """
-    if not temp > 0:
-        raise ValueError(f"requires temp > 0, got {temp}")
     results = _thermal_integrals(model, temp, cfg)
     value = {name: v for name, (v, _) in results.items()}
 
@@ -288,61 +278,11 @@ def quasistatic_force(report: CoefficientReport, times, displacements):
 
 def einstein_check(model: MirrorModel, temp: float,
                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Relative residual of the Einstein relation C_T[0]/2 = T lambda_T."""
-    if not temp > 0:
-        raise ValueError(f"requires temp > 0, got {temp}")
+    """Relative residual of the Einstein relation C_T[0]/2 = T lambda_T.
+
+    The temperature is checked by the first integral (finite and > 0).
+    """
     lam = lambda_spectral(model, temp, cfg)
     half_c0 = 0.5 * suscept.correlation_zero_frequency(model, temp, cfg)
     return abs(half_c0 - temp * lam) / abs(temp * lam)
 
-
-def mass_bound_check(model: MirrorModel, temp: float,
-                     cfg: QuadratureConfig = DEFAULT_CONFIG,
-                     mirror_mass: float = 1.0) -> MassBoundReport:
-    """Check the cutoff-vs-mass condition and |mu_T| < m, m = ``mirror_mass`` > 0.
-
-    The cutoff condition reads omega_C < 0.01 m in natural units (the
-    point-mirror description needs the cutoff well below the rest energy);
-    it is skipped (None) for models without a cutoff.  Warns with
-    :class:`RegimeViolation` when T >= omega_C, outside the low-temperature
-    validity regime.
-    """
-    if not mirror_mass > 0:
-        raise ValueError(f"mirror_mass must be > 0, got {mirror_mass}")
-    cutoff = model.cutoff_frequency
-    if cutoff is not None and temp >= cutoff:
-        warnings.warn(
-            f"T = {temp} is not below the cutoff {cutoff}; the low-temperature "
-            "regime assumptions do not hold",
-            RegimeViolation,
-            stacklevel=2,
-        )
-    mu = mu_spectral(model, temp, cfg)
-    return MassBoundReport(
-        cutoff_condition_holds=(None if cutoff is None
-                                else bool(cutoff < 0.01 * mirror_mass)),
-        mass_condition_holds=bool(abs(mu) < mirror_mass),
-        cutoff_ratio=None if cutoff is None else cutoff / mirror_mass,
-        mass_ratio=abs(mu) / mirror_mass,
-        mu=mu,
-    )
-
-
-def lambda_from_chi_slope(model: MirrorModel, temp: float,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Viscosity extracted from the susceptibility slope, xi_T[w]/w -> lambda.
-
-    Cross-checks the coefficient integrals against the full chi_T; the
-    ladder has only even corrections (xi is odd).
-    """
-    return suscept._ladder_limit(
-        lambda w: suscept.chi_total(model, w, temp, cfg).chi_total.imag / w,
-        temp, 2)
-
-
-def mu_from_chi_curvature(model: MirrorModel, temp: float,
-                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Mass correction from the susceptibility curvature, Re chi_T[w]/w^2 -> mu."""
-    return suscept._ladder_limit(
-        lambda w: suscept.chi_total(model, w, temp, cfg).chi_total.real / w**2,
-        temp, 2)

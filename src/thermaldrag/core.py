@@ -1,4 +1,4 @@
-"""Units convention, thermal occupation numbers and the smoothed sign function.
+"""Units convention and the thermal occupation numbers.
 
 All numerical kernels in this package work in natural units hbar = c = 1
 with k_B = 1, so temperatures are energies and angular frequencies are
@@ -76,93 +76,32 @@ class UnitSystem:
         return chi / (self.hbar**2 * self.c**2)
 
 
-def occupation_from_ratio(x):
-    """Bose-Einstein occupation as a function of x = hbar*omega/T.
+def _guarded(x, underflowed, exact, laurent):
+    """The one guard structure of n(x) and 1 + n(x) on x = hbar*omega/T > 0.
 
-    Accepts scalars or numpy arrays with x > 0.  Underflows to exactly 0
-    above ``X_UNDERFLOW`` and switches to the Laurent expansion below
-    ``X_LAURENT`` to preserve relative accuracy in the classical limit.
+    ``underflowed`` (np.zeros or np.ones) fills x > ``X_UNDERFLOW``, where
+    the value has reached its limit in double precision; ``laurent`` takes
+    x < ``X_LAURENT``, preserving the relative accuracy in the classical
+    limit; ``exact`` takes the rest.  Array in, array out; a 0-d input
+    gives a numpy scalar.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros(x.shape)
+    out = underflowed(x.shape)
     tiny = x < X_LAURENT
     mid = ~tiny & (x <= X_UNDERFLOW)
-    xm = x[mid]
-    out[mid] = 1.0 / np.expm1(xm)
-    xt = x[tiny]
+    out[mid] = exact(x[mid])
     with np.errstate(divide="ignore"):
-        out[tiny] = 1.0 / xt - 0.5 + xt / 12.0
-    if out.ndim == 0:
-        return float(out)
-    return out
+        out[tiny] = laurent(x[tiny])
+    return out[()]
+
+
+def occupation_from_ratio(x):
+    """Bose-Einstein occupation n = 1/(e^x - 1) as a function of x = hbar*omega/T."""
+    return _guarded(x, np.zeros, lambda xm: 1.0 / np.expm1(xm),
+                    lambda xt: 1.0 / xt - 0.5 + xt / 12.0)
 
 
 def occupation_plus_one_from_ratio(x):
     """1 + n(x) = 1/(1 - e^{-x}) with the same guard structure."""
-    x = np.asarray(x, dtype=float)
-    out = np.ones(x.shape)
-    tiny = x < X_LAURENT
-    mid = ~tiny & (x <= X_UNDERFLOW)
-    xm = x[mid]
-    out[mid] = -1.0 / np.expm1(-xm)
-    xt = x[tiny]
-    with np.errstate(divide="ignore"):
-        out[tiny] = 1.0 / xt + 0.5 + xt / 12.0
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def bose_occupation(omega: float, temp: float) -> float:
-    """Mean number of thermal quanta per mode, n = 1/(e^{hbar*omega/T} - 1).
-
-    Parameters
-    ----------
-    omega : float
-        Angular frequency, > 0 (natural units).
-    temp : float
-        Temperature as an energy, > 0.  Callers must take the T = 0 branch
-        explicitly; this function refuses it.
-    """
-    if not omega > 0:
-        raise ValueError(f"bose_occupation requires omega > 0, got {omega}")
-    if not temp > 0:
-        raise ValueError(f"bose_occupation requires temp > 0, got {temp}")
-    return occupation_from_ratio(omega / temp)
-
-
-def bose_occupation_temp_derivative(omega: float, temp: float) -> float:
-    """Temperature derivative of the occupation, dn/dT (per unit energy).
-
-    Closed form (hbar*omega/T^2) e^x / (e^x - 1)^2 with x = hbar*omega/T,
-    evaluated as x/(4 T sinh^2(x/2)) for overflow safety; strictly positive.
-    """
-    if not omega > 0:
-        raise ValueError(f"requires omega > 0, got {omega}")
-    if not temp > 0:
-        raise ValueError(f"requires temp > 0, got {temp}")
-    x = omega / temp
-    if x > X_UNDERFLOW:
-        return 0.0
-    if x < 1e-4:
-        # series of x * (1/x^2 - 1/12 + x^2/240)
-        return (1.0 / x - x / 12.0 + x**3 / 240.0) / temp
-    s = math.sinh(0.5 * x)
-    return x / (4.0 * temp * s * s)
-
-
-def smoothed_sign(omega: float, temp: float) -> float:
-    """sign(omega) at T = 0, otherwise coth(hbar*omega/2T).
-
-    Evaluated through the identity coth(x/2) = sign(omega) (1 + 2 n(|x|)),
-    which ties it to :func:`bose_occupation`.  The pole at omega = 0 is a
-    domain error; every integrand using this factor vanishes there first.
-    """
-    if omega == 0:
-        raise ValueError("smoothed_sign is singular at omega = 0")
-    if temp < 0:
-        raise ValueError(f"requires temp >= 0, got {temp}")
-    sign = 1.0 if omega > 0 else -1.0
-    if temp == 0:
-        return sign
-    return sign * (1.0 + 2.0 * occupation_from_ratio(abs(omega) / temp))
+    return _guarded(x, np.ones, lambda xm: -1.0 / np.expm1(-xm),
+                    lambda xt: 1.0 / xt + 0.5 + xt / 12.0)

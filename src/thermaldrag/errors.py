@@ -1,4 +1,13 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and its finiteness guard."""
+
+import math
+
+
+def require_finite(**values):
+    """Raise ValueError naming the first keyword value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class ThermalDragError(Exception):

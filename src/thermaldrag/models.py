@@ -289,11 +289,6 @@ def alpha_kernel(model: MirrorModel, omega1, omega2):
     return 1.0 + r1 * r2 - s1 * s2
 
 
-def a_function(model: MirrorModel, omega):
-    """Viscosity kernel a = 2 R[omega] (the reduced form of alpha[w, -w])."""
-    return 2.0 * reflection_probability(model, omega)
-
-
 def b_function(model: MirrorModel, omega):
     """Inertia kernel b = 2 (1 - 2 R[omega]) tau[omega]; even, units of time."""
     big_r, _, tau, _ = reflection_and_delay(model, omega)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import X_UNDERFLOW, occupation_from_ratio
-from .errors import ExtrapolationUnstable, GridTooCoarse, GrowthBoundExceeded
+from .errors import (ExtrapolationUnstable, GridTooCoarse, GrowthBoundExceeded,
+                     require_finite)
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (standard QUADPACK values).
 _NODES = np.array([
@@ -194,10 +195,11 @@ def integrate_finite(f, lo: float, hi: float,
     f : callable
         Maps an ndarray of nodes to an ndarray of values.
     lo, hi : float
-        Integration bounds with lo <= hi.
+        Finite integration bounds with lo <= hi.
     cfg : QuadratureConfig
         Tolerances and subdivision budget.
     """
+    require_finite(lo=lo, hi=hi)
     if lo > hi:
         raise ValueError(f"integrate_finite requires lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
@@ -229,7 +231,7 @@ def integrate_thermal(f, temp: float,
         locally integrable on (0, inf), growing no faster than (1 + x^3)
         in x = omega/T.
     temp : float
-        Temperature, > 0.
+        Temperature, finite and > 0.
 
     Raises
     ------
@@ -237,6 +239,7 @@ def integrate_thermal(f, temp: float,
         If sampled values of f near the truncation point exceed the
         majorant fitted at moderate x by more than a factor of 100.
     """
+    require_finite(temp=temp)
     if not temp > 0:
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
 

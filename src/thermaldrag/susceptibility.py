@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import GridTooCoarse, GrowthBoundExceeded, WindowTruncationWarning
+from .errors import (GridTooCoarse, GrowthBoundExceeded, WindowTruncationWarning,
+                     require_finite)
 from .models import MirrorModel, PerfectMirror
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureResult,
                          hilbert_transform_pv, integrate_finite,
@@ -135,8 +136,10 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     thermal part needs a transparent model (finite cutoff) so the
     Bose-weighted integral converges; the perfect mirror takes an exact
     closed-form branch instead.  The dissipative part xi_T is
-    ``chi_total.imag``, odd in omega.
+    ``chi_total.imag``, odd in omega.  A non-finite ``omega`` or ``temp``
+    raises ValueError.
     """
+    require_finite(omega=omega, temp=temp)
     if not temp >= 0:
         raise ValueError(f"requires temp >= 0, got {temp}")
     vac = _vacuum_quad(model, omega, cfg)
@@ -161,6 +164,7 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
     C_T[omega] = 2 xi_T[omega] / (1 - e^{-omega/T}) in natural units.  The
     omega = 0 limit is delivered by :func:`correlation_zero_frequency`.
     """
+    require_finite(omega=omega, temp=temp)
     if omega == 0:
         raise ValueError("use correlation_zero_frequency for the omega -> 0 limit")
     if not temp > 0:

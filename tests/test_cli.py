@@ -168,14 +168,6 @@ s_denominator = 1, -1
         path = write(tmp_path, "c.cfg", "[model]\nkind = perfect\n")
         assert run(["coeffs", "--config", path]) == 2
 
-    def test_out_csv_row(self, tmp_path, capsys):
-        path = lorentzian_config(tmp_path)
-        out = tmp_path / "row.csv"
-        assert run(["coeffs", "--config", path, "--out", str(out)]) == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == cli.SWEEP_HEADER
-        assert len(lines) == 2
-
     def test_route_discrepancy_gate_exits_3(self, tmp_path, capsys):
         # an impossible tolerance trips the scriptable cross-check gate
         path = lorentzian_config(tmp_path)
@@ -397,13 +389,32 @@ class TestModelInfoCommand:
         assert "cutoff_frequency = none" in capsys.readouterr().out
 
     def test_out_writes_stdout_text(self, tmp_path, capsys):
-        path = lorentzian_config(tmp_path)
-        assert run(["model-info", "--config", path]) == 0
-        expected = capsys.readouterr().out
-        out = tmp_path / "info.txt"
-        assert run(["model-info", "--config", path, "--out", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert out.read_text() == expected
+        # --out means the same on every subcommand: the file gets exactly
+        # the stdout text, stdout stays empty and the exit code is unchanged
+        traj_path = write(tmp_path, "traj.csv", "t,q\n0,0\n1,1e-4\n2,2e-4\n3,3e-4\n")
+        path = lorentzian_config(
+            tmp_path, "temp_min = 0.5\ntemp_max = 2\ncount = 2\nomega_min = -1\n"
+            "omega_max = 1\nomega_count = 3\nkk_points = 256\neinstein_tol = 1e-30\n"
+            f"trajectory = {traj_path}\n")
+        requests = [["coeffs"], ["coeffs", "--tol", "1e-18"], ["sweep"], ["chi"],
+                    ["verify"], ["force"], ["model-info"]]
+        codes = []
+        for request in requests:
+            argv = request + ["--config", path]
+            code = run(argv)
+            expected = capsys.readouterr().out
+            out = tmp_path / "out.txt"
+            assert run(argv + ["--out", str(out)]) == code
+            assert capsys.readouterr().out == ""
+            assert out.read_text() == expected
+            out.unlink()
+            codes.append(code)
+        # the route gate (3) and a failed verify check (5) still write the file
+        assert codes == [0, 3, 0, 0, 5, 0, 0]
+        # a config error escapes the handler: no file
+        no_temperature = write(tmp_path, "c.cfg", "[model]\nkind = perfect\n")
+        assert run(["coeffs", "--config", no_temperature, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestMain:
@@ -495,14 +506,20 @@ class TestUnitConversions:
         scaled = write(tmp_path, "usr.cfg",
                        "temperature = 1.0\nhbar = 2.0\nc = 3.0\n"
                        "[model]\nkind = perfect\n")
-        out_n, out_u = tmp_path / "n.csv", tmp_path / "u.csv"
+        out_n, out_u = tmp_path / "n.txt", tmp_path / "u.txt"
         assert run(["coeffs", "--config", natural, "--out", str(out_n)]) == 0
         assert run(["coeffs", "--config", scaled, "--out", str(out_u)]) == 0
-        row_n = [float(x) for x in out_n.read_text().splitlines()[1].split(",")]
-        row_u = [float(x) for x in out_u.read_text().splitlines()[1].split(",")]
+
+        def report(out):
+            # "name = value +/- error" lines -> {name: value}
+            fields = (line.split(" = ") for line in out.read_text().splitlines())
+            return {name: float(text.split(" +/- ")[0]) for name, text in fields}
+
+        nat, usr = report(out_n), report(out_u)
         hbar, c = 2.0, 3.0
-        assert row_u[1] == pytest.approx(row_n[1] / (hbar * c**2), rel=1e-12)
-        assert row_u[5] == pytest.approx(row_n[5] / hbar, rel=1e-12)
+        assert usr["lambda_spectral"] == pytest.approx(
+            nat["lambda_spectral"] / (hbar * c**2), rel=1e-12)
+        assert usr["A"] == pytest.approx(nat["A"] / hbar, rel=1e-12)
 
     def test_lorentzian_tau0_in_user_units(self, tmp_path):
         # tau0 is a time: the natural-unit model uses tau0_user / hbar

@@ -5,13 +5,13 @@ import pytest
 
 import oracles
 from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
-                         RegimeViolation, asymptotics, compute_coefficients,
-                         einstein_check, lambda_from_chi_slope,
-                         lambda_spectral, mass_bound_check,
-                         mu_from_chi_curvature, mu_spectral, quasistatic_force)
+                         RegimeViolation, asymptotics, chi_total,
+                         compute_coefficients, einstein_check, lambda_spectral,
+                         mu_spectral, quasistatic_force)
 from thermaldrag import coefficients
 from thermaldrag.coefficients import ROUTE_TOLERANCE
 from thermaldrag.models import MirrorModel
+from thermaldrag.susceptibility import _ladder_limit
 
 
 class TestEnergyFlux:
@@ -271,29 +271,6 @@ class TestEinsteinRelation:
         assert residual == pytest.approx(1.0, abs=0.01)
 
 
-class TestMassBound:
-    def test_safe_regime(self, lorentzian):
-        report = mass_bound_check(lorentzian, 0.01, mirror_mass=1000.0)
-        assert report.cutoff_condition_holds is True
-        assert report.mass_condition_holds is True
-        assert report.mass_ratio == pytest.approx(math.pi * 1e-4 / 3.0 / 1000.0,
-                                                  rel=0.05)
-
-    def test_light_mirror_flagged(self, lorentzian):
-        report = mass_bound_check(lorentzian, 0.01, mirror_mass=1e-6)
-        assert report.cutoff_condition_holds is False
-
-    def test_perfect_mirror(self, perfect):
-        report = mass_bound_check(perfect, 0.1, mirror_mass=1.0)
-        assert report.cutoff_condition_holds is None
-        assert report.mass_condition_holds is True
-        assert report.mu == 0.0
-
-    def test_hot_run_warns(self, lorentzian):
-        with pytest.warns(RegimeViolation):
-            mass_bound_check(lorentzian, 10.0, mirror_mass=1000.0)
-
-
 class TestQuasistaticForce:
     def test_uniform_velocity(self, lorentzian):
         report = compute_coefficients(lorentzian, 1.0)
@@ -335,17 +312,29 @@ class TestQuasistaticForce:
             quasistatic_force(report, t, np.sin(50.0 * t))
 
 
+def chi_limit(model, temp, part):
+    """omega -> 0 limit of part(chi_T[omega], omega) on the ladder of ``temp``.
+
+    xi_T is odd and Re chi_T even in omega, so xi_T/omega and Re chi_T/omega^2
+    have only even corrections (error powers 2, 4, 6, ...).
+    """
+    return _ladder_limit(lambda w: part(chi_total(model, w, temp).chi_total, w),
+                         temp, 2)
+
+
 class TestSusceptibilityConsistency:
+    # the coefficient integrals against the full chi_T: the slope of xi_T
+    # is lambda_T and the curvature of Re chi_T is mu_T
     def test_lambda_from_slope(self, lorentzian):
-        assert lambda_from_chi_slope(lorentzian, 1.0) == pytest.approx(
-            lambda_spectral(lorentzian, 1.0), rel=1e-3)
+        slope = chi_limit(lorentzian, 1.0, lambda chi, w: chi.imag / w)
+        assert slope == pytest.approx(lambda_spectral(lorentzian, 1.0), rel=1e-3)
 
     def test_mu_from_curvature(self, lorentzian):
-        assert mu_from_chi_curvature(lorentzian, 1.0) == pytest.approx(
-            mu_spectral(lorentzian, 1.0), rel=1e-2)
+        curvature = chi_limit(lorentzian, 1.0, lambda chi, w: chi.real / w**2)
+        assert curvature == pytest.approx(mu_spectral(lorentzian, 1.0), rel=1e-2)
 
     def test_perfect_mirror_curvature_is_zero(self, perfect):
-        assert mu_from_chi_curvature(perfect, 1.0) == 0.0
+        assert chi_limit(perfect, 1.0, lambda chi, w: chi.real / w**2) == 0.0
 
 
 class TestDopplerCrossover:

