@@ -4,9 +4,10 @@ Subcommands: ``coeffs``, ``sweep``, ``chi``, ``verify``, ``force``,
 ``model-info``.  Each handler prints its output and returns the exit code;
 ``main`` alone sends that output to stdout or to the ``--out`` file.  All
 numeric CSV fields carry 17 significant digits and identical
-configurations produce byte-identical output.  Exit codes:
-0 ok, 2 config error (non-finite numbers included), 3 route discrepancy
-above tolerance or NaN, 4 model validation failure, 5 verify failure.
+configurations produce byte-identical output.  Exit codes: 0 ok,
+2 config error (non-finite numbers and file I/O errors included),
+3 route discrepancy above tolerance or NaN, 4 model validation failure,
+5 verify failure.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import coefficients as coeff
 from . import susceptibility as suscept
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, read_text
 from .core import UnitSystem
 from .errors import (ConfigError, GridTooCoarse, ThermalDragError,
                      ValidationFailed, WindowTruncationWarning)
@@ -166,12 +167,10 @@ def cmd_force(args) -> int:
     traj_path = config.get_str("trajectory")
     if traj_path is None:
         raise ConfigError("missing required key 'trajectory'")
-    path = Path(traj_path)
-    if not path.is_file():
-        raise ConfigError(f"trajectory file not found: {path}")
 
     rows = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    text = read_text(traj_path, "trajectory")
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -179,13 +178,13 @@ def cmd_force(args) -> int:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 't,q', got {raw!r}")
+            raise ConfigError(f"{traj_path}:{lineno}: expected 't,q', got {raw!r}")
         try:
             sample = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: non-numeric entry {raw!r}") from exc
+            raise ConfigError(f"{traj_path}:{lineno}: non-numeric entry {raw!r}") from exc
         if not all(map(math.isfinite, sample)):
-            raise ConfigError(f"{path}:{lineno}: non-finite entry {raw!r}")
+            raise ConfigError(f"{traj_path}:{lineno}: non-finite entry {raw!r}")
         rows.append(sample)
     if len(rows) < 3:
         raise ConfigError(f"trajectory needs >= 3 points, got {len(rows)}")
@@ -229,13 +228,9 @@ def _verify_checks(config: RunConfig, tol: float):
         # chi_T grows at the window edges, so the reconstruction is
         # truncation limited; the assertable invariant is that doubling
         # the window (at fixed spacing) shrinks the discrepancy.  The
-        # default window scales with the wider of the reflection band and
-        # the thermal frequency.
-        window = config.get_float("kk_window")
-        if window is None:
-            window = 40.0 * max(model.cutoff_frequency, temp)
-        else:
-            window = config.units.frequency_to_natural(window)
+        # window scales with the wider of the reflection band and the
+        # thermal frequency.
+        window = 40.0 * max(model.cutoff_frequency, temp)
         points = config.get_int("kk_points", 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WindowTruncationWarning)
@@ -344,7 +339,10 @@ def main(argv=None) -> int:
         # exit code, and never when it raises
         with contextlib.redirect_stdout(io.StringIO()) as text:
             code = handler(args)
-        Path(args.out).write_text(text.getvalue())
+        try:
+            Path(args.out).write_text(text.getvalue())
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out file {args.out}: {exc}") from exc
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

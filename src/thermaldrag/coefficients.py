@@ -35,7 +35,7 @@ from . import models
 from . import susceptibility as suscept
 from .core import occupation_plus_one_from_ratio
 from .errors import DivergentBandwidth, GridTooCoarse, RegimeViolation
-from .models import MirrorModel, PerfectMirror
+from .models import MirrorModel
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, integrate_finite,
                          integrate_thermal)
 
@@ -195,15 +195,11 @@ def asymptotics(model: MirrorModel,
 
     Omega_C = (1/2 pi) int_0^inf dw R[w] and Delta_S = (1/2 pi) int_0^inf
     dw (1 - 2 R[w]) 2 tau[w], both mapped to [0, 1) through w = w_C t/(1-t).
-    The perfect mirror gets the divergent-bandwidth marker Omega_C = inf
-    with Delta_S = 0; any other model without a finite cutoff is rejected.
+    A model without a cutoff, the perfect mirror included, has no finite
+    bandwidth and raises DivergentBandwidth.
     """
     cutoff = model.cutoff_frequency
     if cutoff is None:
-        if isinstance(model, PerfectMirror):
-            return AsymptoticsReport(math.inf, 0.0,
-                                     model.low_frequency_reflection,
-                                     model.low_frequency_delay)
         raise DivergentBandwidth(
             "bandwidth integrals require a high-frequency transparent model"
         )

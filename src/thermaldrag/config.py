@@ -13,7 +13,8 @@ Models are built in natural units; when the config declares a custom unit
 system (hbar, c), model parameters given in user units are converted here,
 at the I/O boundary.  Every model is validated once, here, before use.
 Every number is read by one reader, which rejects NaN and infinities
-and integer keys above INTEGER_LIMIT.
+and integer keys above INTEGER_LIMIT; every file is read by another,
+which turns an unreadable or non-UTF-8 file into a ConfigError.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def _number(keys: dict, key: str, default=None, integer: bool = False):
     if abs(value) > INTEGER_LIMIT:
         raise ConfigError(f"key '{key}' exceeds {INTEGER_LIMIT} in magnitude: {raw!r}")
     return int(value)
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``, or a ConfigError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 @dataclass
@@ -160,10 +169,7 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
 
 def parse_config(path) -> RunConfig:
     """Read, parse and resolve a configuration file."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    main, model_keys = _parse_sections(path.read_text(), str(path))
+    main, model_keys = _parse_sections(read_text(path, "config"), str(path))
     if not model_keys:
         raise ConfigError("config needs a [model] section")
 

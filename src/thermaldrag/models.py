@@ -15,13 +15,14 @@ The kernels consumed by the susceptibility and coefficient integrals are
     b[w] = i (r'[w] r[-w] + r[w] r'[-w] - s'[w] s[-w] - s[w] s'[-w])
                                  (= 2 (1 - 2 R[w]) tau[w])
 
-A model supplies r, s and their first and second omega-derivatives
-analytically; a subclass without all three methods cannot be
-instantiated.  Every method and kernel here is array-only: an ndarray in
-gives an ndarray of the same shape out, and a scalar in gives a numpy
-scalar (a ``complex`` or ``float`` instance) out.  Models are immutable
-after construction and all operations here are pure functions of their
-arguments.
+A model declares three things: r and s, their analytic omega-derivatives
+up to a requested order in one call, and its reflection cutoff; a
+subclass without all three cannot be instantiated.  Everything else,
+R0 and tau0 included, is derived from the amplitudes.  Every method and
+kernel here is array-only: an ndarray in gives an ndarray of the same
+shape out, and a scalar in gives a numpy scalar (a ``complex`` or
+``float`` instance) out.  Models are immutable after construction and
+all operations here are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -43,27 +44,24 @@ class MirrorModel(abc.ABC):
         """Return (r, s) at ``omega`` (scalar or ndarray; complex output)."""
 
     @abc.abstractmethod
-    def amplitude_derivatives(self, omega):
-        """Return (dr/domega, ds/domega) at ``omega``."""
-
-    @abc.abstractmethod
-    def amplitude_second_derivatives(self, omega):
-        """Return (d2r/domega2, d2s/domega2) at ``omega``."""
-
-    @property
-    @abc.abstractmethod
-    def low_frequency_reflection(self) -> float:
-        """R0, the omega -> 0 limit of |r|^2."""
-
-    @property
-    @abc.abstractmethod
-    def low_frequency_delay(self) -> float:
-        """tau0, the omega -> 0 limit of the scattering delay."""
+    def amplitude_derivatives(self, omega, order=1):
+        """Return (r', s') at ``order`` 1 and (r', s', r'', s'') at ``order`` 2."""
 
     @property
     @abc.abstractmethod
     def cutoff_frequency(self):
         """Reflection cutoff, or None for a mirror that never turns transparent."""
+
+    @property
+    def low_frequency_reflection(self) -> float:
+        """R0 = |r[0]|^2."""
+        return float(reflection_probability(self, 0.0))
+
+    @property
+    def low_frequency_delay(self) -> float:
+        """tau0, the scattering delay at omega = 0."""
+        # + 0.0 turns the -0.0 of a delay-free mirror into 0.0
+        return float(scattering_delay(self, 0.0)) + 0.0
 
 
 class PerfectMirror(MirrorModel):
@@ -78,20 +76,9 @@ class PerfectMirror(MirrorModel):
         zero = np.zeros(np.shape(omega), dtype=complex)[()]  # [()] unwraps 0-d
         return zero - 1.0, zero
 
-    def amplitude_derivatives(self, omega):
-        zero = np.zeros(np.shape(omega), dtype=complex)[()]
-        return zero, zero.copy()
-
-    def amplitude_second_derivatives(self, omega):
-        return self.amplitude_derivatives(omega)
-
-    @property
-    def low_frequency_reflection(self) -> float:
-        return 1.0
-
-    @property
-    def low_frequency_delay(self) -> float:
-        return 0.0
+    def amplitude_derivatives(self, omega, order=1):
+        return tuple(np.zeros(np.shape(omega), dtype=complex)[()]
+                     for _ in range(2 * order))
 
     @property
     def cutoff_frequency(self):
@@ -123,23 +110,13 @@ class LorentzianMirror(MirrorModel):
         den = 1.0 - 1j * self._tau0 * omega
         return -1.0 / den, -1j * self._tau0 * omega / den
 
-    def amplitude_derivatives(self, omega):
+    def amplitude_derivatives(self, omega, order=1):
         den = 1.0 - 1j * self._tau0 * np.asarray(omega)
         d = -1j * self._tau0 / den**2  # r' and s' coincide for this model
-        return d, d.copy()
-
-    def amplitude_second_derivatives(self, omega):
-        den = 1.0 - 1j * self._tau0 * np.asarray(omega)
+        if order == 1:
+            return d, d.copy()
         d2 = 2.0 * self._tau0**2 / den**3
-        return d2, d2.copy()
-
-    @property
-    def low_frequency_reflection(self) -> float:
-        return 1.0
-
-    @property
-    def low_frequency_delay(self) -> float:
-        return self._tau0
+        return d, d.copy(), d2, d2.copy()
 
     @property
     def cutoff_frequency(self):
@@ -203,35 +180,20 @@ class RationalMirror(MirrorModel):
         return tuple(self._eval(num[0], z) / self._eval(den[0], z)
                      for num, den in (self._r_parts, self._s_parts))
 
-    def amplitude_derivatives(self, omega):
+    def amplitude_derivatives(self, omega, order=1):
         z = 1j * np.asarray(omega)
-        out = []
+        first, second = [], []
         for num, den in (self._r_parts, self._s_parts):
-            n, n1 = (self._eval(c, z) for c in num[:2])
-            d, d1 = (self._eval(c, z) for c in den[:2])
+            n, n1, *n2 = (self._eval(c, z) for c in num[:order + 1])
+            d, d1, *d2 = (self._eval(c, z) for c in den[:order + 1])
             # d/domega = i d/dz for functions of z = i omega
-            out.append(1j * (n1 * d - n * d1) / d**2)
-        return tuple(out)
-
-    def amplitude_second_derivatives(self, omega):
-        z = 1j * np.asarray(omega)
-        out = []
-        for num, den in (self._r_parts, self._s_parts):
-            n, n1, n2 = (self._eval(c, z) for c in num)
-            d, d1, d2 = (self._eval(c, z) for c in den)
-            # (i)^2 d^2/dz^2 of n/d
-            out.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2
-                         + 2.0 * n * d1**2 / d**3))
-        return tuple(out)
-
-    @property
-    def low_frequency_reflection(self) -> float:
-        r0 = self._rn[0] / self._rd[0]
-        return float(r0 * r0)
-
-    @property
-    def low_frequency_delay(self) -> float:
-        return scattering_delay(self, 0.0)
+            first.append(1j * (n1 * d - n * d1) / d**2)
+            if order > 1:
+                (n2,), (d2,) = n2, d2
+                # (i)^2 d^2/dz^2 of n/d
+                second.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2
+                                + 2.0 * n * d1**2 / d**3))
+        return (*first, *second)
 
     @property
     def cutoff_frequency(self):
@@ -262,12 +224,12 @@ def reflection_and_delay(model: MirrorModel, omega, order: int = 1):
     and delay algebra is written.
     """
     r, s = model.amplitudes(omega)
-    dr, ds = model.amplitude_derivatives(omega)
+    dr, ds, *second = model.amplitude_derivatives(omega, order)
     det = s * s - r * r
     logslope = 2.0 * (s * ds - r * dr) / det
     d_tau = None
     if order > 1:
-        d2r, d2s = model.amplitude_second_derivatives(omega)
+        d2r, d2s = second
         d2det = 2.0 * (ds * ds + s * d2s - dr * dr - r * d2r)
         d_tau = 0.5 * np.imag(d2det / det - logslope * logslope)
     return (np.abs(r) ** 2, 2.0 * np.real(np.conj(r) * dr),

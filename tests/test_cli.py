@@ -438,6 +438,26 @@ class TestMain:
             run([command, "--config", path, "--tol", "1e-3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, config_tail, trajectory, out", [
+        ("model-info", b"", b"", "missing/x.txt"),
+        ("model-info", b"", b"", "."),
+        ("model-info", b"# caf\xe9\n", b"", None),
+        ("force", b"", b"t,q\n0,0\n1,\xff1\n2,2\n", None),
+    ], ids=["out-in-missing-dir", "out-is-dir", "config-not-utf8",
+            "trajectory-not-utf8"])
+    def test_file_io_error_exits_2(self, tmp_path, capsys, command, config_tail,
+                                   trajectory, out):
+        traj_path = tmp_path / "traj.csv"
+        traj_path.write_bytes(trajectory)
+        path = tmp_path / "c.cfg"
+        path.write_bytes(f"temperature = 1.0\ntrajectory = {traj_path}\n".encode()
+                         + config_tail + b"[model]\nkind = perfect\n")
+        argv = [command, "--config", str(path)]
+        if out is not None:
+            argv += ["--out", str(tmp_path / out)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot ")
+
     def test_usage_error_then_valid_request(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")
         assert run(["coeffs", "--config", path]) == 0
@@ -485,6 +505,39 @@ GOLDEN_CHI_LORENTZIAN_SCALED = (
     '7.8148908873361227e-12\n'
 )
 
+# recorded while R0 and tau0 were still declared by each model
+GOLDEN_MODEL_INFO = {
+    "perfect": (
+        'kind = perfect\n'
+        'low_frequency_reflection = 1\n'
+        'low_frequency_delay = 0\n'
+        'cutoff_frequency = none\n'
+        'validation.unitarity_modulus = 0.000000e+00 (allowed 1.0e-12, PASS)\n'
+        'validation.unitarity_orthogonality = 0.000000e+00 (allowed 1.0e-12, PASS)\n'
+        'validation.reality = 0.000000e+00 (allowed 1.0e-12, PASS)\n'
+    ),
+    "weak_rational": (
+        'kind = rational\n'
+        'low_frequency_reflection = 0\n'
+        'low_frequency_delay = 2.0223748416156684\n'
+        'cutoff_frequency = 1.1611874208078341\n'
+        'validation.unitarity_modulus = 6.661338e-16 (allowed 1.0e-12, PASS)\n'
+        'validation.unitarity_orthogonality = 3.166478e-17 (allowed 1.0e-12, PASS)\n'
+        'validation.reality = 0.000000e+00 (allowed 1.0e-12, PASS)\n'
+        'validation.transparency = 6.673759e-06 (allowed 1.0e-03, PASS)\n'
+    ),
+    "lorentzian_scaled": (
+        'kind = lorentzian\n'
+        'low_frequency_reflection = 1\n'
+        'low_frequency_delay = 1\n'
+        'cutoff_frequency = 1\n'
+        'validation.unitarity_modulus = 6.661338e-16 (allowed 1.0e-12, PASS)\n'
+        'validation.unitarity_orthogonality = 8.589472e-17 (allowed 1.0e-12, PASS)\n'
+        'validation.reality = 0.000000e+00 (allowed 1.0e-12, PASS)\n'
+        'validation.transparency = 9.999000e-05 (allowed 1.0e-03, PASS)\n'
+    ),
+}
+
 
 class TestGoldenStdout:
     def test_coeffs_weak_rational(self, tmp_path, capsys):
@@ -496,6 +549,18 @@ class TestGoldenStdout:
                                  "omega_max = 3\nomega_count = 6\n")
         assert run(["chi", "--config", path]) == 0
         assert capsys.readouterr().out == GOLDEN_CHI_LORENTZIAN_SCALED
+
+    @pytest.mark.parametrize("name", GOLDEN_MODEL_INFO)
+    def test_model_info(self, tmp_path, capsys, name):
+        path = {
+            "perfect": lambda: write(tmp_path, "c.cfg",
+                                     "temperature = 1.0\n[model]\nkind = perfect\n"),
+            "weak_rational": lambda: weak_rational_config(tmp_path),
+            # tau0 = 1 in user units is 1/1.5 in natural units
+            "lorentzian_scaled": lambda: lorentzian_config(tmp_path, "hbar = 1.5\n"),
+        }[name]()
+        assert run(["model-info", "--config", path]) == 0
+        assert capsys.readouterr().out == GOLDEN_MODEL_INFO[name]
 
 
 class TestUnitConversions:

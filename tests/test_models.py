@@ -4,7 +4,7 @@ import pytest
 import oracles
 from conftest import weak_mirror
 from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror,
-                         ValidationFailed, alpha_kernel,
+                         ValidationFailed, alpha_kernel, compute_coefficients,
                          b_function, reflection_probability,
                          scattering_delay, validate_model)
 from thermaldrag.models import reflection_and_delay
@@ -153,12 +153,42 @@ class TestModelContract:
         with pytest.raises(TypeError, match="amplitude_derivatives"):
             NoDerivatives()
 
+    def test_three_declared_members_suffice(self):
+        # R0 and tau0 are derived from the amplitudes, not declared
+        class InlineLorentzian(MirrorModel):
+            tau0 = 0.8
+            cutoff_frequency = 1.0 / tau0
+
+            def amplitudes(self, omega):
+                omega = np.asarray(omega)
+                den = 1.0 - 1j * self.tau0 * omega
+                return -1.0 / den, -1j * self.tau0 * omega / den
+
+            def amplitude_derivatives(self, omega, order):
+                den = 1.0 - 1j * self.tau0 * np.asarray(omega)
+                d = -1j * self.tau0 / den**2
+                d2 = 2.0 * self.tau0**2 / den**3
+                return (d, d, d2, d2)[:2 * order]
+
+        model = InlineLorentzian()
+        assert compute_coefficients(model, 1.0) == compute_coefficients(
+            LorentzianMirror(0.8), 1.0)
+        assert model.low_frequency_reflection == 1.0
+        assert model.low_frequency_delay == 0.8
+
+    def test_delay_free_mirror_prints_zero_delay(self, perfect):
+        # the delay algebra gives -0.0 here, which model-info would print as -0
+        rational_perfect = RationalMirror(r_num=[-1.0], r_den=[1.0],
+                                          s_num=[0.0], s_den=[1.0])
+        for model in (perfect, rational_perfect):
+            assert str(model.low_frequency_delay) == "0.0"
+
     @pytest.mark.parametrize("fixture", ["perfect", "lorentzian", "weak"])
     def test_scalar_in_scalar_out_array_in_array_out(self, fixture, request):
         # the .17g CLI output relies on scalars staying complex/float instances
         model = request.getfixturevalue(fixture)
         pairs = (model.amplitudes, model.amplitude_derivatives,
-                 model.amplitude_second_derivatives)
+                 lambda w: model.amplitude_derivatives(w, 2)[2:])
         kernels = (reflection_probability, scattering_delay, b_function)
         grid = np.array([[0.0, 0.5, 2.0], [-1.0, 3.0, 40.0]])
         cases = [(complex, m(0.5), m(grid)) for m in pairs]
@@ -227,8 +257,8 @@ class TestRationalMirror:
             da = lorentzian.amplitude_derivatives(w)
             db = rational_lorentzian.amplitude_derivatives(w)
             assert abs(da[0] - db[0]) < 1e-13 and abs(da[1] - db[1]) < 1e-13
-            d2a = lorentzian.amplitude_second_derivatives(w)
-            d2b = rational_lorentzian.amplitude_second_derivatives(w)
+            d2a = lorentzian.amplitude_derivatives(w, 2)[2:]
+            d2b = rational_lorentzian.amplitude_derivatives(w, 2)[2:]
             assert abs(d2a[0] - d2b[0]) < 1e-13 and abs(d2a[1] - d2b[1]) < 1e-13
 
     def test_weak_mirror_is_unitary(self, weak):
