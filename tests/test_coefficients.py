@@ -217,15 +217,18 @@ class TestAsymptotics:
         report = asymptotics(LorentzianMirror(4.0))
         assert report.omega_C_effective == pytest.approx(1.0 / 16.0, rel=1e-10)
 
-    def test_nontransparent_rejected(self, transparent_model, perfect):
+    def test_perfect_mirror_markers(self, perfect):
+        # the perfect mirror has no cutoff: no finite bandwidth to report
+        with pytest.raises(DivergentBandwidth):
+            asymptotics(perfect)
+
+    def test_nontransparent_rejected(self, transparent_model):
         class NoCutoff(type(transparent_model)):
             pass
 
-        no_cutoff = NoCutoff(r_num=[0.0], r_den=[1.0], s_num=[1.0], s_den=[1.0])
-        # the perfect mirror has no cutoff either: no finite bandwidth
-        for model in (no_cutoff, perfect):
-            with pytest.raises(DivergentBandwidth):
-                asymptotics(model)
+        model = NoCutoff(r_num=[0.0], r_den=[1.0], s_num=[1.0], s_den=[1.0])
+        with pytest.raises(DivergentBandwidth):
+            asymptotics(model)
 
     def test_weak_mirror_stocked_energy_reading(self, weak):
         # R << 1 everywhere: Delta_S is close to the plain delay integral
