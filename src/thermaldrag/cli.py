@@ -245,19 +245,20 @@ def _verify_checks(config: RunConfig, tol: float):
         cutoff = model.cutoff_frequency
         t_hi, t_lo = 100.0 * cutoff, 1e-3 * cutoff
         lam_hi = coeff.lambda_spectral(model, t_hi, cfg)
-        gap = abs(lam_hi - limits.lambda_high_temperature(t_hi)) / lam_hi
+        gap = coeff.relative_gap(
+            abs(lam_hi - limits.lambda_high_temperature(t_hi)), abs(lam_hi))
         yield "asymptotic_lambda_high", gap, 0.02, gap <= 0.02
         # the low-temperature laws are leading order in R0 and (1-2R0)tau0;
         # when a law degenerates to zero there is nothing to compare against
         lam_law = limits.lambda_low_temperature(t_lo)
         if lam_law != 0.0:
             lam_lo = coeff.lambda_spectral(model, t_lo, cfg)
-            gap = abs(lam_lo - lam_law) / lam_lo
+            gap = coeff.relative_gap(abs(lam_lo - lam_law), abs(lam_lo))
             yield "asymptotic_lambda_low", gap, 0.01, gap <= 0.01
         mu_law = limits.mu_low_temperature(t_lo)
         if mu_law != 0.0:
             mu_lo = coeff.mu_spectral(model, t_lo, cfg)
-            gap = abs(mu_lo - mu_law) / abs(mu_law)
+            gap = coeff.relative_gap(abs(mu_lo - mu_law), abs(mu_law))
             yield "asymptotic_mu_low", gap, 0.02, gap <= 0.02
         mu_hi = coeff.mu_spectral(model, t_hi, cfg)
         bound = 0.01 * t_hi  # next-order corrections are O(cutoff) at T = 100 cutoff

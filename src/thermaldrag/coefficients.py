@@ -158,6 +158,11 @@ def mu_spectral(model: MirrorModel, temp: float,
     return float(results["mu_spectral"][0])
 
 
+def relative_gap(gap: float, scale: float) -> float:
+    """gap / scale, or the bare gap when the scale is zero (lambda = 0)."""
+    return gap / scale if scale > 0 else gap
+
+
 def compute_coefficients(model: MirrorModel, temp: float,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> CoefficientReport:
     """Evaluate both routes for lambda and mu plus A and B at one temperature.
@@ -172,8 +177,7 @@ def compute_coefficients(model: MirrorModel, temp: float,
 
     def rel_gap(x, y):
         # NaN when either route is non-finite, so the CLI's route gate trips
-        gap, scale = abs(x - y), max(abs(x), abs(y))
-        return gap / scale if scale > 0 else gap
+        return relative_gap(abs(x - y), max(abs(x), abs(y)))
 
     return CoefficientReport(
         temp=temp,
@@ -276,9 +280,10 @@ def einstein_check(model: MirrorModel, temp: float,
                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Relative residual of the Einstein relation C_T[0]/2 = T lambda_T.
 
-    The temperature is checked by the first integral (finite and > 0).
+    The residual is absolute for a mirror with lambda_T = 0.  The
+    temperature is checked by the first integral (finite and > 0).
     """
     lam = lambda_spectral(model, temp, cfg)
     half_c0 = 0.5 * suscept.correlation_zero_frequency(model, temp, cfg)
-    return abs(half_c0 - temp * lam) / abs(temp * lam)
+    return relative_gap(abs(half_c0 - temp * lam), abs(temp * lam))
 

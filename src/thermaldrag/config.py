@@ -133,7 +133,10 @@ def _scaled_poly(coeffs: list[float], hbar: float) -> list[float]:
 
 
 def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
-    """Construct the configured mirror in natural units."""
+    """Construct the configured mirror in natural units.
+
+    A parameter the model's constructor rejects raises its ValueError.
+    """
     kind = model_keys.get("kind", "").lower()
     if kind not in MODEL_KINDS:
         raise ConfigError(
@@ -145,8 +148,6 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
         tau0 = _number(model_keys, "tau0")
         if tau0 is None:
             raise ConfigError("lorentzian model needs tau0")
-        if not tau0 > 0:
-            raise ConfigError(f"tau0 must be > 0, got {tau0}")
         return LorentzianMirror(units.time_to_natural(tau0)), kind
 
     lists = {}
@@ -158,13 +159,9 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
     cutoff = _number(model_keys, "cutoff")
     if cutoff is not None:
         cutoff = units.frequency_to_natural(cutoff)
-    try:
-        model = RationalMirror(lists["r_numerator"], lists["r_denominator"],
-                               lists["s_numerator"], lists["s_denominator"],
-                               cutoff=cutoff)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return model, kind
+    return RationalMirror(lists["r_numerator"], lists["r_denominator"],
+                          lists["s_numerator"], lists["s_denominator"],
+                          cutoff=cutoff), kind
 
 
 def parse_config(path) -> RunConfig:
@@ -173,20 +170,17 @@ def parse_config(path) -> RunConfig:
     if not model_keys:
         raise ConfigError("config needs a [model] section")
 
+    # each constructor checks its own parameters: its ValueError is a config error
     try:
         units = UnitSystem(hbar=_number(main, "hbar", 1.0), c=_number(main, "c", 1.0))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         quadrature = QuadratureConfig(
             rel_tol=_number(main, "rel_tol", 1e-10),
             abs_tol=_number(main, "abs_tol", 1e-14),
             max_subdivisions=_number(main, "max_subdivisions", 200, integer=True),
         )
+        model, kind = build_model(model_keys, units)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    model, kind = build_model(model_keys, units)
     # mandatory validation before any use, on one grid around the cutoff
     grid = (model.cutoff_frequency or 1.0) * np.logspace(-3, 3, 400)
     validation = validate_model(model, grid)

@@ -29,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .errors import (GridTooCoarse, GrowthBoundExceeded, WindowTruncationWarning,
-                     require_finite)
-from .models import MirrorModel, PerfectMirror
-from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, QuadratureResult,
-                         hilbert_transform_pv, integrate_finite,
-                         integrate_thermal, richardson_extrapolate)
+from .errors import GridTooCoarse, WindowTruncationWarning, require_finite
+from .models import MirrorModel
+from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
+                         integrate_finite, integrate_thermal,
+                         richardson_extrapolate)
 
 # omega ladder for the omega -> 0 extrapolations: omega0 / 2^k, k = 0..6
 _LADDER_START = 0.1
@@ -84,76 +83,46 @@ class CorrelationValue:
     xi: float
 
 
-def _vacuum_quad(model: MirrorModel, omega: float,
-                 cfg: QuadratureConfig) -> QuadratureResult:
-    if omega == 0.0:
-        return QuadratureResult(0.0, 0.0, 0, True)
-
-    def integrand(wp):
-        return wp * (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
-
-    if omega > 0:
-        res = integrate_finite(integrand, 0.0, omega, cfg)
-        sign = 1.0
-    else:
-        res = integrate_finite(integrand, omega, 0.0, cfg)
-        sign = -1.0
-    value = sign * 1j / (2.0 * math.pi) * res.value
-    return QuadratureResult(value, res.error_estimate / (2.0 * math.pi),
-                            res.evaluations, res.converged)
-
-
-def _thermal_quad(model: MirrorModel, omega: float, temp: float,
-                  cfg: QuadratureConfig) -> QuadratureResult:
-    if isinstance(model, PerfectMirror):
-        # alpha = 2 collapses the kernel to 4*omega: the integral is the
-        # first Bose moment, pi^2 T^2 / 6, known in closed form.
-        value = 1j * (2.0 * math.pi / 3.0) * temp**2 * omega
-        return QuadratureResult(value, 0.0, 0, True)
-    if model.cutoff_frequency is None:
-        raise GrowthBoundExceeded(
-            "thermal susceptibility needs a high-frequency transparent model"
-        )
-
-    def integrand(wp):
-        down = (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
-        up = (omega + wp) * models.alpha_kernel(model, -wp, omega + wp)
-        return wp * (down + up)
-
-    res = integrate_thermal(integrand, temp, cfg)
-    value = 1j / math.pi * res.value
-    return QuadratureResult(value, res.error_estimate / math.pi,
-                            res.evaluations, res.converged)
-
-
 def chi_total(model: MirrorModel, omega: float, temp: float,
               cfg: QuadratureConfig = DEFAULT_CONFIG) -> SusceptibilityValue:
     """Full susceptibility chi_T = chi_0 + delta chi_T with summed errors.
 
     temp = 0 returns the vacuum part alone (thermal part exactly zero), so
     ``chi_total(model, omega, 0.0).chi_vacuum`` is chi_0[omega], conjugate
-    symmetric in omega and i omega^3 / 6 pi for the perfect mirror.  The
-    thermal part needs a transparent model (finite cutoff) so the
-    Bose-weighted integral converges; the perfect mirror takes an exact
-    closed-form branch instead.  The dissipative part xi_T is
+    symmetric in omega and i omega^3 / 6 pi for the perfect mirror.  Every
+    model takes the same two quadratures: n_T cuts the thermal integral off
+    and unitarity bounds |alpha| <= 2, so no cutoff is needed (the perfect
+    mirror gives i (2 pi/3) T^2 omega).  The dissipative part xi_T is
     ``chi_total.imag``, odd in omega.  A non-finite ``omega`` or ``temp``
     raises ValueError.
     """
     require_finite(omega=omega, temp=temp)
     if not temp >= 0:
         raise ValueError(f"requires temp >= 0, got {temp}")
-    vac = _vacuum_quad(model, omega, cfg)
-    if temp == 0:
-        thermal = QuadratureResult(0.0 + 0.0j, 0.0, 0, True)
-    else:
-        thermal = _thermal_quad(model, omega, temp, cfg)
-    total = vac.value + thermal.value
+
+    def vacuum(wp):
+        return wp * (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
+
+    vac = integrate_finite(vacuum, min(0.0, omega), max(0.0, omega), cfg)
+    # chi_0 integrates from 0 to omega: a negative omega reverses the range
+    chi_vacuum = (-1j if omega < 0 else 1j) / (2.0 * math.pi) * vac.value
+    error = vac.error_estimate / (2.0 * math.pi)
+    chi_thermal = 0j
+    if temp > 0:
+        def thermal(wp):
+            down = (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
+            up = (omega + wp) * models.alpha_kernel(model, -wp, omega + wp)
+            return wp * (down + up)
+
+        res = integrate_thermal(thermal, temp, cfg)
+        chi_thermal = 1j / math.pi * res.value
+        error += res.error_estimate / math.pi
     return SusceptibilityValue(
         omega=omega,
-        chi_vacuum=complex(vac.value),
-        chi_thermal=complex(thermal.value),
-        chi_total=complex(total),
-        error_estimate=vac.error_estimate + thermal.error_estimate,
+        chi_vacuum=complex(chi_vacuum),
+        chi_thermal=complex(chi_thermal),
+        chi_total=complex(chi_vacuum + chi_thermal),
+        error_estimate=error,
     )
 
 
@@ -171,9 +140,7 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
         raise ValueError(f"requires temp > 0, got {temp}")
     xi = chi_total(model, omega, temp, cfg).chi_total.imag
     x = omega / temp
-    if x > 700.0:
-        prefactor = 2.0  # deep quantum side: C -> 2 xi
-    elif x < -700.0:
+    if x < -700.0:
         prefactor = -2.0 * math.exp(x)  # spectrum dies out exponentially
     else:
         prefactor = 2.0 / -math.expm1(-x)
@@ -220,7 +187,7 @@ def kramers_kronig_check(model: MirrorModel, temp: float, grid,
     if grid.ndim != 1 or grid.size < 64:
         raise GridTooCoarse(f"need >= 64 grid points, got {grid.size}")
     steps = np.diff(grid)
-    if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9):
+    if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniformly spaced and increasing")
 
     chi = np.array([chi_total(model, w, temp, cfg).chi_total for w in grid])

@@ -116,6 +116,13 @@ s_denominator = 1, -1
         assert run([command, "--config", lorentzian_config(tmp_path, settings)]) == 2
         assert "exceeds 1000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau0", ["0", "-1"])
+    def test_non_positive_tau0_exits_2(self, tmp_path, capsys, tau0):
+        path = write(tmp_path, "c.cfg",
+                     f"temperature = 1.0\n[model]\nkind = lorentzian\ntau0 = {tau0}\n")
+        assert run(["coeffs", "--config", path]) == 2
+        assert "tau0 must be finite and > 0" in capsys.readouterr().err
+
     def test_model_validated_once_per_request(self, tmp_path, monkeypatch):
         from thermaldrag import config, models
         original = models.validate_model
@@ -341,6 +348,17 @@ class TestVerifyCommand:
         assert "asymptotic_lambda_low" not in out
         assert "asymptotic_mu_low" in out
 
+    @pytest.mark.parametrize("cutoff", ["cutoff = 1\n", ""], ids=["cutoff", "no-cutoff"])
+    def test_transparent_mirror_passes(self, tmp_path, capsys, cutoff):
+        # r = 0, s = 1 has lambda = 0: the relative gaps fall back to absolute
+        path = write(tmp_path, "c.cfg",
+                     "temperature = 1.0\nkk_points = 256\n[model]\nkind = rational\n"
+                     "r_numerator = 0\nr_denominator = 1\ns_numerator = 1\n"
+                     "s_denominator = 1\n" + cutoff)
+        assert run(["verify", "--config", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.endswith(" PASS") for line in lines)
+
     @pytest.mark.parametrize("temperature", ["0", "-1"])
     def test_non_positive_temperature_exits_2(self, tmp_path, capsys, temperature):
         path = write(tmp_path, "c.cfg", f"temperature = {temperature}\n"
@@ -505,6 +523,36 @@ GOLDEN_CHI_LORENTZIAN_SCALED = (
     '7.8148908873361227e-12\n'
 )
 
+# recorded before chi_total folded its vacuum and thermal helpers in and
+# before the relative gaps of verify shared one zero-scale rule
+GOLDEN_VERIFY_LORENTZIAN = (
+    'unitarity_modulus: measured=6.661338e-16 allowed=1.000000e-12 PASS\n'
+    'unitarity_orthogonality: measured=9.174751e-17 allowed=1.000000e-12 PASS\n'
+    'reality: measured=0.000000e+00 allowed=1.000000e-12 PASS\n'
+    'transparency: measured=9.999000e-05 allowed=1.000000e-03 PASS\n'
+    'dual_route_lambda: measured=1.482080e-16 allowed=1.000000e-06 PASS\n'
+    'dual_route_mu: measured=1.412117e-16 allowed=1.000000e-06 PASS\n'
+    'einstein_relation: measured=1.184182e-13 allowed=1.000000e-03 PASS\n'
+    'kramers_kronig_window_doubling: measured=9.007396e-01 allowed=1.000000e+00 PASS\n'
+    'asymptotic_lambda_high: measured=3.184896e-03 allowed=2.000000e-02 PASS\n'
+    'asymptotic_lambda_low: measured=7.895523e-06 allowed=1.000000e-02 PASS\n'
+    'asymptotic_mu_low: measured=2.368594e-05 allowed=2.000000e-02 PASS\n'
+    'asymptotic_mu_high: measured=1.583245e-01 allowed=1.000000e+00 PASS\n'
+)
+GOLDEN_SWEEP_WEAK_RATIONAL = (
+    'temperature,lambda_spectral,lambda_entropic,mu_spectral,mu_entropic,A,B,'
+    'err_lambda,err_mu\n'
+    '0.5,0.0072658558139788451,0.0072658558139788469,0.28695678149928094,'
+    '0.28695678149928094,0.0015795672966100937,0.17951721355356243,'
+    '3.2109597236973364e-13,2.0979749715050382e-12\n'
+    '1,0.024472472594085502,0.024472472594085498,0.7290141940918462,'
+    '0.7290141940918462,0.0066075665983137159,0.51140244744117092,'
+    '2.369707260666736e-12,3.2149610878955793e-11\n'
+    '2,0.065286671483291259,0.065286671483291217,1.6749401629574177,'
+    '1.6749401629574179,0.021233675113402142,1.304846833411625,'
+    '4.9755182407401739e-12,1.0184498332583397e-10\n'
+)
+
 # recorded while R0 and tau0 were still declared by each model
 GOLDEN_MODEL_INFO = {
     "perfect": (
@@ -549,6 +597,17 @@ class TestGoldenStdout:
                                  "omega_max = 3\nomega_count = 6\n")
         assert run(["chi", "--config", path]) == 0
         assert capsys.readouterr().out == GOLDEN_CHI_LORENTZIAN_SCALED
+
+    def test_verify_lorentzian(self, tmp_path, capsys):
+        assert run(["verify", "--config",
+                    lorentzian_config(tmp_path, "kk_points = 256\n")]) == 0
+        assert capsys.readouterr().out == GOLDEN_VERIFY_LORENTZIAN
+
+    def test_sweep_weak_rational(self, tmp_path, capsys):
+        path = weak_rational_config(tmp_path,
+                                    "temp_min = 0.5\ntemp_max = 2\ncount = 3\n")
+        assert run(["sweep", "--config", path]) == 0
+        assert capsys.readouterr().out == GOLDEN_SWEEP_WEAK_RATIONAL
 
     @pytest.mark.parametrize("name", GOLDEN_MODEL_INFO)
     def test_model_info(self, tmp_path, capsys, name):

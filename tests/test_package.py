@@ -43,7 +43,7 @@ ENTRY_POINTS = {
     "integrate_finite-hi": lambda v: integrate_finite(identity, 0.0, v),
     "compute_coefficients": lambda v: compute_coefficients(LORENTZIAN, v),
     "chi_total-omega": lambda v: chi_total(LORENTZIAN, v, 1.0),
-    # the perfect mirror's thermal part is a closed form, not a quadrature
+    # a cutoff-less model takes the same thermal quadrature as any other
     "chi_total-temp": lambda v: chi_total(PerfectMirror(), 0.5, v),
     "correlation_spectrum-omega": lambda v: correlation_spectrum(LORENTZIAN, v, 1.0),
     "correlation_spectrum-temp": lambda v: correlation_spectrum(LORENTZIAN, 0.5, v),

@@ -5,13 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from thermaldrag import (GridTooCoarse, GrowthBoundExceeded, LorentzianMirror,
-                         QuadratureConfig, WindowTruncationWarning, chi_total,
+from thermaldrag import (GridTooCoarse, LorentzianMirror, QuadratureConfig,
+                         RationalMirror, WindowTruncationWarning, chi_total,
                          correlation_spectrum, correlation_zero_frequency,
                          kramers_kronig_check, lambda_spectral,
                          vacuum_cubic_coefficient)
-from thermaldrag import susceptibility
-from thermaldrag.quadrature import DEFAULT_CONFIG
 
 
 class TestChiVacuum:
@@ -24,12 +22,6 @@ class TestChiVacuum:
     def test_zero_frequency(self, lorentzian, perfect):
         assert chi_total(lorentzian, 0.0, 0.0).chi_vacuum == 0.0
         assert chi_total(perfect, 0.0, 0.0).chi_vacuum == 0.0
-
-    def test_closed_forms_report_no_evaluations(self, lorentzian, perfect):
-        # branches that never call the integrand must not count evaluations
-        vacuum = susceptibility._vacuum_quad(lorentzian, 0.0, DEFAULT_CONFIG)
-        thermal = susceptibility._thermal_quad(perfect, 0.5, 1.0, DEFAULT_CONFIG)
-        assert vacuum.evaluations == 0 and thermal.evaluations == 0
 
     def test_against_trapezoid_oracle(self, lorentzian):
         oracle = oracles.trapezoid_chi_vacuum(0.1)
@@ -55,7 +47,8 @@ class TestChiThermal:
 
     def test_perfect_mirror_linear_in_omega(self, perfect):
         # exact closed form i (2 pi/3) T^2 omega
-        for temp, omega in ((1.0, 0.01), (2.5, 0.3)):
+        for temp, omega in ((1.0, 0.01), (2.5, 0.3), (1e-3, 1.0), (1e3, 2.0),
+                            (1.0, -0.7)):
             value = chi_total(perfect, omega, temp).chi_thermal
             assert value == pytest.approx(
                 1j * 2.0 * math.pi / 3.0 * temp**2 * omega, rel=1e-14)
@@ -71,15 +64,19 @@ class TestChiThermal:
             assert chi_total(lorentzian, -w, 0.7).chi_thermal == pytest.approx(
                 chi_total(lorentzian, w, 0.7).chi_thermal.conjugate(), rel=1e-11)
 
-    def test_nontransparent_model_rejected(self, transparent_model):
-        # a model without a declared cutoff cannot take the generic path
-        class NoCutoff(type(transparent_model)):
-            pass
-
-        model = NoCutoff(r_num=[0.0], r_den=[1.0], s_num=[1.0], s_den=[1.0])
-        assert model.cutoff_frequency is None
-        with pytest.raises(GrowthBoundExceeded):
-            chi_total(model, 1.0, 1.0).chi_thermal
+    def test_model_without_cutoff(self, perfect):
+        # n_T cuts the thermal integral off for every unitary mirror, so a
+        # model without a reflection cutoff takes the same path
+        transparent = RationalMirror(r_num=[0.0], r_den=[1.0],
+                                     s_num=[1.0], s_den=[1.0])
+        mirror = RationalMirror(r_num=[-1.0], r_den=[1.0],
+                                s_num=[0.0], s_den=[1.0])
+        assert transparent.cutoff_frequency is None
+        assert mirror.cutoff_frequency is None
+        assert chi_total(transparent, 1.0, 1.0).chi_thermal == 0.0
+        for temp, omega in ((1.0, 0.01), (2.5, 0.3), (1.0, -0.7)):
+            assert chi_total(mirror, omega, temp).chi_thermal == pytest.approx(
+                chi_total(perfect, omega, temp).chi_thermal, rel=1e-14)
 
     def test_half_quantum_does_not_give_vacuum(self, lorentzian):
         # replacing the occupation by 1/2 in the thermal kernel must not
@@ -264,12 +261,14 @@ class TestKramersKronig:
             kramers_kronig_check(lorentzian, 1.0, np.linspace(-5, 5, 32))
         with pytest.raises(ValueError):
             kramers_kronig_check(lorentzian, 1.0, np.geomspace(1, 10, 100))
+        with pytest.raises(ValueError):
+            kramers_kronig_check(lorentzian, 1.0, np.geomspace(1e-12, 1e-9, 100))
 
 
 class TestErrorHandling:
     @pytest.mark.parametrize("name", ["perfect", "lorentzian"])
     def test_negative_temperature_rejected(self, name, request):
-        # the perfect mirror's closed-form thermal branch must not square T = -1
+        # a negative T is rejected before any quadrature, for every model
         with pytest.raises(ValueError):
             chi_total(request.getfixturevalue(name), 0.5, -1.0)
 
