@@ -148,7 +148,12 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
         tau0 = _number(model_keys, "tau0")
         if tau0 is None:
             raise ConfigError("lorentzian model needs tau0")
-        return LorentzianMirror(units.time_to_natural(tau0)), kind
+        try:
+            return LorentzianMirror(units.time_to_natural(tau0)), kind
+        except ValueError as exc:
+            # the constructor sees natural units: name the value as written
+            raise ValueError(f"model key 'tau0' = {model_keys['tau0']}: {exc} "
+                             "in natural units") from exc
 
     lists = {}
     for key in ("r_numerator", "r_denominator", "s_numerator", "s_denominator"):

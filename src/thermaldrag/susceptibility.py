@@ -110,9 +110,10 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     chi_thermal = 0j
     if temp > 0:
         def thermal(wp):
-            down = (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
-            up = (omega + wp) * models.alpha_kernel(model, -wp, omega + wp)
-            return wp * (down + up)
+            # (w - w') down + (w + w') up, grouped so w' cancels when down == up
+            down = models.alpha_kernel(model, wp, omega - wp)
+            up = models.alpha_kernel(model, -wp, omega + wp)
+            return wp * (omega * (down + up) + wp * (up - down))
 
         res = integrate_thermal(thermal, temp, cfg)
         chi_thermal = 1j / math.pi * res.value

@@ -117,11 +117,15 @@ s_denominator = 1, -1
         assert "exceeds 1000000" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tau0", ["0", "-1"])
-    def test_non_positive_tau0_exits_2(self, tmp_path, capsys, tau0):
+    @pytest.mark.parametrize("hbar", ["1", "1.5"])
+    def test_non_positive_tau0_exits_2(self, tmp_path, capsys, tau0, hbar):
         path = write(tmp_path, "c.cfg",
-                     f"temperature = 1.0\n[model]\nkind = lorentzian\ntau0 = {tau0}\n")
+                     f"temperature = 1.0\nhbar = {hbar}\n"
+                     f"[model]\nkind = lorentzian\ntau0 = {tau0}\n")
         assert run(["coeffs", "--config", path]) == 2
-        assert "tau0 must be finite and > 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the key and the value as written, whatever the unit system
+        assert f"model key 'tau0' = {tau0}: tau0 must be finite and > 0" in err
 
     def test_model_validated_once_per_request(self, tmp_path, monkeypatch):
         from thermaldrag import config, models
@@ -501,30 +505,31 @@ GOLDEN_COEFFS_WEAK_RATIONAL = (
     'route_discrepancy_lambda = 1.4176936713751225e-16\n'
     'route_discrepancy_mu = 0\n'
 )
+# the err column re-recorded when the thermal kernel was regrouped
 GOLDEN_CHI_LORENTZIAN_SCALED = (
     'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
     're_chi_total,im_chi_total,err\n'
     '-2,-0.070476377636938509,-0.08553622826578558,-0.05755676815592,'
     '-0.27237457799202774,-0.12803314579285852,-0.3579108062578133,'
-    '2.7711814618382167e-12\n'
+    '2.7711814712559014e-12\n'
     '-1,-0.0073022786880829254,-0.015752967709700673,-0.023071561470117224,'
     '-0.1531666306064437,-0.030373840158200147,-0.16891959831614436,'
-    '5.3690970809663751e-13\n'
+    '5.3690975922791851e-13\n'
     '0,0,0,7.4669887299969643e-19,0,7.4669887299969643e-19,0,'
     '1.9965818701703663e-18\n'
     '1,-0.0073022786880829237,0.015752967709700673,-0.023071561470117224,'
     '0.1531666306064437,-0.030373840158200147,0.16891959831614436,'
-    '5.3690970809663751e-13\n'
+    '5.3690975922791851e-13\n'
     '2,-0.070476377636938509,0.08553622826578558,-0.05755676815592,'
     '0.27237457799202774,-0.12803314579285852,0.3579108062578133,'
-    '2.7711814618382167e-12\n'
+    '2.7711814712559014e-12\n'
     '3,-0.22729178786830204,0.20327150903182611,-0.08037971158600582,'
     '0.37487358419767774,-0.30767149945430788,0.5781450932295038,'
-    '7.8148908873361227e-12\n'
+    '7.8148910334089374e-12\n'
 )
 
-# recorded before chi_total folded its vacuum and thermal helpers in and
-# before the relative gaps of verify shared one zero-scale rule
+# recorded before the relative gaps of verify shared one zero-scale rule;
+# einstein_relation re-recorded when the thermal kernel was regrouped
 GOLDEN_VERIFY_LORENTZIAN = (
     'unitarity_modulus: measured=6.661338e-16 allowed=1.000000e-12 PASS\n'
     'unitarity_orthogonality: measured=9.174751e-17 allowed=1.000000e-12 PASS\n'
@@ -532,7 +537,7 @@ GOLDEN_VERIFY_LORENTZIAN = (
     'transparency: measured=9.999000e-05 allowed=1.000000e-03 PASS\n'
     'dual_route_lambda: measured=1.482080e-16 allowed=1.000000e-06 PASS\n'
     'dual_route_mu: measured=1.412117e-16 allowed=1.000000e-06 PASS\n'
-    'einstein_relation: measured=1.184182e-13 allowed=1.000000e-03 PASS\n'
+    'einstein_relation: measured=8.373753e-14 allowed=1.000000e-03 PASS\n'
     'kramers_kronig_window_doubling: measured=9.007396e-01 allowed=1.000000e+00 PASS\n'
     'asymptotic_lambda_high: measured=3.184896e-03 allowed=2.000000e-02 PASS\n'
     'asymptotic_lambda_low: measured=7.895523e-06 allowed=1.000000e-02 PASS\n'

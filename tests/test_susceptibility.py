@@ -46,12 +46,14 @@ class TestChiThermal:
         assert abs(value) < 1e-14
 
     def test_perfect_mirror_linear_in_omega(self, perfect):
-        # exact closed form i (2 pi/3) T^2 omega
+        # exact closed form i (2 pi/3) T^2 omega, also at large T / omega
+        # where the w' terms of the kernel must cancel exactly
         for temp, omega in ((1.0, 0.01), (2.5, 0.3), (1e-3, 1.0), (1e3, 2.0),
-                            (1.0, -0.7)):
-            value = chi_total(perfect, omega, temp).chi_thermal
-            assert value == pytest.approx(
-                1j * 2.0 * math.pi / 3.0 * temp**2 * omega, rel=1e-14)
+                            (1.0, -0.7), (1e3, 1e-6), (1e4, 1e-3)):
+            result = chi_total(perfect, omega, temp)
+            exact = 1j * 2.0 * math.pi / 3.0 * temp**2 * omega
+            assert result.chi_thermal == pytest.approx(exact, rel=1e-14)
+            assert abs(result.chi_thermal - exact) <= result.error_estimate
 
     def test_against_trapezoid_oracle(self, lorentzian):
         for temp in (0.5, 1.0):
@@ -74,7 +76,7 @@ class TestChiThermal:
         assert transparent.cutoff_frequency is None
         assert mirror.cutoff_frequency is None
         assert chi_total(transparent, 1.0, 1.0).chi_thermal == 0.0
-        for temp, omega in ((1.0, 0.01), (2.5, 0.3), (1.0, -0.7)):
+        for temp, omega in ((1.0, 0.01), (2.5, 0.3), (1.0, -0.7), (1e3, 1e-6)):
             assert chi_total(mirror, omega, temp).chi_thermal == pytest.approx(
                 chi_total(perfect, omega, temp).chi_thermal, rel=1e-14)
 
