@@ -6,8 +6,8 @@ Subcommands: ``coeffs``, ``sweep``, ``chi``, ``verify``, ``force``,
 numeric CSV fields carry 17 significant digits and identical
 configurations produce byte-identical output.  Exit codes: 0 ok,
 2 config error (non-finite numbers and file I/O errors included),
-3 route discrepancy above tolerance or NaN, 4 model validation failure,
-5 verify failure.
+3 route discrepancy above tolerance or NaN, or a printed value that is
+not finite, 4 model validation failure, 5 verify failure.
 """
 
 from __future__ import annotations
@@ -97,6 +97,14 @@ def _route_gate(reports, tol: float) -> int:
     return EXIT_OK
 
 
+def _finite_gate(values) -> int:
+    """EXIT_ROUTE when a printed value is NaN or infinite."""
+    if np.all(np.isfinite(values)):
+        return EXIT_OK
+    print("a printed value is not a finite number", file=sys.stderr)
+    return EXIT_ROUTE
+
+
 def cmd_coeffs(args) -> int:
     config = parse_config(args.config)
     temp = _temperature(config)
@@ -144,7 +152,7 @@ def cmd_chi(args) -> int:
     units = config.units
     omegas = np.linspace(omega_min, omega_max, count)
 
-    rows = []
+    table = []
     for omega_user in omegas:
         value = suscept.chi_total(config.model,
                                   units.frequency_to_natural(float(omega_user)),
@@ -153,12 +161,10 @@ def cmd_chi(args) -> int:
         thermal = units.susceptibility_from_natural(value.chi_thermal)
         total = units.susceptibility_from_natural(value.chi_total)
         err = units.susceptibility_from_natural(value.error_estimate)
-        rows.append(",".join(_fmt(f) for f in (
-            omega_user, vac.real, vac.imag, thermal.real, thermal.imag,
-            total.real, total.imag, err,
-        )))
-    print(CHI_HEADER, *rows, sep="\n")
-    return EXIT_OK
+        table.append((omega_user, vac.real, vac.imag, thermal.real, thermal.imag,
+                      total.real, total.imag, err))
+    print(CHI_HEADER, *(",".join(_fmt(f) for f in row) for row in table), sep="\n")
+    return _finite_gate(table)
 
 
 def cmd_force(args) -> int:
@@ -202,7 +208,7 @@ def cmd_force(args) -> int:
     t_out = units.time_from_natural(t_nat)
     f_out = units.force_from_natural(force_nat)
     print("t,F", *(f"{_fmt(t)},{_fmt(f)}" for t, f in zip(t_out, f_out)), sep="\n")
-    return EXIT_OK
+    return _finite_gate([t_out, f_out])
 
 
 def _verify_checks(config: RunConfig, tol: float):
@@ -210,6 +216,9 @@ def _verify_checks(config: RunConfig, tol: float):
     model = config.model
     cfg = config.quadrature
     temp = _temperature(config, default=1.0)
+    points = config.get_int("kk_points", 1024)
+    if points < 64:
+        raise ConfigError(f"kk_points must be >= 64, got {points}")
 
     for check in config.validation.checks:
         yield check.name, check.max_violation, check.allowed, check.passed
@@ -231,7 +240,6 @@ def _verify_checks(config: RunConfig, tol: float):
         # window scales with the wider of the reflection band and the
         # thermal frequency.
         window = 40.0 * max(model.cutoff_frequency, temp)
-        points = config.get_int("kk_points", 1024)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", WindowTruncationWarning)
             base = suscept.kramers_kronig_check(

@@ -109,7 +109,7 @@ def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
     def lambda_entropic_f(w):
         big_r = models.reflection_probability(model, w)
         plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
-        return w * w * big_r * plus / (math.pi * temp**2)
+        return w * w * big_r * plus / (math.pi * (temp * temp))
 
     def mu_spectral_f(w):
         big_r, d_big_r, tau, d_tau = models.reflection_and_delay(model, w, order=2)
@@ -120,7 +120,7 @@ def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
     def mu_entropic_f(w):
         b = models.b_function(model, w)
         plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
-        return w * w * b * plus / (2.0 * math.pi * temp**2)
+        return w * w * b * plus / (2.0 * math.pi * (temp * temp))
 
     def a_f(w):
         return w * models.reflection_probability(model, w) / math.pi

@@ -39,10 +39,6 @@ class UnitSystem:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError(f"c must be finite and > 0, got {self.c}")
 
-    @property
-    def is_natural(self) -> bool:
-        return self.hbar == 1.0 and self.c == 1.0
-
     # --- user units -> natural units ---
     def frequency_to_natural(self, omega):
         return self.hbar * omega

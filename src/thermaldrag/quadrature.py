@@ -1,18 +1,17 @@
 """Adaptive quadrature, a discrete Hilbert transform and Richardson extrapolation.
 
-The workhorse is a Gauss-Kronrod 7/15 pair with priority-queue interval
-bisection.  Integrands receive a 1-D numpy array of nodes and must return
-an array of values (real or complex) of the same shape.  Integrands must
-be pointwise: the value at a node may depend on that node only, because
-one call carries the nodes of several panels (all initial panels at once,
-then both halves of each bisected panel).  Results are deterministic for
-a fixed configuration: the priority queue breaks ties by insertion order
-and the final sums run over intervals sorted by left endpoint.
+The workhorse is a Gauss-Kronrod 7/15 pair with worst-first interval
+bisection in rounds.  Integrands receive a 1-D numpy array of nodes and
+must return an array of values (real or complex) of the same shape.
+Integrands must be pointwise: the value at a node may depend on that node
+only, because one call carries the nodes of several panels (all initial
+panels at once, then all the halves of a round).  Results are
+deterministic for a fixed configuration: each round sorts the panels by
+error with a stable sort, and the sums run over the panels in that order.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -111,7 +110,8 @@ def _gk_panels(f, panels):
     The nodes of all panels reach ``f`` as one array, so ``f`` must be
     pointwise.  Each panel is then reduced on its own row with the same
     1-D dot products as a lone panel: one matrix product over all rows
-    rounds differently.  Returns a list of (value, error), one per panel.
+    rounds differently.  Returns a list of (a, b, value, error), one per
+    panel.
     """
     ends = np.array(panels, dtype=float)
     half = 0.5 * (ends[:, 1] - ends[:, 0])
@@ -123,64 +123,49 @@ def _gk_panels(f, panels):
         resk = h * (_WK @ row)
         resg = h * (_WG @ row[_GAUSS_IDX])
         err = abs(resk - resg)
-        resabs = abs(h) * (_WK @ np.abs(row))
-        if b > a:
-            resasc = abs(h) * (_WK @ np.abs(row - resk / (b - a)))
-            if resasc != 0.0 and err != 0.0:
-                err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        resabs = h * (_WK @ np.abs(row))
+        resasc = h * (_WK @ np.abs(row - resk / (b - a)))
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
         # roundoff floor on the claimed error
-        out.append((resk, max(err, 50.0 * _EPS * resabs)))
+        out.append((a, b, resk, max(err, 50.0 * _EPS * resabs)))
     return out
 
 
 def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
     """Adaptive bisection over the initial panels given by ``breakpoints``.
 
-    All initial panels share one call of ``f``, and so do the two halves
-    of each bisected panel.
+    Each round halves the worst panels, just enough of them that the error
+    of the others meets the tolerance, skipping panels at roundoff width
+    and never passing ``max_subdivisions`` panels.  A NaN error halves none.
+    The initial panels share one call of ``f``, and so do a round's halves.
     """
-    counter = 0  # panels evaluated so far; breaks ties in the heap
-
-    def evaluate(panels):
-        """Heap items (-error, insertion counter, a, b, value, error)."""
-        nonlocal counter
-        items = []
-        for (a, b), (value, err) in zip(panels, _gk_panels(f, panels)):
-            items.append((-err, counter, a, b, value, err))
-            counter += 1
-        return items
-
-    heap = evaluate(list(zip(breakpoints[:-1], breakpoints[1:])))
-    heapq.heapify(heap)
-    finished = []  # intervals too narrow to split further
-
-    converged = True
+    panels = _gk_panels(f, list(zip(breakpoints[:-1], breakpoints[1:])))
+    evaluations = _NODES.size * len(panels)
     while True:
-        total = sum(item[4] for item in heap) + sum(item[4] for item in finished)
-        total_err = sum(item[5] for item in heap) + sum(item[5] for item in finished)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        # stable, so panels of equal error keep their order
+        panels.sort(key=lambda panel: panel[3], reverse=True)
+        total = sum(panel[2] for panel in panels)
+        total_err = sum(panel[3] for panel in panels)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        room = cfg.max_subdivisions - len(panels)
+        left = total_err
+        kept, halves = [], []
+        for panel in panels:
+            a, b = panel[0], panel[1]
+            mid = 0.5 * (a + b)
+            if (left > tol and len(halves) < 2 * room
+                    and mid - a >= _EPS * max(abs(a), abs(b), 1.0)):
+                halves += [(a, mid), (mid, b)]
+                left -= panel[3]
+            else:
+                kept.append(panel)
+        if not halves:
             break
-        if not heap:
-            converged = False
-            break
-        if len(heap) + len(finished) >= cfg.max_subdivisions:
-            converged = False
-            break
-        item = heapq.heappop(heap)
-        a, b = item[2], item[3]
-        mid = 0.5 * (a + b)
-        if mid - a < _EPS * max(abs(a), abs(b), 1.0):
-            # interval at roundoff width; freeze it
-            finished.append(item)
-            continue
-        for new_item in evaluate([(a, mid), (mid, b)]):
-            heapq.heappush(heap, new_item)
-
-    # deterministic final summation: left-to-right over the interval list
-    segments = sorted(heap + finished, key=lambda item: item[2])
-    total = sum(item[4] for item in segments)
-    total_err = sum(item[5] for item in segments)
-    return QuadratureResult(total, float(total_err), _NODES.size * counter, converged)
+        panels = kept + _gk_panels(f, halves)
+        evaluations += _NODES.size * len(halves)
+    return QuadratureResult(total, float(total_err), evaluations,
+                            bool(total_err <= tol))
 
 
 def integrate_finite(f, lo: float, hi: float,

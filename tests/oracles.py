@@ -197,8 +197,10 @@ def trapezoid_coefficients(temp: float, tau0: float = 1.0,
 
 # --- per-panel adaptive driver --------------------------------------------
 # The adaptive Gauss-Kronrod driver as it was before panels were batched:
-# one integrand call per 15-node panel.  The batched driver must return
-# results equal to these with ==.
+# one integrand call per 15-node panel, bisecting one worst panel at a time
+# from a heap.  The batched driver must make the same evaluations and
+# reach the same ``converged``; it sums the panels in another order, so
+# value and error agree to roundoff (rel 1e-15), not with ==.
 
 def gk_panel_per_call(f, a: float, b: float):
     """One Gauss-Kronrod 7/15 panel on [a, b]; returns (value, error)."""

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from thermaldrag import cli
+from thermaldrag import UnitSystem, cli
 from thermaldrag.config import parse_config
 from thermaldrag.errors import ConfigError
 
@@ -42,7 +43,7 @@ class TestConfigParsing:
     def test_minimal(self, tmp_path):
         cfg = parse_config(lorentzian_config(tmp_path))
         assert cfg.model_kind == "lorentzian"
-        assert cfg.units.is_natural
+        assert cfg.units == UnitSystem()
         assert cfg.quadrature.rel_tol == 1e-10
         assert cfg.get_float("temperature") == 1.0
 
@@ -396,6 +397,17 @@ class TestVerifyCommand:
         assert [l for l in out.splitlines()
                 if l.startswith("dual_route_lambda")][0].endswith("PASS")
 
+    @pytest.mark.parametrize("points", ["-5", "0", "10"])
+    def test_too_few_kk_points_exits_2_before_computing(self, tmp_path, capsys,
+                                                        monkeypatch, points):
+        from thermaldrag import coefficients
+        monkeypatch.setattr(coefficients, "compute_coefficients", None)
+        path = lorentzian_config(tmp_path, f"kk_points = {points}\n")
+        assert run(["verify", "--config", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: kk_points must be >= 64, got {points}" in captured.err
+
 
 class TestModelInfoCommand:
     def test_lorentzian(self, tmp_path, capsys):
@@ -437,6 +449,26 @@ class TestModelInfoCommand:
         no_temperature = write(tmp_path, "c.cfg", "[model]\nkind = perfect\n")
         assert run(["coeffs", "--config", no_temperature, "--out", str(out)]) == 2
         assert not out.exists()
+
+
+class TestExtremeTemperature:
+    # at T = 1e200 the integrands overflow to NaN: every subcommand that
+    # prints a value must say so with exit 3, not crash or exit 0
+    @pytest.mark.parametrize("command, settings", [
+        ("coeffs", "temperature = 1e200"),
+        ("sweep", "temp_min = 1e199\ntemp_max = 1e200"),
+        ("chi", "temperature = 1e200\nomega_min = -1\nomega_max = 1\nomega_count = 3"),
+        ("force", "temperature = 1e200"),
+    ], ids=["coeffs", "sweep", "chi", "force"])
+    def test_exits_3(self, tmp_path, capsys, command, settings):
+        traj_path = write(tmp_path, "traj.csv", "t,q\n0,0\n1,1e-3\n2,2e-3\n3,3e-3\n")
+        path = write(tmp_path, "c.cfg", f"{settings}\ntrajectory = {traj_path}\n"
+                     "[model]\nkind = lorentzian\ntau0 = 1.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run([command, "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "not a finite number" in err or "route discrepancy nan" in err
 
 
 class TestMain:
@@ -492,52 +524,48 @@ class TestMain:
         assert capsys.readouterr().out == expected
 
 
-# stdout recorded before the quadrature driver batched its panels; any
-# change in rounding anywhere in the stack shows up here
+# any change in rounding anywhere in the stack shows up in these pins
 GOLDEN_COEFFS_WEAK_RATIONAL = (
     'temperature = 1\n'
     'lambda_spectral = 0.024472472594085502 +/- 2.369707260666736e-12\n'
-    'lambda_entropic = 0.024472472594085498 +/- 4.4958345948660654e-13\n'
-    'mu_spectral = 0.7290141940918462 +/- 3.2149610878955793e-11\n'
+    'lambda_entropic = 0.024472472594085502 +/- 4.4958345948660654e-13\n'
+    'mu_spectral = 0.72901419409184609 +/- 3.2149610878955787e-11\n'
     'mu_entropic = 0.7290141940918462 +/- 6.7562114408686878e-12\n'
-    'A = 0.0066075665983137159 +/- 5.6715898812562986e-13\n'
-    'B = 0.51140244744117092 +/- 2.891106256078222e-11\n'
-    'route_discrepancy_lambda = 1.4176936713751225e-16\n'
-    'route_discrepancy_mu = 0\n'
+    'A = 0.006607566598313715 +/- 5.6715898812562996e-13\n'
+    'B = 0.51140244744117092 +/- 2.8911062560782223e-11\n'
+    'route_discrepancy_lambda = 0\n'
+    'route_discrepancy_mu = 1.5229100251034113e-16\n'
 )
-# the err column re-recorded when the thermal kernel was regrouped
 GOLDEN_CHI_LORENTZIAN_SCALED = (
     'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
     're_chi_total,im_chi_total,err\n'
     '-2,-0.070476377636938509,-0.08553622826578558,-0.05755676815592,'
     '-0.27237457799202774,-0.12803314579285852,-0.3579108062578133,'
-    '2.7711814712559014e-12\n'
-    '-1,-0.0073022786880829254,-0.015752967709700673,-0.023071561470117224,'
-    '-0.1531666306064437,-0.030373840158200147,-0.16891959831614436,'
+    '2.7711814712559018e-12\n'
+    '-1,-0.0073022786880829254,-0.015752967709700673,-0.023071561470117227,'
+    '-0.1531666306064437,-0.030373840158200154,-0.16891959831614436,'
     '5.3690975922791851e-13\n'
     '0,0,0,7.4669887299969643e-19,0,7.4669887299969643e-19,0,'
     '1.9965818701703663e-18\n'
-    '1,-0.0073022786880829237,0.015752967709700673,-0.023071561470117224,'
+    '1,-0.0073022786880829237,0.015752967709700673,-0.023071561470117227,'
     '0.1531666306064437,-0.030373840158200147,0.16891959831614436,'
     '5.3690975922791851e-13\n'
     '2,-0.070476377636938509,0.08553622826578558,-0.05755676815592,'
     '0.27237457799202774,-0.12803314579285852,0.3579108062578133,'
-    '2.7711814712559014e-12\n'
-    '3,-0.22729178786830204,0.20327150903182611,-0.08037971158600582,'
-    '0.37487358419767774,-0.30767149945430788,0.5781450932295038,'
+    '2.7711814712559018e-12\n'
+    '3,-0.22729178786830204,0.20327150903182611,-0.080379711586005806,'
+    '0.3748735841976778,-0.30767149945430788,0.57814509322950391,'
     '7.8148910334089374e-12\n'
 )
 
-# recorded before the relative gaps of verify shared one zero-scale rule;
-# einstein_relation re-recorded when the thermal kernel was regrouped
 GOLDEN_VERIFY_LORENTZIAN = (
     'unitarity_modulus: measured=6.661338e-16 allowed=1.000000e-12 PASS\n'
     'unitarity_orthogonality: measured=9.174751e-17 allowed=1.000000e-12 PASS\n'
     'reality: measured=0.000000e+00 allowed=1.000000e-12 PASS\n'
     'transparency: measured=9.999000e-05 allowed=1.000000e-03 PASS\n'
-    'dual_route_lambda: measured=1.482080e-16 allowed=1.000000e-06 PASS\n'
-    'dual_route_mu: measured=1.412117e-16 allowed=1.000000e-06 PASS\n'
-    'einstein_relation: measured=8.373753e-14 allowed=1.000000e-03 PASS\n'
+    'dual_route_lambda: measured=0.000000e+00 allowed=1.000000e-06 PASS\n'
+    'dual_route_mu: measured=2.824233e-16 allowed=1.000000e-06 PASS\n'
+    'einstein_relation: measured=8.388573e-14 allowed=1.000000e-03 PASS\n'
     'kramers_kronig_window_doubling: measured=9.007396e-01 allowed=1.000000e+00 PASS\n'
     'asymptotic_lambda_high: measured=3.184896e-03 allowed=2.000000e-02 PASS\n'
     'asymptotic_lambda_low: measured=7.895523e-06 allowed=1.000000e-02 PASS\n'
@@ -547,14 +575,14 @@ GOLDEN_VERIFY_LORENTZIAN = (
 GOLDEN_SWEEP_WEAK_RATIONAL = (
     'temperature,lambda_spectral,lambda_entropic,mu_spectral,mu_entropic,A,B,'
     'err_lambda,err_mu\n'
-    '0.5,0.0072658558139788451,0.0072658558139788469,0.28695678149928094,'
-    '0.28695678149928094,0.0015795672966100937,0.17951721355356243,'
-    '3.2109597236973364e-13,2.0979749715050382e-12\n'
-    '1,0.024472472594085502,0.024472472594085498,0.7290141940918462,'
-    '0.7290141940918462,0.0066075665983137159,0.51140244744117092,'
-    '2.369707260666736e-12,3.2149610878955793e-11\n'
-    '2,0.065286671483291259,0.065286671483291217,1.6749401629574177,'
-    '1.6749401629574179,0.021233675113402142,1.304846833411625,'
+    '0.5,0.007265855813978846,0.007265855813978846,0.28695678149928094,'
+    '0.286956781499281,0.0015795672966100939,0.17951721355356243,'
+    '3.2109597236973364e-13,2.0979749715050378e-12\n'
+    '1,0.024472472594085502,0.024472472594085502,0.72901419409184609,'
+    '0.7290141940918462,0.006607566598313715,0.51140244744117092,'
+    '2.369707260666736e-12,3.2149610878955787e-11\n'
+    '2,0.065286671483291231,0.065286671483291231,1.6749401629574174,'
+    '1.6749401629574179,0.021233675113402142,1.3048468334116252,'
     '4.9755182407401739e-12,1.0184498332583397e-10\n'
 )
 

