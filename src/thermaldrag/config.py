@@ -33,6 +33,7 @@ from .quadrature import QuadratureConfig
 
 MODEL_KINDS = ("lorentzian", "perfect", "rational")
 INTEGER_LIMIT = 10**6  # keeps counts and budgets below numpy's allocation limit
+_VALIDATION_GRID = np.logspace(-3, 3, 400)  # in units of the model's cutoff
 
 
 def _number(keys: dict, key: str, default=None, integer: bool = False):
@@ -187,8 +188,7 @@ def parse_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # mandatory validation before any use, on one grid around the cutoff
-    grid = (model.cutoff_frequency or 1.0) * np.logspace(-3, 3, 400)
-    validation = validate_model(model, grid)
+    validation = validate_model(model, (model.cutoff_frequency or 1.0) * _VALIDATION_GRID)
     validation.raise_for_failure()
     return RunConfig(model=model, units=units, quadrature=quadrature,
                      validation=validation, settings=main, model_kind=kind)

@@ -9,7 +9,6 @@ other than the natural one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +16,7 @@ import numpy as np
 # Guards for the Bose-Einstein occupation n(x) = 1/(e^x - 1), x = hbar*omega/T.
 X_UNDERFLOW = 700.0  # beyond this the occupation underflows double precision
 X_LAURENT = 1e-8     # below this, use the Laurent expansion 1/x - 1/2 + x/12
+UNIT_RANGE = (1e-75, 1e75)  # allowed hbar and c of a user unit system
 
 
 @dataclass(frozen=True)
@@ -34,10 +34,12 @@ class UnitSystem:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be finite and > 0, got {self.hbar}")
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be finite and > 0, got {self.c}")
+        # the largest conversion factor is (hbar c)^2: within UNIT_RANGE every
+        # factor, and its inverse, is a finite nonzero double
+        for name, value in (("hbar", self.hbar), ("c", self.c)):
+            if not UNIT_RANGE[0] <= value <= UNIT_RANGE[1]:
+                raise ValueError(f"{name} must lie in [{UNIT_RANGE[0]:g}, "
+                                 f"{UNIT_RANGE[1]:g}], got {value}")
 
     # --- user units -> natural units ---
     def frequency_to_natural(self, omega):

@@ -158,41 +158,46 @@ class RationalMirror(MirrorModel):
         if cutoff is not None and not cutoff > 0:
             raise ValueError(f"cutoff must be > 0, got {cutoff}")
         self._cutoff = cutoff
-        # (p, dp/dz, d2p/dz2) coefficients of each numerator and denominator
-        polyder = np.polynomial.polynomial.polyder
+        # rows r_num, r_den, s_num, s_den, then their first and second
+        # z-derivatives; zeros pad the high-degree end, which leaves each
+        # row's Horner value bit-identical to polyval on the unpadded row
+        coeffs = (self._rn, self._rd, self._sn, self._sd)
+        table = np.zeros((12, max(c.size for c in coeffs)))
+        for row, c in zip(table, coeffs):
+            row[:c.size] = c
+        powers = np.arange(1.0, table.shape[1])
+        for row in (4, 8):
+            table[row:row + 4, :-1] = powers * table[row - 4:row, 1:]
+        self._table = table
 
-        def parts(coeffs):
-            return coeffs, polyder(coeffs), polyder(coeffs, 2)
+    def _horner(self, rows, omega):
+        """Rows 0..rows-1 of the table at z = i omega, stacked on a leading axis.
 
-        self._r_parts = (parts(self._rn), parts(self._rd))
-        self._s_parts = (parts(self._sn), parts(self._sd))
-
-    @staticmethod
-    def _eval(coeffs, z):
-        # Horner with numpy polyval's order of operations, so bit-identical to it
-        acc = coeffs[-1] + z * 0
-        for c in coeffs[-2::-1]:
+        One Horner pass with numpy polyval's order of operations.
+        """
+        z = 1j * np.asarray(omega)
+        columns = self._table[:rows].T.reshape(-1, rows, *(1,) * z.ndim)
+        acc = columns[-1] + z * 0
+        for c in columns[-2::-1]:
             acc = c + acc * z
         return acc
 
     def amplitudes(self, omega):
-        z = 1j * np.asarray(omega)
-        return tuple(self._eval(num[0], z) / self._eval(den[0], z)
-                     for num, den in (self._r_parts, self._s_parts))
+        values = self._horner(4, omega)
+        return tuple(values[0::2] / values[1::2])
 
     def amplitude_derivatives(self, omega, order=1):
-        z = 1j * np.asarray(omega)
-        first, second = [], []
-        for num, den in (self._r_parts, self._s_parts):
-            n, n1, *n2 = (self._eval(c, z) for c in num[:order + 1])
-            d, d1, *d2 = (self._eval(c, z) for c in den[:order + 1])
-            # d/domega = i d/dz for functions of z = i omega
-            first.append(1j * (n1 * d - n * d1) / d**2)
-            if order > 1:
-                (n2,), (d2,) = n2, d2
-                # (i)^2 d^2/dz^2 of n/d
-                second.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2
-                                + 2.0 * n * d1**2 / d**3))
+        # block k holds the k-th z-derivatives, as (numerators, denominators) of (r, s)
+        blocks = self._horner(4 * (order + 1), omega).reshape(
+            order + 1, 2, 2, *np.shape(omega)).swapaxes(1, 2)
+        (n, d), (n1, d1) = blocks[:2]
+        # d/domega = i d/dz for functions of z = i omega
+        first = 1j * (n1 * d - n * d1) / d**2
+        if order == 1:
+            return tuple(first)
+        n2, d2 = blocks[2]
+        # (i)^2 d^2/dz^2 of n/d
+        second = -(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2 + 2.0 * n * d1**2 / d**3)
         return (*first, *second)
 
     @property
@@ -245,9 +250,12 @@ def scattering_delay(model: MirrorModel, omega):
 
 
 def alpha_kernel(model: MirrorModel, omega1, omega2):
-    """Two-frequency kernel alpha = 1 + r[w1] r[w2] - s[w1] s[w2]; symmetric."""
-    r1, s1 = model.amplitudes(omega1)
-    r2, s2 = model.amplitudes(omega2)
+    """Two-frequency kernel alpha = 1 + r[w1] r[w2] - s[w1] s[w2]; symmetric.
+
+    ``omega1`` and ``omega2`` must have one shape: both reach the model in
+    one ``amplitudes`` call.
+    """
+    (r1, r2), (s1, s2) = model.amplitudes(np.array((omega1, omega2)))
     return 1.0 + r1 * r2 - s1 * s2
 
 
@@ -309,8 +317,13 @@ def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     if omegas.size == 0 or not np.all(np.isfinite(omegas)):
         raise ValueError("validation grid must be non-empty and finite")
 
-    r, s = model.amplitudes(omegas)
-    r_neg, s_neg = model.amplitudes(-omegas)
+    # +-omega and the transparency probe far above the cutoff, in one call
+    cutoff = model.cutoff_frequency
+    high = np.empty(0) if cutoff is None else cutoff * np.array([100.0, 316.0, 1000.0])
+    n = omegas.size
+    r_all, s_all = model.amplitudes(np.concatenate((omegas, -omegas, high)))
+    r, r_neg, r_high = np.split(r_all, (n, 2 * n))
+    s, s_neg, _ = np.split(s_all, (n, 2 * n))
 
     def worst(violation):
         idx = int(np.argmax(violation))
@@ -324,10 +337,7 @@ def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     v, w = worst(np.maximum(np.abs(r_neg - np.conj(r)), np.abs(s_neg - np.conj(s))))
     checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
 
-    cutoff = model.cutoff_frequency
     if cutoff is not None:
-        high = cutoff * np.array([100.0, 316.0, 1000.0])
-        r_high, _ = model.amplitudes(high)
         idx = int(np.argmax(np.abs(r_high) ** 2))
         checks.append(CheckResult("transparency", float(np.abs(r_high[idx]) ** 2),
                                   float(high[idx]), TRANSPARENCY_TOL))

@@ -197,6 +197,9 @@ _THERMAL_BREAKS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 _MAJORANT_SAFETY = 100.0  # sampled |f| may exceed the fitted majorant this much
 # polynomial majorant order p: |f| may grow no faster than (1 + x^p) in x = omega/T
 _MAJORANT_ORDER = 3
+# the moderate x on which the majorant scale is fitted, and (1 + x^p) there
+_MAJORANT_XS = np.geomspace(1e-3, 60.0, 48)
+_MAJORANT_DEN = 1.0 + _MAJORANT_XS**_MAJORANT_ORDER
 
 
 def integrate_thermal(f, temp: float,
@@ -229,10 +232,9 @@ def integrate_thermal(f, temp: float,
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
 
     # fit the majorant scale M on moderate arguments
-    xs = np.geomspace(1e-3, 60.0, 48)
-    fs = np.abs(np.asarray(f(temp * xs)))
-    evals = xs.size
-    scale = float(np.max(fs / (1.0 + xs**_MAJORANT_ORDER)))
+    fs = np.abs(np.asarray(f(temp * _MAJORANT_XS)))
+    evals = _MAJORANT_XS.size
+    scale = float(np.max(fs / _MAJORANT_DEN))
 
     # choose the truncation point from the tail bound
     cutoff = 40.0

@@ -111,8 +111,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     if temp > 0:
         def thermal(wp):
             # (w - w') down + (w + w') up, grouped so w' cancels when down == up
-            down = models.alpha_kernel(model, wp, omega - wp)
-            up = models.alpha_kernel(model, -wp, omega + wp)
+            down, up = models.alpha_kernel(model, (wp, -wp), (omega - wp, omega + wp))
             return wp * (omega * (down + up) + wp * (up - down))
 
         res = integrate_thermal(thermal, temp, cfg)

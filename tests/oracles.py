@@ -4,10 +4,11 @@ Everything here deliberately avoids the package's own evaluation paths:
 occupations come from geometric series, Bose moments from zeta sums,
 integrals from brute-force trapezoid rules, derivatives from central
 differences, lorentzian scattering quantities from their explicit rational
-closed forms, and the kernels a, b from the literal amplitude products
-instead of R and tau.  The adaptive driver is kept as the per-panel loop
-(one integrand call per 15-node panel), sharing only the rule's nodes and
-weights with the package.
+closed forms, rational mirrors one polynomial at a time, and the kernels
+a, b from the literal amplitude products instead of R and tau.  The
+adaptive driver is kept as the per-panel loop (one integrand call per
+15-node panel), sharing only the rule's nodes and weights with the
+package.
 """
 
 import heapq
@@ -132,6 +133,55 @@ def lorentzian_dtau(omega, tau0=1.0):
 def lorentzian_alpha(w1, w2, tau0=1.0):
     return (1.0 + lorentzian_r(w1, tau0) * lorentzian_r(w2, tau0)
             - lorentzian_s(w1, tau0) * lorentzian_s(w2, tau0))
+
+
+# --- per-polynomial rational mirror ---------------------------------------
+# RationalMirror's evaluation as it was before the stacked coefficient
+# table: one Horner loop per polynomial and per derivative order, with the
+# derivative coefficients from numpy's polyder.  The table evaluator must
+# give bit-identical arrays of the same shape and dtype.
+
+class PerPolynomialRational:
+    """r and s as rational functions of z = i omega, ascending real coefficients."""
+
+    def __init__(self, r_num, r_den, s_num, s_den):
+        # (p, dp/dz, d2p/dz2) coefficients of each numerator and denominator
+        polyder = np.polynomial.polynomial.polyder
+
+        def parts(coeffs):
+            coeffs = np.asarray(coeffs, dtype=float)
+            return coeffs, polyder(coeffs), polyder(coeffs, 2)
+
+        self._r_parts = (parts(r_num), parts(r_den))
+        self._s_parts = (parts(s_num), parts(s_den))
+
+    @staticmethod
+    def _eval(coeffs, z):
+        # Horner with numpy polyval's order of operations, so bit-identical to it
+        acc = coeffs[-1] + z * 0
+        for c in coeffs[-2::-1]:
+            acc = c + acc * z
+        return acc
+
+    def amplitudes(self, omega):
+        z = 1j * np.asarray(omega)
+        return tuple(self._eval(num[0], z) / self._eval(den[0], z)
+                     for num, den in (self._r_parts, self._s_parts))
+
+    def amplitude_derivatives(self, omega, order=1):
+        z = 1j * np.asarray(omega)
+        first, second = [], []
+        for num, den in (self._r_parts, self._s_parts):
+            n, n1, *n2 = (self._eval(c, z) for c in num[:order + 1])
+            d, d1, *d2 = (self._eval(c, z) for c in den[:order + 1])
+            # d/domega = i d/dz for functions of z = i omega
+            first.append(1j * (n1 * d - n * d1) / d**2)
+            if order > 1:
+                (n2,), (d2,) = n2, d2
+                # (i)^2 d^2/dz^2 of n/d
+                second.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2
+                                + 2.0 * n * d1**2 / d**3))
+        return (*first, *second)
 
 
 # --- brute-force trapezoid integrals --------------------------------------

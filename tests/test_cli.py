@@ -35,6 +35,30 @@ s_denominator = 1, {-root}, 1
 """)
 
 
+
+def quartic_rational_config(tmp_path):
+    """Rational mirror, r of degree 3 over 4 and s of degree 4 over 4; hbar = 1.5, c = 2.
+
+    r = (0.3 z + 0.05 z^3) / D and s = (1 - z^2 + 0.25 z^4) / D, with D the
+    spectral factor of s_num^2 - r_num^2 (roots in Re z > 0), so the mirror
+    is unitary up to the rounding of D's printed coefficients.
+    """
+    den = "1, -2.846039006404553, 3.0049690129881075, -1.4159747548929151, 0.25"
+    return write(tmp_path, "quartic.cfg", f"""
+temperature = 1.0
+hbar = 1.5
+c = 2
+omega_min = -2
+omega_max = 3
+omega_count = 6
+[model]
+kind = rational
+r_numerator = 0, 0.3, 0, 0.05
+r_denominator = {den}
+s_numerator = 1, 0, -1, 0, 0.25
+s_denominator = {den}
+""")
+
 def run(args):
     return cli.main(args)
 
@@ -471,6 +495,25 @@ class TestExtremeTemperature:
         assert "not a finite number" in err or "route discrepancy nan" in err
 
 
+class TestExtremeUnits:
+    # hbar or c outside core.UNIT_RANGE would overflow or zero a conversion
+    # factor (c^2, hbar^2 c^2, tau0^2 or hbar^k): a config error, not a crash
+    @pytest.mark.parametrize("command, settings", [
+        ("coeffs", "c = 1e200"), ("chi", "c = 1e200"),
+        ("chi", "hbar = 1e200"), ("model-info", "hbar = 1e200"),
+        ("coeffs", "hbar = 1e-200"), ("chi", "hbar = 1e-200"),
+        ("coeffs", "c = 1e-200"), ("chi", "c = 1e-200"),
+    ])
+    def test_exits_2(self, tmp_path, capsys, command, settings):
+        extra = settings + "\nomega_min = -1\nomega_max = 1\n"
+        # model-info on the degree-2 rational mirror, which scales by hbar^2
+        config = weak_rational_config if command == "model-info" else lorentzian_config
+        assert run([command, "--config", config(tmp_path, extra)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must lie in [1e-75, 1e+75]" in err and "Traceback" not in err
+
+
 class TestMain:
     def test_parser_built_once(self):
         assert cli.build_parser() is cli.build_parser()
@@ -586,6 +629,41 @@ GOLDEN_SWEEP_WEAK_RATIONAL = (
     '4.9755182407401739e-12,1.0184498332583397e-10\n'
 )
 
+# quartic mirror, recorded before its model was evaluated from one stacked
+# coefficient table: the table pads r (degree 3) and s (degree 4) with zeros
+GOLDEN_COEFFS_QUARTIC_SCALED = (
+    'temperature = 1\n'
+    'lambda_spectral = 0.0020205044817375008 +/- 1.8462573810626117e-13\n'
+    'lambda_entropic = 0.0020205044817375004 +/- 7.2882749695407171e-14\n'
+    'mu_spectral = 0.28228732199122569 +/- 7.8100435770744577e-12\n'
+    'mu_entropic = 0.28228732199122569 +/- 8.8405089869985723e-13\n'
+    'A = 0.002397801797854615 +/- 9.6389228985175246e-14\n'
+    'B = 0.69474632515552281 +/- 3.6812816086963369e-11\n'
+    'route_discrepancy_lambda = 1.4309326306509511e-16\n'
+    'route_discrepancy_mu = 0\n'
+)
+GOLDEN_CHI_QUARTIC_SCALED = (
+    'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
+    're_chi_total,im_chi_total,err\n'
+    '-2,-0.077148039692659348,-0.081800898553280099,0.032457969232235769,'
+    '-0.44978433115162036,-0.044690070460423587,-0.53158522970490052,'
+    '2.2729304407460298e-11\n'
+    '-1,0.0045268203856922082,-0.018772357110504814,0.12503787147617279,'
+    '-0.17411513469364209,0.12956469186186501,-0.19288749180414688,'
+    '1.7489397200536398e-11\n'
+    '0,0,0,-1.4167332807132049e-19,0,-1.4167332807132049e-19,0,'
+    '1.7094612331510006e-18\n'
+    '1,0.0045268203856922073,0.018772357110504817,0.12503787147617279,'
+    '0.17411513469364209,0.12956469186186501,0.19288749180414688,'
+    '1.7489397200536398e-11\n'
+    '2,-0.077148039692659348,0.081800898553280085,0.032457969232235769,'
+    '0.44978433115162036,-0.044690070460423587,0.53158522970490052,'
+    '2.2729304407460298e-11\n'
+    '3,-0.041495413167826595,0.028853291645871051,-0.019220000866962138,'
+    '0.55315001013277365,-0.060715414034788723,0.58200330177864457,'
+    '6.7505280051055829e-12\n'
+)
+
 # recorded while R0 and tau0 were still declared by each model
 GOLDEN_MODEL_INFO = {
     "perfect": (
@@ -641,6 +719,14 @@ class TestGoldenStdout:
                                     "temp_min = 0.5\ntemp_max = 2\ncount = 3\n")
         assert run(["sweep", "--config", path]) == 0
         assert capsys.readouterr().out == GOLDEN_SWEEP_WEAK_RATIONAL
+
+    @pytest.mark.parametrize("command, golden", [
+        ("coeffs", GOLDEN_COEFFS_QUARTIC_SCALED),
+        ("chi", GOLDEN_CHI_QUARTIC_SCALED),
+    ])
+    def test_quartic_rational_scaled_units(self, tmp_path, capsys, command, golden):
+        assert run([command, "--config", quartic_rational_config(tmp_path)]) == 0
+        assert capsys.readouterr().out == golden
 
     @pytest.mark.parametrize("name", GOLDEN_MODEL_INFO)
     def test_model_info(self, tmp_path, capsys, name):

@@ -284,15 +284,46 @@ class TestRationalMirror:
 
     @pytest.mark.parametrize("length", range(1, 7))
     def test_horner_bit_identical_to_polyval(self, length):
+        # every table row (r_num has ``length`` coefficients and is padded to
+        # the longest list; rows 4-11 are derivatives) against polyval on
+        # the unpadded polynomial, 0-d nodes included
         rng = np.random.default_rng(length)
         coeffs = rng.normal(size=length)
-        nodes = 1j * (0.7 + 1.3 * np.polynomial.legendre.leggauss(15)[0])
-        for z in (nodes, 1j * np.asarray(0.37), np.asarray(-2.5j)):
-            ours = RationalMirror._eval(coeffs, z)
-            reference = np.polynomial.polynomial.polyval(z, coeffs)
-            assert np.shape(ours) == np.shape(reference)
-            assert np.result_type(ours) == np.result_type(reference)
-            assert np.array_equal(ours, reference)
+        base = (coeffs, [1.0, 0.5, -0.25, 0.125, 2.0, 1.5], coeffs[::-1], [2.0])
+        model = RationalMirror(*base, cutoff=1.0)
+        polyder = np.polynomial.polynomial.polyder
+        nodes = 0.7 + 1.3 * np.polynomial.legendre.leggauss(15)[0]
+        for omega in (nodes, np.asarray(0.37), np.asarray(-2.5)):
+            for row, ours in enumerate(model._horner(12, omega)):
+                reference = np.polynomial.polynomial.polyval(
+                    1j * omega, polyder(base[row % 4], row // 4))
+                assert np.shape(ours) == np.shape(reference)
+                assert np.result_type(ours) == np.result_type(reference)
+                assert np.array_equal(ours, reference)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_table_bit_identical_to_per_polynomial_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        # four distinct lengths in 1..6: no two polynomials of equal degree
+        coeffs = [rng.normal(size=n) for n in rng.permutation(np.arange(1, 7))[:4]]
+        model = RationalMirror(*coeffs, cutoff=1.0)
+        oracle = oracles.PerPolynomialRational(*coeffs)
+        for shape in ((9,), (2, 9), ()):
+            omega = 3.0 * rng.normal(size=shape)
+            for evaluate in (lambda m: m.amplitudes(omega),
+                             lambda m: m.amplitude_derivatives(omega, 1),
+                             lambda m: m.amplitude_derivatives(omega, 2)):
+                ours, reference = evaluate(model), evaluate(oracle)
+                assert len(ours) == len(reference)
+                for a, b in zip(ours, reference):
+                    assert type(a) is type(b)
+                    assert np.shape(a) == np.shape(b) and a.dtype == b.dtype
+                    if shape:
+                        assert np.array_equal(a, b)
+                    else:
+                        # numpy-scalar arithmetic (the oracle's d**2) may
+                        # round differently from the table's 1-element arrays
+                        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_custom_epsilon_family_unitary(self):
         for eps in (0.05, 0.5, 0.9):

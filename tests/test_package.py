@@ -1,6 +1,11 @@
-"""Package-wide contracts: the public surface and the non-finite input guard."""
+"""Package-wide contracts: the public surface, the non-finite input guard
+and the numpy-only rule."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +62,30 @@ ENTRY_POINTS = {
 def test_non_finite_input_raises(entry, value):
     with pytest.raises(ValueError, match="must be finite"):
         ENTRY_POINTS[entry](value)
+
+
+def test_requests_import_neither_scipy_nor_numpy_polynomial(tmp_path):
+    # the package is numpy-only and evaluates polynomials itself
+    rational = tmp_path / "rational.cfg"
+    den = "1, -2.0223748416156684, 1"
+    rational.write_text("temperature = 1.0\n[model]\nkind = rational\n"
+                        f"r_numerator = 0, 0.3\nr_denominator = {den}\n"
+                        f"s_numerator = 1, 0, -1\ns_denominator = {den}\n")
+    chi = tmp_path / "chi.cfg"
+    chi.write_text("temperature = 1.0\nomega_min = -1\nomega_max = 1\n"
+                   "[model]\nkind = lorentzian\ntau0 = 1.0\n")
+    script = f"""
+import contextlib, io, sys
+from thermaldrag import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["coeffs", "--config", {str(rational)!r}]),
+             cli.main(["chi", "--config", {str(chi)!r}])]
+print(codes, sorted(m for m in sys.modules
+                    if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial")))
+"""
+    src = Path(thermaldrag.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out == "[0, 0] []\n"

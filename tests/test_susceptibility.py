@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import oracles
-from thermaldrag import (GridTooCoarse, LorentzianMirror, QuadratureConfig,
-                         RationalMirror, WindowTruncationWarning, chi_total,
+from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
+                         QuadratureConfig, RationalMirror,
+                         WindowTruncationWarning, chi_total,
                          correlation_spectrum, correlation_zero_frequency,
-                         kramers_kronig_check, lambda_spectral,
+                         kramers_kronig_check, lambda_spectral, susceptibility,
                          vacuum_cubic_coefficient)
 
 
@@ -125,6 +126,41 @@ class TestChiTotal:
                 minus = chi_total(model, -float(w), temp)
                 combined = plus.error_estimate + minus.error_estimate + 1e-13
                 assert abs(minus.chi_total - plus.chi_total.conjugate()) <= combined
+
+    @pytest.mark.parametrize("name", ["lorentzian", "weak"])
+    def test_one_amplitudes_call_per_integrand_call(self, monkeypatch, request, name):
+        model = request.getfixturevalue(name)
+        amplitude_calls, per_integrand_call = [], []
+
+        class Recording(MirrorModel):
+            def amplitudes(self, omega):
+                amplitude_calls.append(np.shape(omega))
+                return model.amplitudes(omega)
+
+            def amplitude_derivatives(self, omega, order=1):
+                return model.amplitude_derivatives(omega, order)
+
+            @property
+            def cutoff_frequency(self):
+                return model.cutoff_frequency
+
+        def counted(integrate):
+            def run(f, *args):
+                def g(x):
+                    before = len(amplitude_calls)
+                    y = f(x)
+                    per_integrand_call.append(len(amplitude_calls) - before)
+                    return y
+                return integrate(g, *args)
+            return run
+
+        for integrate in ("integrate_finite", "integrate_thermal"):
+            monkeypatch.setattr(susceptibility, integrate,
+                                counted(getattr(susceptibility, integrate)))
+        value = chi_total(Recording(), 0.7, 1.0)
+        assert len(per_integrand_call) > 2 and set(per_integrand_call) == {1}
+        assert len(amplitude_calls) == len(per_integrand_call)
+        assert value == chi_total(model, 0.7, 1.0)
 
     def test_thermal_part_fades_at_low_temperature(self, lorentzian):
         value = chi_total(lorentzian, 1.0, 1e-3)
