@@ -9,9 +9,9 @@ Example::
     kind = lorentzian
     tau0 = 1.0
 
-Models are built in natural units; when the config declares a custom unit
-system (hbar, c), model parameters given in user units are converted here,
-at the I/O boundary.  Every model is validated once, here, before use.
+Model parameters are given in user units: the model built from them moves
+to natural units by scaling its poles, residues and cutoff by hbar.  Every
+model is validated once, here, before use.
 Every number is read by one reader, which rejects NaN and infinities
 and integer keys above INTEGER_LIMIT; every file is read by another,
 which turns an unreadable or non-UTF-8 file into a ConfigError.
@@ -128,13 +128,8 @@ def _coefficient_list(raw: str, key: str) -> list[float]:
     return values
 
 
-def _scaled_poly(coeffs: list[float], hbar: float) -> list[float]:
-    # z_user^k = (z_natural / hbar)^k: rescale ascending coefficients
-    return [a / hbar**k for k, a in enumerate(coeffs)]
-
-
 def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
-    """Construct the configured mirror in natural units.
+    """The configured mirror in natural units, built from parameters in user units.
 
     A parameter the model's constructor rejects raises its ValueError.
     """
@@ -144,30 +139,24 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
             f"model kind must be one of {MODEL_KINDS}, got {kind!r}"
         )
     if kind == "perfect":
-        return PerfectMirror(), kind
-    if kind == "lorentzian":
+        model = PerfectMirror()
+    elif kind == "lorentzian":
         tau0 = _number(model_keys, "tau0")
         if tau0 is None:
             raise ConfigError("lorentzian model needs tau0")
         try:
-            return LorentzianMirror(units.time_to_natural(tau0)), kind
+            model = LorentzianMirror(tau0)
         except ValueError as exc:
-            # the constructor sees natural units: name the value as written
-            raise ValueError(f"model key 'tau0' = {model_keys['tau0']}: {exc} "
-                             "in natural units") from exc
-
-    lists = {}
-    for key in ("r_numerator", "r_denominator", "s_numerator", "s_denominator"):
-        raw = model_keys.get(key)
-        if raw is None:
-            raise ConfigError(f"rational model needs '{key}'")
-        lists[key] = _scaled_poly(_coefficient_list(raw, key), units.hbar)
-    cutoff = _number(model_keys, "cutoff")
-    if cutoff is not None:
-        cutoff = units.frequency_to_natural(cutoff)
-    return RationalMirror(lists["r_numerator"], lists["r_denominator"],
-                          lists["s_numerator"], lists["s_denominator"],
-                          cutoff=cutoff), kind
+            raise ValueError(f"model key 'tau0' = {model_keys['tau0']}: {exc}") from exc
+    else:
+        lists = []
+        for key in ("r_numerator", "r_denominator", "s_numerator", "s_denominator"):
+            raw = model_keys.get(key)
+            if raw is None:
+                raise ConfigError(f"rational model needs '{key}'")
+            lists.append(_coefficient_list(raw, key))
+        model = RationalMirror(*lists, cutoff=_number(model_keys, "cutoff"))
+    return model._in_natural_units(units.hbar), kind
 
 
 def parse_config(path) -> RunConfig:
@@ -185,10 +174,11 @@ def parse_config(path) -> RunConfig:
             max_subdivisions=_number(main, "max_subdivisions", 200, integer=True),
         )
         model, kind = build_model(model_keys, units)
+        # mandatory validation before any use, on one grid around the cutoff
+        grid = (model.cutoff_frequency or 1.0) * _VALIDATION_GRID
+        validation = validate_model(model, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # mandatory validation before any use, on one grid around the cutoff
-    validation = validate_model(model, (model.cutoff_frequency or 1.0) * _VALIDATION_GRID)
     validation.raise_for_failure()
     return RunConfig(model=model, units=units, quadrature=quadrature,
                      validation=validation, settings=main, model_kind=kind)

@@ -28,6 +28,7 @@ all operations here are pure functions of their arguments.
 from __future__ import annotations
 
 import abc
+import copy
 import math
 from dataclasses import dataclass
 
@@ -64,149 +65,150 @@ class MirrorModel(abc.ABC):
         return float(scattering_delay(self, 0.0)) + 0.0
 
 
-class PerfectMirror(MirrorModel):
-    """Idealized mirror with r = -1, s = 0 at every frequency.
+class _PoleMirror(MirrorModel):
+    """The one evaluator of every shipped mirror: a pole-residue sum in z = i omega.
 
-    Violates high-frequency transparency (``cutoff_frequency`` is None);
-    its delay is identically zero, so it is the R0 = 1, tau0 = 0 member of
-    the scattering family.
+    r = c_r + sum_k rho_r,k / (z - p_k), so r' = -i sum_k rho_r,k / (z -
+    p_k)^2 and r'' = -2 sum_k rho_r,k / (z - p_k)^3; the same for s.  Real
+    poles and residues are floats, complex ones come in conjugate pairs.
     """
 
-    def amplitudes(self, omega):
-        zero = np.zeros(np.shape(omega), dtype=complex)[()]  # [()] unwraps 0-d
-        return zero - 1.0, zero
-
-    def amplitude_derivatives(self, omega, order=1):
-        return tuple(np.zeros(np.shape(omega), dtype=complex)[()]
-                     for _ in range(2 * order))
-
-    @property
-    def cutoff_frequency(self):
-        return None
-
-    def __repr__(self):
-        return "PerfectMirror()"
-
-
-class LorentzianMirror(MirrorModel):
-    """Single-pole mirror: r = -1/(1 - i omega tau0), s = -i omega tau0 r.
-
-    R[omega] = 1/(1 + omega^2 tau0^2) and tau[omega] = tau0/(1 + omega^2
-    tau0^2); the delay parameter tau0 is also the inverse of the
-    reflection cutoff.
-    """
-
-    def __init__(self, tau0: float):
-        if not (tau0 > 0 and math.isfinite(tau0)):
-            raise ValueError(f"tau0 must be finite and > 0, got {tau0}")
-        self._tau0 = float(tau0)
-
-    @property
-    def tau0(self) -> float:
-        return self._tau0
-
-    def amplitudes(self, omega):
-        omega = np.asarray(omega)
-        den = 1.0 - 1j * self._tau0 * omega
-        return -1.0 / den, -1j * self._tau0 * omega / den
-
-    def amplitude_derivatives(self, omega, order=1):
-        den = 1.0 - 1j * self._tau0 * np.asarray(omega)
-        d = -1j * self._tau0 / den**2  # r' and s' coincide for this model
-        if order == 1:
-            return d, d.copy()
-        d2 = 2.0 * self._tau0**2 / den**3
-        return d, d.copy(), d2, d2.copy()
-
-    @property
-    def cutoff_frequency(self):
-        return 1.0 / self._tau0
-
-    def __repr__(self):
-        return f"LorentzianMirror(tau0={self._tau0!r})"
-
-
-class RationalMirror(MirrorModel):
-    """Mirror with r and s given as rational functions of z = i omega.
-
-    Coefficients are real and ascending in z, which builds in the reality
-    constraint r[-omega] = r[omega]*.  Unitarity is *not* automatic:
-    validate with :func:`validate_model` before use.
-
-    Parameters
-    ----------
-    r_num, r_den, s_num, s_den : sequence of float
-        Ascending real coefficients of the numerators/denominators in z.
-    cutoff : float, optional
-        Reflection cutoff.  Defaults to the largest pole magnitude of r.
-    """
-
-    def __init__(self, r_num, r_den, s_num, s_den, cutoff: float | None = None):
-        self._rn = np.asarray(r_num, dtype=float)
-        self._rd = np.asarray(r_den, dtype=float)
-        self._sn = np.asarray(s_num, dtype=float)
-        self._sd = np.asarray(s_den, dtype=float)
-        for name, coeffs in (("r_num", self._rn), ("r_den", self._rd),
-                             ("s_num", self._sn), ("s_den", self._sd)):
-            if coeffs.ndim != 1 or coeffs.size == 0 or not np.all(np.isfinite(coeffs)):
-                raise ValueError(f"{name} must be a non-empty 1-D finite coefficient list")
-        if self._rd[-1] == 0 or self._sd[-1] == 0:
-            raise ValueError("denominator leading coefficients must be nonzero")
-        if cutoff is None:
-            roots = np.roots(self._rd[::-1]) if self._rd.size > 1 else np.array([])
-            cutoff = float(np.max(np.abs(roots))) if roots.size else None
-        if cutoff is not None and not cutoff > 0:
-            raise ValueError(f"cutoff must be > 0, got {cutoff}")
+    def __init__(self, constants, poles, cutoff, text):
+        self._constants = constants  # (c_r, c_s)
+        # (p_k, rho_r,k, rho_s,k); a pole-free mirror gets one zero-residue term
+        self._poles = tuple(poles) or ((1.0, 0.0, 0.0),)
         self._cutoff = cutoff
-        # rows r_num, r_den, s_num, s_den, then their first and second
-        # z-derivatives; zeros pad the high-degree end, which leaves each
-        # row's Horner value bit-identical to polyval on the unpadded row
-        coeffs = (self._rn, self._rd, self._sn, self._sd)
-        table = np.zeros((12, max(c.size for c in coeffs)))
-        for row, c in zip(table, coeffs):
-            row[:c.size] = c
-        powers = np.arange(1.0, table.shape[1])
-        for row in (4, 8):
-            table[row:row + 4, :-1] = powers * table[row - 4:row, 1:]
-        self._table = table
-
-    def _horner(self, rows, omega):
-        """Rows 0..rows-1 of the table at z = i omega, stacked on a leading axis.
-
-        One Horner pass with numpy polyval's order of operations.
-        """
-        z = 1j * np.asarray(omega)
-        columns = self._table[:rows].T.reshape(-1, rows, *(1,) * z.ndim)
-        acc = columns[-1] + z * 0
-        for c in columns[-2::-1]:
-            acc = c + acc * z
-        return acc
+        self._repr = text
 
     def amplitudes(self, omega):
-        values = self._horner(4, omega)
-        return tuple(values[0::2] / values[1::2])
+        z = 1j * np.asarray(omega)
+        r, s = self._constants  # the terms below give them omega's shape
+        for p, rho_r, rho_s in self._poles:
+            inv = np.reciprocal(z - p)
+            r = r + rho_r * inv
+            s = s + rho_s * inv
+        return r, s
 
     def amplitude_derivatives(self, omega, order=1):
-        # block k holds the k-th z-derivatives, as (numerators, denominators) of (r, s)
-        blocks = self._horner(4 * (order + 1), omega).reshape(
-            order + 1, 2, 2, *np.shape(omega)).swapaxes(1, 2)
-        (n, d), (n1, d1) = blocks[:2]
-        # d/domega = i d/dz for functions of z = i omega
-        first = 1j * (n1 * d - n * d1) / d**2
-        if order == 1:
-            return tuple(first)
-        n2, d2 = blocks[2]
-        # (i)^2 d^2/dz^2 of n/d
-        second = -(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2 + 2.0 * n * d1**2 / d**3)
-        return (*first, *second)
+        z = 1j * np.asarray(omega)
+        # sums of rho/(z - p)^2 for r and s, then of rho/(z - p)^3 at order 2
+        sums = [0.0] * (2 * order)
+        for p, *residues in self._poles:
+            inv = np.reciprocal(z - p)
+            for k, rho in enumerate(residues):
+                term = rho * inv * inv  # (rho inv) inv: inv^2 alone may overflow
+                sums[k] = sums[k] + term
+                if order > 1:
+                    sums[k + 2] = sums[k + 2] + term * inv
+        return tuple(f * total for f, total in zip((-1j, -1j, -2.0, -2.0), sums))
 
     @property
     def cutoff_frequency(self):
         return self._cutoff
 
+    def _in_natural_units(self, hbar: float):
+        """This mirror, built in the user frequency unit omega / hbar, in natural units."""
+        model = copy.copy(self)
+        model._poles = tuple((hbar * p, hbar * rho_r, hbar * rho_s)
+                             for p, rho_r, rho_s in self._poles)
+        model._cutoff = None if self._cutoff is None else hbar * self._cutoff
+        model._repr = f"{self._repr}._in_natural_units({hbar!r})"
+        return model
+
     def __repr__(self):
-        return (f"RationalMirror(r_num={self._rn.tolist()}, r_den={self._rd.tolist()}, "
-                f"s_num={self._sn.tolist()}, s_den={self._sd.tolist()})")
+        return self._repr
+
+
+class PerfectMirror(_PoleMirror):
+    """Idealized mirror with r = -1, s = 0 at every frequency, and no poles.
+
+    Never turns transparent (``cutoff_frequency`` is None); its delay is
+    identically zero: the R0 = 1, tau0 = 0 member of the scattering family.
+    """
+
+    def __init__(self):
+        super().__init__((-1.0, 0.0), (), None, "PerfectMirror()")
+
+
+class LorentzianMirror(_PoleMirror):
+    """Single-pole mirror: r = -1/(1 - i omega tau0), s = i omega tau0 r.
+
+    R[omega] = 1/(1 + omega^2 tau0^2) and tau[omega] = tau0/(1 + omega^2
+    tau0^2).  The pole is z = g = 1/tau0, the reflection cutoff: r = g/(z
+    - g) and s = 1 + g/(z - g).
+    """
+
+    def __init__(self, tau0: float):
+        if not (tau0 > 0 and math.isfinite(tau0) and math.isfinite(1.0 / tau0)):
+            raise ValueError(f"tau0 must be finite and > 0 with 1/tau0 finite, got {tau0}")
+        g = 1.0 / tau0
+        super().__init__((0.0, 1.0), ((g, g, g),), g, f"LorentzianMirror(tau0={tau0!r})")
+
+    @property
+    def tau0(self) -> float:
+        """The delay parameter 1/cutoff."""
+        return 1.0 / self._cutoff
+
+
+# poles closer than this, relative to the larger modulus, are rejected: the
+# partial-fraction error grows as about 1e2 eps / separation^2 (measured on
+# random numerators), which reaches 2e-10 of the amplitude's peak here
+_MIN_POLE_SEPARATION = 1e-2
+
+
+def _partial_fractions(name, num, den):
+    """(c, [(p_k, rho_k)]) of num/den, ascending coefficients in z, simple poles only."""
+    if np.any(num[den.size:]):
+        raise ValueError(f"{name} is improper: numerator degree above denominator degree")
+    num = num[:den.size]
+    poles = np.roots(den[::-1])
+    gaps = np.abs(poles[:, None] - poles) + np.diag(np.full(poles.size, np.inf))
+    if np.any(gaps <= _MIN_POLE_SEPARATION * np.maximum.outer(abs(poles), abs(poles))):
+        raise ValueError(f"{name} has a repeated or nearly repeated pole (relative "
+                         f"separation below {_MIN_POLE_SEPARATION:g}): {poles.tolist()}")
+    residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
+    constant = num[-1] / den[-1] if num.size == den.size else 0.0
+    # real poles and residues stay floats: a float times a complex array is cheaper
+    return float(constant), [(p.real, rho.real) if p.imag == 0 else (p, rho)
+                             for p, rho in zip(poles.astype(complex),
+                                               residues.astype(complex))]
+
+
+class RationalMirror(_PoleMirror):
+    """Mirror with r and s given as rational functions of z = i omega.
+
+    Coefficients ``r_num, r_den, s_num, s_den`` are real and ascending in z,
+    which builds in reality, r[-omega] = r[omega]*; ``cutoff`` defaults to
+    the largest pole modulus of r.  The poles are the roots of each
+    denominator (shared when r_den == s_den), each residue is n(p)/d'(p),
+    and the constant the ratio of the leading coefficients at equal degree.
+    An improper r or s, or a repeated or nearly repeated pole, raises
+    ValueError.  Unitarity is *not* automatic: check it with
+    :func:`validate_model`.
+    """
+
+    def __init__(self, r_num, r_den, s_num, s_den, cutoff: float | None = None):
+        coeffs = {name: np.asarray(c, dtype=float) for name, c in
+                  (("r_num", r_num), ("r_den", r_den), ("s_num", s_num), ("s_den", s_den))}
+        for name, c in coeffs.items():
+            if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+                raise ValueError(f"{name} must be a non-empty 1-D finite coefficient list")
+        rn, rd, sn, sd = coeffs.values()
+        if rd[-1] == 0 or sd[-1] == 0:
+            raise ValueError("denominator leading coefficients must be nonzero")
+        c_r, r_terms = _partial_fractions("r", rn, rd)
+        c_s, s_terms = _partial_fractions("s", sn, sd)
+        if np.array_equal(rd, sd):
+            poles = [(p, a, b) for (p, a), (_, b) in zip(r_terms, s_terms)]
+        else:
+            poles = [(p, a, 0.0) for p, a in r_terms] + [(p, 0.0, b) for p, b in s_terms]
+        if cutoff is None and r_terms:
+            cutoff = float(max(abs(p) for p, _ in r_terms))
+        if cutoff is not None and not cutoff > 0:
+            raise ValueError(f"cutoff must be > 0, got {cutoff}")
+        super().__init__((c_r, c_s), poles, cutoff,
+                         f"RationalMirror(r_num={rn.tolist()}, r_den={rd.tolist()}, "
+                         f"s_num={sn.tolist()}, s_den={sd.tolist()})")
 
 
 # ---------------------------------------------------------------------------

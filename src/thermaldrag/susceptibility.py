@@ -38,6 +38,9 @@ from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
 # omega ladder for the omega -> 0 extrapolations: omega0 / 2^k, k = 0..6
 _LADDER_START = 0.1
 _LADDER_STEPS = 7
+# chi_T is computed up to T = 1e4 x cutoff: above it the thermal quadrature misses
+# the band at x = cutoff/T, and its claimed error fell 28x short at 1e5 x cutoff
+_MAX_TEMP_PER_CUTOFF = 1e4
 
 
 def _omega_ladder(temp: float):
@@ -92,9 +95,10 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     symmetric in omega and i omega^3 / 6 pi for the perfect mirror.  Every
     model takes the same two quadratures: n_T cuts the thermal integral off
     and unitarity bounds |alpha| <= 2, so no cutoff is needed (the perfect
-    mirror gives i (2 pi/3) T^2 omega).  The dissipative part xi_T is
-    ``chi_total.imag``, odd in omega.  A non-finite ``omega`` or ``temp``
-    raises ValueError.
+    mirror gives i (2 pi/3) T^2 omega).  Above ``_MAX_TEMP_PER_CUTOFF``
+    times the model's cutoff the thermal part and the error estimate are
+    NaN.  The dissipative part xi_T is ``chi_total.imag``, odd in omega.  A
+    non-finite ``omega`` or ``temp`` raises ValueError.
     """
     require_finite(omega=omega, temp=temp)
     if not temp >= 0:
@@ -108,7 +112,10 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     chi_vacuum = (-1j if omega < 0 else 1j) / (2.0 * math.pi) * vac.value
     error = vac.error_estimate / (2.0 * math.pi)
     chi_thermal = 0j
-    if temp > 0:
+    cutoff = model.cutoff_frequency
+    if cutoff is not None and temp > _MAX_TEMP_PER_CUTOFF * cutoff:
+        chi_thermal, error = complex(math.nan, math.nan), math.nan
+    elif temp > 0:
         def thermal(wp):
             # (w - w') down + (w + w') up, grouped so w' cancels when down == up
             down, up = models.alpha_kernel(model, (wp, -wp), (omega - wp, omega + wp))

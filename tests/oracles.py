@@ -136,10 +136,11 @@ def lorentzian_alpha(w1, w2, tau0=1.0):
 
 
 # --- per-polynomial rational mirror ---------------------------------------
-# RationalMirror's evaluation as it was before the stacked coefficient
-# table: one Horner loop per polynomial and per derivative order, with the
-# derivative coefficients from numpy's polyder.  The table evaluator must
-# give bit-identical arrays of the same shape and dtype.
+# r and s evaluated straight from the coefficients: one Horner loop per
+# polynomial and per derivative order, with the derivative coefficients from
+# numpy's polyder, and the quotient rule.  RationalMirror's pole-residue form
+# must give arrays of the same type, shape and dtype, with values within
+# conftest.ORACLE_RTOL.
 
 class PerPolynomialRational:
     """r and s as rational functions of z = i omega, ascending real coefficients."""

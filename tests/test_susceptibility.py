@@ -175,6 +175,48 @@ class TestChiTotal:
         assert split == pytest.approx(raw, rel=1e-9)
 
 
+class TestHighTemperatureRange:
+    # chi_T is computed up to 1e4 x cutoff; above it the thermal quadrature
+    # misses the reflection band and its claimed error stopped covering the
+    # truth, so the thermal part and the error estimate are NaN
+    @pytest.mark.parametrize("ratio", [1e5, 1e6])
+    def test_nan_above_the_range(self, ratio):
+        model = LorentzianMirror(0.5)
+        value = chi_total(model, 1.0, ratio * model.cutoff_frequency)
+        assert np.isnan(value.chi_thermal.real) and np.isnan(value.chi_thermal.imag)
+        assert np.isnan(value.chi_total.imag) and np.isnan(value.error_estimate)
+        assert value.chi_vacuum == chi_total(model, 1.0, 0.0).chi_vacuum
+
+    def test_inside_the_range_within_claimed_error(self):
+        quad = pytest.importorskip("scipy.integrate").quad
+        model = LorentzianMirror(0.5)
+        temp = 1e3 * model.cutoff_frequency
+        value = chi_total(model, 1.0, temp)
+
+        def xi_integrand(wp):
+            # Im delta chi_T = (1/pi) Re int dw' w' n_T (kernel) at omega = 1,
+            # with the Lorentzian's alpha[w1, w2] = (2 - i tau0 (w1 + w2)) /
+            # (1 - i tau0 (w1 + w2) - tau0^2 w1 w2), which does not cancel
+            # at large w'
+            d = 1.0 - 0.5j
+            kernel = (2.0 - 0.5j) * ((1.0 - wp) / (d - 0.25 * wp * (1.0 - wp))
+                                     + (1.0 + wp) / (d + 0.25 * wp * (1.0 + wp)))
+            return (wp * kernel).real / math.expm1(wp / temp) / math.pi
+
+        edges = [0.0, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 60.0 * temp]
+        reference = sum(quad(xi_integrand, lo, hi, limit=200, epsabs=1e-12,
+                             epsrel=1e-12)[0] for lo, hi in zip(edges, edges[1:]))
+        assert np.isfinite(value.chi_thermal) and np.isfinite(value.error_estimate)
+        assert abs(value.chi_thermal.imag - reference) <= value.error_estimate
+
+    @pytest.mark.parametrize("temp", [1e6, 1e12, 1e100])
+    def test_perfect_mirror_exact_at_every_temperature(self, perfect, temp):
+        # no cutoff, so no upper end: chi_T = i (2 pi/3) T^2 omega
+        value = chi_total(perfect, 0.5, temp)
+        assert value.chi_thermal.imag == pytest.approx(
+            math.pi / 3.0 * temp**2, rel=1e-12)
+
+
 class TestDissipativePart:
     def test_odd_and_zero_at_origin(self, lorentzian):
         assert chi_total(lorentzian, 0.0, 1.0).chi_total.imag == pytest.approx(
