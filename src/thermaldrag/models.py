@@ -74,7 +74,8 @@ class _PoleMirror(MirrorModel):
     """
 
     def __init__(self, constants, poles, cutoff, text):
-        self._constants = constants  # (c_r, c_s)
+        # (c_r, c_s), None for a zero constant: amplitudes skips its add
+        self._constants = tuple(c if c else None for c in constants)
         # (p_k, rho_r,k, rho_s,k); a pole-free mirror gets one zero-residue term
         self._poles = tuple(poles) or ((1.0, 0.0, 0.0),)
         self._cutoff = cutoff
@@ -85,8 +86,8 @@ class _PoleMirror(MirrorModel):
         r, s = self._constants  # the terms below give them omega's shape
         for p, rho_r, rho_s in self._poles:
             inv = np.reciprocal(z - p)
-            r = r + rho_r * inv
-            s = s + rho_s * inv
+            r = rho_r * inv if r is None else r + rho_r * inv
+            s = rho_s * inv if s is None else s + rho_s * inv
         return r, s
 
     def amplitude_derivatives(self, omega, order=1):
@@ -156,22 +157,26 @@ class LorentzianMirror(_PoleMirror):
 _MIN_POLE_SEPARATION = 1e-2
 
 
-def _partial_fractions(name, num, den):
-    """(c, [(p_k, rho_k)]) of num/den, ascending coefficients in z, simple poles only."""
+def _partial_fractions(name, num, den, poles=None):
+    """(c, [(p_k, rho_k)], poles) of num/den, ascending coefficients in z, simple poles only.
+
+    ``poles`` are den's roots, found and checked here when not given.
+    """
     if np.any(num[den.size:]):
         raise ValueError(f"{name} is improper: numerator degree above denominator degree")
     num = num[:den.size]
-    poles = np.roots(den[::-1])
-    gaps = np.abs(poles[:, None] - poles) + np.diag(np.full(poles.size, np.inf))
-    if np.any(gaps <= _MIN_POLE_SEPARATION * np.maximum.outer(abs(poles), abs(poles))):
-        raise ValueError(f"{name} has a repeated or nearly repeated pole (relative "
-                         f"separation below {_MIN_POLE_SEPARATION:g}): {poles.tolist()}")
+    if poles is None:
+        poles = np.roots(den[::-1])
+        gaps = np.abs(poles[:, None] - poles) + np.diag(np.full(poles.size, np.inf))
+        if np.any(gaps <= _MIN_POLE_SEPARATION * np.maximum.outer(abs(poles), abs(poles))):
+            raise ValueError(f"{name} has a repeated or nearly repeated pole (relative "
+                             f"separation below {_MIN_POLE_SEPARATION:g}): {poles.tolist()}")
     residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
     constant = num[-1] / den[-1] if num.size == den.size else 0.0
     # real poles and residues stay floats: a float times a complex array is cheaper
     return float(constant), [(p.real, rho.real) if p.imag == 0 else (p, rho)
                              for p, rho in zip(poles.astype(complex),
-                                               residues.astype(complex))]
+                                               residues.astype(complex))], poles
 
 
 class RationalMirror(_PoleMirror):
@@ -196,9 +201,10 @@ class RationalMirror(_PoleMirror):
         rn, rd, sn, sd = coeffs.values()
         if rd[-1] == 0 or sd[-1] == 0:
             raise ValueError("denominator leading coefficients must be nonzero")
-        c_r, r_terms = _partial_fractions("r", rn, rd)
-        c_s, s_terms = _partial_fractions("s", sn, sd)
-        if np.array_equal(rd, sd):
+        shared = np.array_equal(rd, sd)  # then s takes r's poles, rooted once
+        c_r, r_terms, r_poles = _partial_fractions("r", rn, rd)
+        c_s, s_terms, _ = _partial_fractions("s", sn, sd, r_poles if shared else None)
+        if shared:
             poles = [(p, a, b) for (p, a), (_, b) in zip(r_terms, s_terms)]
         else:
             poles = [(p, a, 0.0) for p, a in r_terms] + [(p, 0.0, b) for p, b in s_terms]

@@ -259,7 +259,8 @@ def integrate_thermal(f, temp: float,
     def weighted(x):
         return temp * np.asarray(f(temp * x)) * occupation_from_ratio(x)
 
-    breaks = [b for b in _THERMAL_BREAKS if b < cutoff] + [cutoff]
+    # the cutoff starts at 40 and only grows, so it lies beyond every break
+    breaks = [*_THERMAL_BREAKS, cutoff]
     result = _adaptive(weighted, breaks, cfg)
     result.evaluations += evals
     # the claimed error must also cover the discarded tail

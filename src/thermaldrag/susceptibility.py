@@ -14,6 +14,14 @@ in natural units (hbar = c = 1).  Computing through this split keeps the
 smoothed sign function coth(w/2T) away from its pole and confines the
 semi-infinite range to the exponentially weighted part.
 
+The chi_0 integrand is symmetric under w' -> w - w' because alpha is, so
+chi_0 is computed as twice the integral over [0, |w|/2].  That half is
+mapped onto the mirror's band by w' = g (e^u - 1), dw' = (w' + g) du, with
+g the reflection cutoff (|w|/2 for a mirror without one): the quadrature
+resolves w' ~ g and the octaves above it in u, not by bisecting [0, w].
+Reality, alpha[-w1, -w2] = alpha[w1, w2]*, gives chi_0[-w] = chi_0[w]*,
+which holds bit for bit because chi_0 is always computed at |w|.
+
 The dissipative part xi_T = Im chi_T drives the force-noise spectrum via
 the fluctuation-dissipation relation C_T = 2 xi_T / (1 - e^{-w/T}), and
 the dispersive part Re chi_T is tied to xi_T by dispersion relations,
@@ -91,8 +99,12 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     """Full susceptibility chi_T = chi_0 + delta chi_T with summed errors.
 
     temp = 0 returns the vacuum part alone (thermal part exactly zero), so
-    ``chi_total(model, omega, 0.0).chi_vacuum`` is chi_0[omega], conjugate
-    symmetric in omega and i omega^3 / 6 pi for the perfect mirror.  Every
+    ``chi_total(model, omega, 0.0).chi_vacuum`` is chi_0[omega], i omega^3 /
+    6 pi for the perfect mirror.  chi_0 is twice the integral over [0,
+    |omega|/2] in u, where w' = g (e^u - 1) and g is the cutoff (|omega|/2
+    without one; held within 1e-300 and 1e3 times |omega|/2), and is
+    conjugated for omega < 0, so chi_0(-omega) == conj chi_0(omega)
+    exactly; omega = 0 is an empty range, 0 with no evaluation.  Every
     model takes the same two quadratures: n_T cuts the thermal integral off
     and unitarity bounds |alpha| <= 2, so no cutoff is needed (the perfect
     mirror gives i (2 pi/3) T^2 omega).  Above ``_MAX_TEMP_PER_CUTOFF``
@@ -104,15 +116,26 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     if not temp >= 0:
         raise ValueError(f"requires temp >= 0, got {temp}")
 
-    def vacuum(wp):
-        return wp * (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
-
-    vac = integrate_finite(vacuum, min(0.0, omega), max(0.0, omega), cfg)
-    # chi_0 integrates from 0 to omega: a negative omega reverses the range
-    chi_vacuum = (-1j if omega < 0 else 1j) / (2.0 * math.pi) * vac.value
-    error = vac.error_estimate / (2.0 * math.pi)
-    chi_thermal = 0j
     cutoff = model.cutoff_frequency
+    width = abs(omega)
+    half = 0.5 * width
+    # w' = g (e^u - 1): g is the cutoff, kept above 1e-300 half so that e^u stays
+    # finite and below 1e3 half, where the map is linear anyway, so that the
+    # Jacobian w' + g cannot scale the integrand towards overflow
+    g = min(max(cutoff or half, 1e-300 * half), 1e3 * half)
+
+    def vacuum(u):
+        wp = g * np.expm1(u)
+        rest = width - wp
+        return wp * rest * ((wp + g) * models.alpha_kernel(model, wp, rest))
+
+    # symmetric about w' = |omega|/2, so twice the integral over [0, |omega|/2]
+    vac = integrate_finite(vacuum, 0.0, math.log1p(half / g) if half else 0.0, cfg)
+    chi_vacuum = 1j / math.pi * vac.value
+    if omega < 0:
+        chi_vacuum = chi_vacuum.conjugate()
+    error = vac.error_estimate / math.pi
+    chi_thermal = 0j
     if cutoff is not None and temp > _MAX_TEMP_PER_CUTOFF * cutoff:
         chi_thermal, error = complex(math.nan, math.nan), math.nan
     elif temp > 0:

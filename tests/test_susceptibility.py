@@ -7,10 +7,39 @@ import pytest
 import oracles
 from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
                          QuadratureConfig, RationalMirror,
-                         WindowTruncationWarning, chi_total,
+                         WindowTruncationWarning, chi_total, cli,
                          correlation_spectrum, correlation_zero_frequency,
-                         kramers_kronig_check, lambda_spectral, susceptibility,
+                         integrate_finite, kramers_kronig_check,
+                         lambda_spectral, models, susceptibility,
                          vacuum_cubic_coefficient)
+
+
+FOLD_MODELS = ["tau0=0.3", "tau0=1", "tau0=3", "weak", "perfect"]
+
+
+def fold_model(request, name):
+    if name.startswith("tau0="):
+        return LorentzianMirror(float(name[len("tau0="):]))
+    return request.getfixturevalue(name)
+
+
+def record_vacuum(monkeypatch):
+    """Patch chi_total's integrate_finite; return the list of (integrand calls, result)."""
+    runs = []
+
+    def recording(f, *args):
+        calls = []
+
+        def counted(x):
+            calls.append(x.size)
+            return f(x)
+
+        result = integrate_finite(counted, *args)
+        runs.append((len(calls), result))
+        return result
+
+    monkeypatch.setattr(susceptibility, "integrate_finite", recording)
+    return runs
 
 
 class TestChiVacuum:
@@ -20,25 +49,92 @@ class TestChiVacuum:
         assert value.real == pytest.approx(0.0, abs=1e-15)
         assert value.imag == pytest.approx(1.0 / (6.0 * math.pi), rel=1e-12)
 
-    def test_zero_frequency(self, lorentzian, perfect):
-        assert chi_total(lorentzian, 0.0, 0.0).chi_vacuum == 0.0
-        assert chi_total(perfect, 0.0, 0.0).chi_vacuum == 0.0
+    def test_zero_frequency(self, monkeypatch, lorentzian, weak, perfect):
+        # an empty range: 0 with no evaluation, also without a cutoff
+        runs = record_vacuum(monkeypatch)
+        for model in (lorentzian, weak, perfect):
+            assert chi_total(model, 0.0, 0.0).chi_vacuum == 0.0
+        assert [(calls, result.evaluations) for calls, result in runs] == [(0, 0)] * 3
 
     def test_against_trapezoid_oracle(self, lorentzian):
         oracle = oracles.trapezoid_chi_vacuum(0.1)
         assert chi_total(lorentzian, 0.1, 0.0).chi_vacuum == pytest.approx(
             oracle, rel=1e-8)
 
-    def test_conjugation_symmetry(self, lorentzian):
-        for w in (0.3, 1.0, 8.0):
-            assert chi_total(lorentzian, -w, 0.0).chi_vacuum == pytest.approx(
-                chi_total(lorentzian, w, 0.0).chi_vacuum.conjugate(), rel=1e-12)
+    def test_conjugation_symmetry(self, lorentzian, weak, perfect):
+        # chi_0 is computed at |omega| and conjugated: exact, at every T
+        for model in (lorentzian, LorentzianMirror(0.3), weak, perfect):
+            for w in (1e-3, 0.3, 1.0, 8.0, 45.0):
+                for temp in (0.0, 0.7):
+                    assert chi_total(model, -w, temp).chi_vacuum == (
+                        chi_total(model, w, temp).chi_vacuum.conjugate())
 
     def test_low_frequency_cubic_scaling(self, lorentzian):
         # |chi_0| / omega^3 constant to 1% over [1e-3, 1e-2]
         ratios = [abs(chi_total(lorentzian, w, 0.0).chi_vacuum) / w**3
                   for w in np.geomspace(1e-3, 1e-2, 7)]
         assert max(ratios) / min(ratios) == pytest.approx(1.0, abs=0.01)
+
+
+class TestChiVacuumFold:
+    # chi_0 is twice the integral over [0, |omega|/2], mapped by w' = g (e^u - 1)
+    @pytest.mark.parametrize("name", FOLD_MODELS)
+    def test_matches_unfolded_integral(self, request, name):
+        model = fold_model(request, name)
+        tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=2000)
+        for omega in np.geomspace(1e-3, 80.0, 12) * (model.cutoff_frequency or 1.0):
+            def unfolded(wp):
+                return wp * (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
+
+            reference = integrate_finite(unfolded, 0.0, omega, tight)
+            assert reference.converged
+            value = chi_total(model, omega, 0.0)
+            # alpha = 1 + r r - s s carries a few eps of absolute rounding
+            # (|r|, |s| <= 1) that no claimed error covers where alpha is
+            # small, as for the weak mirror at small omega: 3 eps omega^3 /
+            # 12 pi in chi_0 for each of the two routes
+            kernel_rounding = 2.0 * 3.0 * np.finfo(float).eps * omega**3 / (12.0 * math.pi)
+            allowed = (value.error_estimate + reference.error_estimate / (2.0 * math.pi)
+                       + kernel_rounding)
+            assert abs(value.chi_vacuum - 1j / (2.0 * math.pi) * reference.value) <= allowed
+
+    @pytest.mark.parametrize("tau0", [0.3, 1.0, 3.0])
+    def test_few_integrand_calls_far_above_the_cutoff(self, monkeypatch, tau0):
+        runs = record_vacuum(monkeypatch)
+        for omega in (32.0 / tau0, -32.0 / tau0):
+            chi_total(LorentzianMirror(tau0), omega, 0.0)
+        assert [calls for calls, _ in runs] and all(calls <= 3 for calls, _ in runs)
+
+    def test_extreme_frequencies_give_values(self):
+        # |omega| far above the cutoff: chi_0 -> -omega^2 / (2 pi tau0)
+        for omega in (1e150, -1e150):
+            value = chi_total(LorentzianMirror(1.0), omega, 0.0).chi_vacuum
+            assert value.real == pytest.approx(-omega**2 / (2.0 * math.pi), rel=1e-10)
+        huge = LorentzianMirror(1e-300)  # cutoff 1e300: a perfect mirror below it
+        for omega in (1e-100, 1e20, 1e100):
+            assert chi_total(huge, omega, 0.0).chi_vacuum.imag == pytest.approx(
+                omega**3 / (6.0 * math.pi), rel=1e-12)
+        tiny = LorentzianMirror(1e300)  # cutoff 1e-300
+        for omega in (1e-300, 1.0, 1e150, -1e150):
+            value = chi_total(tiny, omega, 0.0)
+            assert np.isfinite(value.chi_vacuum) and np.isfinite(value.error_estimate)
+
+    @pytest.mark.parametrize("model, code", [
+        ("kind = lorentzian\ntau0 = 1.0", 0),
+        ("kind = lorentzian\ntau0 = 1e300", 0),
+        ("kind = perfect", 3),  # chi_0 = i omega^3 / 6 pi overflows
+    ])
+    def test_extreme_frequencies_on_the_cli(self, tmp_path, capsys, model, code):
+        path = tmp_path / "chi.cfg"
+        path.write_text("temperature = 0\nomega_min = -1e150\nomega_max = 1e150\n"
+                        f"omega_count = 3\n[model]\n{model}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main(["chi", "--config", str(path)]) == code
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+        if code == 0:
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
 
 class TestChiThermal:
