@@ -28,14 +28,14 @@ def record_vacuum(monkeypatch):
     runs = []
 
     def recording(f, *args):
-        calls = []
+        calls = [0]
 
         def counted(x):
-            calls.append(x.size)
+            calls[0] += 1
             return f(x)
 
         result = integrate_finite(counted, *args)
-        runs.append((len(calls), result))
+        runs.append((calls[0], result))
         return result
 
     monkeypatch.setattr(susceptibility, "integrate_finite", recording)
@@ -114,7 +114,9 @@ class TestChiVacuumFold:
         for omega in (1e-100, 1e20, 1e100):
             assert chi_total(huge, omega, 0.0).chi_vacuum.imag == pytest.approx(
                 omega**3 / (6.0 * math.pi), rel=1e-12)
-        tiny = LorentzianMirror(1e300)  # cutoff 1e-300
+        # cutoff 1e-300: finite, though above |omega| ~ 1e8 the model's g / omega
+        # underflows and alpha rounds to 0, so the value is not accurate there
+        tiny = LorentzianMirror(1e300)
         for omega in (1e-300, 1.0, 1e150, -1e150):
             value = chi_total(tiny, omega, 0.0)
             assert np.isfinite(value.chi_vacuum) and np.isfinite(value.error_estimate)
