@@ -81,9 +81,14 @@ def _guarded(x, underflowed, exact, laurent):
     the value has reached its limit in double precision; ``laurent`` takes
     x < ``X_LAURENT``, preserving the relative accuracy in the classical
     limit; ``exact`` takes the rest.  Array in, array out; a 0-d input
-    gives a numpy scalar.
+    gives a numpy scalar.  When every x lies in the exact range, as the
+    thermal quadrature's nodes do unless its first panel is bisected below
+    a width of about 2e-6, ``exact`` takes the whole array without masks;
+    a NaN fails both bounds and takes the masked path.
     """
     x = np.asarray(x, dtype=float)
+    if x.size and X_LAURENT <= x.min() and x.max() <= X_UNDERFLOW:
+        return exact(x)[()]
     out = underflowed(x.shape)
     tiny = x < X_LAURENT
     mid = ~tiny & (x <= X_UNDERFLOW)

@@ -110,8 +110,11 @@ def _gk_panels(f, panels):
     The nodes of all panels reach ``f`` as one array, so ``f`` must be
     pointwise.  Each panel is then reduced on its own row with the same
     1-D dot products as a lone panel: one matrix product over all rows
-    rounds differently.  Returns a list of (a, b, value, error), one per
-    panel.
+    rounds differently.  The Gauss nodes are gathered row by row for the
+    same reason: ``y[:, _GAUSS_IDX]`` comes out F-ordered, and the dot
+    product over its strided rows rounds differently (in 121 of 200
+    random rows, by up to 4e-15 relative).  Returns a list of (a, b,
+    value, error), one per panel.
     """
     ends = np.array(panels, dtype=float)
     half = 0.5 * (ends[:, 1] - ends[:, 0])

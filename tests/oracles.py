@@ -11,6 +11,7 @@ adaptive driver is kept as the per-panel loop (one integrand call per
 package.
 """
 
+import cmath
 import heapq
 import math
 
@@ -133,6 +134,20 @@ def lorentzian_dtau(omega, tau0=1.0):
 def lorentzian_alpha(w1, w2, tau0=1.0):
     return (1.0 + lorentzian_r(w1, tau0) * lorentzian_r(w2, tau0)
             - lorentzian_s(w1, tau0) * lorentzian_s(w2, tau0))
+
+
+def lorentzian_chi_vacuum(omega: float, tau0: float = 1.0) -> complex:
+    """chi_0 of the Lorentzian in closed form, for omega tau0 >= 1.
+
+    alpha[w', omega - w'] = 1/(1 - i w' tau0) + 1/(1 - i (omega - w') tau0),
+    so chi_0 = (i/pi) int_0^omega dw' w'(omega - w')/(1 - i w' tau0) =
+    (i/pi) omega^3 [1/a^2 - 1/(2a) + (1 - a) log(1 - a)/a^3] with a = i
+    omega tau0.  The bracket cancels towards its limit 1/6 at small a, so
+    the form is accurate to a few eps only from omega tau0 ~ 1 on.
+    """
+    a = 1j * omega * tau0
+    bracket = 1.0 / a**2 - 0.5 / a + (1.0 - a) * cmath.log(1.0 - a) / a**3
+    return 1j / math.pi * omega**3 * bracket
 
 
 # --- per-polynomial rational mirror ---------------------------------------

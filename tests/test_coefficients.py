@@ -10,7 +10,7 @@ from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          mu_spectral, quasistatic_force)
 from thermaldrag import coefficients
 from thermaldrag.coefficients import ROUTE_TOLERANCE
-from thermaldrag.models import MirrorModel
+from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
 from thermaldrag.susceptibility import _ladder_limit
 
 
@@ -205,6 +205,108 @@ class TestCoefficientReport:
         for name, nodes in model.received.items():
             assert nodes, name
             assert len({id(w) for w in nodes}) == len(nodes), name
+
+
+def resonant_mirror(a: float = 0.5, b: float = 1.0) -> RationalMirror:
+    """Unitary mirror with complex poles: r = a z / D(z), s = (1 + b z^2) / D(z).
+
+    D(z) = 1 - a z + b z^2 has complex roots for a^2 < 4 b; on z = i omega,
+    |a z|^2 + |1 + b z^2|^2 = |D|^2 and r s* is imaginary, so the mirror is
+    unitary.  R peaks at 1 on omega = 1/sqrt(b) and falls off on both sides.
+    """
+    den = [1.0, -a, b]
+    return RationalMirror(r_num=[0.0, a], r_den=den, s_num=[1.0, 0.0, b], s_den=den)
+
+
+SHARING_MODELS = ["perfect", "tau0=0.3", "tau0=1", "tau0=3", "weak", "resonant"]
+
+
+def sharing_model(request, name):
+    if name.startswith("tau0="):
+        return LorentzianMirror(float(name[len("tau0="):]))
+    if name == "resonant":
+        return resonant_mirror()
+    return request.getfixturevalue(name)
+
+
+def counting_model_calls(monkeypatch):
+    """Record the bytes of every node array that reaches a shipped mirror's methods."""
+    seen = {"amplitudes": [], "amplitude_derivatives": []}
+    for name, calls in seen.items():
+        method = getattr(_PoleMirror, name)
+
+        def counted(self, omega, *args, method=method, calls=calls):
+            calls.append(np.asarray(omega).tobytes())
+            return method(self, omega, *args)
+
+        monkeypatch.setattr(_PoleMirror, name, counted)
+    return seen
+
+
+def float_bits(report):
+    """Every float of a report as exact hex (so -0.0 != 0.0), error estimates included."""
+    values = [*vars(report).values(), *getattr(report, "error_estimates", {}).values()]
+    return [float(v).hex() for v in values if isinstance(v, float)]
+
+
+class TestSharedEvaluations:
+    # one report's six integrals read the model through one cache of its
+    # amplitudes, which must not change a bit of any value or error
+    @pytest.mark.parametrize("name", SHARING_MODELS)
+    @pytest.mark.parametrize("temp_per_cutoff", [1e-3, 1.0, 1e2])
+    def test_bit_identical_to_integrals_on_the_bare_model(self, request, monkeypatch,
+                                                           name, temp_per_cutoff):
+        model = sharing_model(request, name)
+        temp = temp_per_cutoff * (model.cutoff_frequency or 1.0)
+        shared = compute_coefficients(model, temp)
+        monkeypatch.setattr(coefficients, "_SharedEvaluations", lambda model, order: model)
+        bare = compute_coefficients(model, temp)
+        assert float_bits(shared) == float_bits(bare)
+
+    def test_each_node_array_reaches_the_model_once(self, monkeypatch):
+        model = resonant_mirror()
+        integrand_nodes = []
+        original = coefficients.integrate_thermal
+
+        def recording(f, *args):
+            def recorded(w):
+                integrand_nodes.append(np.asarray(w).tobytes())
+                return f(w)
+            return original(recorded, *args)
+
+        monkeypatch.setattr(coefficients, "integrate_thermal", recording)
+        seen = counting_model_calls(monkeypatch)
+        counts = []
+        for _ in range(2):
+            integrand_nodes.clear()
+            for calls in seen.values():
+                calls.clear()
+            compute_coefficients(model, 1.0)
+            distinct = set(integrand_nodes)
+            assert len(distinct) < len(integrand_nodes)  # the integrals do share
+            # every integrand reads R, so every node array reaches amplitudes
+            assert sorted(seen["amplitudes"]) == sorted(distinct)
+            derivatives = seen["amplitude_derivatives"]
+            assert derivatives and len(set(derivatives)) == len(derivatives)
+            assert set(derivatives) <= distinct
+            counts.append((len(seen["amplitudes"]), len(derivatives)))
+        # a second report evaluates as much again: nothing outlives a report
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("name", ["tau0=1", "weak", "resonant"])
+    def test_asymptotics_share_nodes_bit_identically(self, request, monkeypatch, name):
+        # the Omega_C and Delta_S integrals start on the same nodes
+        model = sharing_model(request, name)
+        seen = counting_model_calls(monkeypatch)
+        shared = asymptotics(model)
+        calls = {key: len(value) for key, value in seen.items()}
+        for value in seen.values():
+            value.clear()
+        monkeypatch.setattr(coefficients, "_SharedEvaluations", lambda model, order: model)
+        bare = asymptotics(model)
+        assert float_bits(shared) == float_bits(bare)
+        assert calls["amplitudes"] < len(seen["amplitudes"])
+        assert calls["amplitude_derivatives"] == len(seen["amplitude_derivatives"])
 
 
 class TestAsymptotics:

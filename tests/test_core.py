@@ -6,7 +6,8 @@ import pytest
 from oracles import (differentiate, occupation_series,
                      occupation_temp_derivative_series)
 from thermaldrag import UnitSystem
-from thermaldrag.core import occupation_from_ratio, occupation_plus_one_from_ratio
+from thermaldrag.core import (X_LAURENT, X_UNDERFLOW, occupation_from_ratio,
+                             occupation_plus_one_from_ratio)
 
 
 def occupation_temp_derivative(omega, temp):
@@ -66,6 +67,22 @@ class TestBoseOccupation:
             assert out.shape == x.shape
             assert out.ravel().tolist() == [f(v) for v in x.ravel()]
             assert isinstance(f(1.0), np.float64)
+
+    @pytest.mark.parametrize("f", [occupation_from_ratio, occupation_plus_one_from_ratio])
+    def test_in_range_arrays_match_the_masked_path(self, f):
+        # an array wholly in [X_LAURENT, X_UNDERFLOW] skips the masks; one
+        # element above X_UNDERFLOW forces them, and no bit may differ
+        edges = [X_LAURENT, X_UNDERFLOW, np.nextafter(X_LAURENT, 0.0),
+                 np.nextafter(X_UNDERFLOW, np.inf), math.nan]
+        for x in [*edges, *np.geomspace(X_LAURENT, X_UNDERFLOW, 60)]:
+            masked = f(np.array([x, 701.0]))[:1].tobytes()
+            assert f(np.array([x])).tobytes() == masked
+            zero_d = f(np.array(x))
+            assert isinstance(zero_d, np.float64) and zero_d.tobytes() == masked
+        grid = np.geomspace(X_LAURENT, X_UNDERFLOW, 1001)
+        assert f(grid).tobytes() == f(np.append(grid, 701.0))[:-1].tobytes()
+        empty = f(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 class TestOccupationTempDerivative:
