@@ -8,11 +8,16 @@ only, because one call carries the nodes of several panels (all initial
 panels at once, then all the halves of a round).  Results are
 deterministic for a fixed configuration: each round sorts the panels by
 error with a stable sort, and the sums run over the panels in that order.
+
+The panels of one call are reduced together, one stacked matmul per
+weighted sum, and each panel still rounds bit for bit as it would alone;
+``_gk_panels`` names the three roundings that this rests on.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +71,8 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
+# the value and the error of a panel (a, b, value, error)
+_VALUE, _ERROR = operator.itemgetter(2), operator.itemgetter(3)
 
 _EPS = np.finfo(float).eps
 
@@ -79,11 +86,15 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self):
+        require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be > 0")
-        if self.max_subdivisions < 1:
+        budget = self.max_subdivisions
+        if not isinstance(budget, int) or isinstance(budget, bool):
+            raise ValueError(f"max_subdivisions must be an int, got {budget!r}")
+        if budget < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
 
@@ -108,30 +119,36 @@ def _gk_panels(f, panels):
     """Gauss-Kronrod 7/15 on every (a, b) in ``panels`` from one call of f.
 
     The nodes of all panels reach ``f`` as one array, so ``f`` must be
-    pointwise.  Each panel is then reduced on its own row with the same
-    1-D dot products as a lone panel: one matrix product over all rows
-    rounds differently.  The Gauss nodes are gathered row by row for the
-    same reason: ``y[:, _GAUSS_IDX]`` comes out F-ordered, and the dot
-    product over its strided rows rounds differently (in 121 of 200
-    random rows, by up to 4e-15 relative).  Returns a list of (a, b,
-    value, error), one per panel.
+    pointwise.  The values are stacked as (panels, 15, 1) columns, so each
+    weighted sum is one matmul whose stack entries are 1x15 @ 15x1 dots:
+    numpy sends each to the same BLAS dot as a lone panel's ``_WK @ row``,
+    and every panel's sums are bit for bit those of a lone panel.  Three
+    roundings must not change on the way: the Gauss nodes are gathered
+    with ``take``, which stays C-ordered (the fancy index
+    ``y[:, _GAUSS_IDX]`` is not, and its dots round differently); the
+    ``** 1.5`` of the error formula stays a scalar power, because numpy's
+    array power takes a SIMD path that rounds differently from ``pow``;
+    and the values and errors stay numpy scalars, so the driver's sums are
+    plain additions (Python 3.12's ``sum`` compensates over exact floats).
+    Returns a list of (a, b, value, error), one per panel.
     """
     ends = np.array(panels, dtype=float)
-    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    width = ends[:, 1] - ends[:, 0]
+    half = 0.5 * width
     mid = 0.5 * (ends[:, 0] + ends[:, 1])
     y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+    y = y.reshape(len(panels), _NODES.size, 1)
+    resk = half * (_WK @ y)[:, 0]
+    resg = half * (_WG @ y.take(_GAUSS_IDX, axis=1))[:, 0]
+    floor = 50.0 * _EPS * (half * (_WK @ np.abs(y))[:, 0])
+    resasc = half * (_WK @ np.abs(y - (resk / width)[:, None, None]))[:, 0]
     out = []
-    for (a, b), h, row in zip(panels, half.tolist(),
-                              y.reshape(len(panels), _NODES.size)):
-        resk = h * (_WK @ row)
-        resg = h * (_WG @ row[_GAUSS_IDX])
-        err = abs(resk - resg)
-        resabs = h * (_WK @ np.abs(row))
-        resasc = h * (_WK @ np.abs(row - resk / (b - a)))
-        if resasc != 0.0 and err != 0.0:
-            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    for (a, b), k, g, asc, low in zip(panels, resk, resg, resasc, floor):
+        err = abs(k - g)
+        if asc != 0.0 and err != 0.0:
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
         # roundoff floor on the claimed error
-        out.append((a, b, resk, max(err, 50.0 * _EPS * resabs)))
+        out.append((a, b, k, max(err, low)))
     return out
 
 
@@ -147,18 +164,21 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
     evaluations = _NODES.size * len(panels)
     while True:
         # stable, so panels of equal error keep their order
-        panels.sort(key=lambda panel: panel[3], reverse=True)
-        total = sum(panel[2] for panel in panels)
-        total_err = sum(panel[3] for panel in panels)
+        panels.sort(key=_ERROR, reverse=True)
+        total = sum(map(_VALUE, panels))
+        total_err = sum(map(_ERROR, panels))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         room = cfg.max_subdivisions - len(panels)
         left = total_err
         kept, halves = [], []
-        for panel in panels:
+        for i, panel in enumerate(panels):
+            # left never grows (or stays NaN), so no later panel is halved
+            if not (left > tol and len(halves) < 2 * room):
+                kept += panels[i:]
+                break
             a, b = panel[0], panel[1]
             mid = 0.5 * (a + b)
-            if (left > tol and len(halves) < 2 * room
-                    and mid - a >= _EPS * max(abs(a), abs(b), 1.0)):
+            if mid - a >= _EPS * max(abs(a), abs(b), 1.0):
                 halves += [(a, mid), (mid, b)]
                 left -= panel[3]
             else:
@@ -303,9 +323,14 @@ def richardson_extrapolate(values, power: int):
 
     Raises
     ------
+    ValueError
+        If ``power`` is not finite and > 0, or fewer than three values.
     ExtrapolationUnstable
         If the final diagonal correction grows instead of contracting.
     """
+    require_finite(power=power)
+    if not power > 0:
+        raise ValueError(f"power must be > 0, got {power}")
     seq = [complex(v) if isinstance(v, complex) else float(v) for v in values]
     n = len(seq)
     if n < 3:

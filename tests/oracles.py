@@ -6,9 +6,10 @@ integrals from brute-force trapezoid rules, derivatives from central
 differences, lorentzian scattering quantities from their explicit rational
 closed forms, rational mirrors one polynomial at a time, and the kernels
 a, b from the literal amplitude products instead of R and tau.  The
-adaptive driver is kept as the per-panel loop (one integrand call per
-15-node panel), sharing only the rule's nodes and weights with the
-package.
+adaptive driver is kept twice, sharing only the rule's nodes and weights
+with the package: as the per-panel loop (one integrand call per 15-node
+panel), and as the batched driver that reduced its panels row by row,
+which the package's stacked reduction must match bit for bit.
 """
 
 import cmath
@@ -329,3 +330,58 @@ def adaptive_per_panel(f, breakpoints, cfg) -> QuadratureResult:
     total = sum(item[4] for item in segments)
     total_err = sum(item[5] for item in segments)
     return QuadratureResult(total, float(total_err), evals, converged)
+
+
+# --- row-wise batched driver ----------------------------------------------
+# The batched driver as it was before its panels were reduced as one stack:
+# one integrand call per step, then each panel reduced on its own row with
+# 1-D dot products.  The stacked reduction must reproduce it bit for bit:
+# the same panels, values, errors, sums and evaluation counts.
+
+def gk_panels_rowwise(f, panels):
+    """Gauss-Kronrod 7/15 on every (a, b) in ``panels`` from one call of f."""
+    ends = np.array(panels, dtype=float)
+    half = 0.5 * (ends[:, 1] - ends[:, 0])
+    mid = 0.5 * (ends[:, 0] + ends[:, 1])
+    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
+    out = []
+    for (a, b), h, row in zip(panels, half.tolist(),
+                              y.reshape(len(panels), _NODES.size)):
+        resk = h * (_WK @ row)
+        resg = h * (_WG @ row[_GAUSS_IDX])
+        err = abs(resk - resg)
+        resabs = h * (_WK @ np.abs(row))
+        resasc = h * (_WK @ np.abs(row - resk / (b - a)))
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        out.append((a, b, resk, max(err, 50.0 * _EPS * resabs)))
+    return out
+
+
+def adaptive_rowwise(f, breakpoints, cfg) -> QuadratureResult:
+    """Worst-first bisection in rounds over ``gk_panels_rowwise``."""
+    panels = gk_panels_rowwise(f, list(zip(breakpoints[:-1], breakpoints[1:])))
+    evaluations = _NODES.size * len(panels)
+    while True:
+        panels.sort(key=lambda panel: panel[3], reverse=True)
+        total = sum(panel[2] for panel in panels)
+        total_err = sum(panel[3] for panel in panels)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        room = cfg.max_subdivisions - len(panels)
+        left = total_err
+        kept, halves = [], []
+        for panel in panels:
+            a, b = panel[0], panel[1]
+            mid = 0.5 * (a + b)
+            if (left > tol and len(halves) < 2 * room
+                    and mid - a >= _EPS * max(abs(a), abs(b), 1.0)):
+                halves += [(a, mid), (mid, b)]
+                left -= panel[3]
+            else:
+                kept.append(panel)
+        if not halves:
+            break
+        panels = kept + gk_panels_rowwise(f, halves)
+        evaluations += _NODES.size * len(halves)
+    return QuadratureResult(total, float(total_err), evaluations,
+                            bool(total_err <= tol))

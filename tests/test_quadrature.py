@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from conftest import weak_mirror
 from oracles import (adaptive_per_panel, bose_moment, differentiate,
                      lorentzian_alpha)
+from test_coefficients import float_bits, resonant_mirror
 from thermaldrag import (ExtrapolationUnstable, GridTooCoarse,
-                         GrowthBoundExceeded, QuadratureConfig,
+                         GrowthBoundExceeded, LorentzianMirror,
+                         QuadratureConfig, chi_total, compute_coefficients,
                          hilbert_transform_pv, integrate_finite,
-                         integrate_thermal, richardson_extrapolate)
-from thermaldrag.quadrature import (_EPS, _THERMAL_BREAKS, DEFAULT_CONFIG,
-                                   _adaptive)
+                         integrate_thermal, quadrature, richardson_extrapolate)
+from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _THERMAL_BREAKS, _WG, _WK,
+                                   DEFAULT_CONFIG, _adaptive, _gk_panels)
 
 
 class TestIntegrateFinite:
@@ -306,3 +310,219 @@ class TestRichardson:
         values = 4.0 + 1e-4 * h + noise
         limit, _ = richardson_extrapolate(values, 1)
         assert limit == pytest.approx(4.0, rel=1e-10)
+
+
+class TestQuadratureConfig:
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            QuadratureConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-10])
+    def test_rejects_non_positive_tolerance(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            QuadratureConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, 200.0, True, False, "200", None])
+    def test_rejects_budget_that_is_not_an_int(self, value):
+        with pytest.raises(ValueError, match="max_subdivisions must be an int"):
+            QuadratureConfig(max_subdivisions=value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_rejects_budget_below_one(self, value):
+        with pytest.raises(ValueError, match="max_subdivisions must be >= 1"):
+            QuadratureConfig(max_subdivisions=value)
+
+    def test_accepts_the_smallest_budget(self):
+        assert QuadratureConfig(max_subdivisions=1).max_subdivisions == 1
+
+    def test_infinite_tolerance_cannot_claim_a_peak(self):
+        # an infinite rel_tol once let one panel of a narrow peak pass as
+        # converged with an error of 1.8 times its value
+        peak = lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-6)  # noqa: E731
+        res = integrate_finite(peak, 0.0, 1.0)
+        assert res.converged and res.evaluations > 15
+        exact = 1e3 * (math.atan(700.0) + math.atan(300.0))
+        assert res.value == pytest.approx(exact, rel=1e-9)
+        with pytest.raises(ValueError):
+            integrate_finite(peak, 0.0, 1.0, QuadratureConfig(rel_tol=math.inf))
+
+
+class TestRichardsonPower:
+    @pytest.mark.parametrize("power", [0, -1, -2.5, math.nan, math.inf, -math.inf])
+    def test_rejects_power_that_is_not_positive_and_finite(self, power):
+        with pytest.raises(ValueError, match="power"):
+            richardson_extrapolate([1.0, 0.5, 0.25], power)
+
+    def test_halving_ladder_extrapolates_to_zero(self):
+        # power 1 on 1, 1/2, 1/4 is exact: the limit is 0 (power -1 gave 1.75)
+        limit, _ = richardson_extrapolate([1.0, 0.5, 0.25], 1)
+        assert limit == 0.0
+
+
+def _same(x, y):
+    """x == y part by part, with NaN equal to NaN."""
+    x, y = complex(x), complex(y)
+    return all(p == q or (p != p and q != q)
+               for p, q in ((x.real, y.real), (x.imag, y.imag)))
+
+
+# integrands for the panel-by-panel comparison: each leaves its mark on a
+# different branch of the error formula (or on none, for NaN and inf)
+_PANEL_INTEGRANDS = {
+    "real": lambda x: np.exp(-x) * np.cos(9.0 * x),
+    "complex": lambda x: np.exp(7j * x) / (1.0 + x * x),
+    "nan": lambda x: np.where(x > 0.45, np.nan, np.sin(x)),
+    "inf": lambda x: np.where(x > 0.45, np.inf, np.sin(x)),
+    "complex_inf": lambda x: np.where(x > 0.45, np.inf, 1.0) * np.exp(3j * x),
+    "zero": np.zeros_like,
+    "constant": lambda x: np.full_like(x, 2.5),
+}
+
+
+class TestStackedReduction:
+    # _gk_panels reduces all its panels as one stack of dots; every panel
+    # must come out bit for bit as a lone panel's reduction
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("count", [1, 2, 5, 8, 16])
+    @pytest.mark.parametrize("name", _PANEL_INTEGRANDS)
+    def test_each_panel_equals_a_lone_panel(self, name, count):
+        f = _PANEL_INTEGRANDS[name]
+        ends = np.linspace(0.0, 1.0, count + 1) ** 1.5
+        panels = list(zip(ends[:-1].tolist(), ends[1:].tolist()))
+        stacked = _gk_panels(f, panels)
+        assert [panel[:2] for panel in stacked] == panels
+        for a, b, value, err in stacked:
+            lone_value, lone_err = oracles.gk_panel_per_call(f, a, b)
+            assert _same(value, lone_value), (name, a, b, value, lone_value)
+            assert _same(err, lone_err), (name, a, b, err, lone_err)
+
+    def test_stacked_dots_are_lone_dots(self):
+        # canary for numpy's matmul dispatch: the stacked reduction relies on
+        # matmul sending each (1, 15) @ (15, 1) stack entry to the same BLAS
+        # dot as a 1-D product of one row
+        rng = np.random.default_rng(14)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (2000, 1))
+        real = rng.standard_normal((2000, 15)) * scale
+        for rows in (real, real + 1j * rng.standard_normal((2000, 15)) * scale):
+            column = rows[:, :, None]
+            pairs = [
+                ((_WK @ column)[:, 0], [_WK @ row for row in rows]),
+                ((_WG @ np.take(column, _GAUSS_IDX, axis=1))[:, 0],
+                 [_WG @ row[_GAUSS_IDX] for row in rows]),
+                ((_WK @ np.abs(column))[:, 0], [_WK @ np.abs(row) for row in rows]),
+            ]
+            for stacked, lone in pairs:
+                assert np.array_equal(stacked, np.array(lone)), (
+                    "numpy's matmul no longer reduces a stack of (1, 15) @ (15, 1) "
+                    "products with the dot of a lone 1-D product; the stacked "
+                    "reduction in quadrature._gk_panels would move output bits")
+
+
+def _compensated_sum(items, start=0):
+    """The built-in sum of Python >= 3.12: compensated (Neumaier) when every
+    item is an exact float, plain left-to-right additions otherwise."""
+    items = list(items)
+    if not items or not all(type(v) is float for v in items):
+        total = start
+        for v in items:
+            total = total + v
+        return total
+    total, comp = float(start), 0.0
+    for v in items:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_compensated_sum_emulates_python_312():
+    assert _compensated_sum([1e16, 1.0, -1e16, 1.0]) == 2.0
+    assert _compensated_sum(np.array([1e16, 1.0, -1e16, 1.0])) == 1.0
+
+
+_SUMS = {"builtin": sum, "compensated": _compensated_sum}
+
+
+def _bits(value):
+    """Exact hex of every part of a float or complex value (so -0.0 != 0.0)."""
+    value = complex(value)
+    return value.real.hex(), value.imag.hex()
+
+
+def _result_bits(res):
+    return (_bits(res.value), _bits(res.error_estimate), res.evaluations, res.converged)
+
+
+def _chi_bits(value):
+    return [_bits(v) for v in (value.chi_vacuum, value.chi_thermal,
+                               value.chi_total, value.error_estimate)]
+
+
+class TestWholeDriver:
+    # the stacked driver against the row-wise one it replaced, frozen in
+    # tests/oracles.py: every value and error of a computation must keep its
+    # bits, also under Python 3.12's compensated built-in sum
+
+    @staticmethod
+    def both_drivers(compute, summation):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "sum", _SUMS[summation], raising=False)
+            stacked = compute()
+            patch.setattr(quadrature, "_adaptive", oracles.adaptive_rowwise)
+            rowwise = compute()
+        return stacked, rowwise
+
+    @pytest.mark.parametrize("summation", _SUMS)
+    @pytest.mark.parametrize("temp_per_cutoff", [1e-2, 1.0, 30.0])
+    @pytest.mark.parametrize("name", ["weak", "resonant"])
+    def test_coefficients_bit_identical(self, name, temp_per_cutoff, summation):
+        model = weak_mirror() if name == "weak" else resonant_mirror()
+        temp = temp_per_cutoff * model.cutoff_frequency
+        stacked, rowwise = self.both_drivers(
+            lambda: compute_coefficients(model, temp), summation)
+        assert float_bits(stacked) == float_bits(rowwise)
+
+    @pytest.mark.parametrize("summation", _SUMS)
+    @pytest.mark.parametrize("name", ["lorentzian", "resonant"])
+    def test_chi_bit_identical(self, name, summation):
+        model = LorentzianMirror(0.7) if name == "lorentzian" else resonant_mirror()
+        points = [(omega, temp) for omega in (-3.0, 1e-3, 0.4, 2.5, 40.0)
+                  for temp in (0.0, 0.05, 1.0, 20.0)]
+        stacked, rowwise = self.both_drivers(
+            lambda: [_chi_bits(chi_total(model, w, t)) for w, t in points], summation)
+        assert stacked == rowwise
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("summation", _SUMS)
+    def test_adaptive_bit_identical_on_drawn_integrands(self, summation):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        term = st.tuples(st.floats(-3.0, 3.0), st.floats(-8.0, -0.5),
+                         st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                            allow_infinity=False))
+        breaks = st.lists(st.floats(-4.0, 4.0), min_size=2, max_size=6,
+                          unique=True).map(sorted)
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.lists(term, min_size=1, max_size=4), breaks,
+                          st.floats(-14.0, -3.0), st.integers(1, 80),
+                          st.booleans())
+        def check(terms, breakpoints, log_tol, budget, real):
+            def f(x):
+                # peaks of width 10^log_width at centre, weighted by c
+                y = sum(c / ((x - centre) ** 2 + 10.0 ** (2 * log_width))
+                        for centre, log_width, c in terms)
+                return y.real if real else y
+            cfg = QuadratureConfig(rel_tol=10.0 ** log_tol, max_subdivisions=budget)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quadrature, "sum", _SUMS[summation], raising=False)
+                stacked = _adaptive(f, breakpoints, cfg)
+            assert _result_bits(stacked) == _result_bits(
+                oracles.adaptive_rowwise(f, breakpoints, cfg))
+
+        check()
