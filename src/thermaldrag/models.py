@@ -17,8 +17,11 @@ The kernels consumed by the susceptibility and coefficient integrals are
 
 A model declares three things: r and s, their analytic omega-derivatives
 up to a requested order in one call, and its reflection cutoff; a
-subclass without all three cannot be instantiated.  Everything else,
-R0 and tau0 included, is derived from the amplitudes.  Every method and
+subclass without all three cannot be instantiated.  It may also override
+``alpha``, the kernel alpha from one stacked pair of frequencies, whose
+default multiplies the amplitudes; the pole mirrors compute it from
+their poles and residues.  Everything else, R0 and tau0 included, is
+derived from the amplitudes.  Every method and
 kernel here is array-only: an ndarray in gives an ndarray of the same
 shape out, and a scalar in gives a numpy scalar (a ``complex`` or
 ``float`` instance) out.  Models are immutable after construction and
@@ -52,6 +55,15 @@ class MirrorModel(abc.ABC):
     @abc.abstractmethod
     def cutoff_frequency(self):
         """Reflection cutoff, or None for a mirror that never turns transparent."""
+
+    def alpha(self, pair):
+        """alpha = 1 + r[w1] r[w2] - s[w1] s[w2] of ``pair = (w1, w2)``, stacked on axis 0.
+
+        One ``amplitudes`` call for both frequencies; a model may override
+        this with an equal value that it computes more cheaply.
+        """
+        (r1, r2), (s1, s2) = self.amplitudes(np.asarray(pair))
+        return 1.0 + r1 * r2 - s1 * s2
 
     @property
     def low_frequency_reflection(self) -> float:
@@ -102,6 +114,40 @@ class _PoleMirror(MirrorModel):
                 if order > 1:
                     sums[k + 2] = sums[k + 2] + term * inv
         return tuple(f * total for f, total in zip((-1j, -1j, -2.0, -2.0), sums))
+
+    def alpha(self, pair):
+        """alpha = K + sum_k lam_k (I_k(w1) + I_k(w2)) + [dr1 dr2 - ds1 ds2].
+
+        Here I_k = 1/(z - p_k), K = 1 + c_r^2 - c_s^2, lam_k = c_r rho_r,k -
+        c_s rho_s,k, and dr = r - c_r (ds likewise), which is 1 + r1 r2 - s1
+        s2 multiplied out.  The bracket is exactly zero, and skipped, when
+        r and s share their residues (every Lorentzian: alpha = -g (I(w1) +
+        I(w2)), free of the cancellation in 1 - s1 s2); K is skipped when
+        zero, and a mirror with neither pole terms nor bracket (the perfect
+        mirror) returns K in the shape of w1.
+        """
+        z = 1j * np.asarray(pair)
+        c_r, c_s = self._constants
+        c_r, c_s = c_r or 0.0, c_s or 0.0
+        constant = 1.0 + c_r * c_r - c_s * c_s
+        out = None
+        bracket = any(rho_r != rho_s for _, rho_r, rho_s in self._poles)
+        dr = ds = 0.0
+        for p, rho_r, rho_s in self._poles:
+            inv = np.reciprocal(z - p)
+            lam = c_r * rho_r - c_s * rho_s
+            if lam:
+                term = lam * (inv[0] + inv[1])
+                out = term if out is None else out + term
+            if bracket:
+                dr = dr + rho_r * inv
+                ds = ds + rho_s * inv
+        if bracket:
+            cross = dr[0] * dr[1] - ds[0] * ds[1]
+            out = cross if out is None else out + cross
+        if out is None:
+            return np.full(z.shape[1:], complex(constant))[()]
+        return out + constant if constant else out
 
     @property
     def cutoff_frequency(self):
@@ -261,10 +307,9 @@ def alpha_kernel(model: MirrorModel, omega1, omega2):
     """Two-frequency kernel alpha = 1 + r[w1] r[w2] - s[w1] s[w2]; symmetric.
 
     ``omega1`` and ``omega2`` must have one shape: both reach the model in
-    one ``amplitudes`` call.
+    one ``alpha`` call.
     """
-    (r1, r2), (s1, s2) = model.amplitudes(np.array((omega1, omega2)))
-    return 1.0 + r1 * r2 - s1 * s2
+    return model.alpha(np.array((omega1, omega2)))
 
 
 def b_function(model: MirrorModel, omega):

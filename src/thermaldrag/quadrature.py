@@ -16,6 +16,7 @@ weighted sum, and each panel still rounds bit for bit as it would alone;
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -128,8 +129,9 @@ def _gk_panels(f, panels):
     ``y[:, _GAUSS_IDX]`` is not, and its dots round differently); the
     ``** 1.5`` of the error formula stays a scalar power, because numpy's
     array power takes a SIMD path that rounds differently from ``pow``;
-    and the values and errors stay numpy scalars, so the driver's sums are
-    plain additions (Python 3.12's ``sum`` compensates over exact floats).
+    and the driver sums the panels with plain additions: the values stay
+    numpy scalars, and the errors, Python floats here, are added left to
+    right (Python 3.12's ``sum`` compensates over exact floats).
     Returns a list of (a, b, value, error), one per panel.
     """
     ends = np.array(panels, dtype=float)
@@ -143,12 +145,15 @@ def _gk_panels(f, panels):
     floor = 50.0 * _EPS * (half * (_WK @ np.abs(y))[:, 0])
     resasc = half * (_WK @ np.abs(y - (resk / width)[:, None, None]))[:, 0]
     out = []
-    for (a, b), k, g, asc, low in zip(panels, resk, resg, resasc, floor):
-        err = abs(k - g)
+    for (a, b), k, diff, asc, low in zip(panels, resk, (resk - resg).tolist(),
+                                         resasc.tolist(), floor.tolist()):
+        err = abs(diff)
         if asc != 0.0 and err != 0.0:
-            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
+            ratio = 200.0 * err / asc
+            # min(1, ratio^1.5) of QUADPACK, NaN included, without an overflowing pow
+            err = asc * ratio**1.5 if ratio < 1.0 else asc
         # roundoff floor on the claimed error
-        out.append((a, b, k, max(err, low)))
+        out.append((a, b, k, low if low > err else err))
     return out
 
 
@@ -166,7 +171,7 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
         # stable, so panels of equal error keep their order
         panels.sort(key=_ERROR, reverse=True)
         total = sum(map(_VALUE, panels))
-        total_err = sum(map(_ERROR, panels))
+        total_err = functools.reduce(operator.add, map(_ERROR, panels))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         room = cfg.max_subdivisions - len(panels)
         left = total_err
@@ -235,6 +240,11 @@ def integrate_thermal(f, temp: float,
     times e^{-X}) is below a tenth of ``abs_tol``.  Any 1/(2 pi) style
     normalization is the caller's responsibility.
 
+    ``f`` is called once on the 48 nodes that fit the majorant, then once
+    per step of the adaptive driver; the three growth-probe nodes at and
+    beyond X ride on the first step's call, appended after its panel
+    nodes, and are counted in ``evaluations``.
+
     Parameters
     ----------
     f : callable
@@ -269,18 +279,25 @@ def integrate_thermal(f, temp: float,
         cutoff *= 1.2
     cutoff = min(cutoff, X_UNDERFLOW)
 
-    # reject integrands that outgrow the declared majorant near the cutoff
+    # the growth probe near the cutoff rides on the first call of f
     xs_hi = np.array([cutoff, 1.25 * cutoff, 1.5 * cutoff])
-    fs_hi = np.abs(np.asarray(f(temp * xs_hi)))
     evals += xs_hi.size
-    if np.any(fs_hi > _MAJORANT_SAFETY * scale * (1.0 + xs_hi**_MAJORANT_ORDER)):
-        raise GrowthBoundExceeded(
-            f"integrand grows faster than the declared "
-            f"(1 + x^{_MAJORANT_ORDER}) majorant"
-        )
+    probe = [xs_hi]
 
     def weighted(x):
-        return temp * np.asarray(f(temp * x)) * occupation_from_ratio(x)
+        if probe:
+            fs = np.asarray(f(temp * np.concatenate((x, probe.pop()))))
+            fs, fs_hi = fs[:x.size], fs[x.size:]
+            # reject integrands that outgrow the declared majorant near the cutoff
+            if np.any(np.abs(fs_hi) > _MAJORANT_SAFETY * scale
+                      * (1.0 + xs_hi**_MAJORANT_ORDER)):
+                raise GrowthBoundExceeded(
+                    f"integrand grows faster than the declared "
+                    f"(1 + x^{_MAJORANT_ORDER}) majorant"
+                )
+        else:
+            fs = np.asarray(f(temp * x))
+        return temp * fs * occupation_from_ratio(x)
 
     # the cutoff starts at 40 and only grows, so it lies beyond every break
     breaks = [*_THERMAL_BREAKS, cutoff]

@@ -3,10 +3,12 @@ import pytest
 
 import oracles
 from conftest import ORACLE_RTOL, separated_denominator, weak_mirror
-from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror,
+from test_coefficients import SHARING_MODELS, sharing_model
+from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror, UnitSystem,
                          ValidationFailed, alpha_kernel, compute_coefficients,
                          b_function, reflection_probability,
                          scattering_delay, validate_model)
+from thermaldrag.config import build_model
 from thermaldrag.models import reflection_and_delay
 
 
@@ -98,6 +100,69 @@ class TestAlphaKernel:
             assert value.imag == pytest.approx(0.0, abs=1e-14)
             assert value.real == pytest.approx(
                 2.0 * reflection_probability(lorentzian, w), rel=1e-13)
+
+
+def alpha_model(request, name):
+    if name != "quartic_hbar=1.5":
+        return sharing_model(request, name)
+    # the quartic mirror of a config in user units with hbar = 1.5: its poles
+    # and residues scale into natural units, its constants do not
+    den = "1, -2.846039006404553, 3.0049690129881075, -1.4159747548929151, 0.25"
+    keys = {"kind": "rational", "r_numerator": "0, 0.3, 0, 0.05", "r_denominator": den,
+            "s_numerator": "1, 0, -1, 0, 0.25", "s_denominator": den}
+    return build_model(keys, UnitSystem(hbar=1.5, c=2.0))[0]
+
+
+ALPHA_MODELS = [*SHARING_MODELS, "quartic_hbar=1.5"]
+REAL_POLE_MODELS = ["perfect", "tau0=0.3", "tau0=1", "tau0=3", "weak"]
+
+
+def alpha_pairs():
+    """(2, 2, n) frequency pairs like the thermal chi integrand's, both signs, 1e-4 to 1e4."""
+    rng = np.random.default_rng(17)
+    return 10.0 ** rng.uniform(-4.0, 4.0, (2, 2, 64)) * rng.choice((-1.0, 1.0), (2, 2, 64))
+
+
+class TestPoleAlpha:
+    # the pole-residue alpha of every shipped mirror against the generic
+    # 1 + r1 r2 - s1 s2 of MirrorModel, which both read the same amplitudes
+    @pytest.mark.parametrize("name", ALPHA_MODELS)
+    def test_matches_generic_formula(self, request, name):
+        model = alpha_model(request, name)
+        pair = alpha_pairs()
+        (r1, r2), (s1, s2) = model.amplitudes(pair)
+        generic = MirrorModel.alpha(model, pair)
+        value = model.alpha(pair)
+        assert value.shape == generic.shape == pair.shape[1:]
+        scale = 1.0 + np.abs(r1 * r2) + np.abs(s1 * s2)
+        assert np.all(np.abs(value - generic) <= 8.0 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("name", ALPHA_MODELS)
+    def test_swap_symmetric_exactly(self, request, name):
+        model = alpha_model(request, name)
+        pair = alpha_pairs()
+        for w1, w2 in zip(pair[0].ravel()[:40], pair[1].ravel()):
+            assert alpha_kernel(model, w1, w2) == alpha_kernel(model, w2, w1)
+        # numpy's vectorized complex product may round a * b and b * a
+        # differently (fused multiply-adds), so only the bracket-free alpha of
+        # r, s with shared residues is symmetric bit for bit on arrays
+        if name in ("perfect", "tau0=0.3", "tau0=1", "tau0=3"):
+            assert np.array_equal(model.alpha(pair), model.alpha(pair[::-1]))
+
+    @pytest.mark.parametrize("name", REAL_POLE_MODELS)
+    def test_conjugate_under_reflection_exactly(self, request, name):
+        model = alpha_model(request, name)
+        pair = alpha_pairs()
+        assert np.array_equal(model.alpha(-pair), np.conj(model.alpha(pair)))
+
+    def test_perfect_is_two_exactly(self, perfect):
+        assert np.all(perfect.alpha(alpha_pairs()) == 2.0)
+        assert perfect.alpha(np.array((0.4, -7.0))) == 2.0
+
+    @pytest.mark.parametrize("name", ALPHA_MODELS)
+    def test_scalar_pair_gives_scalar(self, request, name):
+        value = alpha_kernel(alpha_model(request, name), 0.4, -7.0)
+        assert np.ndim(value) == 0 and isinstance(value, complex)
 
 
 class TestKernelFunctions:

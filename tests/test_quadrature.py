@@ -201,9 +201,11 @@ class TestBatchedDriver:
     def test_thermal_one_call_per_step(self):
         g, sizes = self.recording(lambda w: w**3 / (1.0 + (w - 2.0) ** 2))
         res = integrate_thermal(g, 0.7)
-        # majorant fit (48 nodes) and growth probe (3) come first
-        assert sizes[:2] == [48, 3]
-        self.assert_one_call_per_round(sizes[2:], len(_THERMAL_BREAKS),
+        # majorant fit (48 nodes) first; the growth probe (3) rides on the
+        # call of the initial panels
+        initial = 15 * len(_THERMAL_BREAKS)
+        assert sizes[:2] == [48, initial + 3]
+        self.assert_one_call_per_round([initial, *sizes[2:]], len(_THERMAL_BREAKS),
                                        res.evaluations - 51)
 
     def test_peak_halves_several_panels_per_call(self):
@@ -218,11 +220,17 @@ class TestBatchedDriver:
         assert math.isnan(res.value) and not res.converged
         assert sizes == [15] and res.evaluations == 15
 
+    def test_growth_guard_stops_at_the_first_panel_call(self):
+        g, sizes = self.recording(lambda w: np.exp(0.9 * w))
+        with pytest.raises(GrowthBoundExceeded):
+            integrate_thermal(g, 1.0)
+        assert sizes == [48, 15 * len(_THERMAL_BREAKS) + 3]
+
     def test_nan_integrand_thermal(self):
         g, sizes = self.recording(_nan)
         res = integrate_thermal(g, 1.0)
         assert math.isnan(res.value) and not res.converged
-        assert sizes == [48, 3, 15 * len(_THERMAL_BREAKS)]
+        assert sizes == [48, 15 * len(_THERMAL_BREAKS) + 3]
         assert res.evaluations == sum(sizes)
 
 
