@@ -19,12 +19,12 @@ A model declares three things: r and s, their analytic omega-derivatives
 up to a requested order in one call, and its reflection cutoff; a
 subclass without all three cannot be instantiated.  It may also override
 ``alpha``, the kernel alpha from one stacked pair of frequencies, whose
-default multiplies the amplitudes; the pole mirrors compute it from
-their poles and residues.  Everything else, R0 and tau0 included, is
-derived from the amplitudes.  Every method and
-kernel here is array-only: an ndarray in gives an ndarray of the same
-shape out, and a scalar in gives a numpy scalar (a ``complex`` or
-``float`` instance) out.  Models are immutable after construction and
+default multiplies the amplitudes; a pole mirror whose r and s share
+their residues computes it from its poles and residues.  Everything
+else, R0 and tau0 included, is derived from the amplitudes.  Every
+method and kernel here is array-only: an ndarray in gives an ndarray of
+the same shape out, and a scalar in gives a numpy scalar (a ``complex``
+or ``float`` instance) out.  Models are immutable after construction and
 all operations here are pure functions of their arguments.
 """
 
@@ -116,35 +116,28 @@ class _PoleMirror(MirrorModel):
         return tuple(f * total for f, total in zip((-1j, -1j, -2.0, -2.0), sums))
 
     def alpha(self, pair):
-        """alpha = K + sum_k lam_k (I_k(w1) + I_k(w2)) + [dr1 dr2 - ds1 ds2].
+        """alpha = K + sum_k lam_k (I_k(w1) + I_k(w2)) if r and s share their residues.
 
-        Here I_k = 1/(z - p_k), K = 1 + c_r^2 - c_s^2, lam_k = c_r rho_r,k -
-        c_s rho_s,k, and dr = r - c_r (ds likewise), which is 1 + r1 r2 - s1
-        s2 multiplied out.  The bracket is exactly zero, and skipped, when
-        r and s share their residues (every Lorentzian: alpha = -g (I(w1) +
-        I(w2)), free of the cancellation in 1 - s1 s2); K is skipped when
-        zero, and a mirror with neither pole terms nor bracket (the perfect
+        Here I_k = 1/(z - p_k), K = 1 + c_r^2 - c_s^2 and lam_k = c_r
+        rho_r,k - c_s rho_s,k: 1 + r1 r2 - s1 s2 multiplied out, whose
+        cross terms cancel exactly when every rho_r,k == rho_s,k.  Every
+        Lorentzian qualifies (alpha = -g (I(w1) + I(w2)), free of the
+        cancellation in 1 - s1 s2); other mirrors take the generic formula.
+        K is skipped when zero, and a mirror without pole terms (the perfect
         mirror) returns K in the shape of w1.
         """
+        if any(rho_r != rho_s for _, rho_r, rho_s in self._poles):
+            return super().alpha(pair)
         z = 1j * np.asarray(pair)
-        c_r, c_s = self._constants
-        c_r, c_s = c_r or 0.0, c_s or 0.0
+        c_r, c_s = (c or 0.0 for c in self._constants)
         constant = 1.0 + c_r * c_r - c_s * c_s
         out = None
-        bracket = any(rho_r != rho_s for _, rho_r, rho_s in self._poles)
-        dr = ds = 0.0
         for p, rho_r, rho_s in self._poles:
-            inv = np.reciprocal(z - p)
             lam = c_r * rho_r - c_s * rho_s
             if lam:
+                inv = np.reciprocal(z - p)
                 term = lam * (inv[0] + inv[1])
                 out = term if out is None else out + term
-            if bracket:
-                dr = dr + rho_r * inv
-                ds = ds + rho_s * inv
-        if bracket:
-            cross = dr[0] * dr[1] - ds[0] * ds[1]
-            out = cross if out is None else out + cross
         if out is None:
             return np.full(z.shape[1:], complex(constant))[()]
         return out + constant if constant else out

@@ -16,7 +16,6 @@ weighted sum, and each panel still rounds bit for bit as it would alone;
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -129,9 +128,8 @@ def _gk_panels(f, panels):
     ``y[:, _GAUSS_IDX]`` is not, and its dots round differently); the
     ``** 1.5`` of the error formula stays a scalar power, because numpy's
     array power takes a SIMD path that rounds differently from ``pow``;
-    and the driver sums the panels with plain additions: the values stay
-    numpy scalars, and the errors, Python floats here, are added left to
-    right (Python 3.12's ``sum`` compensates over exact floats).
+    and the values and errors stay numpy scalars, so the driver's sums are
+    plain additions (Python 3.12's ``sum`` compensates over exact floats).
     Returns a list of (a, b, value, error), one per panel.
     """
     ends = np.array(panels, dtype=float)
@@ -145,15 +143,12 @@ def _gk_panels(f, panels):
     floor = 50.0 * _EPS * (half * (_WK @ np.abs(y))[:, 0])
     resasc = half * (_WK @ np.abs(y - (resk / width)[:, None, None]))[:, 0]
     out = []
-    for (a, b), k, diff, asc, low in zip(panels, resk, (resk - resg).tolist(),
-                                         resasc.tolist(), floor.tolist()):
-        err = abs(diff)
+    for (a, b), k, g, asc, low in zip(panels, resk, resg, resasc, floor):
+        err = abs(k - g)
         if asc != 0.0 and err != 0.0:
-            ratio = 200.0 * err / asc
-            # min(1, ratio^1.5) of QUADPACK, NaN included, without an overflowing pow
-            err = asc * ratio**1.5 if ratio < 1.0 else asc
+            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
         # roundoff floor on the claimed error
-        out.append((a, b, k, low if low > err else err))
+        out.append((a, b, k, max(err, low)))
     return out
 
 
@@ -171,7 +166,7 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
         # stable, so panels of equal error keep their order
         panels.sort(key=_ERROR, reverse=True)
         total = sum(map(_VALUE, panels))
-        total_err = functools.reduce(operator.add, map(_ERROR, panels))
+        total_err = sum(map(_ERROR, panels))
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         room = cfg.max_subdivisions - len(panels)
         left = total_err

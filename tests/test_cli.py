@@ -647,9 +647,9 @@ class TestMain:
 # the perfect mirror's were re-recorded once when every model became a
 # pole-residue sum, each value moving by less than its claimed error, the
 # two chi pins once more when chi_0 was folded about |omega|/2 (values by at
-# most 7.3e-16 relative), and the two chi pins and the verify pin once more
-# when alpha took its pole-residue form (values by at most 2.4e-16 of
-# |chi_total| and 5.2e-5 of the claimed error)
+# most 7.3e-16 relative), and the Lorentzian chi and verify pins once more
+# when the Lorentzian's alpha took its pole-residue form (values by at most
+# 2.4e-16 of |chi_total| and 5.2e-5 of the claimed error)
 GOLDEN_COEFFS_WEAK_RATIONAL = (
     'temperature = 1\n'
     'lambda_spectral = 0.024472472594085512 +/- 2.3697071382550309e-12\n'
@@ -726,23 +726,23 @@ GOLDEN_COEFFS_QUARTIC_SCALED = (
 GOLDEN_CHI_QUARTIC_SCALED = (
     'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
     're_chi_total,im_chi_total,err\n'
-    '-2,-0.077148039692658418,-0.081800898553283652,0.032457969232230238,'
-    '-0.44978433115162719,-0.044690070460428173,-0.53158522970491084,'
-    '2.2729304581290303e-11\n'
-    '-1,0.0045268203856928093,-0.0187723571105048,0.12503787147617326,'
-    '-0.17411513469364495,0.12956469186186609,-0.19288749180414977,'
-    '1.7489396369580022e-11\n'
-    '0,0,0,1.5413491241543014e-18,0,1.5413491241543014e-18,0,'
-    '5.3608567064664086e-18\n'
-    '1,0.0045268203856928093,0.0187723571105048,0.12503787147617326,'
-    '0.17411513469364495,0.12956469186186609,0.19288749180414977,'
-    '1.7489397403058481e-11\n'
-    '2,-0.077148039692658418,0.081800898553283652,0.032457969232230273,'
-    '0.44978433115162719,-0.044690070460428138,0.53158522970491084,'
-    '2.2729304380734732e-11\n'
-    '3,-0.041495413167833735,0.02885329164587868,-0.019220000866976252,'
-    '0.55315001013277765,-0.06071541403480999,0.58200330177865633,'
-    '4.0194084500723699e-12\n'
+    '-2,-0.077148039692658391,-0.081800898553283624,0.032457969232230231,'
+    '-0.44978433115162719,-0.044690070460428159,-0.53158522970491084,'
+    '2.2729304706478076e-11\n'
+    '-1,0.0045268203856928093,-0.0187723571105048,0.12503787147617332,'
+    '-0.17411513469364498,0.12956469186186614,-0.19288749180414977,'
+    '1.7489398065046925e-11\n'
+    '0,0,0,6.1822779885820445e-20,0,6.1822779885820445e-20,0,'
+    '1.1399641400527149e-18\n'
+    '1,0.0045268203856928093,0.0187723571105048,0.12503787147617329,'
+    '0.17411513469364498,0.12956469186186612,0.19288749180414977,'
+    '1.7489395803344294e-11\n'
+    '2,-0.077148039692658391,0.081800898553283624,0.032457969232230238,'
+    '0.44978433115162708,-0.044690070460428152,0.53158522970491073,'
+    '2.2729304414044187e-11\n'
+    '3,-0.041495413167833721,0.028853291645878645,-0.019220000866976249,'
+    '0.55315001013277765,-0.06071541403480997,0.58200330177865622,'
+    '4.0194092278215035e-12\n'
 )
 
 # R0 and tau0 are derived from the amplitudes, not declared by each model

@@ -102,18 +102,26 @@ class TestAlphaKernel:
                 2.0 * reflection_probability(lorentzian, w), rel=1e-13)
 
 
+_QUARTIC_DEN = "1, -2.846039006404553, 3.0049690129881075, -1.4159747548929151, 0.25"
+# configs in user units with hbar = 1.5: their poles and residues scale into
+# natural units, their constants do not
+CONFIG_MODELS = {
+    "lorentzian_hbar=1.5": {"kind": "lorentzian", "tau0": "0.7"},
+    "quartic_hbar=1.5": {"kind": "rational", "r_numerator": "0, 0.3, 0, 0.05",
+                         "r_denominator": _QUARTIC_DEN,
+                         "s_numerator": "1, 0, -1, 0, 0.25", "s_denominator": _QUARTIC_DEN},
+}
+
+
 def alpha_model(request, name):
-    if name != "quartic_hbar=1.5":
-        return sharing_model(request, name)
-    # the quartic mirror of a config in user units with hbar = 1.5: its poles
-    # and residues scale into natural units, its constants do not
-    den = "1, -2.846039006404553, 3.0049690129881075, -1.4159747548929151, 0.25"
-    keys = {"kind": "rational", "r_numerator": "0, 0.3, 0, 0.05", "r_denominator": den,
-            "s_numerator": "1, 0, -1, 0, 0.25", "s_denominator": den}
-    return build_model(keys, UnitSystem(hbar=1.5, c=2.0))[0]
+    if name in CONFIG_MODELS:
+        return build_model(CONFIG_MODELS[name], UnitSystem(hbar=1.5, c=2.0))[0]
+    return sharing_model(request, name)
 
 
-ALPHA_MODELS = [*SHARING_MODELS, "quartic_hbar=1.5"]
+ALPHA_MODELS = [*SHARING_MODELS, *CONFIG_MODELS]
+# r and s share their residues, so alpha takes the pole form
+SHARED_RESIDUE_MODELS = ["perfect", "tau0=0.3", "tau0=1", "tau0=3", "lorentzian_hbar=1.5"]
 REAL_POLE_MODELS = ["perfect", "tau0=0.3", "tau0=1", "tau0=3", "weak"]
 
 
@@ -124,9 +132,10 @@ def alpha_pairs():
 
 
 class TestPoleAlpha:
-    # the pole-residue alpha of every shipped mirror against the generic
-    # 1 + r1 r2 - s1 s2 of MirrorModel, which both read the same amplitudes
-    @pytest.mark.parametrize("name", ALPHA_MODELS)
+    # the pole-residue alpha of the mirrors whose r and s share their
+    # residues against the generic 1 + r1 r2 - s1 s2 of MirrorModel, which
+    # every other mirror uses as it is
+    @pytest.mark.parametrize("name", SHARED_RESIDUE_MODELS)
     def test_matches_generic_formula(self, request, name):
         model = alpha_model(request, name)
         pair = alpha_pairs()
@@ -137,6 +146,12 @@ class TestPoleAlpha:
         scale = 1.0 + np.abs(r1 * r2) + np.abs(s1 * s2)
         assert np.all(np.abs(value - generic) <= 8.0 * np.finfo(float).eps * scale)
 
+    @pytest.mark.parametrize("name", sorted(set(ALPHA_MODELS) - set(SHARED_RESIDUE_MODELS)))
+    def test_other_mirrors_take_generic_formula(self, request, name):
+        model = alpha_model(request, name)
+        pair = alpha_pairs()
+        assert np.array_equal(model.alpha(pair), MirrorModel.alpha(model, pair))
+
     @pytest.mark.parametrize("name", ALPHA_MODELS)
     def test_swap_symmetric_exactly(self, request, name):
         model = alpha_model(request, name)
@@ -144,9 +159,9 @@ class TestPoleAlpha:
         for w1, w2 in zip(pair[0].ravel()[:40], pair[1].ravel()):
             assert alpha_kernel(model, w1, w2) == alpha_kernel(model, w2, w1)
         # numpy's vectorized complex product may round a * b and b * a
-        # differently (fused multiply-adds), so only the bracket-free alpha of
-        # r, s with shared residues is symmetric bit for bit on arrays
-        if name in ("perfect", "tau0=0.3", "tau0=1", "tau0=3"):
+        # differently (fused multiply-adds), so only the product-free pole
+        # form is symmetric bit for bit on arrays
+        if name in SHARED_RESIDUE_MODELS:
             assert np.array_equal(model.alpha(pair), model.alpha(pair[::-1]))
 
     @pytest.mark.parametrize("name", REAL_POLE_MODELS)
