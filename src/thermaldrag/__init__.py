@@ -15,8 +15,8 @@ from .errors import (ConfigError, DivergentBandwidth, ExtrapolationUnstable,
                      ThermalDragError, ValidationFailed,
                      WindowTruncationWarning)
 from .models import (LorentzianMirror, MirrorModel, PerfectMirror,
-                     RationalMirror, alpha_kernel, b_function,
-                     reflection_probability, scattering_delay, validate_model)
+                     RationalMirror, b_function, reflection_probability,
+                     validate_model)
 from .quadrature import (QuadratureConfig, QuadratureResult,
                          hilbert_transform_pv, integrate_finite,
                          integrate_thermal, richardson_extrapolate)
@@ -32,11 +32,11 @@ __all__ = [
     "GridTooCoarse", "GrowthBoundExceeded", "LorentzianMirror", "MirrorModel",
     "PerfectMirror", "QuadratureConfig", "QuadratureResult", "RationalMirror",
     "RegimeViolation", "SusceptibilityValue", "ThermalDragError", "UnitSystem",
-    "ValidationFailed", "WindowTruncationWarning", "alpha_kernel",
-    "asymptotics", "b_function", "chi_total", "compute_coefficients",
+    "ValidationFailed", "WindowTruncationWarning", "asymptotics",
+    "b_function", "chi_total", "compute_coefficients",
     "correlation_spectrum", "correlation_zero_frequency", "einstein_check",
     "hilbert_transform_pv", "integrate_finite", "integrate_thermal",
     "kramers_kronig_check", "lambda_spectral", "mu_spectral",
     "quasistatic_force", "reflection_probability", "richardson_extrapolate",
-    "scattering_delay", "validate_model", "vacuum_cubic_coefficient",
+    "validate_model", "vacuum_cubic_coefficient",
 ]

@@ -89,42 +89,25 @@ class AsymptoticsReport:
 # ---------------------------------------------------------------------------
 # thermal integrals (Bose weight supplied by integrate_thermal)
 
-class _SharedEvaluations:
-    """A model seen by the integrals of one call: each node array is evaluated once.
+def _kernel_memo(model: MirrorModel, order: int):
+    """w -> ``models.reflection_and_delay(model, w, order)``, formed once per node array.
 
     Integrals over the same range start on the same nodes (the majorant
-    samples, the initial panels) and mostly bisect alike, so one report
-    meets most node arrays several times.  This object keeps the model's
-    amplitudes and derivatives of every distinct node array, keyed on its
-    dtype, shape and bytes.  Derivatives are taken at ``order``, the
-    highest order any integral of the call needs; a lower request gets the
-    leading entries, which are the same numbers.  It lives for one call and
-    is not a MirrorModel: the kernels in :mod:`models` take it in the
-    model's place, and only the wrapped model does arithmetic.
+    samples, the initial panels) and mostly bisect alike, so the integrals
+    of one call meet most node arrays several times.  The record (R, R',
+    tau, tau') of each distinct array, keyed on its dtype, shape and bytes,
+    is kept as long as the returned function: for one call.
     """
+    records = {}
 
-    def __init__(self, model: MirrorModel, order: int):
-        self._model = model
-        self._order = order
-        self._amplitudes = {}
-        self._derivatives = {}
-
-    @staticmethod
-    def _key(omega):
+    def kernels(omega):
         omega = np.asarray(omega)
-        return omega.dtype.str, omega.shape, omega.tobytes()
+        key = omega.dtype.str, omega.shape, omega.tobytes()
+        if key not in records:
+            records[key] = models.reflection_and_delay(model, omega, order)
+        return records[key]
 
-    def amplitudes(self, omega):
-        key = self._key(omega)
-        if key not in self._amplitudes:
-            self._amplitudes[key] = self._model.amplitudes(omega)
-        return self._amplitudes[key]
-
-    def amplitude_derivatives(self, omega, order=1):
-        key = self._key(omega)
-        if key not in self._derivatives:
-            self._derivatives[key] = self._model.amplitude_derivatives(omega, self._order)
-        return self._derivatives[key][:2 * order]
+    return kernels
 
 
 def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
@@ -139,40 +122,40 @@ def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
     A(T) = (1/2 pi) int dw 2 w n_T R[w] is strictly increasing in T; B(T)
     = (1/2 pi) int dw 2 w n_T (1 - 2 R[w]) tau[w] can take either sign.
 
-    All six share the x nodes of ``integrate_thermal``, so they read the
-    model through one :class:`_SharedEvaluations`: each distinct node
-    array reaches the model once per call, and every value is the one a
+    All six share the x nodes of ``integrate_thermal``, so they read R,
+    R', tau and tau' from one :func:`_kernel_memo`: each distinct node
+    array takes one kernel pass per call, and every value is the one a
     lone integral would compute.
     """
     # only the spectral mu integrand needs second derivatives
-    shared = _SharedEvaluations(model, 1 if names and "mu_spectral" not in names else 2)
+    kernels = _kernel_memo(model, 1 if names and "mu_spectral" not in names else 2)
 
     def lambda_spectral_f(w):
-        big_r, d_big_r, _, _ = models.reflection_and_delay(shared, w)
+        big_r, d_big_r, _, _ = kernels(w)
         a, da = 2.0 * big_r, 2.0 * d_big_r
         return (2.0 * w * a + w * w * da) / math.pi
 
     def lambda_entropic_f(w):
-        big_r = models.reflection_probability(shared, w)
+        big_r = kernels(w)[0]
         plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
         return w * w * big_r * plus / (math.pi * (temp * temp))
 
     def mu_spectral_f(w):
-        big_r, d_big_r, tau, d_tau = models.reflection_and_delay(shared, w, order=2)
+        big_r, d_big_r, tau, d_tau = kernels(w)
         b = 2.0 * (1.0 - 2.0 * big_r) * tau
         db = 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
         return (2.0 * w * b + w * w * db) / (2.0 * math.pi)
 
     def mu_entropic_f(w):
-        b = models.b_function(shared, w)
+        b = models._b_kernel(kernels(w))
         plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
         return w * w * b * plus / (2.0 * math.pi * (temp * temp))
 
     def a_f(w):
-        return w * models.reflection_probability(shared, w) / math.pi
+        return w * kernels(w)[0] / math.pi
 
     def b_f(w):
-        return w * models.b_function(shared, w) / (2.0 * math.pi)
+        return w * models._b_kernel(kernels(w)) / (2.0 * math.pi)
 
     integrands = {
         "lambda_spectral": (lambda_spectral_f, 1.0),
@@ -247,7 +230,7 @@ def asymptotics(model: MirrorModel,
     dw (1 - 2 R[w]) 2 tau[w], both mapped to [0, 1) through w = w_C t/(1-t).
     A model without a cutoff, the perfect mirror included, has no finite
     bandwidth and raises DivergentBandwidth.  Both integrals start on the
-    same nodes and read the model through one :class:`_SharedEvaluations`.
+    same nodes and read R and tau from one :func:`_kernel_memo`.
     """
     cutoff = model.cutoff_frequency
     if cutoff is None:
@@ -261,9 +244,9 @@ def asymptotics(model: MirrorModel,
             return g(w) * cutoff / (1.0 - t) ** 2
         return integrate_finite(mapped, 0.0, 1.0, cfg).value / (2.0 * math.pi)
 
-    shared = _SharedEvaluations(model, 1)
-    omega_c_eff = on_half_line(lambda w: models.reflection_probability(shared, w))
-    delta_s = on_half_line(lambda w: models.b_function(shared, w))
+    kernels = _kernel_memo(model, 1)
+    omega_c_eff = on_half_line(lambda w: kernels(w)[0])
+    delta_s = on_half_line(lambda w: models._b_kernel(kernels(w)))
     return AsymptoticsReport(float(omega_c_eff), float(delta_s),
                              model.low_frequency_reflection,
                              model.low_frequency_delay)

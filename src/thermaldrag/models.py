@@ -74,7 +74,7 @@ class MirrorModel(abc.ABC):
     def low_frequency_delay(self) -> float:
         """tau0, the scattering delay at omega = 0."""
         # + 0.0 turns the -0.0 of a delay-free mirror into 0.0
-        return float(scattering_delay(self, 0.0)) + 0.0
+        return float(reflection_and_delay(self, 0.0)[2]) + 0.0
 
 
 class _PoleMirror(MirrorModel):
@@ -288,26 +288,14 @@ def reflection_and_delay(model: MirrorModel, omega, order: int = 1):
             0.5 * np.imag(logslope), d_tau)
 
 
-def scattering_delay(model: MirrorModel, omega):
-    """Scattering delay tau = Delta'/2, half the phase derivative of the determinant.
-
-    Even in omega; see :func:`reflection_and_delay`.
-    """
-    return reflection_and_delay(model, omega)[2]
-
-
-def alpha_kernel(model: MirrorModel, omega1, omega2):
-    """Two-frequency kernel alpha = 1 + r[w1] r[w2] - s[w1] s[w2]; symmetric.
-
-    ``omega1`` and ``omega2`` must have one shape: both reach the model in
-    one ``alpha`` call.
-    """
-    return model.alpha(np.array((omega1, omega2)))
-
-
 def b_function(model: MirrorModel, omega):
     """Inertia kernel b = 2 (1 - 2 R[omega]) tau[omega]; even, units of time."""
-    big_r, _, tau, _ = reflection_and_delay(model, omega)
+    return _b_kernel(reflection_and_delay(model, omega))
+
+
+def _b_kernel(record):
+    """b = 2 (1 - 2 R) tau of a :func:`reflection_and_delay` record."""
+    big_r, _, tau, _ = record
     return 2.0 * (1.0 - 2.0 * big_r) * tau
 
 

@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
 from .errors import GridTooCoarse, WindowTruncationWarning, require_finite
 from .models import MirrorModel
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
@@ -127,7 +126,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     def vacuum(u):
         wp = g * np.expm1(u)
         rest = width - wp
-        return wp * rest * ((wp + g) * models.alpha_kernel(model, wp, rest))
+        return wp * rest * ((wp + g) * model.alpha(np.array((wp, rest))))
 
     # symmetric about w' = |omega|/2, so twice the integral over [0, |omega|/2]
     vac = integrate_finite(vacuum, 0.0, math.log1p(half / g) if half else 0.0, cfg)
@@ -141,7 +140,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     elif temp > 0:
         def thermal(wp):
             # (w - w') down + (w + w') up, grouped so w' cancels when down == up
-            down, up = models.alpha_kernel(model, (wp, -wp), (omega - wp, omega + wp))
+            down, up = model.alpha(np.array(((wp, -wp), (omega - wp, omega + wp))))
             return wp * (omega * (down + up) + wp * (up - down))
 
         res = integrate_thermal(thermal, temp, cfg)

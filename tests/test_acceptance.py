@@ -19,8 +19,8 @@ from thermaldrag import (LorentzianMirror, PerfectMirror,
                          compute_coefficients, einstein_check,
                          integrate_thermal, kramers_kronig_check,
                          lambda_spectral, mu_spectral, reflection_probability,
-                         scattering_delay, validate_model,
-                         vacuum_cubic_coefficient)
+                         validate_model, vacuum_cubic_coefficient)
+from thermaldrag.models import reflection_and_delay
 from thermaldrag.quadrature import DEFAULT_CONFIG
 
 LORENTZIAN = LorentzianMirror(1.0)
@@ -124,7 +124,7 @@ def test_criterion_10_kernel_identities():
     rng = np.random.default_rng(1234)
     omegas = rng.uniform(-50.0, 50.0, 1000)
     big_r = reflection_probability(LORENTZIAN, omegas)
-    tau = scattering_delay(LORENTZIAN, omegas)
+    tau = reflection_and_delay(LORENTZIAN, omegas)[2]
     gap_a = np.max(np.abs(oracles.a_function_from_amplitudes(LORENTZIAN, omegas)
                           - 2.0 * big_r))
     gap_b = np.max(np.abs(oracles.b_function_from_amplitudes(LORENTZIAN, omegas)

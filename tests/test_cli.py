@@ -211,12 +211,16 @@ s_denominator = 1, -1
         assert "exceeds tolerance" in capsys.readouterr().err
 
     def test_nan_reflection_trips_route_gate(self, tmp_path, capsys, monkeypatch):
-        # NaN coefficients give NaN route discrepancies, never a pass
+        # NaN coefficients give NaN route discrepancies, never a pass; every
+        # integrand reads R from the one kernel pass
         from thermaldrag import models
-        true_r = models.reflection_probability
-        monkeypatch.setattr(models, "reflection_probability", lambda model, omega:
-                            np.where(np.asarray(omega) > 3.0, np.nan,
-                                     true_r(model, omega)))
+        true_kernels = models.reflection_and_delay
+
+        def nan_reflection_above_3(model, omega, order=1):
+            big_r, *rest = true_kernels(model, omega, order)
+            return (np.where(np.asarray(omega) > 3.0, np.nan, big_r), *rest)
+
+        monkeypatch.setattr(models, "reflection_and_delay", nan_reflection_above_3)
         assert run(["coeffs", "--config", lorentzian_config(tmp_path)]) == 3
         captured = capsys.readouterr()
         assert "route_discrepancy_lambda = nan" in captured.out
@@ -406,11 +410,12 @@ class TestVerifyCommand:
 
     def test_injected_wrong_sign_b_isolated(self, tmp_path, capsys, monkeypatch):
         # flipping b's sign must break the dual-route mass check while the
-        # dispersion-relation check stays green
+        # dispersion-relation check stays green; b is formed from the kernel
+        # record for mu_entropic, B and Delta_S (mu_spectral writes its own
+        # b next to b')
         from thermaldrag import models
-        true_b = models.b_function
-        monkeypatch.setattr(models, "b_function",
-                            lambda model, omega: -true_b(model, omega))
+        true_b = models._b_kernel
+        monkeypatch.setattr(models, "_b_kernel", lambda record: -true_b(record))
         path = lorentzian_config(tmp_path, "kk_points = 256\n")
         assert run(["verify", "--config", path]) == 5
         out = capsys.readouterr().out
@@ -545,6 +550,18 @@ class TestExtremeModels:
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert (out == "") == (code == 2)
+
+    @pytest.mark.parametrize("tau0", ["1e200", "1e300"])
+    def test_model_info_on_tiny_cutoffs_writes_nothing_to_stderr(self, tmp_path, capsys,
+                                                                 tau0):
+        # tau0 is read at omega = 0 from first derivatives only: second
+        # derivatives there overflow for a cutoff of 1/tau0
+        path = write(tmp_path, "c.cfg", f"[model]\nkind = lorentzian\ntau0 = {tau0}\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["model-info", "--config", path]) == 0
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
 
     def test_six_coefficients_at_hbar_1e75_reflect_like_a_perfect_mirror(
             self, tmp_path, capsys):

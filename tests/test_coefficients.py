@@ -8,7 +8,7 @@ from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          RegimeViolation, asymptotics, chi_total,
                          compute_coefficients, einstein_check, lambda_spectral,
                          mu_spectral, quasistatic_force)
-from thermaldrag import coefficients
+from thermaldrag import coefficients, models
 from thermaldrag.coefficients import ROUTE_TOLERANCE
 from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
 from thermaldrag.susceptibility import _ladder_limit
@@ -229,18 +229,41 @@ def sharing_model(request, name):
     return request.getfixturevalue(name)
 
 
-def counting_model_calls(monkeypatch):
-    """Record the bytes of every node array that reaches a shipped mirror's methods."""
-    seen = {"amplitudes": [], "amplitude_derivatives": []}
-    for name, calls in seen.items():
-        method = getattr(_PoleMirror, name)
+def counting_kernel_calls(monkeypatch):
+    """Record the bytes of every node array that reaches the model or the kernel pass."""
+    seen = {"amplitudes": [], "amplitude_derivatives": [], "reflection_and_delay": []}
+    for owner, name in ((_PoleMirror, "amplitudes"), (_PoleMirror, "amplitude_derivatives"),
+                        (models, "reflection_and_delay")):
+        function, calls = getattr(owner, name), seen[name]
 
-        def counted(self, omega, *args, method=method, calls=calls):
+        def counted(first, omega, *args, function=function, calls=calls):
             calls.append(np.asarray(omega).tobytes())
-            return method(self, omega, *args)
+            return function(first, omega, *args)
 
-        monkeypatch.setattr(_PoleMirror, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return seen
+
+
+def recording_memo_nodes(monkeypatch):
+    """Record the bytes of every node array that an integrand asks the kernel memo for."""
+    nodes = []
+    memo = coefficients._kernel_memo
+
+    def recording(model, order):
+        kernels = memo(model, order)
+
+        def recorded(w):
+            nodes.append(np.asarray(w).tobytes())
+            return kernels(w)
+        return recorded
+
+    monkeypatch.setattr(coefficients, "_kernel_memo", recording)
+    return nodes
+
+
+def non_caching_memo(model, order):
+    """The memo's contract without the memo: one kernel pass per integrand call."""
+    return lambda w: models.reflection_and_delay(model, w, order)
 
 
 def float_bits(report):
@@ -249,64 +272,58 @@ def float_bits(report):
     return [float(v).hex() for v in values if isinstance(v, float)]
 
 
-class TestSharedEvaluations:
-    # one report's six integrals read the model through one cache of its
-    # amplitudes, which must not change a bit of any value or error
+class TestKernelMemo:
+    # the integrals of one report, or of asymptotics, read R, R', tau and
+    # tau' from one memo, which must not change a bit of any value or error
     @pytest.mark.parametrize("name", SHARING_MODELS)
     @pytest.mark.parametrize("temp_per_cutoff", [1e-3, 1.0, 1e2])
-    def test_bit_identical_to_integrals_on_the_bare_model(self, request, monkeypatch,
-                                                           name, temp_per_cutoff):
+    def test_bit_identical_to_a_non_caching_memo(self, request, monkeypatch,
+                                                 name, temp_per_cutoff):
         model = sharing_model(request, name)
         temp = temp_per_cutoff * (model.cutoff_frequency or 1.0)
-        shared = compute_coefficients(model, temp)
-        monkeypatch.setattr(coefficients, "_SharedEvaluations", lambda model, order: model)
+        memoized = compute_coefficients(model, temp)
+        monkeypatch.setattr(coefficients, "_kernel_memo", non_caching_memo)
         bare = compute_coefficients(model, temp)
-        assert float_bits(shared) == float_bits(bare)
+        assert float_bits(memoized) == float_bits(bare)
 
-    def test_each_node_array_reaches_the_model_once(self, monkeypatch):
+    @pytest.mark.parametrize("name", [n for n in SHARING_MODELS if n != "perfect"])
+    def test_asymptotics_bit_identical_to_a_non_caching_memo(self, request, monkeypatch,
+                                                             name):
+        model = sharing_model(request, name)
+        memoized = asymptotics(model)
+        monkeypatch.setattr(coefficients, "_kernel_memo", non_caching_memo)
+        assert float_bits(memoized) == float_bits(asymptotics(model))
+
+    def test_each_node_array_takes_one_kernel_pass(self, monkeypatch):
         model = resonant_mirror()
-        integrand_nodes = []
-        original = coefficients.integrate_thermal
-
-        def recording(f, *args):
-            def recorded(w):
-                integrand_nodes.append(np.asarray(w).tobytes())
-                return f(w)
-            return original(recorded, *args)
-
-        monkeypatch.setattr(coefficients, "integrate_thermal", recording)
-        seen = counting_model_calls(monkeypatch)
+        seen = counting_kernel_calls(monkeypatch)
+        nodes = recording_memo_nodes(monkeypatch)
         counts = []
         for _ in range(2):
-            integrand_nodes.clear()
-            for calls in seen.values():
+            for calls in (nodes, *seen.values()):
                 calls.clear()
             compute_coefficients(model, 1.0)
-            distinct = set(integrand_nodes)
-            assert len(distinct) < len(integrand_nodes)  # the integrals do share
-            # every integrand reads R, so every node array reaches amplitudes
-            assert sorted(seen["amplitudes"]) == sorted(distinct)
-            derivatives = seen["amplitude_derivatives"]
-            assert derivatives and len(set(derivatives)) == len(derivatives)
-            assert set(derivatives) <= distinct
-            counts.append((len(seen["amplitudes"]), len(derivatives)))
+            distinct = sorted(set(nodes))
+            assert len(distinct) < len(nodes)  # the integrals do share
+            for name, calls in seen.items():
+                assert sorted(calls) == distinct, name
+            counts.append([len(calls) for calls in seen.values()])
         # a second report evaluates as much again: nothing outlives a report
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("name", ["tau0=1", "weak", "resonant"])
-    def test_asymptotics_share_nodes_bit_identically(self, request, monkeypatch, name):
+    def test_asymptotics_take_one_kernel_pass_per_node_array(self, request, monkeypatch,
+                                                             name):
         # the Omega_C and Delta_S integrals start on the same nodes
         model = sharing_model(request, name)
-        seen = counting_model_calls(monkeypatch)
-        shared = asymptotics(model)
-        calls = {key: len(value) for key, value in seen.items()}
-        for value in seen.values():
-            value.clear()
-        monkeypatch.setattr(coefficients, "_SharedEvaluations", lambda model, order: model)
-        bare = asymptotics(model)
-        assert float_bits(shared) == float_bits(bare)
-        assert calls["amplitudes"] < len(seen["amplitudes"])
-        assert calls["amplitude_derivatives"] == len(seen["amplitude_derivatives"])
+        seen = counting_kernel_calls(monkeypatch)
+        nodes = recording_memo_nodes(monkeypatch)
+        asymptotics(model)
+        distinct = sorted(set(nodes))
+        assert len(distinct) < len(nodes)
+        scalar = np.asarray(0.0).tobytes()  # R0 and tau0 are read at omega = 0
+        for name, calls in seen.items():
+            assert sorted(c for c in calls if c != scalar) == distinct, name
 
 
 class TestAsymptotics:
@@ -334,10 +351,10 @@ class TestAsymptotics:
 
     def test_weak_mirror_stocked_energy_reading(self, weak):
         # R << 1 everywhere: Delta_S is close to the plain delay integral
-        from thermaldrag.models import scattering_delay
+        from thermaldrag.models import reflection_and_delay
         report = asymptotics(weak)
         x = np.linspace(0.0, 400.0, 400001)
-        tau = scattering_delay(weak, x)
+        tau = reflection_and_delay(weak, x)[2]
         plain = np.trapezoid(2.0 * tau, x) / (2.0 * math.pi)
         assert report.delta_S == pytest.approx(plain, rel=0.05)
 

@@ -5,9 +5,8 @@ import oracles
 from conftest import ORACLE_RTOL, separated_denominator, weak_mirror
 from test_coefficients import SHARING_MODELS, sharing_model
 from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror, UnitSystem,
-                         ValidationFailed, alpha_kernel, compute_coefficients,
-                         b_function, reflection_probability,
-                         scattering_delay, validate_model)
+                         ValidationFailed, b_function, compute_coefficients,
+                         reflection_probability, validate_model)
 from thermaldrag.config import build_model
 from thermaldrag.models import reflection_and_delay
 
@@ -53,22 +52,22 @@ class TestReflectionProbability:
 class TestScatteringDelay:
     def test_lorentzian_at_zero(self):
         model = LorentzianMirror(0.7)
-        assert scattering_delay(model, 0.0) == pytest.approx(0.7, rel=1e-13)
+        assert reflection_and_delay(model, 0.0)[2] == pytest.approx(0.7, rel=1e-13)
 
     def test_perfect_is_zero(self, perfect):
         for w in (0.0, 1.0, -5.0):
-            assert scattering_delay(perfect, w) == 0.0
+            assert reflection_and_delay(perfect, w)[2] == 0.0
 
     def test_lorentzian_closed_form(self, lorentzian):
-        assert scattering_delay(lorentzian, 1.0) == pytest.approx(0.5, rel=1e-13)
+        assert reflection_and_delay(lorentzian, 1.0)[2] == pytest.approx(0.5, rel=1e-13)
         for w in np.geomspace(1e-3, 1e3, 30):
-            assert scattering_delay(lorentzian, w) * (1 + w**2) == pytest.approx(
+            assert reflection_and_delay(lorentzian, w)[2] * (1 + w**2) == pytest.approx(
                 1.0, rel=1e-12)
 
     def test_even(self, lorentzian):
         for w in (0.2, 1.7, 9.0):
-            assert scattering_delay(lorentzian, -w) == pytest.approx(
-                scattering_delay(lorentzian, w), rel=1e-13)
+            assert reflection_and_delay(lorentzian, -w)[2] == pytest.approx(
+                reflection_and_delay(lorentzian, w)[2], rel=1e-13)
 
     def test_delay_derivative_closed_form(self, lorentzian):
         for w in (0.1, 0.9, 3.0):
@@ -78,17 +77,18 @@ class TestScatteringDelay:
 
 class TestAlphaKernel:
     def test_perfect_is_two(self, perfect):
-        assert alpha_kernel(perfect, 0.4, -7.0) == pytest.approx(2.0 + 0.0j)
+        assert perfect.alpha(np.array((0.4, -7.0))) == pytest.approx(2.0 + 0.0j)
 
     def test_swap_symmetric_exactly(self, lorentzian):
         rng = np.random.default_rng(5)
         for _ in range(25):
             w1, w2 = rng.uniform(-10, 10, 2)
-            assert alpha_kernel(lorentzian, w1, w2) == alpha_kernel(lorentzian, w2, w1)
+            assert (lorentzian.alpha(np.array((w1, w2)))
+                    == lorentzian.alpha(np.array((w2, w1))))
 
     def test_value_at_unit_frequencies(self, lorentzian):
         # direct complex arithmetic vs the independent rational closed form
-        value = alpha_kernel(lorentzian, 1.0, 1.0)
+        value = lorentzian.alpha(np.array((1.0, 1.0)))
         assert value == pytest.approx(1.0 + 1.0j, rel=1e-14)
         # alpha(w, w') = (2 - i(w + w')) / (1 - i(w + w') - w w') for tau0 = 1
         closed = (2.0 - 2.0j) / (1.0 - 2.0j - 1.0)
@@ -96,7 +96,7 @@ class TestAlphaKernel:
 
     def test_opposite_arguments_give_2R(self, lorentzian):
         for w in (0.25, 1.0, 6.0):
-            value = alpha_kernel(lorentzian, w, -w)
+            value = lorentzian.alpha(np.array((w, -w)))
             assert value.imag == pytest.approx(0.0, abs=1e-14)
             assert value.real == pytest.approx(
                 2.0 * reflection_probability(lorentzian, w), rel=1e-13)
@@ -157,7 +157,7 @@ class TestPoleAlpha:
         model = alpha_model(request, name)
         pair = alpha_pairs()
         for w1, w2 in zip(pair[0].ravel()[:40], pair[1].ravel()):
-            assert alpha_kernel(model, w1, w2) == alpha_kernel(model, w2, w1)
+            assert model.alpha(np.array((w1, w2))) == model.alpha(np.array((w2, w1)))
         # numpy's vectorized complex product may round a * b and b * a
         # differently (fused multiply-adds), so only the product-free pole
         # form is symmetric bit for bit on arrays
@@ -176,7 +176,7 @@ class TestPoleAlpha:
 
     @pytest.mark.parametrize("name", ALPHA_MODELS)
     def test_scalar_pair_gives_scalar(self, request, name):
-        value = alpha_kernel(alpha_model(request, name), 0.4, -7.0)
+        value = alpha_model(request, name).alpha(np.array((0.4, -7.0)))
         assert np.ndim(value) == 0 and isinstance(value, complex)
 
 
@@ -272,7 +272,7 @@ class TestModelContract:
         model = request.getfixturevalue(fixture)
         pairs = (model.amplitudes, model.amplitude_derivatives,
                  lambda w: model.amplitude_derivatives(w, 2)[2:])
-        kernels = (reflection_probability, scattering_delay, b_function)
+        kernels = (reflection_probability, b_function)
         grid = np.array([[0.0, 0.5, 2.0], [-1.0, 3.0, 40.0]])
         cases = [(complex, m(0.5), m(grid)) for m in pairs]
         cases += [(float, (k(model, 0.5),), (k(model, grid),)) for k in kernels]

@@ -20,13 +20,13 @@ PUBLIC_NAMES = [
     "GridTooCoarse", "GrowthBoundExceeded", "LorentzianMirror", "MirrorModel",
     "PerfectMirror", "QuadratureConfig", "QuadratureResult", "RationalMirror",
     "RegimeViolation", "SusceptibilityValue", "ThermalDragError", "UnitSystem",
-    "ValidationFailed", "WindowTruncationWarning", "alpha_kernel",
-    "asymptotics", "b_function", "chi_total", "compute_coefficients",
+    "ValidationFailed", "WindowTruncationWarning", "asymptotics",
+    "b_function", "chi_total", "compute_coefficients",
     "correlation_spectrum", "correlation_zero_frequency", "einstein_check",
     "hilbert_transform_pv", "integrate_finite", "integrate_thermal",
     "kramers_kronig_check", "lambda_spectral", "mu_spectral",
     "quasistatic_force", "reflection_probability", "richardson_extrapolate",
-    "scattering_delay", "vacuum_cubic_coefficient", "validate_model",
+    "vacuum_cubic_coefficient", "validate_model",
 ]
 
 

@@ -10,7 +10,7 @@ from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
                          WindowTruncationWarning, chi_total, cli,
                          correlation_spectrum, correlation_zero_frequency,
                          integrate_finite, kramers_kronig_check,
-                         lambda_spectral, models, susceptibility,
+                         lambda_spectral, susceptibility,
                          vacuum_cubic_coefficient)
 
 
@@ -84,7 +84,7 @@ class TestChiVacuumFold:
         tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=2000)
         for omega in np.geomspace(1e-3, 80.0, 12) * (model.cutoff_frequency or 1.0):
             def unfolded(wp):
-                return wp * (omega - wp) * models.alpha_kernel(model, wp, omega - wp)
+                return wp * (omega - wp) * model.alpha(np.array((wp, omega - wp)))
 
             reference = integrate_finite(unfolded, 0.0, omega, tight)
             assert reference.converged
