@@ -76,14 +76,14 @@ def _in_user_units(report: coeff.CoefficientReport, units: UnitSystem) -> dict:
 
 
 def _sweep_row(config: RunConfig,
-               temp_user: float) -> tuple[str, coeff.CoefficientReport]:
+               temp_user: float) -> tuple[list, coeff.CoefficientReport]:
     report = coeff.compute_coefficients(config.model, temp_user, config.quadrature)
     user = _in_user_units(report, config.units)
     # the conversions divide by a positive constant, so they commute with max
     err_lambda = max(user["lambda_spectral"][1], user["lambda_entropic"][1])
     err_mu = max(user["mu_spectral"][1], user["mu_entropic"][1])
     fields = [temp_user, *(value for value, _ in user.values()), err_lambda, err_mu]
-    return ",".join(_fmt(f) for f in fields), report
+    return fields, report
 
 
 def _route_gate(reports, tol: float) -> int:
@@ -109,12 +109,13 @@ def cmd_coeffs(args) -> int:
     config = parse_config(args.config)
     temp = _temperature(config)
     report = coeff.compute_coefficients(config.model, temp, config.quadrature)
+    user = _in_user_units(report, config.units)
     print(f"temperature = {_fmt(temp)}")
-    for name, (value, err) in _in_user_units(report, config.units).items():
+    for name, (value, err) in user.items():
         print(f"{name} = {_fmt(value)} +/- {_fmt(err)}")
     print(f"route_discrepancy_lambda = {_fmt(report.route_discrepancy_lambda)}")
     print(f"route_discrepancy_mu = {_fmt(report.route_discrepancy_mu)}")
-    return _route_gate([report], args.tol)
+    return _route_gate([report], args.tol) or _finite_gate(list(user.values()))
 
 
 def cmd_sweep(args) -> int:
@@ -135,8 +136,8 @@ def cmd_sweep(args) -> int:
         temps = np.linspace(t_min, t_max, count)
 
     rows, reports = zip(*(_sweep_row(config, float(temp)) for temp in temps))
-    print(SWEEP_HEADER, *rows, sep="\n")
-    return _route_gate(reports, args.tol)
+    print(SWEEP_HEADER, *(",".join(_fmt(f) for f in row) for row in rows), sep="\n")
+    return _route_gate(reports, args.tol) or _finite_gate(rows)
 
 
 def cmd_chi(args) -> int:
@@ -252,30 +253,29 @@ def _verify_checks(config: RunConfig, tol: float):
         limits = coeff.asymptotics(model, cfg)
         cutoff = model.cutoff_frequency
         t_hi, t_lo = 100.0 * cutoff, 1e-3 * cutoff
-        lam_hi = coeff.lambda_spectral(model, t_hi, cfg)
+        hi, lo = (coeff.compute_coefficients(model, t, cfg) for t in (t_hi, t_lo))
         gap = coeff.relative_gap(
-            abs(lam_hi - limits.lambda_high_temperature(t_hi)), abs(lam_hi))
+            abs(hi.lambda_spectral - limits.lambda_high_temperature(t_hi)),
+            abs(hi.lambda_spectral))
         yield "asymptotic_lambda_high", gap, 0.02, gap <= 0.02
         # the low-temperature laws are leading order in R0 and (1-2R0)tau0;
         # when a law degenerates to zero there is nothing to compare against
         lam_law = limits.lambda_low_temperature(t_lo)
         if lam_law != 0.0:
-            lam_lo = coeff.lambda_spectral(model, t_lo, cfg)
-            gap = coeff.relative_gap(abs(lam_lo - lam_law), abs(lam_lo))
+            gap = coeff.relative_gap(abs(lo.lambda_spectral - lam_law),
+                                     abs(lo.lambda_spectral))
             yield "asymptotic_lambda_low", gap, 0.01, gap <= 0.01
         mu_law = limits.mu_low_temperature(t_lo)
         if mu_law != 0.0:
-            mu_lo = coeff.mu_spectral(model, t_lo, cfg)
-            gap = coeff.relative_gap(abs(mu_lo - mu_law), abs(mu_law))
+            gap = coeff.relative_gap(abs(lo.mu_spectral - mu_law), abs(mu_law))
             yield "asymptotic_mu_low", gap, 0.02, gap <= 0.02
-        mu_hi = coeff.mu_spectral(model, t_hi, cfg)
         bound = 0.01 * t_hi  # next-order corrections are O(cutoff) at T = 100 cutoff
-        gap = abs(mu_hi - limits.mu_high_temperature(t_hi))
+        gap = abs(hi.mu_spectral - limits.mu_high_temperature(t_hi))
         yield "asymptotic_mu_high", gap, bound, gap <= bound
     else:
         # no transparency cutoff: mass corrections are exact zeros
-        mu = coeff.mu_spectral(model, temp, cfg)
-        yield "mu_exact_zero", abs(mu), cfg.abs_tol, abs(mu) <= cfg.abs_tol
+        mu = abs(routes.mu_spectral)
+        yield "mu_exact_zero", mu, cfg.abs_tol, mu <= cfg.abs_tol
 
 
 def cmd_verify(args) -> int:
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="write the stdout text to this file instead")
         if name in ("coeffs", "sweep", "verify"):  # the commands with a route gate
-            cmd.add_argument("--tol", type=float, default=1e-6,
+            cmd.add_argument("--tol", type=float, default=coeff.ROUTE_TOLERANCE,
                              help="allowed relative route discrepancy")
     return parser
 

@@ -110,25 +110,30 @@ def _kernel_memo(model: MirrorModel, order: int):
     return kernels
 
 
-def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
-                       names=None) -> dict:
-    """(value, error estimate) of each named thermal integral, in order.
+def relative_gap(gap: float, scale: float) -> float:
+    """gap / scale, or the bare gap when the scale is zero (lambda = 0)."""
+    return gap / scale if scale > 0 else gap
 
-    The six integrals are named after the report fields they fill;
-    ``names=None`` runs all six in report order.  Each integrand comes
-    with its route factor: the entropic routes are dA/dT and dB/dT
-    differentiated under the integral with dn/dT = n (1 + n) w/T^2, so
-    lambda = 2 T dA/dT and mu = T dB/dT scale the value and its error.
-    A(T) = (1/2 pi) int dw 2 w n_T R[w] is strictly increasing in T; B(T)
-    = (1/2 pi) int dw 2 w n_T (1 - 2 R[w]) tau[w] can take either sign.
+
+def compute_coefficients(model: MirrorModel, temp: float,
+                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> CoefficientReport:
+    """Evaluate both routes for lambda and mu plus A and B at one temperature.
+
+    The six thermal integrals are named after the report fields they fill
+    and always run together.  Each integrand comes with its route factor:
+    the entropic routes are dA/dT and dB/dT differentiated under the
+    integral with dn/dT = n (1 + n) w/T^2, so lambda = 2 T dA/dT and mu =
+    T dB/dT scale the value and its error.  A(T) = (1/2 pi) int dw 2 w n_T
+    R[w] is strictly increasing in T; B(T) = (1/2 pi) int dw 2 w n_T (1 -
+    2 R[w]) tau[w] can take either sign.
 
     All six share the x nodes of ``integrate_thermal``, so they read R,
     R', tau and tau' from one :func:`_kernel_memo`: each distinct node
     array takes one kernel pass per call, and every value is the one a
-    lone integral would compute.
+    lone integral would compute.  A temperature that is not finite and
+    > 0 raises ValueError from the first integral.
     """
-    # only the spectral mu integrand needs second derivatives
-    kernels = _kernel_memo(model, 1 if names and "mu_spectral" not in names else 2)
+    kernels = _kernel_memo(model, 2)
 
     def lambda_spectral_f(w):
         big_r, d_big_r, _, _ = kernels(w)
@@ -165,44 +170,10 @@ def _thermal_integrals(model: MirrorModel, temp: float, cfg: QuadratureConfig,
         "A": (a_f, 1.0),
         "B": (b_f, 1.0),
     }
-    results = {}
-    for name in names or integrands:
-        f, factor = integrands[name]
+    value, error = {}, {}
+    for name, (f, factor) in integrands.items():
         res = integrate_thermal(f, temp, cfg)
-        results[name] = (factor * res.value, factor * res.error_estimate)
-    return results
-
-
-def lambda_spectral(model: MirrorModel, temp: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Viscosity from the spectral route; positive for any reflecting model."""
-    results = _thermal_integrals(model, temp, cfg, ("lambda_spectral",))
-    return float(results["lambda_spectral"][0])
-
-
-def mu_spectral(model: MirrorModel, temp: float,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Mass correction from the spectral route; vanishes for zero delay."""
-    results = _thermal_integrals(model, temp, cfg, ("mu_spectral",))
-    return float(results["mu_spectral"][0])
-
-
-def relative_gap(gap: float, scale: float) -> float:
-    """gap / scale, or the bare gap when the scale is zero (lambda = 0)."""
-    return gap / scale if scale > 0 else gap
-
-
-def compute_coefficients(model: MirrorModel, temp: float,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> CoefficientReport:
-    """Evaluate both routes for lambda and mu plus A and B at one temperature.
-
-    The entropic routes, A and B are computed only here, as report fields;
-    :func:`lambda_spectral` and :func:`mu_spectral` give a spectral route
-    alone.  A temperature that is not finite and > 0 raises ValueError
-    from the first integral.
-    """
-    results = _thermal_integrals(model, temp, cfg)
-    value = {name: v for name, (v, _) in results.items()}
+        value[name], error[name] = factor * res.value, factor * res.error_estimate
 
     def rel_gap(x, y):
         # NaN when either route is non-finite, so the CLI's route gate trips
@@ -214,9 +185,21 @@ def compute_coefficients(model: MirrorModel, temp: float,
         route_discrepancy_lambda=rel_gap(value["lambda_spectral"],
                                          value["lambda_entropic"]),
         route_discrepancy_mu=rel_gap(value["mu_spectral"], value["mu_entropic"]),
-        error_estimates={name: err for name, (_, err) in results.items()},
+        error_estimates=error,
         cutoff_frequency=model.cutoff_frequency,
     )
+
+
+def lambda_spectral(model: MirrorModel, temp: float,
+                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The spectral viscosity of a whole report; positive for any reflecting model."""
+    return compute_coefficients(model, temp, cfg).lambda_spectral
+
+
+def mu_spectral(model: MirrorModel, temp: float,
+                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """The spectral mass correction of a whole report; vanishes for zero delay."""
+    return compute_coefficients(model, temp, cfg).mu_spectral
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ Example::
 Model parameters are given in user units: the model built from them moves
 to natural units by scaling its poles, residues and cutoff by hbar.  Every
 model is validated once, here, before use.
-Every number is read by one reader, which rejects NaN and infinities
-and integer keys above INTEGER_LIMIT; every file is read by another,
-which turns an unreadable or non-UTF-8 file into a ConfigError.
+Every key's number is read by ``_number``, which rejects NaN, infinities
+and integer keys above INTEGER_LIMIT; coefficient lists and trajectory
+rows have their own readers.  Every file is read by ``read_text``, which
+turns an unreadable or non-UTF-8 file into a ConfigError.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Adaptive quadrature, a discrete Hilbert transform and Richardson extrapolation.
+"""Adaptive quadrature, a whole-grid Hilbert transform and Richardson extrapolation.
 
 The workhorse is a Gauss-Kronrod 7/15 pair with worst-first interval
 bisection in rounds.  Integrands receive a 1-D numpy array of nodes and
@@ -303,11 +303,12 @@ def integrate_thermal(f, temp: float,
     return result
 
 
-def hilbert_transform_pv(samples, at: int) -> float:
-    """Discrete principal-value Hilbert transform on a uniform grid.
+def hilbert_transform_pv(samples) -> np.ndarray:
+    """Discrete principal-value Hilbert transform at every point of a uniform grid.
 
-    Returns (1/pi) PV int g(w')/(w' - w_at) dw' using the skip-singularity
-    trapezoid rule with half weights at the two grid ends.  The grid
+    Element j is (1/pi) PV int g(w')/(w' - w_j) dw' by the skip-singularity
+    trapezoid rule with half weights at the two grid ends: one convolution
+    of the weighted samples with 1/(k - j), taken as 0 at k = j.  The grid
     spacing cancels, so only the sample values are needed.  Accuracy is
     O(h^2) for smooth decaying samples, plus the truncation error of the
     finite window.
@@ -316,14 +317,11 @@ def hilbert_transform_pv(samples, at: int) -> float:
     if g.ndim != 1 or g.size < 64:
         raise GridTooCoarse(f"need a 1-D grid of >= 64 samples, got shape {g.shape}")
     n = g.size
-    if not 0 <= at < n:
-        raise IndexError(f"index {at} outside grid of size {n}")
     weights = np.ones(n)
     weights[0] = weights[-1] = 0.5
-    weights[at] = 0.0
-    offsets = np.arange(n, dtype=float) - at
-    offsets[at] = 1.0  # dummy, weight is zero
-    return float(np.sum(weights * g / offsets) / math.pi)
+    offsets = np.arange(n - 1, -n, -1, dtype=float)  # k - j at lag j - k = i - (n - 1)
+    offsets[n - 1] = np.inf  # k = j: the skipped term, 1/inf = 0
+    return np.convolve(weights * g, 1.0 / offsets, "valid") / math.pi
 
 
 def richardson_extrapolate(values, power: int):

@@ -2,14 +2,16 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 occupations come from geometric series, Bose moments from zeta sums,
-integrals from brute-force trapezoid rules, derivatives from central
-differences, lorentzian scattering quantities from their explicit rational
-closed forms, rational mirrors one polynomial at a time, and the kernels
-a, b from the literal amplitude products instead of R and tau.  The
-adaptive driver is kept twice, sharing only the rule's nodes and weights
-with the package: as the per-panel loop (one integrand call per 15-node
-panel), and as the batched driver that reduced its panels row by row,
-which the package's stacked reduction must match bit for bit.
+integrals from brute-force trapezoid rules, the discrete Hilbert
+transform one grid point at a time, derivatives from central
+differences, lorentzian scattering quantities from their explicit
+rational closed forms, rational mirrors one polynomial at a time, and
+the kernels a, b from the literal amplitude products instead of R and
+tau.  The adaptive driver is kept twice, sharing only the rule's nodes
+and weights with the package: as the per-panel loop (one integrand call
+per 15-node panel), and as the batched driver that reduced its panels
+row by row, which the package's stacked reduction must match bit for
+bit.
 """
 
 import cmath
@@ -260,6 +262,22 @@ def trapezoid_coefficients(temp: float, tau0: float = 1.0,
     flux = temp / math.pi * np.trapezoid(w * big_r * n, x)
     stocked = temp / (2 * math.pi) * np.trapezoid(w * b * n, x)
     return float(lam), float(mu), float(flux), float(stocked)
+
+
+def hilbert_transform_pv_at(samples, at: int) -> float:
+    """(1/pi) PV int g(w')/(w' - w_at) dw' at one grid point, by its own sum.
+
+    The skip-singularity trapezoid rule with half weights at the two grid
+    ends, summed over the grid for the one point ``at``.
+    """
+    g = np.asarray(samples, dtype=float)
+    n = g.size
+    weights = np.ones(n)
+    weights[0] = weights[-1] = 0.5
+    weights[at] = 0.0
+    offsets = np.arange(n, dtype=float) - at
+    offsets[at] = 1.0  # dummy, weight is zero
+    return float(np.sum(weights * g / offsets) / math.pi)
 
 
 # --- per-panel adaptive driver --------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from thermaldrag import UnitSystem, cli
 from thermaldrag.config import parse_config
-from thermaldrag.errors import ConfigError
+from thermaldrag.errors import ConfigError, ThermalDragError
 
 
 def write(tmp_path, name, text):
@@ -520,6 +520,19 @@ class TestExtremeTemperature:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 4 and ("nan" in out) == (code == 3)
 
+    # the perfect mirror's lambda is still finite at T = 1e150, but the error
+    # estimates of lambda_spectral and A overflow: a printed infinity exits 3
+    @pytest.mark.parametrize("command, settings", [
+        ("coeffs", "temperature = 1e150"),
+        ("sweep", "temp_min = 1e149\ntemp_max = 1e150"),
+    ], ids=["coeffs", "sweep"])
+    def test_infinite_error_estimate_exits_3(self, tmp_path, capsys, command, settings):
+        path = write(tmp_path, "c.cfg", f"{settings}\n[model]\nkind = perfect\n")
+        assert run([command, "--config", path]) == 3
+        out, err = capsys.readouterr()
+        assert "inf" in out and "nan" not in out
+        assert err == "a printed value is not a finite number\n"
+
 
 # a unitary mirror of degree 5 with r[0] = -1: r = (-1 + 0.2 z^2 - 0.01 z^4) / D,
 # s = -z (1 + 0.1 z^2 + 0.02 z^4) / D, D the spectral factor (roots in Re z > 0);
@@ -658,6 +671,87 @@ class TestMain:
         capsys.readouterr()
         assert run(["coeffs", "--config", path]) == 0
         assert capsys.readouterr().out == expected
+
+
+WEAK_RATIONAL_KEYS = ("r_numerator = 0, 0.3\nr_denominator = 1, -2.0223748416156684, 1\n"
+                      "s_numerator = 1, 0, -1\ns_denominator = 1, -2.0223748416156684, 1\n")
+
+
+class TestRejections:
+    # every input the CLI rejects exits 2 with its reason on stderr and
+    # nothing on stdout; "trajectory" is written as the trajectory file
+    @pytest.mark.parametrize("command, settings, model, trajectory, message", [
+        ("sweep", "temp_min = 1\ntemp_max = 2\ncount = 1", "kind = perfect", None,
+         "count must be >= 2, got 1"),
+        ("sweep", "temp_min = 1\ntemp_max = 2\nspacing = cubic", "kind = perfect", None,
+         "spacing must be 'log' or 'linear', got 'cubic'"),
+        ("chi", "temperature = 1\nomega_min = 1\nomega_max = -1", "kind = perfect", None,
+         "need omega_max >= omega_min"),
+        ("chi", "temperature = 1\nomega_min = -1\nomega_max = 1\nomega_count = 0",
+         "kind = perfect", None, "omega_count must be >= 1"),
+        ("force", "temperature = 1", "kind = perfect", None,
+         "missing required key 'trajectory'"),
+        ("force", "temperature = 1", "kind = perfect", "0,0\n1,1,1\n2,2\n",
+         "traj.csv:2: expected 't,q', got '1,1,1'"),
+        ("force", "temperature = 1", "kind = perfect", "0,0\n1,x\n2,2\n",
+         "traj.csv:2: non-numeric entry '1,x'"),
+        ("coeffs", "temperature = warm", "kind = perfect", None,
+         "key 'temperature' is not a number: 'warm'"),
+        ("coeffs", "temperature = 1\nmax_subdivisions = 2.5", "kind = perfect", None,
+         "key 'max_subdivisions' is not an integer: '2.5'"),
+        ("sweep", "temp_max = 2", "kind = perfect", None,
+         "missing required key 'temp_min'"),
+        ("coeffs", "temperature = 1\n[quadrature]\nrel_tol = 1e-8", "kind = perfect", None,
+         "c.cfg:2: unknown section [quadrature]"),
+        ("coeffs", "temperature = 1\n= 3", "kind = perfect", None, "c.cfg:2: empty key"),
+        ("coeffs", "temperature = 1", "kind = rational\n" + WEAK_RATIONAL_KEYS.replace(
+            "0, 0.3", "0, a"), None, "model key 'r_numerator' is not a number list: '0, a'"),
+        ("coeffs", "temperature = 1", "kind = rational\n" + WEAK_RATIONAL_KEYS.replace(
+            "0, 0.3", ""), None, "model key 'r_numerator' is empty"),
+        ("coeffs", "temperature = 1", "kind = glass", None,
+         "model kind must be one of ('lorentzian', 'perfect', 'rational'), got 'glass'"),
+        ("coeffs", "temperature = 1", "kind = lorentzian", None,
+         "lorentzian model needs tau0"),
+        ("coeffs", "temperature = 1",
+         "kind = rational\n" + WEAK_RATIONAL_KEYS.rsplit("s_denominator", 1)[0], None,
+         "rational model needs 's_denominator'"),
+        ("coeffs", "temperature = 1", "kind = rational\ncutoff = 0\n" + WEAK_RATIONAL_KEYS,
+         None, "cutoff must be > 0, got 0.0"),
+        ("model-info", "", "kind = perfect", None, "injected"),
+    ], ids=["sweep-count", "sweep-spacing", "chi-omega-range", "chi-omega-count",
+            "force-no-trajectory", "force-row-fields", "force-non-numeric",
+            "config-not-a-number", "config-not-an-integer", "config-missing-temp-min",
+            "config-unknown-section", "config-empty-key", "config-list-not-numbers",
+            "config-empty-list", "config-unknown-kind", "config-lorentzian-without-tau0",
+            "config-rational-missing-key", "rational-cutoff-zero",
+            "main-error-in-handler"])
+    def test_exits_2(self, tmp_path, capsys, monkeypatch, command, settings, model,
+                     trajectory, message):
+        if trajectory is not None:
+            settings += f"\ntrajectory = {write(tmp_path, 'traj.csv', trajectory)}"
+        path = write(tmp_path, "c.cfg", f"{settings}\n[model]\n{model}\n")
+        prefix = "config error: "
+        if message == "injected":
+            # a package error that is not a ConfigError, raised inside a handler
+            prefix = "error: "
+
+            def failing(args):
+                raise ThermalDragError(message)
+
+            monkeypatch.setattr(cli, "cmd_model_info", failing)
+        assert run([command, "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(prefix) and message in err and "Traceback" not in err
+
+    def test_trajectory_header_line_is_skipped(self, tmp_path, capsys):
+        outputs = []
+        for header in ("t,q\n", ""):
+            traj_path = write(tmp_path, "traj.csv", header + "0,0\n1,1e-3\n2,2e-3\n")
+            path = lorentzian_config(tmp_path, f"trajectory = {traj_path}\n")
+            assert run(["force", "--config", path]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
 
 
 # any change in rounding anywhere in the stack shows up in these pins; all but

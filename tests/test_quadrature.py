@@ -266,13 +266,13 @@ class TestHilbertTransform:
     def test_even_lorentzian_at_center_is_zero(self):
         grid = np.linspace(-60.0, 60.0, 4097)
         g = 1.0 / (1.0 + grid**2)
-        assert hilbert_transform_pv(g, 2048) == pytest.approx(0.0, abs=1e-12)
+        assert hilbert_transform_pv(g)[2048] == pytest.approx(0.0, abs=1e-12)
 
     def test_odd_lorentzian_pair(self):
         # residue oracle: (1/pi) PV int [w'/(1+w'^2)]/w' dw' = 1
         grid = np.linspace(-200.0, 200.0, 8193)
         g = grid / (1.0 + grid**2)
-        assert hilbert_transform_pv(g, 4096) == pytest.approx(1.0, rel=2e-2)
+        assert hilbert_transform_pv(g)[4096] == pytest.approx(1.0, rel=2e-2)
 
     def test_pair_value_off_center(self):
         # analytic pair: H[w'/(1+w'^2)](w) = 1/(1+w^2) under this sign convention
@@ -280,15 +280,27 @@ class TestHilbertTransform:
         g = grid / (1.0 + grid**2)
         at = 8192 + 41  # omega = 2.0024...
         omega = grid[at]
-        assert hilbert_transform_pv(g, at) == pytest.approx(
+        assert hilbert_transform_pv(g)[at] == pytest.approx(
             1.0 / (1.0 + omega**2), rel=3e-2)
 
     def test_zero_input(self):
-        assert hilbert_transform_pv(np.zeros(128), 64) == 0.0
+        assert hilbert_transform_pv(np.zeros(128))[64] == 0.0
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):
-            hilbert_transform_pv(np.zeros(63), 10)
+            hilbert_transform_pv(np.zeros(63))[10]
+
+    @pytest.mark.parametrize("n", [64, 1024, 4097])
+    @pytest.mark.parametrize("samples", ["random", "lorentzian-pair"])
+    def test_whole_grid_matches_per_point_sums(self, n, samples):
+        if samples == "random":
+            g = np.random.default_rng(n).standard_normal(n)
+        else:
+            grid = np.linspace(-40.0, 40.0, n)
+            g = grid / (1.0 + grid**2)
+        reference = np.array([oracles.hilbert_transform_pv_at(g, at) for at in range(n)])
+        gap = np.max(np.abs(hilbert_transform_pv(g) - reference))
+        assert gap <= 1e-15 * np.max(np.abs(reference))
 
 
 class TestRichardson:
