@@ -8,7 +8,7 @@ independent numerical routes with analytic-limit cross-checks.
 
 from .coefficients import (AsymptoticsReport, CoefficientReport, asymptotics,
                            compute_coefficients, einstein_check,
-                           lambda_spectral, mu_spectral, quasistatic_force)
+                           quasistatic_force)
 from .core import UnitSystem
 from .errors import (ConfigError, DivergentBandwidth, ExtrapolationUnstable,
                      GridTooCoarse, GrowthBoundExceeded, RegimeViolation,
@@ -36,7 +36,6 @@ __all__ = [
     "b_function", "chi_total", "compute_coefficients",
     "correlation_spectrum", "correlation_zero_frequency", "einstein_check",
     "hilbert_transform_pv", "integrate_finite", "integrate_thermal",
-    "kramers_kronig_check", "lambda_spectral", "mu_spectral",
-    "quasistatic_force", "reflection_probability", "richardson_extrapolate",
-    "validate_model", "vacuum_cubic_coefficient",
+    "kramers_kronig_check", "quasistatic_force", "reflection_probability",
+    "richardson_extrapolate", "validate_model", "vacuum_cubic_coefficient",
 ]

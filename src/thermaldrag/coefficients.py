@@ -190,18 +190,6 @@ def compute_coefficients(model: MirrorModel, temp: float,
     )
 
 
-def lambda_spectral(model: MirrorModel, temp: float,
-                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The spectral viscosity of a whole report; positive for any reflecting model."""
-    return compute_coefficients(model, temp, cfg).lambda_spectral
-
-
-def mu_spectral(model: MirrorModel, temp: float,
-                cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """The spectral mass correction of a whole report; vanishes for zero delay."""
-    return compute_coefficients(model, temp, cfg).mu_spectral
-
-
 # ---------------------------------------------------------------------------
 # asymptotics
 
@@ -290,14 +278,13 @@ def quasistatic_force(report: CoefficientReport, times, displacements):
 # ---------------------------------------------------------------------------
 # consistency checks
 
-def einstein_check(model: MirrorModel, temp: float,
+def einstein_check(model: MirrorModel, report: CoefficientReport,
                    cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Relative residual of the Einstein relation C_T[0]/2 = T lambda_T.
 
-    The residual is absolute for a mirror with lambda_T = 0.  The
-    temperature is checked by the first integral (finite and > 0).
+    T and lambda_T are the report's ``temp`` and ``lambda_spectral``.  The
+    residual is absolute for a mirror with lambda_T = 0.
     """
-    lam = lambda_spectral(model, temp, cfg)
+    temp, lam = report.temp, report.lambda_spectral
     half_c0 = 0.5 * suscept.correlation_zero_frequency(model, temp, cfg)
     return relative_gap(abs(half_c0 - temp * lam), abs(temp * lam))
-

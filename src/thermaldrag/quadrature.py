@@ -341,7 +341,7 @@ def richardson_extrapolate(values, power: int):
     require_finite(power=power)
     if not power > 0:
         raise ValueError(f"power must be > 0, got {power}")
-    seq = [complex(v) if isinstance(v, complex) else float(v) for v in values]
+    seq = [float(v) for v in values]
     n = len(seq)
     if n < 3:
         raise ValueError("need at least three samples to extrapolate")

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import X_UNDERFLOW
 from .errors import GridTooCoarse, WindowTruncationWarning, require_finite
 from .models import MirrorModel
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
@@ -169,7 +170,7 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
         raise ValueError(f"requires temp > 0, got {temp}")
     xi = chi_total(model, omega, temp, cfg).chi_total.imag
     x = omega / temp
-    if x < -700.0:
+    if x < -X_UNDERFLOW:
         prefactor = -2.0 * math.exp(x)  # spectrum dies out exponentially
     else:
         prefactor = 2.0 / -math.expm1(-x)
@@ -200,6 +201,21 @@ def vacuum_cubic_coefficient(model: MirrorModel,
         lambda w: chi_total(model, w, 0.0, cfg).chi_vacuum.imag / w**3, 0.0, 2)
 
 
+def _dispersion_gap(chi: np.ndarray) -> float:
+    """The :func:`kramers_kronig_check` gap of chi_T sampled on a uniform grid."""
+    peak = float(np.max(np.abs(chi)))
+    if peak == 0.0:
+        return 0.0
+    edge = max(abs(chi[0]), abs(chi[-1]))
+    if edge >= 1e-3 * peak:
+        warnings.warn(f"|chi| at the window ends is {edge / peak:.2e} of the grid "
+                      "peak; the reconstruction is window-truncation limited",
+                      WindowTruncationWarning, stacklevel=3)
+    inner = slice(chi.size // 4, chi.size - chi.size // 4)
+    reconstructed = hilbert_transform_pv(chi.imag)[inner]
+    return float(np.max(np.abs(reconstructed - chi.real[inner]))) / peak
+
+
 def kramers_kronig_check(model: MirrorModel, temp: float, grid,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """Dispersion-relation self-consistency of chi_T on a uniform grid.
@@ -218,22 +234,21 @@ def kramers_kronig_check(model: MirrorModel, temp: float, grid,
     steps = np.diff(grid)
     if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
         raise ValueError("grid must be uniformly spaced and increasing")
+    return _dispersion_gap(np.array([chi_total(model, w, temp, cfg).chi_total
+                                     for w in grid]))
 
+
+def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: float,
+                                   points: int, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """(base, doubled) :func:`kramers_kronig_check` gaps from one sweep of chi_T.
+
+    chi_T is sampled at the base spacing h = 2 window / (points - 1) from
+    -window - k h to window + k h, k = points // 2.  The base gap reads the
+    middle ``points`` samples, [-window, window]; the doubled gap reads all
+    of them, so the window doubles at fixed spacing.
+    """
+    k = points // 2
+    h = 2.0 * window / (points - 1)
+    grid = (np.arange(points + 2 * k) - k - 0.5 * (points - 1)) * h
     chi = np.array([chi_total(model, w, temp, cfg).chi_total for w in grid])
-    xi = chi.imag
-    re = chi.real
-    peak = float(np.max(np.abs(chi)))
-    if peak == 0.0:
-        return 0.0
-    edge = max(abs(chi[0]), abs(chi[-1]))
-    if edge >= 1e-3 * peak:
-        warnings.warn(
-            f"|chi| at the window ends is {edge / peak:.2e} of the grid peak; "
-            "the reconstruction is window-truncation limited",
-            WindowTruncationWarning,
-            stacklevel=2,
-        )
-
-    inner = slice(grid.size // 4, grid.size - grid.size // 4)
-    reconstructed = hilbert_transform_pv(xi)[inner]
-    return float(np.max(np.abs(reconstructed - re[inner]))) / peak
+    return _dispersion_gap(chi[k:k + points]), _dispersion_gap(chi)

@@ -18,8 +18,8 @@ from thermaldrag import (LorentzianMirror, PerfectMirror,
                          WindowTruncationWarning, chi_total,
                          compute_coefficients, einstein_check,
                          integrate_thermal, kramers_kronig_check,
-                         lambda_spectral, mu_spectral, reflection_probability,
-                         validate_model, vacuum_cubic_coefficient)
+                         reflection_probability, validate_model,
+                         vacuum_cubic_coefficient)
 from thermaldrag.models import reflection_and_delay
 from thermaldrag.quadrature import DEFAULT_CONFIG
 
@@ -36,7 +36,8 @@ def test_criterion_01_perfect_mirror_viscosity():
     worst = 0.0
     for temp in (0.1, 1.0, 10.0):
         law = 2.0 * math.pi * temp**2 / 3.0
-        worst = max(worst, abs(lambda_spectral(PERFECT, temp) / law - 1.0))
+        lam = compute_coefficients(PERFECT, temp).lambda_spectral
+        worst = max(worst, abs(lam / law - 1.0))
     assert report(1, worst < 1e-8,
                   f"perfect-mirror viscosity vs 2 pi T^2/3, worst rel {worst:.2e} "
                   "(allowed 1e-8)")
@@ -45,7 +46,7 @@ def test_criterion_01_perfect_mirror_viscosity():
 def test_criterion_02_perfect_mirror_inertia():
     worst = 0.0
     for temp in (0.1, 1.0, 10.0):
-        worst = max(worst, abs(mu_spectral(PERFECT, temp)) / temp**2)
+        worst = max(worst, abs(compute_coefficients(PERFECT, temp).mu_spectral) / temp**2)
     assert report(2, worst < 1e-12,
                   f"perfect-mirror mass correction, worst |mu|/T^2 {worst:.2e} "
                   "(allowed 1e-12)")
@@ -63,9 +64,10 @@ def test_criterion_03_dual_route_equivalence():
 
 def test_criterion_04_low_temperature_limits():
     temp = 1e-3
-    gap_lambda = abs(lambda_spectral(LORENTZIAN, temp)
+    gap_lambda = abs(compute_coefficients(LORENTZIAN, temp).lambda_spectral
                      / (2.0 * math.pi * temp**2 / 3.0) - 1.0)
-    gap_mu = abs(mu_spectral(LORENTZIAN, temp) / (-math.pi * temp**2 / 3.0) - 1.0)
+    gap_mu = abs(compute_coefficients(LORENTZIAN, temp).mu_spectral
+                 / (-math.pi * temp**2 / 3.0) - 1.0)
     assert report(4, gap_lambda < 0.01 and gap_mu < 0.02,
                   f"low-T laws at T=1e-3: lambda off {gap_lambda:.2e} (1%), "
                   f"mu off {gap_mu:.2e} (2%)")
@@ -73,18 +75,18 @@ def test_criterion_04_low_temperature_limits():
 
 def test_criterion_05_high_temperature_limits():
     temp = 100.0
-    gap_lambda = abs(lambda_spectral(LORENTZIAN, temp) / temp - 1.0)
+    gap_lambda = abs(compute_coefficients(LORENTZIAN, temp).lambda_spectral / temp - 1.0)
     mu_bound = 0.01 * temp  # 0.01 T tau0^2 omega_C
-    mu = abs(mu_spectral(LORENTZIAN, temp))
+    mu = abs(compute_coefficients(LORENTZIAN, temp).mu_spectral)
     assert report(5, gap_lambda < 0.02 and mu < mu_bound,
                   f"high-T laws at T=100: lambda off {gap_lambda:.2e} (2%), "
                   f"|mu| {mu:.3f} (< {mu_bound:g})")
 
 
 def test_criterion_06_doppler_factor_crossover():
-    cold = (lambda_spectral(LORENTZIAN, 1e-3)
+    cold = (compute_coefficients(LORENTZIAN, 1e-3).lambda_spectral
             / compute_coefficients(LORENTZIAN, 1e-3).A)
-    hot = (lambda_spectral(LORENTZIAN, 100.0)
+    hot = (compute_coefficients(LORENTZIAN, 100.0).lambda_spectral
            / compute_coefficients(LORENTZIAN, 100.0).A)
     ok = 3.96 <= cold <= 4.04 and 1.96 <= hot <= 2.04
     assert report(6, ok,
@@ -93,8 +95,9 @@ def test_criterion_06_doppler_factor_crossover():
 
 
 def test_criterion_07_einstein_relation():
-    worst_lor = max(einstein_check(LORENTZIAN, t) for t in (0.1, 1.0, 10.0))
-    perfect = einstein_check(PERFECT, 1.0)
+    worst_lor = max(einstein_check(LORENTZIAN, compute_coefficients(LORENTZIAN, t))
+                    for t in (0.1, 1.0, 10.0))
+    perfect = einstein_check(PERFECT, compute_coefficients(PERFECT, 1.0))
     assert report(7, worst_lor < 1e-3 and perfect < 1e-4,
                   f"Einstein relation residuals: lorentzian worst {worst_lor:.2e} "
                   f"(< 1e-3), perfect {perfect:.2e} (< 1e-4)")
@@ -173,7 +176,7 @@ def test_criterion_12_kramers_kronig():
 def test_criterion_13_sweep_scaling():
     def slope(t_lo, t_hi):
         temps = np.geomspace(t_lo, t_hi, 5)
-        lams = [lambda_spectral(LORENTZIAN, float(t)) for t in temps]
+        lams = [compute_coefficients(LORENTZIAN, float(t)).lambda_spectral for t in temps]
         return np.polyfit(np.log(temps), np.log(lams), 1)[0]
 
     cold, hot = slope(1e-3, 1e-2), slope(1e2, 1e3)
@@ -197,8 +200,8 @@ def test_criterion_15_trapezoid_oracle_equivalence():
     chi_gap = abs(chi_total(LORENTZIAN, 0.05, 1.0).chi_thermal
                   / oracles.trapezoid_chi_thermal(0.05, 1.0) - 1.0)
     lam_oracle, mu_oracle, _, _ = oracles.trapezoid_coefficients(1.0)
-    lam_gap = abs(lambda_spectral(LORENTZIAN, 1.0) / lam_oracle - 1.0)
-    mu_gap = abs(mu_spectral(LORENTZIAN, 1.0) / mu_oracle - 1.0)
+    lam_gap = abs(compute_coefficients(LORENTZIAN, 1.0).lambda_spectral / lam_oracle - 1.0)
+    mu_gap = abs(compute_coefficients(LORENTZIAN, 1.0).mu_spectral / mu_oracle - 1.0)
     worst = max(chi_gap, lam_gap, mu_gap)
     assert report(15, worst < 1e-7,
                   f"10^6-point trapezoid oracles: chi off {chi_gap:.2e}, "

@@ -365,6 +365,28 @@ class TestVerifyCommand:
         assert "FAIL" not in out
         assert "dual_route_mu" in out and "einstein_relation" in out
 
+    def test_each_check_quantity_is_computed_once(self, tmp_path, capsys, monkeypatch):
+        # one chi sweep of 2 kk_points samples serves both dispersion windows
+        # and the Einstein ladder adds its 7 rungs; the reports are those at
+        # T, T_hi and T_lo, the Einstein check reading lambda from the one at T
+        from thermaldrag import coefficients, susceptibility
+        calls = {"chi_total": 0, "compute_coefficients": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(susceptibility, "chi_total")
+        counted(coefficients, "compute_coefficients")
+        assert run(["verify", "--config",
+                    lorentzian_config(tmp_path, "kk_points = 256\n")]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert calls == {"chi_total": 2 * 256 + 7, "compute_coefficients": 3}
+
     def test_perfect_mirror_reports_zero_mass_terms(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg",
                      "temperature = 1.0\n[model]\nkind = perfect\n")
@@ -801,7 +823,7 @@ GOLDEN_VERIFY_LORENTZIAN = (
     'dual_route_lambda: measured=1.482080e-16 allowed=1.000000e-06 PASS\n'
     'dual_route_mu: measured=4.236350e-16 allowed=1.000000e-06 PASS\n'
     'einstein_relation: measured=2.845594e-14 allowed=1.000000e-03 PASS\n'
-    'kramers_kronig_window_doubling: measured=9.007396e-01 allowed=1.000000e+00 PASS\n'
+    'kramers_kronig_window_doubling: measured=9.005148e-01 allowed=1.000000e+00 PASS\n'
     'asymptotic_lambda_high: measured=3.184896e-03 allowed=2.000000e-02 PASS\n'
     'asymptotic_lambda_low: measured=7.895523e-06 allowed=1.000000e-02 PASS\n'
     'asymptotic_mu_low: measured=2.368594e-05 allowed=2.000000e-02 PASS\n'

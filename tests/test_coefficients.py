@@ -6,8 +6,8 @@ import pytest
 import oracles
 from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          RegimeViolation, asymptotics, chi_total,
-                         compute_coefficients, einstein_check, lambda_spectral,
-                         mu_spectral, quasistatic_force)
+                         compute_coefficients, einstein_check,
+                         quasistatic_force)
 from thermaldrag import coefficients, models
 from thermaldrag.coefficients import ROUTE_TOLERANCE
 from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
@@ -40,39 +40,42 @@ class TestViscosity:
     def test_perfect_mirror_closed_form(self, perfect):
         for temp in (0.1, 1.0, 10.0):
             law = 2.0 * math.pi * temp**2 / 3.0
-            assert lambda_spectral(perfect, temp) == pytest.approx(law, rel=1e-8)
+            assert compute_coefficients(perfect, temp).lambda_spectral == pytest.approx(
+                law, rel=1e-8)
             assert compute_coefficients(perfect, temp).lambda_entropic == pytest.approx(
                 law, rel=1e-8)
 
     def test_low_temperature_law(self, lorentzian):
         temp = 1e-4
-        assert lambda_spectral(lorentzian, temp) == pytest.approx(
+        assert compute_coefficients(lorentzian, temp).lambda_spectral == pytest.approx(
             2.0 * math.pi * temp**2 / 3.0, rel=0.01)
 
     def test_high_temperature_law(self, lorentzian):
-        assert lambda_spectral(lorentzian, 100.0) == pytest.approx(100.0, rel=0.02)
+        assert compute_coefficients(lorentzian, 100.0).lambda_spectral == pytest.approx(
+            100.0, rel=0.02)
 
     def test_routes_agree(self, lorentzian):
         for temp in (0.05, 1.0, 20.0):
-            spectral = lambda_spectral(lorentzian, temp)
+            spectral = compute_coefficients(lorentzian, temp).lambda_spectral
             entropic = compute_coefficients(lorentzian, temp).lambda_entropic
             assert abs(spectral - entropic) / spectral < 1e-6
 
     def test_against_trapezoid_oracle(self, lorentzian):
         lam, _, flux, _ = oracles.trapezoid_coefficients(1.0)
-        assert lambda_spectral(lorentzian, 1.0) == pytest.approx(lam, rel=1e-7)
+        assert compute_coefficients(lorentzian, 1.0).lambda_spectral == pytest.approx(
+            lam, rel=1e-7)
         assert compute_coefficients(lorentzian, 1.0).A == pytest.approx(
             flux, rel=1e-7)
 
     def test_positive_for_reflecting_models(self, lorentzian, weak, perfect):
         for model in (lorentzian, weak, perfect):
             for temp in (0.1, 1.0, 10.0):
-                assert lambda_spectral(model, temp) > 0.0
+                assert compute_coefficients(model, temp).lambda_spectral > 0.0
 
     def test_quadratic_scaling_cold(self, lorentzian):
         # lambda / T^2 constant to 1% between T = 1e-3 and 5e-4
-        a = lambda_spectral(lorentzian, 1e-3) / 1e-6
-        b = lambda_spectral(lorentzian, 5e-4) / 25e-8
+        a = compute_coefficients(lorentzian, 1e-3).lambda_spectral / 1e-6
+        b = compute_coefficients(lorentzian, 5e-4).lambda_spectral / 25e-8
         assert a / b == pytest.approx(1.0, abs=0.01)
 
     def test_entropic_matches_finite_difference_in_temperature(self, lorentzian):
@@ -88,30 +91,31 @@ class TestViscosity:
 class TestMassCorrection:
     def test_perfect_mirror_vanishes(self, perfect):
         for temp in (0.1, 1.0, 10.0):
-            assert mu_spectral(perfect, temp) == 0.0
+            assert compute_coefficients(perfect, temp).mu_spectral == 0.0
             assert compute_coefficients(perfect, temp).mu_entropic == 0.0
 
     def test_low_temperature_law(self, lorentzian):
         temp = 0.01
-        assert mu_spectral(lorentzian, temp) == pytest.approx(
+        assert compute_coefficients(lorentzian, temp).mu_spectral == pytest.approx(
             -math.pi * temp**2 / 3.0, rel=0.02)
 
     def test_negative_at_low_temperature_for_full_reflection(self, lorentzian):
-        assert mu_spectral(lorentzian, 0.01) < 0.0
+        assert compute_coefficients(lorentzian, 0.01).mu_spectral < 0.0
 
     def test_high_temperature_stays_bounded(self, lorentzian):
         temp = 100.0
-        assert abs(mu_spectral(lorentzian, temp)) < 0.01 * temp
+        assert abs(compute_coefficients(lorentzian, temp).mu_spectral) < 0.01 * temp
 
     def test_routes_agree(self, lorentzian):
         for temp in (0.05, 1.0, 20.0):
-            spectral = mu_spectral(lorentzian, temp)
+            spectral = compute_coefficients(lorentzian, temp).mu_spectral
             entropic = compute_coefficients(lorentzian, temp).mu_entropic
             assert abs(spectral - entropic) / abs(spectral) < 1e-6
 
     def test_against_trapezoid_oracle(self, lorentzian):
         _, mu, _, stocked = oracles.trapezoid_coefficients(1.0)
-        assert mu_spectral(lorentzian, 1.0) == pytest.approx(mu, rel=1e-7)
+        assert compute_coefficients(lorentzian, 1.0).mu_spectral == pytest.approx(
+            mu, rel=1e-7)
         assert compute_coefficients(lorentzian, 1.0).B == pytest.approx(
             stocked, rel=1e-7)
 
@@ -119,9 +123,10 @@ class TestMassCorrection:
         # mu ~ -pi tau0 T^2/3; halving T quarters mu
         model = LorentzianMirror(2.0)
         temp = 0.005
-        assert mu_spectral(model, temp) == pytest.approx(
+        assert compute_coefficients(model, temp).mu_spectral == pytest.approx(
             -2.0 * math.pi * temp**2 / 3.0, rel=0.02)
-        ratio = mu_spectral(model, temp) / mu_spectral(model, temp / 2.0)
+        ratio = (compute_coefficients(model, temp).mu_spectral
+                 / compute_coefficients(model, temp / 2.0).mu_spectral)
         assert ratio == pytest.approx(4.0, rel=0.01)
 
 
@@ -164,10 +169,12 @@ class TestCoefficientReport:
     @pytest.mark.parametrize("name", ["perfect", "lorentzian", "weak"])
     @pytest.mark.parametrize("temp", [0.01, 1.0, 100.0])
     def test_spectral_functions_equal_report_fields(self, name, temp, request):
+        # a spectral value is a report field; a second report repeats it bit
+        # for bit, as the kernel memo lives for one call
         model = request.getfixturevalue(name)
-        report = compute_coefficients(model, temp)
-        assert lambda_spectral(model, temp) == report.lambda_spectral
-        assert mu_spectral(model, temp) == report.mu_spectral
+        report, again = (compute_coefficients(model, temp) for _ in range(2))
+        assert again.lambda_spectral == report.lambda_spectral
+        assert again.mu_spectral == report.mu_spectral
 
     def test_six_thermal_integrals_per_report(self, lorentzian, monkeypatch):
         calls = []
@@ -370,18 +377,19 @@ class TestAsymptotics:
 
 class TestEinsteinRelation:
     def test_perfect(self, perfect):
-        assert einstein_check(perfect, 1.0) < 1e-4
+        assert einstein_check(perfect, compute_coefficients(perfect, 1.0)) < 1e-4
 
     @pytest.mark.parametrize("temp", [0.1, 1.0, 10.0])
     def test_lorentzian(self, lorentzian, temp):
-        assert einstein_check(lorentzian, temp) < 1e-3
+        report = compute_coefficients(lorentzian, temp)
+        assert einstein_check(lorentzian, report) < 1e-3
 
     def test_detects_injected_inconsistency(self, lorentzian):
         # halving lambda by hand must produce a discrepancy near 1
         from thermaldrag.susceptibility import correlation_zero_frequency
         temp = 1.0
         half_c0 = 0.5 * correlation_zero_frequency(lorentzian, temp)
-        lam = 0.5 * lambda_spectral(lorentzian, temp)
+        lam = 0.5 * compute_coefficients(lorentzian, temp).lambda_spectral
         residual = abs(half_c0 - temp * lam) / (temp * lam)
         assert residual == pytest.approx(1.0, abs=0.01)
 
@@ -442,11 +450,13 @@ class TestSusceptibilityConsistency:
     # is lambda_T and the curvature of Re chi_T is mu_T
     def test_lambda_from_slope(self, lorentzian):
         slope = chi_limit(lorentzian, 1.0, lambda chi, w: chi.imag / w)
-        assert slope == pytest.approx(lambda_spectral(lorentzian, 1.0), rel=1e-3)
+        assert slope == pytest.approx(
+            compute_coefficients(lorentzian, 1.0).lambda_spectral, rel=1e-3)
 
     def test_mu_from_curvature(self, lorentzian):
         curvature = chi_limit(lorentzian, 1.0, lambda chi, w: chi.real / w**2)
-        assert curvature == pytest.approx(mu_spectral(lorentzian, 1.0), rel=1e-2)
+        assert curvature == pytest.approx(
+            compute_coefficients(lorentzian, 1.0).mu_spectral, rel=1e-2)
 
     def test_perfect_mirror_curvature_is_zero(self, perfect):
         assert chi_limit(perfect, 1.0, lambda chi, w: chi.real / w**2) == 0.0
@@ -455,12 +465,12 @@ class TestSusceptibilityConsistency:
 class TestDopplerCrossover:
     def test_low_temperature_factor_four(self, lorentzian):
         temp = 1e-3
-        ratio = (lambda_spectral(lorentzian, temp)
+        ratio = (compute_coefficients(lorentzian, temp).lambda_spectral
                  / compute_coefficients(lorentzian, temp).A)
         assert 3.96 <= ratio <= 4.04
 
     def test_high_temperature_factor_two(self, lorentzian):
         temp = 100.0
-        ratio = (lambda_spectral(lorentzian, temp)
+        ratio = (compute_coefficients(lorentzian, temp).lambda_spectral
                  / compute_coefficients(lorentzian, temp).A)
         assert 1.96 <= ratio <= 2.04

@@ -12,7 +12,8 @@ import pytest
 import thermaldrag
 from thermaldrag import (LorentzianMirror, PerfectMirror, chi_total,
                          compute_coefficients, correlation_spectrum,
-                         einstein_check, integrate_finite, integrate_thermal)
+                         correlation_zero_frequency, integrate_finite,
+                         integrate_thermal)
 
 PUBLIC_NAMES = [
     "AsymptoticsReport", "CoefficientReport", "ConfigError",
@@ -24,9 +25,8 @@ PUBLIC_NAMES = [
     "b_function", "chi_total", "compute_coefficients",
     "correlation_spectrum", "correlation_zero_frequency", "einstein_check",
     "hilbert_transform_pv", "integrate_finite", "integrate_thermal",
-    "kramers_kronig_check", "lambda_spectral", "mu_spectral",
-    "quasistatic_force", "reflection_probability", "richardson_extrapolate",
-    "vacuum_cubic_coefficient", "validate_model",
+    "kramers_kronig_check", "quasistatic_force", "reflection_probability",
+    "richardson_extrapolate", "vacuum_cubic_coefficient", "validate_model",
 ]
 
 
@@ -52,7 +52,8 @@ ENTRY_POINTS = {
     "chi_total-temp": lambda v: chi_total(PerfectMirror(), 0.5, v),
     "correlation_spectrum-omega": lambda v: correlation_spectrum(LORENTZIAN, v, 1.0),
     "correlation_spectrum-temp": lambda v: correlation_spectrum(LORENTZIAN, 0.5, v),
-    "einstein_check": lambda v: einstein_check(LORENTZIAN, v),
+    # the temperature of the Einstein check's C_T[0] ladder
+    "correlation_zero_frequency": lambda v: correlation_zero_frequency(LORENTZIAN, v),
 }
 
 

@@ -8,9 +8,9 @@ import oracles
 from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
                          QuadratureConfig, RationalMirror,
                          WindowTruncationWarning, chi_total, cli,
-                         correlation_spectrum, correlation_zero_frequency,
-                         integrate_finite, kramers_kronig_check,
-                         lambda_spectral, susceptibility,
+                         compute_coefficients, correlation_spectrum,
+                         correlation_zero_frequency, integrate_finite,
+                         kramers_kronig_check, susceptibility,
                          vacuum_cubic_coefficient)
 
 
@@ -402,8 +402,8 @@ class TestCorrelationZeroFrequency:
 
     def test_lorentzian_matches_viscosity_route(self, lorentzian):
         value = correlation_zero_frequency(lorentzian, 1.0)
-        assert value == pytest.approx(2.0 * lambda_spectral(lorentzian, 1.0),
-                                      rel=1e-4)
+        lam = compute_coefficients(lorentzian, 1.0).lambda_spectral
+        assert value == pytest.approx(2.0 * lam, rel=1e-4)
 
     def test_cold_limit_quadratic_scaling(self, lorentzian):
         # C_0/(2T) ~ lambda ~ T^2 over a decade
@@ -455,6 +455,30 @@ class TestKramersKronig:
             doubled = kramers_kronig_check(
                 lorentzian, 1.0, np.linspace(-40.0, 40.0, 512))
         assert doubled < base
+
+    def test_window_doubling_base_is_the_check_on_the_middle_samples(
+            self, lorentzian, monkeypatch):
+        # one sweep of 2 x 256 samples at the base spacing 2 x 20/255; the
+        # base gap is kramers_kronig_check of its middle 256, bit for bit
+        omegas = []
+
+        def recorded(model, omega, temp, cfg):
+            omegas.append(omega)
+            return chi_total(model, omega, temp, cfg)
+
+        monkeypatch.setattr(susceptibility, "chi_total", recorded)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", WindowTruncationWarning)
+            base, _ = susceptibility.kramers_kronig_window_doubling(
+                lorentzian, 1.0, 20.0, 256)
+            monkeypatch.undo()
+            grid = np.array(omegas)
+            middle = grid[128:384]
+            assert base == kramers_kronig_check(lorentzian, 1.0, middle)
+        assert grid.size == 512
+        assert np.allclose(np.diff(grid), 40.0 / 255, rtol=1e-12, atol=0.0)
+        assert middle[0] == pytest.approx(-20.0, rel=1e-14)
+        assert middle[-1] == pytest.approx(20.0, rel=1e-14)
 
     def test_grid_requirements(self, lorentzian):
         with pytest.raises(GridTooCoarse):
