@@ -77,42 +77,74 @@ class MirrorModel(abc.ABC):
         return float(reflection_and_delay(self, 0.0)[2]) + 0.0
 
 
+def _plus(total, term):
+    """total + term, where a None total is the empty sum: term itself, not 0.0 + term."""
+    return term if total is None else total + term
+
+
+def _conjugate_groups(poles):
+    """(p, rho_r, rho_s) triples grouped: a real pole alone, a complex one with its conjugate.
+
+    A group keeps the position of its first pole; a complex pole whose
+    exact conjugate is not among the poles stays alone.
+    """
+    groups, rest = [], list(poles)
+    while rest:
+        first = rest.pop(0)
+        group = (first,)
+        if isinstance(first[0], complex):
+            partner = next((t for t in rest if t[0] == first[0].conjugate()), None)
+            if partner is not None:
+                rest.remove(partner)
+                group = (first, partner)
+        groups.append(group)
+    return tuple(groups)
+
+
 class _PoleMirror(MirrorModel):
     """The one evaluator of every shipped mirror: a pole-residue sum in z = i omega.
 
     r = c_r + sum_k rho_r,k / (z - p_k), so r' = -i sum_k rho_r,k / (z -
     p_k)^2 and r'' = -2 sum_k rho_r,k / (z - p_k)^3; the same for s.  Real
     poles and residues are floats, complex ones come in conjugate pairs.
+    Each pair's two terms are added together before the running sum takes
+    them, so r[-omega] == conj r[omega] holds bit for bit, as for s and alpha.
     """
 
     def __init__(self, constants, poles, cutoff, text):
         # (c_r, c_s), None for a zero constant: amplitudes skips its add
         self._constants = tuple(c if c else None for c in constants)
-        # (p_k, rho_r,k, rho_s,k); a pole-free mirror gets one zero-residue term
-        self._poles = tuple(poles) or ((1.0, 0.0, 0.0),)
+        # groups of (p_k, rho_r,k, rho_s,k), each a real pole or a conjugate
+        # pair; a pole-free mirror gets one zero-residue term
+        self._poles = _conjugate_groups(poles) or (((1.0, 0.0, 0.0),),)
         self._cutoff = cutoff
         self._repr = text
 
     def amplitudes(self, omega):
         z = 1j * np.asarray(omega)
         r, s = self._constants  # the terms below give them omega's shape
-        for p, rho_r, rho_s in self._poles:
-            inv = np.reciprocal(z - p)
-            r = rho_r * inv if r is None else r + rho_r * inv
-            s = rho_s * inv if s is None else s + rho_s * inv
+        for group in self._poles:
+            group_r = group_s = None
+            for p, rho_r, rho_s in group:
+                inv = np.reciprocal(z - p)
+                group_r, group_s = _plus(group_r, rho_r * inv), _plus(group_s, rho_s * inv)
+            r, s = _plus(r, group_r), _plus(s, group_s)
         return r, s
 
     def amplitude_derivatives(self, omega, order=1):
         z = 1j * np.asarray(omega)
         # sums of rho/(z - p)^2 for r and s, then of rho/(z - p)^3 at order 2
         sums = [0.0] * (2 * order)
-        for p, *residues in self._poles:
-            inv = np.reciprocal(z - p)
-            for k, rho in enumerate(residues):
-                term = rho * inv * inv  # (rho inv) inv: inv^2 alone may overflow
-                sums[k] = sums[k] + term
-                if order > 1:
-                    sums[k + 2] = sums[k + 2] + term * inv
+        for group in self._poles:
+            parts = [None] * (2 * order)
+            for p, *residues in group:
+                inv = np.reciprocal(z - p)
+                for k, rho in enumerate(residues):
+                    term = rho * inv * inv  # (rho inv) inv: inv^2 alone may overflow
+                    parts[k] = _plus(parts[k], term)
+                    if order > 1:
+                        parts[k + 2] = _plus(parts[k + 2], term * inv)
+            sums = [total + part for total, part in zip(sums, parts)]
         return tuple(f * total for f, total in zip((-1j, -1j, -2.0, -2.0), sums))
 
     def alpha(self, pair):
@@ -126,18 +158,21 @@ class _PoleMirror(MirrorModel):
         K is skipped when zero, and a mirror without pole terms (the perfect
         mirror) returns K in the shape of w1.
         """
-        if any(rho_r != rho_s for _, rho_r, rho_s in self._poles):
+        if any(rho_r != rho_s for group in self._poles for _, rho_r, rho_s in group):
             return super().alpha(pair)
         z = 1j * np.asarray(pair)
         c_r, c_s = (c or 0.0 for c in self._constants)
         constant = 1.0 + c_r * c_r - c_s * c_s
         out = None
-        for p, rho_r, rho_s in self._poles:
-            lam = c_r * rho_r - c_s * rho_s
-            if lam:
-                inv = np.reciprocal(z - p)
-                term = lam * (inv[0] + inv[1])
-                out = term if out is None else out + term
+        for group in self._poles:
+            part = None
+            for p, rho_r, rho_s in group:
+                lam = c_r * rho_r - c_s * rho_s
+                if lam:
+                    inv = np.reciprocal(z - p)
+                    part = _plus(part, lam * (inv[0] + inv[1]))
+            if part is not None:
+                out = _plus(out, part)
         if out is None:
             return np.full(z.shape[1:], complex(constant))[()]
         return out + constant if constant else out
@@ -149,8 +184,9 @@ class _PoleMirror(MirrorModel):
     def _in_natural_units(self, hbar: float):
         """This mirror, built in the user frequency unit omega / hbar, in natural units."""
         model = copy.copy(self)
-        model._poles = tuple((hbar * p, hbar * rho_r, hbar * rho_s)
-                             for p, rho_r, rho_s in self._poles)
+        model._poles = tuple(tuple((hbar * p, hbar * rho_r, hbar * rho_s)
+                                   for p, rho_r, rho_s in group)
+                             for group in self._poles)
         model._cutoff = None if self._cutoff is None else hbar * self._cutoff
         model._repr = f"{self._repr}._in_natural_units({hbar!r})"
         return model

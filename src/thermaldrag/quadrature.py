@@ -9,6 +9,12 @@ panels at once, then all the halves of a round).  Results are
 deterministic for a fixed configuration: each round sorts the panels by
 error with a stable sort, and the sums run over the panels in that order.
 
+A call of the integrand and its reduction cost far more than its nodes,
+so both public drivers start wide: a finite range on four equal panels,
+a thermal integral on 15 half-octave panels.  Most integrals then
+converge on their first call; fewer calls, not fewer evaluations, is
+what makes them fast.
+
 The panels of one call are reduced together, one stacked matmul per
 weighted sum, and each panel still rounds bit for bit as it would alone;
 ``_gk_panels`` names the three roundings that this rests on.
@@ -196,7 +202,10 @@ def integrate_finite(f, lo: float, hi: float,
     """Integrate a vectorized integrand over the finite range [lo, hi].
 
     Polynomials up to the Kronrod degree (22) are integrated exactly up to
-    roundoff.  The integrand may return complex values.
+    roundoff.  The integrand may return complex values.  The adaptive
+    driver starts on ``_FINITE_PANELS`` equal panels, all in the first
+    call of f; a range whose quarters would be at roundoff width stays one
+    panel, so no panel has zero width.
 
     Parameters
     ----------
@@ -212,11 +221,21 @@ def integrate_finite(f, lo: float, hi: float,
         raise ValueError(f"integrate_finite requires lo <= hi, got [{lo}, {hi}]")
     if lo == hi:
         return QuadratureResult(0.0, 0.0, 0, True)
-    return _adaptive(f, [lo, hi], cfg)
+    step = (hi - lo) / _FINITE_PANELS
+    if step < _EPS * max(abs(lo), abs(hi), 1.0):
+        # quarters at roundoff width, where _adaptive stops halving; a wider
+        # step is at least an ulp of every point of the range, which keeps
+        # the breakpoints apart
+        return _adaptive(f, [lo, hi], cfg)
+    return _adaptive(f, [lo + k * step for k in range(_FINITE_PANELS)] + [hi], cfg)
 
 
-# breakpoints matched to the Bose weight: panels grow geometrically
-_THERMAL_BREAKS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+# equal initial panels of a finite range: one wide first call instead of
+# bisection rounds, since a call's fixed cost outweighs many extra panels
+_FINITE_PANELS = 4
+# breakpoints matched to the Bose weight: half-octave panels, growing geometrically
+_THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
+                   16.0, 24.0, 32.0)
 _MAJORANT_SAFETY = 100.0  # sampled |f| may exceed the fitted majorant this much
 # polynomial majorant order p: |f| may grow no faster than (1 + x^p) in x = omega/T
 _MAJORANT_ORDER = 3
@@ -236,9 +255,10 @@ def integrate_thermal(f, temp: float,
     normalization is the caller's responsibility.
 
     ``f`` is called once on the 48 nodes that fit the majorant, then once
-    per step of the adaptive driver; the three growth-probe nodes at and
-    beyond X ride on the first step's call, appended after its panel
-    nodes, and are counted in ``evaluations``.
+    per step of the adaptive driver, which starts on the half-octave
+    breakpoints ``_THERMAL_BREAKS`` and X, 15 panels; the three
+    growth-probe nodes at and beyond X ride on the first step's call,
+    appended after its panel nodes, and are counted in ``evaluations``.
 
     Parameters
     ----------

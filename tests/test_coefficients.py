@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import weak_mirror
 from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          RegimeViolation, asymptotics, chi_total,
                          compute_coefficients, einstein_check,
                          quasistatic_force)
-from thermaldrag import coefficients, models
+from thermaldrag import coefficients, models, quadrature
 from thermaldrag.coefficients import ROUTE_TOLERANCE
 from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
 from thermaldrag.susceptibility import _ladder_limit
@@ -277,6 +278,28 @@ def float_bits(report):
     """Every float of a report as exact hex (so -0.0 != 0.0), error estimates included."""
     values = [*vars(report).values(), *getattr(report, "error_estimates", {}).values()]
     return [float(v).hex() for v in values if isinstance(v, float)]
+
+
+class TestPanelCalls:
+    # coeffs-rational's weak mirrors (epsilon in [0.1, 0.5], tau in [0.5, 2]):
+    # up to T = cutoff each of a report's six thermal integrals converges on
+    # the first call, over its 15 half-octave panels
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_six_calls_per_report_up_to_the_cutoff(self, monkeypatch, epsilon, tau):
+        panels_per_call = []
+        gk_panels = quadrature._gk_panels
+
+        def counted(f, panels):
+            panels_per_call.append(len(panels))
+            return gk_panels(f, panels)
+
+        monkeypatch.setattr(quadrature, "_gk_panels", counted)
+        model = weak_mirror(epsilon, tau)
+        for temp_per_cutoff in (1e-3, 1e-2, 0.1, 1.0):
+            panels_per_call.clear()
+            compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
+            assert panels_per_call == [15] * 6
 
 
 class TestKernelMemo:

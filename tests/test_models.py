@@ -122,7 +122,6 @@ def alpha_model(request, name):
 ALPHA_MODELS = [*SHARING_MODELS, *CONFIG_MODELS]
 # r and s share their residues, so alpha takes the pole form
 SHARED_RESIDUE_MODELS = ["perfect", "tau0=0.3", "tau0=1", "tau0=3", "lorentzian_hbar=1.5"]
-REAL_POLE_MODELS = ["perfect", "tau0=0.3", "tau0=1", "tau0=3", "weak"]
 
 
 def alpha_pairs():
@@ -164,7 +163,8 @@ class TestPoleAlpha:
         if name in SHARED_RESIDUE_MODELS:
             assert np.array_equal(model.alpha(pair), model.alpha(pair[::-1]))
 
-    @pytest.mark.parametrize("name", REAL_POLE_MODELS)
+    # complex poles too: each conjugate pair is summed before the running sum
+    @pytest.mark.parametrize("name", ALPHA_MODELS)
     def test_conjugate_under_reflection_exactly(self, request, name):
         model = alpha_model(request, name)
         pair = alpha_pairs()
@@ -294,6 +294,51 @@ class TestReality:
             r_m, s_m = model.amplitudes(-w)
             assert abs(r_m - r_p.conjugate()) < 1e-12
             assert abs(s_m - s_p.conjugate()) < 1e-12
+
+    @pytest.mark.parametrize("fixture", ["lorentzian", "weak"])
+    def test_real_poles_join_the_sum_one_at_a_time(self, fixture, request):
+        # a real pole is a group of its own, so real-pole mirrors round as
+        # a plain running sum over their poles
+        model = request.getfixturevalue(fixture)
+        omega = np.random.default_rng(31).uniform(-50.0, 50.0, 64)
+        z = 1j * omega
+        r, s = model._constants
+        for group in model._poles:
+            assert len(group) == 1
+            p, rho_r, rho_s = group[0]
+            inv = np.reciprocal(z - p)
+            r = rho_r * inv if r is None else r + rho_r * inv
+            s = rho_s * inv if s is None else s + rho_s * inv
+        ours = model.amplitudes(omega)
+        assert np.array_equal(ours[0], r) and np.array_equal(ours[1], s)
+
+    def test_complex_pole_mirrors_exactly(self):
+        # a conjugate pair's two terms are added together before the running
+        # sum takes them, so reality holds bit for bit; added one pole at a
+        # time, 179 of these 230 mirrors missed it in r, s or alpha.  Every
+        # other mirror gives s a denominator of its own, so that r's and s's
+        # poles are grouped from one list
+        rng = np.random.default_rng(1)
+        mirrors = 0
+        while mirrors < 230:
+            den = separated_denominator(rng, int(rng.integers(2, 5)))
+            if np.all(np.isreal(np.roots(den[::-1]))):
+                continue
+            s_den = den if mirrors % 2 else separated_denominator(rng, int(rng.integers(1, 5)))
+            mirrors += 1
+            model = RationalMirror(rng.normal(size=int(rng.integers(1, den.size + 1))), den,
+                                   rng.normal(size=int(rng.integers(1, s_den.size + 1))),
+                                   s_den, cutoff=1.0)
+            omega = 10.0 ** rng.uniform(-3.0, 3.0, 64)
+            pair = np.array((omega, 0.7 * omega[::-1]))
+            (r, s), (r_m, s_m) = model.amplitudes(omega), model.amplitudes(-omega)
+            assert np.all(r_m == np.conj(r)) and np.all(s_m == np.conj(s))
+            assert np.all(model.alpha(-pair) == np.conj(model.alpha(pair)))
+            # r' and s' are odd under the reflection, r'' and s'' even
+            for minus, plus, sign in zip(model.amplitude_derivatives(-omega, 2),
+                                         model.amplitude_derivatives(omega, 2),
+                                         (-1.0, -1.0, 1.0, 1.0)):
+                assert np.all(minus == sign * np.conj(plus))
 
 
 class TestValidation:

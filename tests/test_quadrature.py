@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ class TestIntegrateFinite:
         omega = 1.3
         res = integrate_finite(lambda w: w * (omega - w), 0.0, omega)
         assert res.value == pytest.approx(omega**3 / 6.0, rel=1e-14)
-        assert res.converged and res.evaluations == 15
+        # the four initial panels, converged on the first call
+        assert res.converged and res.evaluations == 60
 
     def test_constant(self):
         res = integrate_finite(lambda w: np.full_like(w, 2.0), 0.0, 1.0)
@@ -60,6 +62,21 @@ class TestIntegrateFinite:
         res = integrate_finite(lambda x: x, 1.0, 1.0)
         assert res.value == 0.0
         assert res.evaluations == 0
+
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 5e-324), (0.0, 1.5e-323), (1.0, 1.0 + 2.2e-16),
+        (1e300, float(np.nextafter(1e300, np.inf))),
+    ])
+    def test_roundoff_wide_range_stays_one_panel(self, lo, hi):
+        # quarters of such a range round onto each other, and a zero-width
+        # panel would divide by its width; the range is one panel instead
+        f = lambda x: 2.0 + np.cos(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = integrate_finite(f, lo, hi)
+            one_panel = _adaptive(f, [lo, hi], DEFAULT_CONFIG)
+        assert _result_bits(res) == _result_bits(one_panel)
+        assert res.evaluations == 15
 
     def test_reversed_bounds_rejected(self):
         with pytest.raises(ValueError):
@@ -196,17 +213,23 @@ class TestBatchedDriver:
     def test_finite_one_call_per_step(self):
         g, sizes = self.recording(lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-4))
         res = integrate_finite(g, 0.0, 1.0)
-        self.assert_one_call_per_round(sizes, 1, res.evaluations)
+        self.assert_one_call_per_round(sizes, 4, res.evaluations)
+        assert sizes == [60, 60, 90, 60, 90, 60]
 
     def test_thermal_one_call_per_step(self):
         g, sizes = self.recording(lambda w: w**3 / (1.0 + (w - 2.0) ** 2))
         res = integrate_thermal(g, 0.7)
         # majorant fit (48 nodes) first; the growth probe (3) rides on the
-        # call of the initial panels
-        initial = 15 * len(_THERMAL_BREAKS)
-        assert sizes[:2] == [48, initial + 3]
-        self.assert_one_call_per_round([initial, *sizes[2:]], len(_THERMAL_BREAKS),
-                                       res.evaluations - 51)
+        # call of the 15 initial panels, which this peak needs no more than
+        assert sizes == [48, 15 * len(_THERMAL_BREAKS) + 3]
+        assert res.converged and res.evaluations == sum(sizes)
+
+    def test_thermal_rounds_one_call_each(self):
+        g, sizes = self.recording(lambda w: w**3 / (1e-2 + (w - 2.0) ** 2))
+        res = integrate_thermal(g, 0.7)
+        # a narrower peak: then each round's halves share one call
+        assert sizes == [48, 15 * len(_THERMAL_BREAKS) + 3, 90, 60, 30]
+        assert res.converged and res.evaluations == sum(sizes)
 
     def test_peak_halves_several_panels_per_call(self):
         g, sizes = self.recording(_DRIVER_CASES["sharp_peak"][0])
@@ -218,7 +241,7 @@ class TestBatchedDriver:
         g, sizes = self.recording(_nan)
         res = integrate_finite(g, 0.0, 1.0)
         assert math.isnan(res.value) and not res.converged
-        assert sizes == [15] and res.evaluations == 15
+        assert sizes == [60] and res.evaluations == 60
 
     def test_growth_guard_stops_at_the_first_panel_call(self):
         g, sizes = self.recording(lambda w: np.exp(0.9 * w))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -15,6 +16,11 @@ from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
 
 
 FOLD_MODELS = ["tau0=0.3", "tau0=1", "tau0=3", "weak", "perfect"]
+# (tau0, omega tau0, T tau0) points of the chi-lorentzian benchmark box:
+# tau0 in [10^-0.5, 10^0.5], |omega| up to 40 cutoffs, T in [0.1, 10] cutoffs
+LORENTZIAN_BOX = list(itertools.product(
+    (10**-0.5, 1.0, 10**0.5), (-40.0, -7.0, -2.0, -0.3, 0.3, 2.0, 7.0, 40.0),
+    (0.1, 1.0, 10.0)))
 
 
 def fold_model(request, name):
@@ -23,9 +29,10 @@ def fold_model(request, name):
     return request.getfixturevalue(name)
 
 
-def record_vacuum(monkeypatch):
-    """Patch chi_total's integrate_finite; return the list of (integrand calls, result)."""
+def record_runs(monkeypatch, name="integrate_finite"):
+    """Patch chi_total's quadrature ``name``; return the list of (integrand calls, result)."""
     runs = []
+    integrate = getattr(susceptibility, name)
 
     def recording(f, *args):
         calls = [0]
@@ -34,11 +41,11 @@ def record_vacuum(monkeypatch):
             calls[0] += 1
             return f(x)
 
-        result = integrate_finite(counted, *args)
+        result = integrate(counted, *args)
         runs.append((calls[0], result))
         return result
 
-    monkeypatch.setattr(susceptibility, "integrate_finite", recording)
+    monkeypatch.setattr(susceptibility, name, recording)
     return runs
 
 
@@ -51,7 +58,7 @@ class TestChiVacuum:
 
     def test_zero_frequency(self, monkeypatch, lorentzian, weak, perfect):
         # an empty range: 0 with no evaluation, also without a cutoff
-        runs = record_vacuum(monkeypatch)
+        runs = record_runs(monkeypatch)
         for model in (lorentzian, weak, perfect):
             assert chi_total(model, 0.0, 0.0).chi_vacuum == 0.0
         assert [(calls, result.evaluations) for calls, result in runs] == [(0, 0)] * 3
@@ -100,7 +107,7 @@ class TestChiVacuumFold:
 
     @pytest.mark.parametrize("tau0", [0.3, 1.0, 3.0])
     def test_few_integrand_calls_far_above_the_cutoff(self, monkeypatch, tau0):
-        runs = record_vacuum(monkeypatch)
+        runs = record_runs(monkeypatch)
         for omega in (32.0 / tau0, -32.0 / tau0):
             chi_total(LorentzianMirror(tau0), omega, 0.0)
         assert [calls for calls, _ in runs] and all(calls <= 3 for calls, _ in runs)
@@ -120,6 +127,17 @@ class TestChiVacuumFold:
         for omega in (1e-300, 1.0, 1e150, -1e150):
             value = chi_total(tiny, omega, 0.0)
             assert np.isfinite(value.chi_vacuum) and np.isfinite(value.error_estimate)
+
+    def test_one_integrand_call_in_the_benchmark_box(self, monkeypatch):
+        # chi_0's four initial panels converge on the first call, and the
+        # thermal integrals take 210 calls in all, one majorant fit each
+        # among them
+        vacuum = record_runs(monkeypatch)
+        thermal = record_runs(monkeypatch, "integrate_thermal")
+        for tau0, omega_tau0, temp_tau0 in LORENTZIAN_BOX:
+            chi_total(LorentzianMirror(tau0), omega_tau0 / tau0, temp_tau0 / tau0)
+        assert [calls for calls, _ in vacuum] == [1] * len(LORENTZIAN_BOX)
+        assert sum(calls for calls, _ in thermal) == 210
 
     @pytest.mark.parametrize("model, code", [
         ("kind = lorentzian\ntau0 = 1.0", 0),
@@ -154,6 +172,17 @@ class TestChiVacuumLorentzianClosedForm:
         # the closed form's own rounding: a few eps of its magnitude
         rounding = 4.0 * np.finfo(float).eps * abs(exact)
         assert abs(value.chi_vacuum - exact) <= value.error_estimate + rounding
+
+    @pytest.mark.parametrize("tau0", [0.32, 1.0, 3.2])
+    def test_within_claimed_error_in_the_band(self, tau0):
+        # omega tau0 in [1, 40], both signs, where chi_0 converges on its
+        # first call; below omega tau0 ~ 1 the closed form itself cancels
+        model = LorentzianMirror(tau0)
+        for omega_tau0 in np.geomspace(1.0, 40.0, 13):
+            for omega in (omega_tau0 / tau0, -omega_tau0 / tau0):
+                exact = oracles.lorentzian_chi_vacuum(omega, tau0)
+                value = chi_total(model, omega, 0.0)
+                assert abs(value.chi_vacuum - exact) <= value.error_estimate
 
 
 class TestChiThermal:
