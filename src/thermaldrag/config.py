@@ -157,7 +157,7 @@ def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
                 raise ConfigError(f"rational model needs '{key}'")
             lists.append(_coefficient_list(raw, key))
         model = RationalMirror(*lists, cutoff=_number(model_keys, "cutoff"))
-    return model._in_natural_units(units.hbar), kind
+    return model._in_natural_units(units), kind
 
 
 def parse_config(path) -> RunConfig:

@@ -82,41 +82,23 @@ def _plus(total, term):
     return term if total is None else total + term
 
 
-def _conjugate_groups(poles):
-    """(p, rho_r, rho_s) triples grouped: a real pole alone, a complex one with its conjugate.
-
-    A group keeps the position of its first pole; a complex pole whose
-    exact conjugate is not among the poles stays alone.
-    """
-    groups, rest = [], list(poles)
-    while rest:
-        first = rest.pop(0)
-        group = (first,)
-        if isinstance(first[0], complex):
-            partner = next((t for t in rest if t[0] == first[0].conjugate()), None)
-            if partner is not None:
-                rest.remove(partner)
-                group = (first, partner)
-        groups.append(group)
-    return tuple(groups)
-
-
 class _PoleMirror(MirrorModel):
     """The one evaluator of every shipped mirror: a pole-residue sum in z = i omega.
 
     r = c_r + sum_k rho_r,k / (z - p_k), so r' = -i sum_k rho_r,k / (z -
     p_k)^2 and r'' = -2 sum_k rho_r,k / (z - p_k)^3; the same for s.  Real
-    poles and residues are floats, complex ones come in conjugate pairs.
-    Each pair's two terms are added together before the running sum takes
-    them, so r[-omega] == conj r[omega] holds bit for bit, as for s and alpha.
+    poles come alone, complex ones with their exact conjugate term, as the
+    caller groups them.  A pair's two terms are added together before the
+    running sum takes them, so r[-omega] == conj r[omega] holds bit for
+    bit, as for s and alpha.
     """
 
-    def __init__(self, constants, poles, cutoff, text):
+    def __init__(self, constants, groups, cutoff, text):
         # (c_r, c_s), None for a zero constant: amplitudes skips its add
         self._constants = tuple(c if c else None for c in constants)
         # groups of (p_k, rho_r,k, rho_s,k), each a real pole or a conjugate
         # pair; a pole-free mirror gets one zero-residue term
-        self._poles = _conjugate_groups(poles) or (((1.0, 0.0, 0.0),),)
+        self._poles = tuple(groups) or (((1.0, 0.0, 0.0),),)
         self._cutoff = cutoff
         self._repr = text
 
@@ -181,14 +163,14 @@ class _PoleMirror(MirrorModel):
     def cutoff_frequency(self):
         return self._cutoff
 
-    def _in_natural_units(self, hbar: float):
-        """This mirror, built in the user frequency unit omega / hbar, in natural units."""
+    def _in_natural_units(self, units):
+        """This mirror, built in the frequency unit of ``units``, in natural units."""
+        to_natural = units.frequency_to_natural
         model = copy.copy(self)
-        model._poles = tuple(tuple((hbar * p, hbar * rho_r, hbar * rho_s)
-                                   for p, rho_r, rho_s in group)
+        model._poles = tuple(tuple(tuple(map(to_natural, term)) for term in group)
                              for group in self._poles)
-        model._cutoff = None if self._cutoff is None else hbar * self._cutoff
-        model._repr = f"{self._repr}._in_natural_units({hbar!r})"
+        model._cutoff = None if self._cutoff is None else to_natural(self._cutoff)
+        model._repr = f"{self._repr}._in_natural_units({units!r})"
         return model
 
     def __repr__(self):
@@ -218,7 +200,7 @@ class LorentzianMirror(_PoleMirror):
         if not (tau0 > 0 and math.isfinite(tau0) and math.isfinite(1.0 / tau0)):
             raise ValueError(f"tau0 must be finite and > 0 with 1/tau0 finite, got {tau0}")
         g = 1.0 / tau0
-        super().__init__((0.0, 1.0), ((g, g, g),), g, f"LorentzianMirror(tau0={tau0!r})")
+        super().__init__((0.0, 1.0), (((g, g, g),),), g, f"LorentzianMirror(tau0={tau0!r})")
 
     @property
     def tau0(self) -> float:
@@ -233,9 +215,13 @@ _MIN_POLE_SEPARATION = 1e-2
 
 
 def _partial_fractions(name, num, den, poles=None):
-    """(c, [(p_k, rho_k)], poles) of num/den, ascending coefficients in z, simple poles only.
+    """(c, groups, poles) of num/den, ascending coefficients in z, simple poles only.
 
-    ``poles`` are den's roots, found and checked here when not given.
+    ``poles`` are den's roots, found and checked here when not given.  Each
+    group is a real pole's (p, rho), as floats, or an upper-half-plane
+    pole's (p, rho) with its conjugate term (p*, rho*): numpy's ``roots``
+    gives a real polynomial's complex roots as exact conjugate pairs, upper
+    root first, so the lower root is taken from the upper one.
     """
     if np.any(num[den.size:]):
         raise ValueError(f"{name} is improper: numerator degree above denominator degree")
@@ -249,9 +235,10 @@ def _partial_fractions(name, num, den, poles=None):
     residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
     constant = num[-1] / den[-1] if num.size == den.size else 0.0
     # real poles and residues stay floats: a float times a complex array is cheaper
-    return float(constant), [(p.real, rho.real) if p.imag == 0 else (p, rho)
-                             for p, rho in zip(poles.astype(complex),
-                                               residues.astype(complex))], poles
+    pairs = zip(poles.astype(complex), residues.astype(complex))
+    return float(constant), [((p.real, rho.real),) if p.imag == 0 else
+                             ((p, rho), (p.conjugate(), rho.conjugate()))
+                             for p, rho in pairs if p.imag >= 0], poles
 
 
 class RationalMirror(_PoleMirror):
@@ -261,7 +248,8 @@ class RationalMirror(_PoleMirror):
     which builds in reality, r[-omega] = r[omega]*; ``cutoff`` defaults to
     the largest pole modulus of r.  The poles are the roots of each
     denominator (shared when r_den == s_den), each residue is n(p)/d'(p),
-    and the constant the ratio of the leading coefficients at equal degree.
+    and the constant the ratio of the leading coefficients at equal degree;
+    a conjugate pair is built from its upper root, exact by construction.
     An improper r or s, or a repeated or nearly repeated pole, raises
     ValueError.  Unitarity is *not* automatic: check it with
     :func:`validate_model`.
@@ -277,17 +265,19 @@ class RationalMirror(_PoleMirror):
         if rd[-1] == 0 or sd[-1] == 0:
             raise ValueError("denominator leading coefficients must be nonzero")
         shared = np.array_equal(rd, sd)  # then s takes r's poles, rooted once
-        c_r, r_terms, r_poles = _partial_fractions("r", rn, rd)
-        c_s, s_terms, _ = _partial_fractions("s", sn, sd, r_poles if shared else None)
+        c_r, r_groups, r_poles = _partial_fractions("r", rn, rd)
+        c_s, s_groups, _ = _partial_fractions("s", sn, sd, r_poles if shared else None)
         if shared:
-            poles = [(p, a, b) for (p, a), (_, b) in zip(r_terms, s_terms)]
+            groups = [tuple((p, a, b) for (p, a), (_, b) in zip(r_group, s_group))
+                      for r_group, s_group in zip(r_groups, s_groups)]
         else:
-            poles = [(p, a, 0.0) for p, a in r_terms] + [(p, 0.0, b) for p, b in s_terms]
-        if cutoff is None and r_terms:
-            cutoff = float(max(abs(p) for p, _ in r_terms))
+            groups = ([tuple((p, a, 0.0) for p, a in group) for group in r_groups]
+                      + [tuple((p, 0.0, b) for p, b in group) for group in s_groups])
+        if cutoff is None and r_groups:
+            cutoff = float(max(abs(group[0][0]) for group in r_groups))
         if cutoff is not None and not cutoff > 0:
             raise ValueError(f"cutoff must be > 0, got {cutoff}")
-        super().__init__((c_r, c_s), poles, cutoff,
+        super().__init__((c_r, c_s), groups, cutoff,
                          f"RationalMirror(r_num={rn.tolist()}, r_den={rd.tolist()}, "
                          f"s_num={sn.tolist()}, s_den={sd.tolist()})")
 

@@ -85,7 +85,12 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for the adaptive rules."""
+    """Tolerances and subdivision budget for the adaptive rules.
+
+    ``max_subdivisions`` caps an integral's panel count, but its initial 4
+    (finite) or 15 (thermal) panels are always evaluated: a smaller budget
+    only stops bisection.
+    """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -373,14 +378,10 @@ def richardson_extrapolate(values, power: int):
         raise ExtrapolationUnstable(
             f"sample differences grew from {diffs[-2]:.3e} to {diffs[-1]:.3e}"
         )
-    table = [list(seq)]
+    # one row of the table at a time; its last entry is the diagonal's
+    row = seq
     for j in range(1, n):
         factor = 2.0 ** (j * power)
-        prev = table[j - 1]
-        table.append([
-            prev[k + 1] + (prev[k + 1] - prev[k]) / (factor - 1.0)
-            for k in range(n - j)
-        ])
-    diagonal = [table[j][-1] for j in range(n)]
-    corrections = [abs(diagonal[j] - diagonal[j - 1]) for j in range(1, n)]
-    return diagonal[-1], corrections[-1]
+        last = row[-1]
+        row = [b + (b - a) / (factor - 1.0) for a, b in zip(row, row[1:])]
+    return row[-1], abs(row[-1] - last)

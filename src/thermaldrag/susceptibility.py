@@ -19,8 +19,9 @@ chi_0 is computed as twice the integral over [0, |w|/2].  That half is
 mapped onto the mirror's band by w' = g (e^u - 1), dw' = (w' + g) du, with
 g the reflection cutoff (|w|/2 for a mirror without one): the quadrature
 resolves w' ~ g and the octaves above it in u, not by bisecting [0, w].
-Reality, alpha[-w1, -w2] = alpha[w1, w2]*, gives chi_0[-w] = chi_0[w]*,
-which holds bit for bit because chi_0 is always computed at |w|.
+Reality, alpha[-w1, -w2] = alpha[w1, w2]*, gives chi_T[-w] = chi_T[w]*,
+which holds bit for bit, for every model, because both parts are always
+computed at |w| and conjugated once for w < 0.
 
 The dissipative part xi_T = Im chi_T drives the force-noise spectrum via
 the fluctuation-dissipation relation C_T = 2 xi_T / (1 - e^{-w/T}), and
@@ -51,26 +52,18 @@ _LADDER_STEPS = 7
 _MAX_TEMP_PER_CUTOFF = 1e4
 
 
-def _omega_ladder(temp: float):
-    """Shrinking frequency ladder inside the quasistatic window.
+def _ladder_limit(sample, temp: float, power: int) -> float:
+    """omega -> 0 limit of sample(omega) over the ladder omega0 / 2^k, k = 0..6.
 
-    The start scales with min(1, T) so the ladder stays below the thermal
+    The start omega0 = 0.1 min(1, T) keeps the ladder below the thermal
     frequency even for cold runs; at T >= 1 and at T = 0 (the vacuum
-    ladder) it is the plain 0.1 / 2^k.
+    ladder) it is 0.1.  Richardson extrapolation with error powers power,
+    2 power, 3 power, ... of the ladder step; raises ExtrapolationUnstable
+    if the samples stop contracting.
     """
     start = _LADDER_START * min(1.0, temp) if temp > 0 else _LADDER_START
-    return start / 2.0 ** np.arange(_LADDER_STEPS)
-
-
-def _ladder_limit(sample, temp: float, power: int) -> float:
-    """omega -> 0 limit of sample(omega) over the ladder of ``temp``.
-
-    Richardson extrapolation with error powers power, 2 power, 3 power, ...
-    of the ladder step; raises ExtrapolationUnstable if the samples stop
-    contracting.
-    """
-    value, _ = richardson_extrapolate([sample(w) for w in _omega_ladder(temp)],
-                                      power)
+    ladder = start / 2.0 ** np.arange(_LADDER_STEPS)
+    value, _ = richardson_extrapolate([sample(w) for w in ladder], power)
     return float(value)
 
 
@@ -100,16 +93,17 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
 
     temp = 0 returns the vacuum part alone (thermal part exactly zero), so
     ``chi_total(model, omega, 0.0).chi_vacuum`` is chi_0[omega], i omega^3 /
-    6 pi for the perfect mirror.  chi_0 is twice the integral over [0,
-    |omega|/2] in u, where w' = g (e^u - 1) and g is the cutoff (|omega|/2
-    without one; held within 1e-300 and 1e3 times |omega|/2), and is
-    conjugated for omega < 0, so chi_0(-omega) == conj chi_0(omega)
-    exactly; omega = 0 is an empty range, 0 with no evaluation.  Every
-    model takes the same two quadratures: n_T cuts the thermal integral off
-    and unitarity bounds |alpha| <= 2, so no cutoff is needed (the perfect
-    mirror gives i (2 pi/3) T^2 omega).  Above ``_MAX_TEMP_PER_CUTOFF``
-    times the model's cutoff the thermal part and the error estimate are
-    NaN.  The dissipative part xi_T is ``chi_total.imag``, odd in omega.  A
+    6 pi for the perfect mirror.  Both parts are computed at |omega| and
+    conjugated for omega < 0, so chi(-omega) == conj chi(omega) exactly
+    for every model.  chi_0 is twice the integral over [0, |omega|/2] in
+    u, where w' = g (e^u - 1) and g is the cutoff (|omega|/2 without one;
+    held within 1e-300 and 1e3 times |omega|/2); omega = 0 is an empty
+    range, 0 with no evaluation.  Every model takes the same two
+    quadratures: n_T cuts the thermal integral off and unitarity bounds
+    |alpha| <= 2, so no cutoff is needed (the perfect mirror gives
+    i (2 pi/3) T^2 omega).  Above ``_MAX_TEMP_PER_CUTOFF`` times the
+    model's cutoff the thermal part and the error estimate are NaN.  The
+    dissipative part xi_T is ``chi_total.imag``, odd in omega.  A
     non-finite ``omega`` or ``temp`` raises ValueError.
     """
     require_finite(omega=omega, temp=temp)
@@ -132,8 +126,6 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     # symmetric about w' = |omega|/2, so twice the integral over [0, |omega|/2]
     vac = integrate_finite(vacuum, 0.0, math.log1p(half / g) if half else 0.0, cfg)
     chi_vacuum = 1j / math.pi * vac.value
-    if omega < 0:
-        chi_vacuum = chi_vacuum.conjugate()
     error = vac.error_estimate / math.pi
     chi_thermal = 0j
     if cutoff is not None and temp > _MAX_TEMP_PER_CUTOFF * cutoff:
@@ -141,12 +133,14 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     elif temp > 0:
         def thermal(wp):
             # (w - w') down + (w + w') up, grouped so w' cancels when down == up
-            down, up = model.alpha(np.array(((wp, -wp), (omega - wp, omega + wp))))
-            return wp * (omega * (down + up) + wp * (up - down))
+            down, up = model.alpha(np.array(((wp, -wp), (width - wp, width + wp))))
+            return wp * (width * (down + up) + wp * (up - down))
 
         res = integrate_thermal(thermal, temp, cfg)
         chi_thermal = 1j / math.pi * res.value
         error += res.error_estimate / math.pi
+    if omega < 0:  # reality: chi(-w) = conj chi(w)
+        chi_vacuum, chi_thermal = chi_vacuum.conjugate(), chi_thermal.conjugate()
     return SusceptibilityValue(
         omega=omega,
         chi_vacuum=complex(chi_vacuum),

@@ -768,12 +768,13 @@ class TestRejections:
 
     def test_trajectory_header_line_is_skipped(self, tmp_path, capsys):
         outputs = []
-        for header in ("t,q\n", ""):
+        # blank and whitespace-only lines are skipped too
+        for header in ("t,q\n", "", "t,q\n\n  \n"):
             traj_path = write(tmp_path, "traj.csv", header + "0,0\n1,1e-3\n2,2e-3\n")
             path = lorentzian_config(tmp_path, f"trajectory = {traj_path}\n")
             assert run(["force", "--config", path]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
+        assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0].splitlines()) == 2
 
 
 # any change in rounding anywhere in the stack shows up in these pins; all but

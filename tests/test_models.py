@@ -221,6 +221,16 @@ class TestKernelFunctions:
 
 
 class TestModelContract:
+    def test_repr_names_the_construction(self, perfect):
+        assert repr(perfect) == "PerfectMirror()"
+        assert repr(LorentzianMirror(2.0)) == "LorentzianMirror(tau0=2.0)"
+        assert repr(RationalMirror([-1.0], [1.0, -1.0], [0.0, -1.0], [1.0, -1.0])) == (
+            "RationalMirror(r_num=[-1.0], r_den=[1.0, -1.0], "
+            "s_num=[0.0, -1.0], s_den=[1.0, -1.0])")
+        model, _ = build_model({"kind": "lorentzian", "tau0": "2.0"}, UnitSystem(hbar=0.5))
+        assert repr(model) == ("LorentzianMirror(tau0=2.0)._in_natural_units("
+                               "UnitSystem(hbar=0.5, c=1.0))")
+
     def test_model_without_derivatives_rejected(self, lorentzian):
         class NoDerivatives(MirrorModel):
             low_frequency_reflection = 1.0
@@ -317,7 +327,7 @@ class TestReality:
         # sum takes them, so reality holds bit for bit; added one pole at a
         # time, 179 of these 230 mirrors missed it in r, s or alpha.  Every
         # other mirror gives s a denominator of its own, so that r's and s's
-        # poles are grouped from one list
+        # pole pairs are built from two denominators' roots
         rng = np.random.default_rng(1)
         mirrors = 0
         while mirrors < 230:
@@ -364,6 +374,12 @@ class TestValidation:
         with pytest.raises(ValidationFailed) as excinfo:
             report.raise_for_failure()
         assert "unitarity_modulus" in str(excinfo.value)
+
+    def test_unknown_check_name_raises_key_error(self, lorentzian):
+        report = validate_model(lorentzian, np.geomspace(1e-3, 1e3, 10))
+        assert report["reality"].name == "reality"
+        with pytest.raises(KeyError, match="no_such_check"):
+            report["no_such_check"]
 
     def test_empty_grid_rejected(self, lorentzian):
         with pytest.raises(ValueError):

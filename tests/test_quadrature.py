@@ -381,6 +381,16 @@ class TestQuadratureConfig:
     def test_accepts_the_smallest_budget(self):
         assert QuadratureConfig(max_subdivisions=1).max_subdivisions == 1
 
+    def test_budget_below_the_initial_panels_only_stops_bisection(self):
+        # the initial 4 (finite) or 15 (thermal) panels are always evaluated;
+        # a budget below them leaves no room to halve any panel
+        cfg = QuadratureConfig(max_subdivisions=1)
+        res = integrate_finite(lambda x: np.exp(-50.0 * x**2), -3.0, 3.0, cfg)
+        assert (res.evaluations, res.converged) == (4 * 15, False)
+        # 48 majorant nodes, 15 panels of 15 nodes and 3 growth-probe nodes
+        res = integrate_thermal(lambda w: w**3, 1.0, cfg)
+        assert (res.evaluations, res.converged) == (48 + 15 * 15 + 3, True)
+
     def test_infinite_tolerance_cannot_claim_a_peak(self):
         # an infinite rel_tol once let one panel of a narrow peak pass as
         # converged with an error of 1.8 times its value
@@ -398,6 +408,11 @@ class TestRichardsonPower:
     def test_rejects_power_that_is_not_positive_and_finite(self, power):
         with pytest.raises(ValueError, match="power"):
             richardson_extrapolate([1.0, 0.5, 0.25], power)
+
+    @pytest.mark.parametrize("values", [[], [1.0], [1.0, 0.5]])
+    def test_rejects_fewer_than_three_values(self, values):
+        with pytest.raises(ValueError, match="at least three samples"):
+            richardson_extrapolate(values, 1)
 
     def test_halving_ladder_extrapolates_to_zero(self):
         # power 1 on 1, 1/2, 1/4 is exact: the limit is 0 (power -1 gave 1.75)

@@ -271,6 +271,30 @@ class TestChiTotal:
                 combined = plus.error_estimate + minus.error_estimate + 1e-13
                 assert abs(minus.chi_total - plus.chi_total.conjugate()) <= combined
 
+    def test_conjugation_exact_for_any_model(self, lorentzian):
+        # amplitudes that are not exactly conjugate under omega -> -omega:
+        # chi is evaluated at |omega| and conjugated once, so chi(-omega) ==
+        # conj chi(omega) holds bit for bit all the same
+        class Skewed(MirrorModel):
+            def amplitudes(self, omega):
+                r, s = lorentzian.amplitudes(omega)
+                return r * (1 + 1e-9j), s * (1 + 1e-9j)
+
+            def amplitude_derivatives(self, omega, order=1):
+                return lorentzian.amplitude_derivatives(omega, order)
+
+            @property
+            def cutoff_frequency(self):
+                return lorentzian.cutoff_frequency
+
+        model = Skewed()
+        for omega in (0.3, 1.7, 5.0):
+            plus, minus = chi_total(model, omega, 1.0), chi_total(model, -omega, 1.0)
+            assert minus.chi_vacuum == plus.chi_vacuum.conjugate()
+            assert minus.chi_thermal == plus.chi_thermal.conjugate()
+            assert minus.chi_total == plus.chi_total.conjugate()
+            assert minus.error_estimate == plus.error_estimate
+
     @pytest.mark.parametrize("name", ["lorentzian", "weak"])
     def test_one_alpha_call_per_integrand_call(self, monkeypatch, request, name):
         model = request.getfixturevalue(name)
@@ -422,6 +446,12 @@ class TestCorrelationSpectrum:
     def test_zero_frequency_rejected(self, lorentzian):
         with pytest.raises(ValueError):
             correlation_spectrum(lorentzian, 0.0, 1.0)
+
+    @pytest.mark.parametrize("temp", [0.0, -1.0])
+    def test_non_positive_temperature_rejected(self, lorentzian, temp):
+        # chi_total accepts T = 0, but the spectrum's Bose prefactor needs T > 0
+        with pytest.raises(ValueError, match="requires temp > 0"):
+            correlation_spectrum(lorentzian, 0.5, temp)
 
 
 class TestCorrelationZeroFrequency:
