@@ -92,8 +92,8 @@ class AsymptoticsReport:
 def _kernel_memo(model: MirrorModel, order: int):
     """w -> ``models.reflection_and_delay(model, w, order)``, formed once per node array.
 
-    Integrals over the same range start on the same nodes (the majorant
-    samples, the initial panels) and mostly bisect alike, so the integrals
+    Integrals over the same range start on the same nodes (the initial
+    panels) and mostly bisect alike, so the integrals
     of one call meet most node arrays several times.  The record (R, R',
     tau, tau') of each distinct array, keyed on its dtype, shape and bytes,
     is kept as long as the returned function: for one call.

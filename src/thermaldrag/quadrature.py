@@ -11,9 +11,9 @@ error with a stable sort, and the sums run over the panels in that order.
 
 A call of the integrand and its reduction cost far more than its nodes,
 so both public drivers start wide: a finite range on four equal panels,
-a thermal integral on 15 half-octave panels.  Most integrals then
-converge on their first call; fewer calls, not fewer evaluations, is
-what makes them fast.
+a thermal integral on 19 panels, half-octave ones near the Bose peak.
+Most integrals then converge on their first call; fewer calls, not fewer
+evaluations, is what makes them fast.
 
 The panels of one call are reduced together, one stacked matmul per
 weighted sum, and each panel still rounds bit for bit as it would alone;
@@ -88,7 +88,7 @@ class QuadratureConfig:
     """Tolerances and subdivision budget for the adaptive rules.
 
     ``max_subdivisions`` caps an integral's panel count, but its initial 4
-    (finite) or 15 (thermal) panels are always evaluated: a smaller budget
+    (finite) or 19 (thermal) panels are always evaluated: a smaller budget
     only stops bisection.
     """
 
@@ -238,15 +238,13 @@ def integrate_finite(f, lo: float, hi: float,
 # equal initial panels of a finite range: one wide first call instead of
 # bisection rounds, since a call's fixed cost outweighs many extra panels
 _FINITE_PANELS = 4
-# breakpoints matched to the Bose weight: half-octave panels, growing geometrically
+# breakpoints in x = omega/T matched to the Bose weight: half-octave panels
+# to 32, then wider ones out to X_UNDERFLOW, beyond which n(x) underflows to 0
 _THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
-                   16.0, 24.0, 32.0)
-_MAJORANT_SAFETY = 100.0  # sampled |f| may exceed the fitted majorant this much
+                   16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0, X_UNDERFLOW)
+_GROWTH_SAFETY = 100.0  # how far |f| / (1 + x^p) may rise at the outermost node
 # polynomial majorant order p: |f| may grow no faster than (1 + x^p) in x = omega/T
 _MAJORANT_ORDER = 3
-# the moderate x on which the majorant scale is fitted, and (1 + x^p) there
-_MAJORANT_XS = np.geomspace(1e-3, 60.0, 48)
-_MAJORANT_DEN = 1.0 + _MAJORANT_XS**_MAJORANT_ORDER
 
 
 def integrate_thermal(f, temp: float,
@@ -255,15 +253,13 @@ def integrate_thermal(f, temp: float,
 
     Evaluates ``int_0^inf f(omega) n_T(omega) domega`` by substituting
     x = omega/T, which makes the exponential decay temperature independent,
-    and truncating at an X where the discarded tail (polynomial majorant
-    times e^{-X}) is below a tenth of ``abs_tol``.  Any 1/(2 pi) style
-    normalization is the caller's responsibility.
+    over the fixed domain x in [0, X_UNDERFLOW]: beyond it n(x) underflows
+    to 0, so nothing is discarded.  Any 1/(2 pi) style normalization is the
+    caller's responsibility.
 
-    ``f`` is called once on the 48 nodes that fit the majorant, then once
-    per step of the adaptive driver, which starts on the half-octave
-    breakpoints ``_THERMAL_BREAKS`` and X, 15 panels; the three
-    growth-probe nodes at and beyond X ride on the first step's call,
-    appended after its panel nodes, and are counted in ``evaluations``.
+    ``f`` is called only on panel nodes, once per step of the adaptive
+    driver, which starts on the 19 panels between the breakpoints
+    ``_THERMAL_BREAKS``.
 
     Parameters
     ----------
@@ -277,55 +273,30 @@ def integrate_thermal(f, temp: float,
     Raises
     ------
     GrowthBoundExceeded
-        If sampled values of f near the truncation point exceed the
-        majorant fitted at moderate x by more than a factor of 100.
+        If, on the first call of f, |f| / (1 + x^3) at the outermost node
+        (x = 698.1) exceeds 100 times its largest value over the call's
+        other nodes.
     """
     require_finite(temp=temp)
     if not temp > 0:
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
-
-    # fit the majorant scale M on moderate arguments
-    fs = np.abs(np.asarray(f(temp * _MAJORANT_XS)))
-    evals = _MAJORANT_XS.size
-    scale = float(np.max(fs / _MAJORANT_DEN))
-
-    # choose the truncation point from the tail bound
-    cutoff = 40.0
-
-    def tail_bound(x):
-        return 1.6 * temp * scale * (1.0 + 2.0 * x**_MAJORANT_ORDER) * math.exp(-x)
-
-    while tail_bound(cutoff) > 0.1 * cfg.abs_tol and cutoff < X_UNDERFLOW:
-        cutoff *= 1.2
-    cutoff = min(cutoff, X_UNDERFLOW)
-
-    # the growth probe near the cutoff rides on the first call of f
-    xs_hi = np.array([cutoff, 1.25 * cutoff, 1.5 * cutoff])
-    evals += xs_hi.size
-    probe = [xs_hi]
+    checked = False
 
     def weighted(x):
-        if probe:
-            fs = np.asarray(f(temp * np.concatenate((x, probe.pop()))))
-            fs, fs_hi = fs[:x.size], fs[x.size:]
-            # reject integrands that outgrow the declared majorant near the cutoff
-            if np.any(np.abs(fs_hi) > _MAJORANT_SAFETY * scale
-                      * (1.0 + xs_hi**_MAJORANT_ORDER)):
+        nonlocal checked
+        fs = np.asarray(f(temp * x))
+        if not checked:
+            checked = True
+            # the outermost node, last of the last initial panel, against the rest
+            scaled = np.abs(fs) / (1.0 + x**_MAJORANT_ORDER)
+            if scaled[-1] / _GROWTH_SAFETY > np.max(scaled[:-1]):
                 raise GrowthBoundExceeded(
                     f"integrand grows faster than the declared "
                     f"(1 + x^{_MAJORANT_ORDER}) majorant"
                 )
-        else:
-            fs = np.asarray(f(temp * x))
         return temp * fs * occupation_from_ratio(x)
 
-    # the cutoff starts at 40 and only grows, so it lies beyond every break
-    breaks = [*_THERMAL_BREAKS, cutoff]
-    result = _adaptive(weighted, breaks, cfg)
-    result.evaluations += evals
-    # the claimed error must also cover the discarded tail
-    result.error_estimate += tail_bound(cutoff)
-    return result
+    return _adaptive(weighted, _THERMAL_BREAKS, cfg)
 
 
 def hilbert_transform_pv(samples) -> np.ndarray:

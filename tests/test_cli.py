@@ -226,6 +226,25 @@ s_denominator = 1, -1
         assert "route_discrepancy_lambda = nan" in captured.out
         assert "route discrepancy nan exceeds tolerance" in captured.err
 
+    # a unitary mirror with a reflection band of width 1/300 at omega = 1: at
+    # these temperatures the band sits at x = omega/T = 40-50, where a growth
+    # probe once sampled it against a majorant whose fit nodes missed it
+    @pytest.mark.parametrize("temp", [0.019952623149688799, 0.025118864315095808])
+    def test_narrow_band_mirror_passes_the_growth_guard(self, tmp_path, capsys, temp):
+        path = write(tmp_path, "c.cfg", f"""temperature = {temp!r}
+[model]
+kind = rational
+r_numerator = 0, -0.0033333333333333335
+r_denominator = 1, -0.0033333333333333335, 1
+s_numerator = 1, 0, 1
+s_denominator = 1, -0.0033333333333333335, 1
+""")
+        assert run(["coeffs", "--config", path]) == 0
+        out = capsys.readouterr().out
+        fields = dict(line.split(" = ") for line in out.splitlines())
+        for name in ("route_discrepancy_lambda", "route_discrepancy_mu"):
+            assert float(fields[name]) <= 1e-6
+
 
 class TestSweepCommand:
     def test_count_two_gives_three_lines(self, tmp_path):
@@ -542,18 +561,31 @@ class TestExtremeTemperature:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 4 and ("nan" in out) == (code == 3)
 
-    # the perfect mirror's lambda is still finite at T = 1e150, but the error
-    # estimates of lambda_spectral and A overflow: a printed infinity exits 3
+    # the perfect mirror at T = 1e120 with hbar = 1e-75: lambda and A are
+    # finite in natural units but overflow on conversion to the user's units,
+    # and a printed infinity exits 3
     @pytest.mark.parametrize("command, settings", [
-        ("coeffs", "temperature = 1e150"),
-        ("sweep", "temp_min = 1e149\ntemp_max = 1e150"),
+        ("coeffs", "temperature = 1e120"),
+        ("sweep", "temp_min = 1e119\ntemp_max = 1e120"),
     ], ids=["coeffs", "sweep"])
     def test_infinite_error_estimate_exits_3(self, tmp_path, capsys, command, settings):
-        path = write(tmp_path, "c.cfg", f"{settings}\n[model]\nkind = perfect\n")
+        path = write(tmp_path, "c.cfg",
+                     f"hbar = 1e-75\n{settings}\n[model]\nkind = perfect\n")
         assert run([command, "--config", path]) == 3
         out, err = capsys.readouterr()
         assert "inf" in out and "nan" not in out
         assert err == "a printed value is not a finite number\n"
+
+    def test_perfect_mirror_at_1e150(self, tmp_path, capsys):
+        # lambda = 2 pi T^2 / 3 and A = pi T^2 / 6, each within its claimed error
+        temp = 1e150
+        path = write(tmp_path, "c.cfg", f"temperature = {temp}\n[model]\nkind = perfect\n")
+        assert run(["coeffs", "--config", path]) == 0
+        fields = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        lam, a = 2.0 * math.pi * temp**2 / 3.0, math.pi * temp**2 / 6.0
+        for name, exact in (("lambda_spectral", lam), ("lambda_entropic", lam), ("A", a)):
+            value, error = map(float, fields[name].split(" +/- "))
+            assert abs(value - exact) <= error
 
 
 # a unitary mirror of degree 5 with r[0] = -1: r = (-1 + 0.2 z^2 - 0.01 z^4) / D,
@@ -790,15 +822,20 @@ class TestRejections:
 # at most 4.9e-5 of the former claimed error, apart from the quartic chi
 # at omega = 0, a roundoff-sized 6.2e-20 that moved by 0.25 of its claimed
 # 1.1e-18 (its claimed error rose to 1.8e-18; every other one fell, by 5- to
-# 7100-fold), and the quartic chi is now exactly odd-conjugate in omega
+# 7100-fold), and the quartic chi is now exactly odd-conjugate in omega.  The
+# same five were re-recorded once more when the thermal integrals took one
+# fixed domain [0, 700 T] without a tail bound: every value kept its bits but
+# the quartic chi_thermal at omega = 0, which moved by 3.4e-12 of its claimed
+# error; the coeffs and sweep claims fell by 0.8-2.6%, the chi claims by at
+# most 0.04%
 GOLDEN_COEFFS_WEAK_RATIONAL = (
     'temperature = 1\n'
-    'lambda_spectral = 0.024472472594085509 +/- 3.3343490300902131e-16\n'
-    'lambda_entropic = 0.024472472594085515 +/- 4.7185445779146079e-16\n'
-    'mu_spectral = 0.72901419409184631 +/- 8.7377331623236895e-15\n'
-    'mu_entropic = 0.72901419409184598 +/- 1.0503564617623149e-14\n'
-    'A = 0.0066075665983137194 +/- 1.0140112257523772e-16\n'
-    'B = 0.51140244744117092 +/- 6.4242715963895661e-15\n'
+    'lambda_spectral = 0.024472472594085509 +/- 3.2472050260538456e-16\n'
+    'lambda_entropic = 0.024472472594085515 +/- 4.6636354958238029e-16\n'
+    'mu_spectral = 0.72901419409184631 +/- 8.5648268180165644e-15\n'
+    'mu_entropic = 0.72901419409184598 +/- 1.0354823760510542e-14\n'
+    'A = 0.0066075665983137194 +/- 9.9581267560567817e-17\n'
+    'B = 0.51140244744117092 +/- 6.3121840890287513e-15\n'
     'route_discrepancy_lambda = 2.8353873427502435e-16\n'
     'route_discrepancy_mu = 4.5687300753102325e-16\n'
 )
@@ -807,20 +844,20 @@ GOLDEN_CHI_LORENTZIAN_SCALED = (
     're_chi_total,im_chi_total,err\n'
     '-2,-0.070476377636938467,-0.085536228265785594,-0.057556768155919986,'
     '-0.27237457799202774,-0.12803314579285846,-0.3579108062578133,'
-    '5.0237120765401025e-13\n'
+    '5.0236949922682435e-13\n'
     '-1,-0.0073022786880829254,-0.015752967709700676,-0.023071561470117224,'
     '-0.15316663060644367,-0.030373840158200147,-0.16891959831614434,'
-    '2.9122940471398731e-15\n'
+    '2.9118687223678204e-15\n'
     '0,0,0,0,0,0,0,0\n'
     '1,-0.0073022786880829254,0.015752967709700676,-0.023071561470117224,'
     '0.15316663060644367,-0.030373840158200147,0.16891959831614434,'
-    '2.9122940471398731e-15\n'
+    '2.9118687223678204e-15\n'
     '2,-0.070476377636938467,0.085536228265785594,-0.057556768155919986,'
     '0.27237457799202774,-0.12803314579285846,0.3579108062578133,'
-    '5.0237120765401025e-13\n'
+    '5.0236949922682435e-13\n'
     '3,-0.22729178786830209,0.20327150903182611,-0.080379711586005778,'
     '0.37487358419767791,-0.30767149945430788,0.57814509322950403,'
-    '8.0154242064814261e-14\n'
+    '8.0149553031308655e-14\n'
 )
 
 GOLDEN_VERIFY_LORENTZIAN = (
@@ -842,25 +879,25 @@ GOLDEN_SWEEP_WEAK_RATIONAL = (
     'err_lambda,err_mu\n'
     '0.5,0.0072658558139788504,0.0072658558139788504,0.286956781499281,'
     '0.286956781499281,0.0015795672966100948,0.17951721355356245,'
-    '2.5240967331458882e-16,5.2658964978170054e-15\n'
+    '2.5132337334051926e-16,5.2144029466483453e-15\n'
     '1,0.024472472594085509,0.024472472594085515,0.72901419409184631,'
     '0.72901419409184598,0.0066075665983137194,0.51140244744117092,'
-    '4.7185445779146079e-16,1.0503564617623149e-14\n'
+    '4.6636354958238029e-16,1.0354823760510542e-14\n'
     '2,0.065286671483291245,0.065286671483291259,1.6749401629574174,'
     '1.6749401629574179,0.021233675113402156,1.3048468334116252,'
-    '5.0296660296171661e-15,2.1297510757019041e-14\n'
+    '5.0043067166525232e-15,2.0954189674729552e-14\n'
 )
 
 # quartic mirror: r (degree 3) and s (degree 4) share four simple poles, two
 # real ones and a complex-conjugate pair
 GOLDEN_COEFFS_QUARTIC_SCALED = (
     'temperature = 1\n'
-    'lambda_spectral = 0.0020205044817363459 +/- 1.0371535314071332e-16\n'
-    'lambda_entropic = 0.0020205044817363468 +/- 8.0269472201749298e-17\n'
-    'mu_spectral = 0.28228732199122747 +/- 3.9808174718872648e-15\n'
-    'mu_entropic = 0.28228732199122747 +/- 5.3323180649468736e-15\n'
-    'A = 0.0023978017978532307 +/- 1.0604531540405725e-16\n'
-    'B = 0.69474632515552381 +/- 1.0004069579350683e-14\n'
+    'lambda_spectral = 0.0020205044817363459 +/- 1.0268496371170394e-16\n'
+    'lambda_entropic = 0.0020205044817363468 +/- 7.9639954040191821e-17\n'
+    'mu_spectral = 0.28228732199122747 +/- 3.9197196857134409e-15\n'
+    'mu_entropic = 0.28228732199122747 +/- 5.2833307219638673e-15\n'
+    'A = 0.0023978017978532307 +/- 1.0523782203478377e-16\n'
+    'B = 0.69474632515552381 +/- 9.865713387726066e-15\n'
     'route_discrepancy_lambda = 2.8618652613035367e-16\n'
     'route_discrepancy_mu = 0\n'
 )
@@ -869,21 +906,21 @@ GOLDEN_CHI_QUARTIC_SCALED = (
     're_chi_total,im_chi_total,err\n'
     '-2,-0.077148039692658377,-0.081800898553283624,0.032457969232230231,'
     '-0.44978433115162719,-0.044690070460428145,-0.53158522970491084,'
-    '3.7064029001808429e-13\n'
+    '3.7062241526877008e-13\n'
     '-1,0.0045268203856928093,-0.018772357110504793,0.12503787147617332,'
     '-0.17411513469364495,0.12956469186186614,-0.19288749180414974,'
-    '5.9868440927623709e-15\n'
-    '0,0,0,-2.2259454595628198e-19,0,-2.2259454595628198e-19,0,'
-    '1.8121533483758182e-18\n'
+    '5.9843545756085071e-15\n'
+    '0,0,0,-2.2259454596238617e-19,0,-2.2259454596238617e-19,0,'
+    '1.8121533483803503e-18\n'
     '1,0.0045268203856928093,0.018772357110504793,0.12503787147617332,'
     '0.17411513469364495,0.12956469186186614,0.19288749180414974,'
-    '5.9868440927623709e-15\n'
+    '5.9843545756085071e-15\n'
     '2,-0.077148039692658377,0.081800898553283624,0.032457969232230231,'
     '0.44978433115162719,-0.044690070460428145,0.53158522970491084,'
-    '3.7064029001808429e-13\n'
+    '3.7062241526877008e-13\n'
     '3,-0.041495413167833672,0.028853291645878614,-0.019220000866976242,'
     '0.55315001013277765,-0.060715414034809921,0.58200330177865622,'
-    '7.1954597540071458e-13\n'
+    '7.1948613227539961e-13\n'
 )
 
 # R0 and tau0 are derived from the amplitudes, not declared by each model

@@ -283,7 +283,7 @@ def float_bits(report):
 class TestPanelCalls:
     # coeffs-rational's weak mirrors (epsilon in [0.1, 0.5], tau in [0.5, 2]):
     # up to T = cutoff each of a report's six thermal integrals converges on
-    # the first call, over its 15 half-octave panels
+    # the first call, over its 19 initial panels
     @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_six_calls_per_report_up_to_the_cutoff(self, monkeypatch, epsilon, tau):
@@ -299,7 +299,7 @@ class TestPanelCalls:
         for temp_per_cutoff in (1e-3, 1e-2, 0.1, 1.0):
             panels_per_call.clear()
             compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
-            assert panels_per_call == [15] * 6
+            assert panels_per_call == [19] * 6
 
 
 class TestKernelMemo:
