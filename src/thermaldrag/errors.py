@@ -32,7 +32,7 @@ class ValidationFailed(ThermalDragError):
 
 
 class GrowthBoundExceeded(ThermalDragError):
-    """Sampled integrand growth exceeds the declared polynomial majorant."""
+    """A thermal integrand grows exponentially at the edge of its domain."""
 
 
 class GridTooCoarse(ThermalDragError):

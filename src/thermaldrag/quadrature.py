@@ -242,9 +242,13 @@ _FINITE_PANELS = 4
 # to 32, then wider ones out to X_UNDERFLOW, beyond which n(x) underflows to 0
 _THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
                    16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0, X_UNDERFLOW)
-_GROWTH_SAFETY = 100.0  # how far |f| / (1 + x^p) may rise at the outermost node
-# polynomial majorant order p: |f| may grow no faster than (1 + x^p) in x = omega/T
-_MAJORANT_ORDER = 3
+# the growth guard: |f| rising faster than e^(_GROWTH_RATE x) across each of
+# the gaps between the _GROWTH_NODES outermost nodes.  Exponential growth
+# keeps its rate over all three gaps; a peak with power-law flanks
+# |x - x0|^-k at the domain edge shows about 0.025 k across the innermost
+# gap (642.6 to 670.0), so only k > 18 could trip the guard.
+_GROWTH_RATE = 0.45
+_GROWTH_NODES = 4
 
 
 def integrate_thermal(f, temp: float,
@@ -265,17 +269,17 @@ def integrate_thermal(f, temp: float,
     ----------
     f : callable
         Vectorized integrand of the frequency (without the Bose factor);
-        locally integrable on (0, inf), growing no faster than (1 + x^3)
-        in x = omega/T.
+        locally integrable on (0, inf).
     temp : float
         Temperature, finite and > 0.
 
     Raises
     ------
     GrowthBoundExceeded
-        If, on the first call of f, |f| / (1 + x^3) at the outermost node
-        (x = 698.1) exceeds 100 times its largest value over the call's
-        other nodes.
+        If, on the first call of f, |f| rises faster than e^(0.45 x) across
+        each of the three gaps between the four outermost nodes (x = 642.6,
+        670.0, 688.7 and 698.1): exponential growth, which a bounded peak
+        near the domain edge does not show.
     """
     require_finite(temp=temp)
     if not temp > 0:
@@ -287,12 +291,14 @@ def integrate_thermal(f, temp: float,
         fs = np.asarray(f(temp * x))
         if not checked:
             checked = True
-            # the outermost node, last of the last initial panel, against the rest
-            scaled = np.abs(fs) / (1.0 + x**_MAJORANT_ORDER)
-            if scaled[-1] / _GROWTH_SAFETY > np.max(scaled[:-1]):
+            # the outermost nodes, last of the last initial panel; scaling
+            # the outer value down keeps the product from overflowing
+            edge = np.abs(fs[-_GROWTH_NODES:])
+            fall = np.exp(-_GROWTH_RATE * np.diff(x[-_GROWTH_NODES:]))
+            if np.all(edge[1:] * fall > edge[:-1]):
                 raise GrowthBoundExceeded(
-                    f"integrand grows faster than the declared "
-                    f"(1 + x^{_MAJORANT_ORDER}) majorant"
+                    f"integrand grows faster than e^({_GROWTH_RATE} x) "
+                    f"at the edge of the thermal domain"
                 )
         return temp * fs * occupation_from_ratio(x)
 

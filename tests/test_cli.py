@@ -59,6 +59,19 @@ s_numerator = 1, 0, -1, 0, 0.25
 s_denominator = {den}
 """)
 
+
+def narrow_band_config(tmp_path, temp):
+    """Unitary mirror with a reflection band of width 1/300 at omega = 1."""
+    return write(tmp_path, "narrow.cfg", f"""temperature = {temp!r}
+[model]
+kind = rational
+r_numerator = 0, -0.0033333333333333335
+r_denominator = 1, -0.0033333333333333335, 1
+s_numerator = 1, 0, 1
+s_denominator = 1, -0.0033333333333333335, 1
+""")
+
+
 def run(args):
     return cli.main(args)
 
@@ -226,24 +239,22 @@ s_denominator = 1, -1
         assert "route_discrepancy_lambda = nan" in captured.out
         assert "route discrepancy nan exceeds tolerance" in captured.err
 
-    # a unitary mirror with a reflection band of width 1/300 at omega = 1: at
-    # these temperatures the band sits at x = omega/T = 40-50, where a growth
-    # probe once sampled it against a majorant whose fit nodes missed it
+    # at these temperatures the band sits at x = omega/T = 40-50
     @pytest.mark.parametrize("temp", [0.019952623149688799, 0.025118864315095808])
     def test_narrow_band_mirror_passes_the_growth_guard(self, tmp_path, capsys, temp):
-        path = write(tmp_path, "c.cfg", f"""temperature = {temp!r}
-[model]
-kind = rational
-r_numerator = 0, -0.0033333333333333335
-r_denominator = 1, -0.0033333333333333335, 1
-s_numerator = 1, 0, 1
-s_denominator = 1, -0.0033333333333333335, 1
-""")
-        assert run(["coeffs", "--config", path]) == 0
+        assert run(["coeffs", "--config", narrow_band_config(tmp_path, temp)]) == 0
         out = capsys.readouterr().out
         fields = dict(line.split(" = ") for line in out.splitlines())
         for name in ("route_discrepancy_lambda", "route_discrepancy_mu"):
             assert float(fields[name]) <= 1e-6
+
+    def test_narrow_band_at_the_domain_edge_passes_the_growth_guard(self, tmp_path):
+        # steps of 2.5e-7 in T move the band (x = 1/T = 692-704) across the
+        # outermost nodes of the thermal domain, 688.7 and 698.1, in steps of
+        # 0.12, well under its width of 2.3 in x; a bounded peak there is not growth
+        for temp in np.linspace(1.42e-3, 1.445e-3, 101):
+            path = narrow_band_config(tmp_path, float(temp))
+            assert run(["coeffs", "--config", path]) == 0, temp
 
 
 class TestSweepCommand:
@@ -809,25 +820,8 @@ class TestRejections:
         assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0].splitlines()) == 2
 
 
-# any change in rounding anywhere in the stack shows up in these pins; all but
-# the perfect mirror's were re-recorded once when every model became a
-# pole-residue sum, each value moving by less than its claimed error, the
-# two chi pins once more when chi_0 was folded about |omega|/2 (values by at
-# most 7.3e-16 relative), and the Lorentzian chi and verify pins once more
-# when the Lorentzian's alpha took its pole-residue form (values by at most
-# 2.4e-16 of |chi_total| and 5.2e-5 of the claimed error).  All but the
-# perfect mirror's and model-info's were re-recorded once more when the
-# quadrature began on four panels (finite) and half-octave breakpoints
-# (thermal) and conjugate pole pairs were summed pairwise: values moved by
-# at most 4.9e-5 of the former claimed error, apart from the quartic chi
-# at omega = 0, a roundoff-sized 6.2e-20 that moved by 0.25 of its claimed
-# 1.1e-18 (its claimed error rose to 1.8e-18; every other one fell, by 5- to
-# 7100-fold), and the quartic chi is now exactly odd-conjugate in omega.  The
-# same five were re-recorded once more when the thermal integrals took one
-# fixed domain [0, 700 T] without a tail bound: every value kept its bits but
-# the quartic chi_thermal at omega = 0, which moved by 3.4e-12 of its claimed
-# error; the coeffs and sweep claims fell by 0.8-2.6%, the chi claims by at
-# most 0.04%
+# any change in rounding anywhere in the stack shows up in these pins;
+# CHANGES.md records each re-recording and how far the values moved
 GOLDEN_COEFFS_WEAK_RATIONAL = (
     'temperature = 1\n'
     'lambda_spectral = 0.024472472594085509 +/- 3.2472050260538456e-16\n'
