@@ -44,7 +44,12 @@ ROUTE_TOLERANCE = 1e-6  # default allowed spectral/entropic relative discrepancy
 
 @dataclass(frozen=True)
 class CoefficientReport:
-    """Viscosity and mass correction by both routes, with cross-checks."""
+    """Viscosity and mass correction by both routes, with cross-checks.
+
+    ``error_estimates`` and ``converged`` are keyed by the six integral
+    fields; ``converged[name]`` is False when that integral ran out of its
+    subdivision budget before meeting the tolerances.
+    """
 
     temp: float
     lambda_spectral: float
@@ -56,6 +61,7 @@ class CoefficientReport:
     route_discrepancy_lambda: float
     route_discrepancy_mu: float
     error_estimates: dict = field(default_factory=dict)
+    converged: dict = field(default_factory=dict)
     cutoff_frequency: float | None = None
 
 
@@ -127,11 +133,15 @@ def compute_coefficients(model: MirrorModel, temp: float,
     R[w] is strictly increasing in T; B(T) = (1/2 pi) int dw 2 w n_T (1 -
     2 R[w]) tau[w] can take either sign.
 
-    All six share the x nodes of ``integrate_thermal``, so they read R,
-    R', tau and tau' from one :func:`_kernel_memo`: each distinct node
-    array takes one kernel pass per call, and every value is the one a
-    lone integral would compute.  A temperature that is not finite and
-    > 0 raises ValueError from the first integral.
+    All six pass the model's ``cutoff_frequency`` to ``integrate_thermal``:
+    above the cutoff the reflection band sits at x = cutoff/T inside the
+    first Bose panel, which is then split in octaves down to the band, so
+    the integrals still converge on their first call (a perfect mirror has
+    no cutoff and keeps the 19 panels).  All six share these x nodes, so
+    they read R, R', tau and tau' from one :func:`_kernel_memo`: each
+    distinct node array takes one kernel pass per call, and every value is
+    the one a lone integral would compute.  A temperature that is not
+    finite and > 0 raises ValueError from the first integral.
     """
     kernels = _kernel_memo(model, 2)
 
@@ -170,10 +180,11 @@ def compute_coefficients(model: MirrorModel, temp: float,
         "A": (a_f, 1.0),
         "B": (b_f, 1.0),
     }
-    value, error = {}, {}
+    value, error, converged = {}, {}, {}
     for name, (f, factor) in integrands.items():
-        res = integrate_thermal(f, temp, cfg)
+        res = integrate_thermal(f, temp, cfg, model.cutoff_frequency)
         value[name], error[name] = factor * res.value, factor * res.error_estimate
+        converged[name] = res.converged
 
     def rel_gap(x, y):
         # NaN when either route is non-finite, so the CLI's route gate trips
@@ -186,6 +197,7 @@ def compute_coefficients(model: MirrorModel, temp: float,
                                          value["lambda_entropic"]),
         route_discrepancy_mu=rel_gap(value["mu_spectral"], value["mu_entropic"]),
         error_estimates=error,
+        converged=converged,
         cutoff_frequency=model.cutoff_frequency,
     )
 

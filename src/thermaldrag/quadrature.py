@@ -11,8 +11,10 @@ error with a stable sort, and the sums run over the panels in that order.
 
 A call of the integrand and its reduction cost far more than its nodes,
 so both public drivers start wide: a finite range on four equal panels,
-a thermal integral on 19 panels, half-octave ones near the Bose peak.
-Most integrals then converge on their first call; fewer calls, not fewer
+a thermal integral on 19 panels, half-octave ones near the Bose peak,
+with the first of them split in octaves down to a band at x = cutoff/T
+when the caller names the integrand's cutoff and it lies below T.  Most
+integrals then converge on their first call; fewer calls, not fewer
 evaluations, is what makes them fast.
 
 The panels of one call are reduced together, one stacked matmul per
@@ -89,7 +91,8 @@ class QuadratureConfig:
 
     ``max_subdivisions`` caps an integral's panel count, but its initial 4
     (finite) or 19 (thermal) panels are always evaluated: a smaller budget
-    only stops bisection.
+    only stops bisection.  A thermal integral given a cutoff below T
+    starts on up to 37 panels, its first one split down to the band.
     """
 
     rel_tol: float = 1e-10
@@ -242,6 +245,8 @@ _FINITE_PANELS = 4
 # to 32, then wider ones out to X_UNDERFLOW, beyond which n(x) underflows to 0
 _THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
                    16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0, X_UNDERFLOW)
+# the finest end of the first thermal panel, 2^-20: at most 18 halvings of 0.25
+_FINEST_FIRST_END = 2.0 ** -20
 # the growth guard: |f| rising faster than e^(_GROWTH_RATE x) across each of
 # the gaps between the _GROWTH_NODES outermost nodes.  Exponential growth
 # keeps its rate over all three gaps; a peak with power-law flanks
@@ -251,8 +256,18 @@ _GROWTH_RATE = 0.45
 _GROWTH_NODES = 4
 
 
-def integrate_thermal(f, temp: float,
-                      cfg: QuadratureConfig = DEFAULT_CONFIG) -> QuadratureResult:
+def _thermal_breaks(band: float) -> tuple:
+    """``_THERMAL_BREAKS`` with [0, 0.25] split at 0.125, 0.0625, ... until
+    it ends at most a quarter of ``band`` or at ``_FINEST_FIRST_END``;
+    a band at x >= 1 splits nothing."""
+    ends = [_THERMAL_BREAKS[1]]
+    while ends[-1] > 0.25 * band and ends[-1] > _FINEST_FIRST_END:
+        ends.append(0.5 * ends[-1])
+    return (0.0, *ends[:0:-1], *_THERMAL_BREAKS[1:])
+
+
+def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
+                      cutoff: float | None = None) -> QuadratureResult:
     """Compute the Bose-weighted integral of f over (0, infinity).
 
     Evaluates ``int_0^inf f(omega) n_T(omega) domega`` by substituting
@@ -263,7 +278,13 @@ def integrate_thermal(f, temp: float,
 
     ``f`` is called only on panel nodes, once per step of the adaptive
     driver, which starts on the 19 panels between the breakpoints
-    ``_THERMAL_BREAKS``.
+    ``_THERMAL_BREAKS``.  Given the integrand's own frequency scale
+    ``cutoff`` below T, the first panel [0, 0.25] is split in octaves
+    until it ends between an eighth and a quarter of the band's x =
+    cutoff/T (at most 18 more panels, none ending below 2^-20), so a
+    narrow band near x = 0 falls on panels of its own width on the first
+    call instead of being found by bisection.  The last panel stays [256,
+    X_UNDERFLOW], and with it the growth guard's nodes.
 
     Parameters
     ----------
@@ -272,6 +293,11 @@ def integrate_thermal(f, temp: float,
         locally integrable on (0, inf).
     temp : float
         Temperature, finite and > 0.
+    cfg : QuadratureConfig
+        Tolerances and subdivision budget.
+    cutoff : float or None
+        The integrand's frequency scale, finite and > 0; None (a scale-free
+        integrand, the default) keeps the 19 panels.
 
     Raises
     ------
@@ -284,6 +310,12 @@ def integrate_thermal(f, temp: float,
     require_finite(temp=temp)
     if not temp > 0:
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
+    breaks = _THERMAL_BREAKS
+    if cutoff is not None:
+        require_finite(cutoff=cutoff)
+        if not cutoff > 0:
+            raise ValueError(f"integrate_thermal requires cutoff > 0, got {cutoff}")
+        breaks = _thermal_breaks(cutoff / temp)
     checked = False
 
     def weighted(x):
@@ -302,7 +334,7 @@ def integrate_thermal(f, temp: float,
                 )
         return temp * fs * occupation_from_ratio(x)
 
-    return _adaptive(weighted, _THERMAL_BREAKS, cfg)
+    return _adaptive(weighted, breaks, cfg)
 
 
 def hilbert_transform_pv(samples) -> np.ndarray:

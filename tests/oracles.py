@@ -5,7 +5,8 @@ occupations come from geometric series, Bose moments from zeta sums,
 integrals from brute-force trapezoid rules, the discrete Hilbert
 transform one grid point at a time, derivatives from central
 differences, lorentzian scattering quantities from their explicit
-rational closed forms, rational mirrors one polynomial at a time, and
+rational closed forms, the lorentzian's A and lambda from Binet's
+digamma closed forms, rational mirrors one polynomial at a time, and
 the kernels a, b from the literal amplitude products instead of R and
 tau.  The adaptive driver is kept twice, sharing only the rule's nodes
 and weights with the package: as the per-panel loop (one integrand call
@@ -151,6 +152,60 @@ def lorentzian_chi_vacuum(omega: float, tau0: float = 1.0) -> complex:
     a = 1j * omega * tau0
     bracket = 1.0 / a**2 - 0.5 / a + (1.0 - a) * cmath.log(1.0 - a) / a**3
     return 1j / math.pi * omega**3 * bracket
+
+
+# Bernoulli numbers B_2, B_4, ..., B_24
+_BERNOULLI_EVEN = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                   -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                   -236364091 / 2730)
+
+
+def _flux_step(y: float) -> float:
+    """g(y) - g(y + 1) = 1/y - ln(1 + 1/y) - 1/(2 y (y + 1)), g of binet_sums.
+
+    From y >= 2 on it is summed as its series in u = 1/y <= 1/2,
+    sum_{m>=3} (-1)^(m+1) (m - 2)/(2m) u^m, in which the three terms'
+    leading orders u and u^2 have already cancelled.
+    """
+    u = 1.0 / y
+    if y < 2.0:
+        return u - math.log1p(u) - 0.5 * u * u / (1.0 + u)
+    return math.fsum((-1) ** (m + 1) * (m - 2) / (2 * m) * u**m for m in range(3, 60))
+
+
+def binet_sums(z: float) -> tuple[float, float]:
+    """g(z) = ln z - 1/(2z) - psi(z) and h(z) = 2 z psi'(z) - 2 - 1/z, real z > 0.
+
+    From z >= 10 on both are Bernoulli series (DLMF 5.11.2 and its
+    derivative), g = sum B_2k/(2k z^2k) and h = 2 sum B_2k/z^2k, which
+    never form the cancelling difference of ln z and psi(z).  Below 10 the
+    recurrences psi(y + 1) = psi(y) + 1/y and psi'(y + 1) = psi'(y) - 1/y^2,
+    written as g(y) = g(y + 1) + (g(y) - g(y + 1)) and h(y) = y/(y + 1)
+    h(y + 1) + 1/(y (y + 1)^2), carry the series at w = z + n >= 10 down
+    to z, one positive term at a time.
+    """
+    n = max(0, math.ceil(10.0 - z))
+    w = z + n
+    powers = [w ** (-2 * k) for k in range(1, len(_BERNOULLI_EVEN) + 1)]
+    flux = math.fsum(b * p / (2 * k)
+                     for k, (b, p) in enumerate(zip(_BERNOULLI_EVEN, powers), 1))
+    viscosity = 2.0 * math.fsum(b * p for b, p in zip(_BERNOULLI_EVEN, powers))
+    for y in (z + j for j in range(n - 1, -1, -1)):
+        flux += _flux_step(y)
+        viscosity = y / (y + 1.0) * viscosity + 1.0 / (y * (y + 1.0) ** 2)
+    return flux, viscosity
+
+
+def lorentzian_flux_and_viscosity(temp: float, tau0: float = 1.0) -> tuple[float, float]:
+    """A_T and lambda_T of the Lorentzian mirror in closed form, no quadrature.
+
+    Binet's second formula (DLMF 5.9.16) gives, with z = 1/(2 pi T tau0),
+    A_T = [ln z - 1/(2z) - psi(z)]/(2 pi tau0^2) and, from lambda_T = 2 T
+    dA/dT, lambda_T = [2 z psi'(z) - 2 - 1/z]/(2 pi tau0^2).
+    """
+    flux, viscosity = binet_sums(1.0 / (2.0 * math.pi * temp * tau0))
+    scale = 2.0 * math.pi * tau0**2
+    return flux / scale, viscosity / scale
 
 
 # --- per-polynomial rational mirror ---------------------------------------

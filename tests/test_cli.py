@@ -877,9 +877,9 @@ GOLDEN_SWEEP_WEAK_RATIONAL = (
     '1,0.024472472594085509,0.024472472594085515,0.72901419409184631,'
     '0.72901419409184598,0.0066075665983137194,0.51140244744117092,'
     '4.6636354958238029e-16,1.0354823760510542e-14\n'
-    '2,0.065286671483291245,0.065286671483291259,1.6749401629574174,'
-    '1.6749401629574179,0.021233675113402156,1.3048468334116252,'
-    '5.0043067166525232e-15,2.0954189674729552e-14\n'
+    '2,0.065286671483291245,0.065286671483291273,1.6749401629574174,'
+    '1.6749401629574179,0.021233675113402153,1.304846833411625,'
+    '9.3262862902762794e-16,2.0954189674729552e-14\n'
 )
 
 # quartic mirror: r (degree 3) and s (degree 4) share four simple poles, two

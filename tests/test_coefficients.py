@@ -1,4 +1,6 @@
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          RegimeViolation, asymptotics, chi_total,
                          compute_coefficients, einstein_check,
                          quasistatic_force)
-from thermaldrag import coefficients, models, quadrature
+from thermaldrag import cli, coefficients, models, quadrature
 from thermaldrag.coefficients import ROUTE_TOLERANCE
+from thermaldrag.core import X_UNDERFLOW
 from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
 from thermaldrag.susceptibility import _ladder_limit
 
@@ -280,6 +283,30 @@ def float_bits(report):
     return [float(v).hex() for v in values if isinstance(v, float)]
 
 
+def recording_gk_panels(monkeypatch):
+    """Record the panel list of every ``_gk_panels`` call."""
+    calls = []
+    gk_panels = quadrature._gk_panels
+
+    def recorded(f, panels):
+        calls.append(list(panels))
+        return gk_panels(f, panels)
+
+    monkeypatch.setattr(quadrature, "_gk_panels", recorded)
+    return calls
+
+
+def bench_workloads(monkeypatch):
+    """bench/workloads.py, the benchmark's request generator (read only)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    return importlib.import_module("workloads")
+
+
+# from just above the cutoff, where the band at x = cutoff/T enters the
+# first Bose panel [0, 0.25], in half-decades to 1e4 x cutoff
+ABOVE_THE_CUTOFF = (1.1, 2.0, *(10.0 ** (k / 2) for k in range(1, 9)))
+
+
 class TestPanelCalls:
     # coeffs-rational's weak mirrors (epsilon in [0.1, 0.5], tau in [0.5, 2]):
     # up to T = cutoff each of a report's six thermal integrals converges on
@@ -287,19 +314,89 @@ class TestPanelCalls:
     @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
     @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
     def test_six_calls_per_report_up_to_the_cutoff(self, monkeypatch, epsilon, tau):
-        panels_per_call = []
-        gk_panels = quadrature._gk_panels
-
-        def counted(f, panels):
-            panels_per_call.append(len(panels))
-            return gk_panels(f, panels)
-
-        monkeypatch.setattr(quadrature, "_gk_panels", counted)
+        calls = recording_gk_panels(monkeypatch)
         model = weak_mirror(epsilon, tau)
         for temp_per_cutoff in (1e-3, 1e-2, 0.1, 1.0):
-            panels_per_call.clear()
+            calls.clear()
             compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
-            assert panels_per_call == [19] * 6
+            assert [len(panels) for panels in calls] == [19] * 6
+
+    # above it the first panel is split in octaves down to the band, so the
+    # six integrals still converge on one shared first call, whose last
+    # panel (and with it the growth guard's nodes) is unchanged
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_six_calls_per_report_above_the_cutoff(self, monkeypatch, epsilon, tau):
+        calls = recording_gk_panels(monkeypatch)
+        model = weak_mirror(epsilon, tau)
+        for temp_per_cutoff in ABOVE_THE_CUTOFF:
+            calls.clear()
+            compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
+            assert len(calls) == 6, temp_per_cutoff
+            assert all(panels == calls[0] for panels in calls)
+            assert len(calls[0]) > 19 and calls[0][-1] == (256.0, X_UNDERFLOW)
+
+    def test_seed_one_coeffs_rational_makes_six_calls_per_report(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # the floor under the benchmark's six integrals per report: 100
+        # requests, 600 calls (1180 when the band was found by bisection)
+        workloads = bench_workloads(monkeypatch)
+        requests = workloads.generate("coeffs-rational", 1)
+        calls = recording_gk_panels(monkeypatch)
+        for argv in workloads.write_requests(requests, tmp_path):
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert len(requests) == 100 and len(calls) == 600
+
+
+class TestLorentzianClosedForms:
+    def test_binet_sums_at_half_and_one(self):
+        # psi(1) = -gamma, psi'(1) = pi^2/6; psi(1/2) = -gamma - 2 ln 2, psi'(1/2) = pi^2/2
+        gamma = 0.57721566490153286
+        for z, psi, dpsi in ((1.0, -gamma, math.pi**2 / 6),
+                             (0.5, -gamma - 2 * math.log(2), math.pi**2 / 2)):
+            flux, viscosity = oracles.binet_sums(z)
+            assert flux == pytest.approx(math.log(z) - 0.5 / z - psi, rel=1e-14)
+            assert viscosity == pytest.approx(2 * z * dpsi - 2 - 1 / z, rel=1e-14)
+
+    @pytest.mark.parametrize("z", [10.0, 37.5, 1e3])
+    def test_binet_series_keeps_the_recurrences(self, z):
+        # the Bernoulli series on both sides of one step of the recurrences
+        (flux, viscosity), (flux_up, viscosity_up) = map(oracles.binet_sums, (z, z + 1))
+        assert flux - flux_up == pytest.approx(oracles._flux_step(z), rel=1e-12)
+        assert viscosity == pytest.approx(
+            z / (z + 1) * viscosity_up + 1 / (z * (z + 1) ** 2), rel=1e-15)
+
+    # A and lambda by both routes against Binet's closed forms, within each
+    # one's claimed error plus 1e-14 relative for the oracle's own rounding
+    @pytest.mark.parametrize("tau0", [0.3, 1.0, 3.0])
+    def test_within_the_claimed_error(self, tau0):
+        model = LorentzianMirror(tau0)
+        for k in range(-6, 9):
+            temp = 10.0 ** (k / 2) * model.cutoff_frequency
+            report = compute_coefficients(model, temp)
+            flux, viscosity = oracles.lorentzian_flux_and_viscosity(temp, tau0)
+            for name, exact in (("A", flux), ("lambda_spectral", viscosity),
+                                ("lambda_entropic", viscosity)):
+                gap = abs(getattr(report, name) - exact)
+                assert gap <= report.error_estimates[name] + 1e-14 * abs(exact), (temp, name)
+
+
+class TestConvergedFlags:
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5])
+    @pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+    def test_weak_mirrors_converge_at_every_temperature(self, epsilon, tau):
+        model = weak_mirror(epsilon, tau)
+        for temp_per_cutoff in (1e-3, 1e-2, 0.1, 1.0, *ABOVE_THE_CUTOFF):
+            report = compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
+            assert report.converged == dict.fromkeys(report.error_estimates, True)
+
+    def test_lorentzian_mu_spectral_at_1e4_reports_its_spent_budget(self, lorentzian):
+        # the spectral mu integrand cancels at T >> cutoff and exhausts its
+        # budget; the report says so instead of dropping the flag
+        report = compute_coefficients(lorentzian, 1e4)
+        assert report.converged == {**dict.fromkeys(report.error_estimates, True),
+                                    "mu_spectral": False}
 
 
 class TestKernelMemo:

@@ -158,6 +158,49 @@ class TestIntegrateThermal:
         with pytest.raises(ValueError):
             integrate_thermal(lambda w: w, 0.0)
 
+    @pytest.mark.parametrize("cutoff", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_cutoff_not_finite_and_positive(self, cutoff):
+        with pytest.raises(ValueError):
+            integrate_thermal(lambda w: w, 1.0, cutoff=cutoff)
+
+
+def _band(w):
+    """A reflection band of width 1 at omega = 0, weighted by omega."""
+    return w / (1.0 + w * w)
+
+
+class TestThermalBreaks:
+    # a band at x = cutoff/T below 1 splits the first panel [0, 0.25] in
+    # octaves until it ends in (band/8, band/4], never below 2^-20
+    @pytest.mark.parametrize("band", [0.99, 0.5, 0.3, 0.25, 1e-2, 1e-4, 2.0**-17])
+    def test_first_panel_ends_between_an_eighth_and_a_quarter_of_the_band(self, band):
+        breaks = quadrature._thermal_breaks(band)
+        added = len(breaks) - len(_THERMAL_BREAKS)
+        assert breaks[added + 1:] == _THERMAL_BREAKS[1:]
+        assert breaks[1:added + 2] == tuple(0.25 * 0.5**k for k in range(added, -1, -1))
+        assert band / 8 < breaks[1] <= band / 4
+
+    @pytest.mark.parametrize("band", [2.0**-18, 1e-7, 0.0])
+    def test_at_most_18_panels_are_added(self, band):
+        breaks = quadrature._thermal_breaks(band)
+        assert breaks[1] == 2.0**-20 and len(breaks) - len(_THERMAL_BREAKS) == 18
+
+    @pytest.mark.parametrize("band", [1.0, 3.0, math.inf])
+    def test_a_band_at_x_from_1_splits_nothing(self, band):
+        assert quadrature._thermal_breaks(band) == _THERMAL_BREAKS
+
+    def test_a_narrow_band_converges_on_the_first_call(self):
+        # the band at x = 1e-3 sits in [0, 0.25], split 10 times to end at 2^-12
+        plain = integrate_thermal(_band, 1e3)
+        split = integrate_thermal(_band, 1e3, cutoff=1.0)
+        assert split.converged and split.evaluations == 15 * (19 + 10)
+        assert plain.evaluations > split.evaluations
+        assert abs(split.value - plain.value) <= split.error_estimate + plain.error_estimate
+
+    def test_growth_guard_reads_the_same_outermost_nodes(self):
+        with pytest.raises(GrowthBoundExceeded):
+            integrate_thermal(lambda w: np.exp(0.9 * w), 1.0, cutoff=1e-3)
+
 
 # (integrand, breakpoints, config) on which the batched driver must make
 # the per-panel driver's evaluations
