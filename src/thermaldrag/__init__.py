@@ -12,8 +12,7 @@ from .coefficients import (AsymptoticsReport, CoefficientReport, asymptotics,
 from .core import UnitSystem
 from .errors import (ConfigError, DivergentBandwidth, ExtrapolationUnstable,
                      GridTooCoarse, GrowthBoundExceeded, RegimeViolation,
-                     ThermalDragError, ValidationFailed,
-                     WindowTruncationWarning)
+                     ThermalDragError, ValidationFailed)
 from .models import (LorentzianMirror, MirrorModel, PerfectMirror,
                      RationalMirror, b_function, reflection_probability,
                      validate_model)
@@ -22,7 +21,7 @@ from .quadrature import (QuadratureConfig, QuadratureResult,
                          integrate_thermal, richardson_extrapolate)
 from .susceptibility import (CorrelationValue, SusceptibilityValue, chi_total,
                              correlation_spectrum, correlation_zero_frequency,
-                             kramers_kronig_check, vacuum_cubic_coefficient)
+                             vacuum_cubic_coefficient)
 
 __version__ = "0.1.0"
 
@@ -32,10 +31,10 @@ __all__ = [
     "GridTooCoarse", "GrowthBoundExceeded", "LorentzianMirror", "MirrorModel",
     "PerfectMirror", "QuadratureConfig", "QuadratureResult", "RationalMirror",
     "RegimeViolation", "SusceptibilityValue", "ThermalDragError", "UnitSystem",
-    "ValidationFailed", "WindowTruncationWarning", "asymptotics",
-    "b_function", "chi_total", "compute_coefficients",
-    "correlation_spectrum", "correlation_zero_frequency", "einstein_check",
-    "hilbert_transform_pv", "integrate_finite", "integrate_thermal",
-    "kramers_kronig_check", "quasistatic_force", "reflection_probability",
-    "richardson_extrapolate", "validate_model", "vacuum_cubic_coefficient",
+    "ValidationFailed", "asymptotics", "b_function", "chi_total",
+    "compute_coefficients", "correlation_spectrum",
+    "correlation_zero_frequency", "einstein_check", "hilbert_transform_pv",
+    "integrate_finite", "integrate_thermal", "quasistatic_force",
+    "reflection_probability", "richardson_extrapolate", "validate_model",
+    "vacuum_cubic_coefficient",
 ]

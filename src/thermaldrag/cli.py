@@ -18,7 +18,6 @@ import functools
 import io
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +26,7 @@ from . import coefficients as coeff
 from . import susceptibility as suscept
 from .config import RunConfig, parse_config, read_text
 from .core import UnitSystem
-from .errors import (ConfigError, GridTooCoarse, ThermalDragError,
-                     ValidationFailed, WindowTruncationWarning)
+from .errors import ConfigError, GridTooCoarse, ThermalDragError, ValidationFailed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -220,6 +218,9 @@ def _verify_checks(config: RunConfig, tol: float):
     points = config.get_int("kk_points", 1024)
     if points < 64:
         raise ConfigError(f"kk_points must be >= 64, got {points}")
+    einstein_tol = config.get_float("einstein_tol", 1e-3)
+    if not einstein_tol > 0:
+        raise ConfigError(f"einstein_tol must be > 0, got {einstein_tol}")
 
     for check in config.validation.checks:
         yield check.name, check.max_violation, check.allowed, check.passed
@@ -230,7 +231,6 @@ def _verify_checks(config: RunConfig, tol: float):
     yield ("dual_route_mu", report.route_discrepancy_mu, tol,
            report.route_discrepancy_mu <= tol)
 
-    einstein_tol = config.get_float("einstein_tol", 1e-3)
     measured = coeff.einstein_check(model, report, cfg)
     yield "einstein_relation", measured, einstein_tol, measured <= einstein_tol
 
@@ -241,10 +241,8 @@ def _verify_checks(config: RunConfig, tol: float):
         # The window scales with the wider of the reflection band and the
         # thermal frequency.
         window = 40.0 * max(model.cutoff_frequency, temp)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WindowTruncationWarning)
-            base, doubled = suscept.kramers_kronig_window_doubling(
-                model, temp, window, points, cfg)
+        base, doubled = suscept.kramers_kronig_window_doubling(
+            model, temp, window, points, cfg)
         ratio = doubled / base if base != 0 else 0.0  # NaN chi: NaN ratio, FAIL
         yield "kramers_kronig_window_doubling", ratio, 1.0, ratio < 1.0
 
@@ -308,6 +306,17 @@ def cmd_model_info(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> float:
+    """The --tol value: a finite number >= 0, else an argparse usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -330,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="write the stdout text to this file instead")
         if name in ("coeffs", "sweep", "verify"):  # the commands with a route gate
-            cmd.add_argument("--tol", type=float, default=coeff.ROUTE_TOLERANCE,
+            cmd.add_argument("--tol", type=_tolerance, default=coeff.ROUTE_TOLERANCE,
                              help="allowed relative route discrepancy")
     return parser
 

@@ -53,7 +53,3 @@ class ConfigError(ThermalDragError):
 
 class RegimeViolation(UserWarning):
     """A quantity is evaluated outside its regime of validity (non-fatal)."""
-
-
-class WindowTruncationWarning(UserWarning):
-    """A finite frequency window truncates a slowly decaying integrand."""

@@ -275,8 +275,8 @@ class RationalMirror(_PoleMirror):
                       + [tuple((p, 0.0, b) for p, b in group) for group in s_groups])
         if cutoff is None and r_groups:
             cutoff = float(max(abs(group[0][0]) for group in r_groups))
-        if cutoff is not None and not cutoff > 0:
-            raise ValueError(f"cutoff must be > 0, got {cutoff}")
+        if cutoff is not None and not (cutoff > 0 and math.isfinite(cutoff)):
+            raise ValueError(f"cutoff must be finite and > 0, got {cutoff}")
         super().__init__((c_r, c_s), groups, cutoff,
                          f"RationalMirror(r_num={rn.tolist()}, r_den={rd.tolist()}, "
                          f"s_num={sn.tolist()}, s_den={sd.tolist()})")

@@ -26,19 +26,18 @@ computed at |w| and conjugated once for w < 0.
 The dissipative part xi_T = Im chi_T drives the force-noise spectrum via
 the fluctuation-dissipation relation C_T = 2 xi_T / (1 - e^{-w/T}), and
 the dispersive part Re chi_T is tied to xi_T by dispersion relations,
-checked numerically in :func:`kramers_kronig_check`.
+checked numerically by :func:`kramers_kronig_window_doubling`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import X_UNDERFLOW
-from .errors import GridTooCoarse, WindowTruncationWarning, require_finite
+from .errors import GridTooCoarse, require_finite
 from .models import MirrorModel
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
                          integrate_finite, integrate_thermal,
@@ -48,7 +47,8 @@ from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
 _LADDER_START = 0.1
 _LADDER_STEPS = 7
 # chi_T is computed up to T = 1e4 x cutoff: above it the thermal quadrature misses
-# the band at x = cutoff/T, and its claimed error fell 28x short at 1e5 x cutoff
+# the band at x = cutoff/T, and its claimed error falls 5x short at 1e5 x cutoff
+# and 4e4x short at 1e6 x cutoff (Lorentzian tau0 = 0.5, omega = 1)
 _MAX_TEMP_PER_CUTOFF = 1e4
 
 
@@ -196,51 +196,37 @@ def vacuum_cubic_coefficient(model: MirrorModel,
 
 
 def _dispersion_gap(chi: np.ndarray) -> float:
-    """The :func:`kramers_kronig_check` gap of chi_T sampled on a uniform grid."""
+    """The :func:`kramers_kronig_window_doubling` gap on one grid; 0 if chi_T is 0.
+
+    The reconstruction is unsubtracted, so on any window wide enough to
+    check, where |chi_T| at the ends is not small against the peak, the
+    window edges limit it.
+    """
     peak = float(np.max(np.abs(chi)))
     if peak == 0.0:
         return 0.0
-    edge = max(abs(chi[0]), abs(chi[-1]))
-    if edge >= 1e-3 * peak:
-        warnings.warn(f"|chi| at the window ends is {edge / peak:.2e} of the grid "
-                      "peak; the reconstruction is window-truncation limited",
-                      WindowTruncationWarning, stacklevel=3)
     inner = slice(chi.size // 4, chi.size - chi.size // 4)
     reconstructed = hilbert_transform_pv(chi.imag)[inner]
     return float(np.max(np.abs(reconstructed - chi.real[inner]))) / peak
 
 
-def kramers_kronig_check(model: MirrorModel, temp: float, grid,
-                         cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """Dispersion-relation self-consistency of chi_T on a uniform grid.
-
-    Reconstructs the dispersive part on the grid interior (central half)
-    as the discrete Hilbert transform of the sampled xi_T and returns the
-    maximum discrepancy against Re chi_T, relative to the peak of |chi_T|
-    over the grid.  When |chi| at the window ends is not small against
-    that peak, a :class:`WindowTruncationWarning` is attached: the window
-    then truncates slowly decaying tails and bounds the achievable
-    agreement.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 64:
-        raise GridTooCoarse(f"need >= 64 grid points, got {grid.size}")
-    steps = np.diff(grid)
-    if not np.all(steps > 0) or not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniformly spaced and increasing")
-    return _dispersion_gap(np.array([chi_total(model, w, temp, cfg).chi_total
-                                     for w in grid]))
-
-
 def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: float,
                                    points: int, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """(base, doubled) :func:`kramers_kronig_check` gaps from one sweep of chi_T.
+    """(base, doubled) dispersion-relation gaps of chi_T from one sweep.
 
     chi_T is sampled at the base spacing h = 2 window / (points - 1) from
     -window - k h to window + k h, k = points // 2.  The base gap reads the
     middle ``points`` samples, [-window, window]; the doubled gap reads all
-    of them, so the window doubles at fixed spacing.
+    of them, so the window doubles at fixed spacing.  Each gap is the
+    largest |Re chi_T - H[xi_T]| over the central half of its window,
+    relative to the window's peak |chi_T|, with H the discrete Hilbert
+    transform.  Fewer than 64 ``points`` raises GridTooCoarse, and a
+    ``window`` that is not > 0 ValueError.
     """
+    if points < 64:
+        raise GridTooCoarse(f"need >= 64 grid points, got {points}")
+    if not window > 0:  # else the grid would be constant or decreasing
+        raise ValueError(f"window must be > 0, got {window}")
     k = points // 2
     h = 2.0 * window / (points - 1)
     grid = (np.arange(points + 2 * k) - k - 0.5 * (points - 1)) * h

@@ -8,20 +8,18 @@ test body for the measured numbers.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from thermaldrag import (LorentzianMirror, PerfectMirror,
-                         WindowTruncationWarning, chi_total,
+from thermaldrag import (LorentzianMirror, PerfectMirror, chi_total,
                          compute_coefficients, einstein_check,
-                         integrate_thermal, kramers_kronig_check,
-                         reflection_probability, validate_model,
-                         vacuum_cubic_coefficient)
+                         integrate_thermal, reflection_probability,
+                         validate_model, vacuum_cubic_coefficient)
 from thermaldrag.models import reflection_and_delay
 from thermaldrag.quadrature import DEFAULT_CONFIG
+from thermaldrag.susceptibility import kramers_kronig_window_doubling
 
 LORENTZIAN = LorentzianMirror(1.0)
 PERFECT = PerfectMirror()
@@ -157,12 +155,7 @@ def test_criterion_11_unitarity_reality_suite():
     "magnitude wider than desk scale.",
 )
 def test_criterion_12_kramers_kronig():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", WindowTruncationWarning)
-        base = kramers_kronig_check(LORENTZIAN, 1.0,
-                                    np.linspace(-40.0, 40.0, 4096))
-        doubled = kramers_kronig_check(LORENTZIAN, 1.0,
-                                       np.linspace(-80.0, 80.0, 8192))
+    base, doubled = kramers_kronig_window_doubling(LORENTZIAN, 1.0, 40.0, 4096)
     improves = doubled < base
     ok = base < 1e-2 and improves
     report(12, ok,

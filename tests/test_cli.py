@@ -730,10 +730,14 @@ class TestMain:
         path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")
         assert run(["coeffs", "--config", path]) == 0
         expected = capsys.readouterr().out
-        with pytest.raises(SystemExit) as exc:
-            run(["coeffs", "--tol", "not-a-number"])
-        assert exc.value.code == 2
-        capsys.readouterr()
+        # a --tol that is not a finite number >= 0 is a usage error, raised
+        # before the config is read
+        for tol in ("not-a-number", "nan", "inf", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                run(["coeffs", "--config", path, "--tol", tol])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"must be a finite number >= 0, got '{tol}'" in err
         assert run(["coeffs", "--config", path]) == 0
         assert capsys.readouterr().out == expected
 
@@ -781,7 +785,11 @@ class TestRejections:
          "kind = rational\n" + WEAK_RATIONAL_KEYS.rsplit("s_denominator", 1)[0], None,
          "rational model needs 's_denominator'"),
         ("coeffs", "temperature = 1", "kind = rational\ncutoff = 0\n" + WEAK_RATIONAL_KEYS,
-         None, "cutoff must be > 0, got 0.0"),
+         None, "cutoff must be finite and > 0, got 0.0"),
+        ("verify", "einstein_tol = -1", "kind = perfect", None,
+         "einstein_tol must be > 0, got -1.0"),
+        ("verify", "einstein_tol = 0", "kind = perfect", None,
+         "einstein_tol must be > 0, got 0.0"),
         ("model-info", "", "kind = perfect", None, "injected"),
     ], ids=["sweep-count", "sweep-spacing", "chi-omega-range", "chi-omega-count",
             "force-no-trajectory", "force-row-fields", "force-non-numeric",
@@ -789,6 +797,7 @@ class TestRejections:
             "config-unknown-section", "config-empty-key", "config-list-not-numbers",
             "config-empty-list", "config-unknown-kind", "config-lorentzian-without-tau0",
             "config-rational-missing-key", "rational-cutoff-zero",
+            "verify-einstein-tol-negative", "verify-einstein-tol-zero",
             "main-error-in-handler"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, command, settings, model,
                      trajectory, message):

@@ -456,7 +456,10 @@ class TestRationalMirror:
         (([0.0, 1.0], [1.0, -2.0, 1.0], [1.0], [1.0, -2.0, 1.0]), "r has a repeated"),
         # poles 1 and 1.001, a relative separation of 1e-3
         (([0.0], [1.0], [1.0], [1.001, -2.001, 1.0]), "s has a repeated"),
-    ], ids=["improper-r", "improper-s", "double-pole", "near-double-pole"])
+        (([-1.0], [1.0, -1.0], [0.0, -1.0], [1.0, -1.0], np.inf),
+         "cutoff must be finite and > 0, got inf"),
+    ], ids=["improper-r", "improper-s", "double-pole", "near-double-pole",
+            "infinite-cutoff"])
     def test_constructor_rejections(self, coeffs, message):
         with pytest.raises(ValueError, match=message):
             RationalMirror(*coeffs)

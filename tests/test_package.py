@@ -21,12 +21,12 @@ PUBLIC_NAMES = [
     "GridTooCoarse", "GrowthBoundExceeded", "LorentzianMirror", "MirrorModel",
     "PerfectMirror", "QuadratureConfig", "QuadratureResult", "RationalMirror",
     "RegimeViolation", "SusceptibilityValue", "ThermalDragError", "UnitSystem",
-    "ValidationFailed", "WindowTruncationWarning", "asymptotics",
-    "b_function", "chi_total", "compute_coefficients",
-    "correlation_spectrum", "correlation_zero_frequency", "einstein_check",
-    "hilbert_transform_pv", "integrate_finite", "integrate_thermal",
-    "kramers_kronig_check", "quasistatic_force", "reflection_probability",
-    "richardson_extrapolate", "vacuum_cubic_coefficient", "validate_model",
+    "ValidationFailed", "asymptotics", "b_function", "chi_total",
+    "compute_coefficients", "correlation_spectrum",
+    "correlation_zero_frequency", "einstein_check", "hilbert_transform_pv",
+    "integrate_finite", "integrate_thermal", "quasistatic_force",
+    "reflection_probability", "richardson_extrapolate",
+    "vacuum_cubic_coefficient", "validate_model",
 ]
 
 

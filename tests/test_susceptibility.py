@@ -7,12 +7,10 @@ import pytest
 
 import oracles
 from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
-                         QuadratureConfig, RationalMirror,
-                         WindowTruncationWarning, chi_total, cli,
+                         QuadratureConfig, RationalMirror, chi_total, cli,
                          compute_coefficients, correlation_spectrum,
                          correlation_zero_frequency, integrate_finite,
-                         kramers_kronig_check, susceptibility,
-                         vacuum_cubic_coefficient)
+                         susceptibility, vacuum_cubic_coefficient)
 
 
 FOLD_MODELS = ["tau0=0.3", "tau0=1", "tau0=3", "weak", "perfect"]
@@ -490,8 +488,8 @@ class TestVacuumCubicCoefficient:
 
 class TestKramersKronig:
     def test_zero_susceptibility_model(self, transparent_model):
-        grid = np.linspace(-10.0, 10.0, 128)
-        assert kramers_kronig_check(transparent_model, 0.0, grid) == 0.0
+        assert susceptibility.kramers_kronig_window_doubling(
+            transparent_model, 0.0, 10.0, 128) == (0.0, 0.0)
 
     def test_symmetry_precheck(self, lorentzian):
         # sampled xi odd and Re chi even, each to 1e-8
@@ -501,24 +499,15 @@ class TestKramersKronig:
         assert np.max(np.abs(chi.imag + chi.imag[::-1])) < 1e-8
         assert np.max(np.abs(chi.real - chi.real[::-1])) < 1e-8
 
-    def test_truncation_warning_attached(self, lorentzian):
-        grid = np.linspace(-20.0, 20.0, 128)
-        with pytest.warns(WindowTruncationWarning):
-            kramers_kronig_check(lorentzian, 1.0, grid)
-
     def test_discrepancy_shrinks_with_window(self, lorentzian):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WindowTruncationWarning)
-            base = kramers_kronig_check(
-                lorentzian, 1.0, np.linspace(-20.0, 20.0, 256))
-            doubled = kramers_kronig_check(
-                lorentzian, 1.0, np.linspace(-40.0, 40.0, 512))
+        base, doubled = susceptibility.kramers_kronig_window_doubling(
+            lorentzian, 1.0, 20.0, 256)
         assert doubled < base
 
     def test_window_doubling_base_is_the_check_on_the_middle_samples(
             self, lorentzian, monkeypatch):
         # one sweep of 2 x 256 samples at the base spacing 2 x 20/255; the
-        # base gap is kramers_kronig_check of its middle 256, bit for bit
+        # base gap is the gap of chi recomputed on its middle 256, bit for bit
         omegas = []
 
         def recorded(model, omega, temp, cfg):
@@ -526,14 +515,13 @@ class TestKramersKronig:
             return chi_total(model, omega, temp, cfg)
 
         monkeypatch.setattr(susceptibility, "chi_total", recorded)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", WindowTruncationWarning)
-            base, _ = susceptibility.kramers_kronig_window_doubling(
-                lorentzian, 1.0, 20.0, 256)
-            monkeypatch.undo()
-            grid = np.array(omegas)
-            middle = grid[128:384]
-            assert base == kramers_kronig_check(lorentzian, 1.0, middle)
+        base, _ = susceptibility.kramers_kronig_window_doubling(
+            lorentzian, 1.0, 20.0, 256)
+        monkeypatch.undo()
+        grid = np.array(omegas)
+        middle = grid[128:384]
+        chi = np.array([chi_total(lorentzian, w, 1.0).chi_total for w in middle])
+        assert base == susceptibility._dispersion_gap(chi)
         assert grid.size == 512
         assert np.allclose(np.diff(grid), 40.0 / 255, rtol=1e-12, atol=0.0)
         assert middle[0] == pytest.approx(-20.0, rel=1e-14)
@@ -541,11 +529,11 @@ class TestKramersKronig:
 
     def test_grid_requirements(self, lorentzian):
         with pytest.raises(GridTooCoarse):
-            kramers_kronig_check(lorentzian, 1.0, np.linspace(-5, 5, 32))
-        with pytest.raises(ValueError):
-            kramers_kronig_check(lorentzian, 1.0, np.geomspace(1, 10, 100))
-        with pytest.raises(ValueError):
-            kramers_kronig_check(lorentzian, 1.0, np.geomspace(1e-12, 1e-9, 100))
+            susceptibility.kramers_kronig_window_doubling(lorentzian, 1.0, 5.0, 32)
+        # a window <= 0 would sample a constant or a decreasing grid
+        for window in (0.0, -20.0, math.nan):
+            with pytest.raises(ValueError, match="window must be > 0"):
+                susceptibility.kramers_kronig_window_doubling(lorentzian, 1.0, window, 64)
 
 
 class TestErrorHandling:
