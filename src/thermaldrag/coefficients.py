@@ -67,12 +67,18 @@ class CoefficientReport:
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    """Effective bandwidth, delay sum and the asymptotic coefficient laws."""
+    """Effective bandwidth, delay sum and the asymptotic coefficient laws.
+
+    ``error_estimates`` and ``converged`` are keyed by the two integral
+    fields, as in :class:`CoefficientReport`.
+    """
 
     omega_C_effective: float
     delta_S: float
     low_frequency_reflection: float
     low_frequency_delay: float
+    error_estimates: dict = field(default_factory=dict)
+    converged: dict = field(default_factory=dict)
 
     def lambda_high_temperature(self, temp: float) -> float:
         """T >> cutoff: lambda = 2 A = 4 T Omega_C."""
@@ -213,7 +219,8 @@ def asymptotics(model: MirrorModel,
     dw (1 - 2 R[w]) 2 tau[w], both mapped to [0, 1) through w = w_C t/(1-t).
     A model without a cutoff, the perfect mirror included, has no finite
     bandwidth and raises DivergentBandwidth.  Both integrals start on the
-    same nodes and read R and tau from one :func:`_kernel_memo`.
+    same nodes and read R and tau from one :func:`_kernel_memo`; the
+    report carries each one's claimed error and convergence flag.
     """
     cutoff = model.cutoff_frequency
     if cutoff is None:
@@ -225,14 +232,19 @@ def asymptotics(model: MirrorModel,
         def mapped(t):
             w = cutoff * t / (1.0 - t)
             return g(w) * cutoff / (1.0 - t) ** 2
-        return integrate_finite(mapped, 0.0, 1.0, cfg).value / (2.0 * math.pi)
+        return integrate_finite(mapped, 0.0, 1.0, cfg)
 
     kernels = _kernel_memo(model, 1)
-    omega_c_eff = on_half_line(lambda w: kernels(w)[0])
-    delta_s = on_half_line(lambda w: models._b_kernel(kernels(w)))
-    return AsymptoticsReport(float(omega_c_eff), float(delta_s),
-                             model.low_frequency_reflection,
-                             model.low_frequency_delay)
+    results = {"omega_C_effective": on_half_line(lambda w: kernels(w)[0]),
+               "delta_S": on_half_line(lambda w: models._b_kernel(kernels(w)))}
+    return AsymptoticsReport(
+        **{name: float(res.value / (2.0 * math.pi)) for name, res in results.items()},
+        low_frequency_reflection=model.low_frequency_reflection,
+        low_frequency_delay=model.low_frequency_delay,
+        error_estimates={name: res.error_estimate / (2.0 * math.pi)
+                         for name, res in results.items()},
+        converged={name: res.converged for name, res in results.items()},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ error with a stable sort, and the sums run over the panels in that order.
 
 A call of the integrand and its reduction cost far more than its nodes,
 so both public drivers start wide: a finite range on four equal panels,
-a thermal integral on 19 panels, half-octave ones near the Bose peak,
-with the first of them split in octaves down to a band at x = cutoff/T
-when the caller names the integrand's cutoff and it lies below T.  Most
-integrals then converge on their first call; fewer calls, not fewer
-evaluations, is what makes them fast.
+a thermal integral on 19 panels, half-octave ones near the Bose peak.
+When the caller names the integrand's cutoff, the first of them is split
+in octaves down to a band at x = cutoff/T below 1, and a peak that the
+caller names at x0 = peak/T gets a break of its own with a ladder of
+breaks x0 -+ (cutoff/T) 2^k around it.  Most integrals then converge on
+their first call; fewer calls, not fewer evaluations, is what makes them
+fast.
 
 The panels of one call are reduced together, one stacked matmul per
 weighted sum, and each panel still rounds bit for bit as it would alone;
@@ -24,6 +26,7 @@ weighted sum, and each panel still rounds bit for bit as it would alone;
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from dataclasses import dataclass
@@ -91,8 +94,9 @@ class QuadratureConfig:
 
     ``max_subdivisions`` caps an integral's panel count, but its initial 4
     (finite) or 19 (thermal) panels are always evaluated: a smaller budget
-    only stops bisection.  A thermal integral given a cutoff below T
-    starts on up to 37 panels, its first one split down to the band.
+    only stops bisection.  A thermal integral given a cutoff starts on up
+    to 85: up to 18 more where its first panel is split down to a band
+    below T, and up to 48 more around a peak.
     """
 
     rel_tol: float = 1e-10
@@ -247,6 +251,9 @@ _THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0
                    16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0, X_UNDERFLOW)
 # the finest end of the first thermal panel, 2^-20: at most 18 halvings of 0.25
 _FINEST_FIRST_END = 2.0 ** -20
+# a peak at x = omega/T from here on adds no breaks: the end of the
+# half-octave panels, where n(x) < 1.3e-14
+_PEAK_END = 32.0
 # the growth guard: |f| rising faster than e^(_GROWTH_RATE x) across each of
 # the gaps between the _GROWTH_NODES outermost nodes.  Exponential growth
 # keeps its rate over all three gaps; a peak with power-law flanks
@@ -256,18 +263,42 @@ _GROWTH_RATE = 0.45
 _GROWTH_NODES = 4
 
 
-def _thermal_breaks(band: float) -> tuple:
+def _thermal_breaks(band: float, x0: float | None = None) -> tuple:
     """``_THERMAL_BREAKS`` with [0, 0.25] split at 0.125, 0.0625, ... until
     it ends at most a quarter of ``band`` or at ``_FINEST_FIRST_END``;
-    a band at x >= 1 splits nothing."""
+    a band at x >= 1 splits nothing.
+
+    A peak at ``x0`` in (``_FINEST_FIRST_END``, ``_PEAK_END``) adds x0 and
+    x0 -+ s 2^k, k = 0, 1, ..., with s = max(band, ``_FINEST_FIRST_END``),
+    on each side while the point lies between 0 and the last panel
+    [256, X_UNDERFLOW] and its step is narrower than the panel of the
+    breaks above that it lands in: at most 48 breaks, 23 below x0 and 24
+    above it when the steps start at 2^-20.
+    """
     ends = [_THERMAL_BREAKS[1]]
     while ends[-1] > 0.25 * band and ends[-1] > _FINEST_FIRST_END:
         ends.append(0.5 * ends[-1])
-    return (0.0, *ends[:0:-1], *_THERMAL_BREAKS[1:])
+    breaks = (0.0, *ends[:0:-1], *_THERMAL_BREAKS[1:])
+    if x0 is None or not _FINEST_FIRST_END < x0 < _PEAK_END:
+        return breaks
+    added = {x0}
+    for sign in (-1.0, 1.0):
+        step = max(band, _FINEST_FIRST_END)
+        x = x0 + sign * step
+        while 0.0 < x < breaks[-2]:
+            i = bisect.bisect_right(breaks, x)
+            if not step < breaks[i] - breaks[i - 1]:
+                break
+            added.add(x)
+            step *= 2.0
+            x = x0 + sign * step
+    # a set, so a point on an existing break adds no empty panel
+    return tuple(sorted(added.union(breaks)))
 
 
 def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
-                      cutoff: float | None = None) -> QuadratureResult:
+                      cutoff: float | None = None,
+                      peak: float | None = None) -> QuadratureResult:
     """Compute the Bose-weighted integral of f over (0, infinity).
 
     Evaluates ``int_0^inf f(omega) n_T(omega) domega`` by substituting
@@ -283,8 +314,14 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     until it ends between an eighth and a quarter of the band's x =
     cutoff/T (at most 18 more panels, none ending below 2^-20), so a
     narrow band near x = 0 falls on panels of its own width on the first
-    call instead of being found by bisection.  The last panel stays [256,
-    X_UNDERFLOW], and with it the growth guard's nodes.
+    call instead of being found by bisection.  Given also a ``peak``, a
+    feature of width about ``cutoff`` at x0 = peak/T in (2^-20, 32) gets
+    the same: x0 becomes a break, and so do x0 -+ s 2^k, k = 0, 1, ...,
+    s = max(cutoff/T, 2^-20), on each side while the step s 2^k is
+    narrower than the panel that its point lands in (at most 48 more
+    panels).  Beyond x = 32, n(x) < 1.3e-14 and nothing is added.  The
+    last panel stays [256, X_UNDERFLOW], and with it the growth guard's
+    nodes.
 
     Parameters
     ----------
@@ -298,6 +335,10 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     cutoff : float or None
         The integrand's frequency scale, finite and > 0; None (a scale-free
         integrand, the default) keeps the 19 panels.
+    peak : float or None
+        A frequency, finite, at which the integrand has a feature of width
+        about ``cutoff``; None (the default), or one not in (2^-20 T, 32 T),
+        adds no breaks, and without a ``cutoff`` it is ignored.
 
     Raises
     ------
@@ -310,12 +351,16 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     require_finite(temp=temp)
     if not temp > 0:
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
+    x0 = None
+    if peak is not None:
+        require_finite(peak=peak)
+        x0 = peak / temp
     breaks = _THERMAL_BREAKS
     if cutoff is not None:
         require_finite(cutoff=cutoff)
         if not cutoff > 0:
             raise ValueError(f"integrate_thermal requires cutoff > 0, got {cutoff}")
-        breaks = _thermal_breaks(cutoff / temp)
+        breaks = _thermal_breaks(cutoff / temp, x0)
     checked = False
 
     def weighted(x):

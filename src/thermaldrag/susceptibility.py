@@ -19,6 +19,11 @@ chi_0 is computed as twice the integral over [0, |w|/2].  That half is
 mapped onto the mirror's band by w' = g (e^u - 1), dw' = (w' + g) du, with
 g the reflection cutoff (|w|/2 for a mirror without one): the quadrature
 resolves w' ~ g and the octaves above it in u, not by bisecting [0, w].
+The thermal kernel (w - w') alpha[w', w - w'] carries the mirror's pole
+at w' = |w| -+ i g, a bump of width g/T at x = |w|/T in the Bose variable,
+so delta chi_T passes g and |w| to ``integrate_thermal``, whose breakpoints
+then meet the bump (and the band at x = g/T) on the first call instead of
+bisecting towards it.
 Reality, alpha[-w1, -w2] = alpha[w1, w2]*, gives chi_T[-w] = chi_T[w]*,
 which holds bit for bit, for every model, because both parts are always
 computed at |w| and conjugated once for w < 0.
@@ -46,9 +51,11 @@ from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
 # omega ladder for the omega -> 0 extrapolations: omega0 / 2^k, k = 0..6
 _LADDER_START = 0.1
 _LADDER_STEPS = 7
-# chi_T is computed up to T = 1e4 x cutoff: above it the thermal quadrature misses
-# the band at x = cutoff/T, and its claimed error falls 5x short at 1e5 x cutoff
-# and 4e4x short at 1e6 x cutoff (Lorentzian tau0 = 0.5, omega = 1)
+# chi_T is computed up to T = 1e4 x cutoff.  Without this limit the thermal
+# integral of Lorentzian tau0 = 0.5 at omega = 1 converges within its claim
+# up to 1e6 x cutoff; from 1e7 on, where the band at x = cutoff/T lies below
+# the finest first panel (2^-20), it spends its budget, and at 1e10 its
+# claimed error falls 18x short
 _MAX_TEMP_PER_CUTOFF = 1e4
 
 
@@ -101,7 +108,8 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     range, 0 with no evaluation.  Every model takes the same two
     quadratures: n_T cuts the thermal integral off and unitarity bounds
     |alpha| <= 2, so no cutoff is needed (the perfect mirror gives
-    i (2 pi/3) T^2 omega).  Above ``_MAX_TEMP_PER_CUTOFF`` times the
+    i (2 pi/3) T^2 omega); a model's cutoff and |omega| only place the
+    thermal breakpoints.  Above ``_MAX_TEMP_PER_CUTOFF`` times the
     model's cutoff the thermal part and the error estimate are NaN.  The
     dissipative part xi_T is ``chi_total.imag``, odd in omega.  A
     non-finite ``omega`` or ``temp`` raises ValueError.
@@ -136,7 +144,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
             down, up = model.alpha(np.array(((wp, -wp), (width - wp, width + wp))))
             return wp * (width * (down + up) + wp * (up - down))
 
-        res = integrate_thermal(thermal, temp, cfg)
+        res = integrate_thermal(thermal, temp, cfg, cutoff, width)
         chi_thermal = 1j / math.pi * res.value
         error += res.error_estimate / math.pi
     if omega < 0:  # reality: chi(-w) = conj chi(w)

@@ -846,8 +846,8 @@ GOLDEN_CHI_LORENTZIAN_SCALED = (
     'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
     're_chi_total,im_chi_total,err\n'
     '-2,-0.070476377636938467,-0.085536228265785594,-0.057556768155919986,'
-    '-0.27237457799202774,-0.12803314579285846,-0.3579108062578133,'
-    '5.0236949922682435e-13\n'
+    '-0.2723745779920278,-0.12803314579285846,-0.35791080625781341,'
+    '9.069161870049806e-15\n'
     '-1,-0.0073022786880829254,-0.015752967709700676,-0.023071561470117224,'
     '-0.15316663060644367,-0.030373840158200147,-0.16891959831614434,'
     '2.9118687223678204e-15\n'
@@ -856,11 +856,11 @@ GOLDEN_CHI_LORENTZIAN_SCALED = (
     '0.15316663060644367,-0.030373840158200147,0.16891959831614434,'
     '2.9118687223678204e-15\n'
     '2,-0.070476377636938467,0.085536228265785594,-0.057556768155919986,'
-    '0.27237457799202774,-0.12803314579285846,0.3579108062578133,'
-    '5.0236949922682435e-13\n'
-    '3,-0.22729178786830209,0.20327150903182611,-0.080379711586005778,'
+    '0.2723745779920278,-0.12803314579285846,0.35791080625781341,'
+    '9.069161870049806e-15\n'
+    '3,-0.22729178786830209,0.20327150903182611,-0.080379711586005806,'
     '0.37487358419767791,-0.30767149945430788,0.57814509322950403,'
-    '8.0149553031308655e-14\n'
+    '4.9318110839726177e-13\n'
 )
 
 GOLDEN_VERIFY_LORENTZIAN = (
@@ -870,7 +870,7 @@ GOLDEN_VERIFY_LORENTZIAN = (
     'transparency: measured=9.999000e-05 allowed=1.000000e-03 PASS\n'
     'dual_route_lambda: measured=2.964160e-16 allowed=1.000000e-06 PASS\n'
     'dual_route_mu: measured=2.824233e-16 allowed=1.000000e-06 PASS\n'
-    'einstein_relation: measured=2.015629e-14 allowed=1.000000e-03 PASS\n'
+    'einstein_relation: measured=2.312045e-14 allowed=1.000000e-03 PASS\n'
     'kramers_kronig_window_doubling: measured=9.005148e-01 allowed=1.000000e+00 PASS\n'
     'asymptotic_lambda_high: measured=3.184896e-03 allowed=2.000000e-02 PASS\n'
     'asymptotic_lambda_low: measured=7.895523e-06 allowed=1.000000e-02 PASS\n'
@@ -923,7 +923,7 @@ GOLDEN_CHI_QUARTIC_SCALED = (
     '3.7062241526877008e-13\n'
     '3,-0.041495413167833672,0.028853291645878614,-0.019220000866976242,'
     '0.55315001013277765,-0.060715414034809921,0.58200330177865622,'
-    '7.1948613227539961e-13\n'
+    '1.9600352744676538e-12\n'
 )
 
 # R0 and tau0 are derived from the amplitudes, not declared by each model

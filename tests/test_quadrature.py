@@ -1,3 +1,4 @@
+import bisect
 import math
 import warnings
 
@@ -8,12 +9,13 @@ import oracles
 from conftest import weak_mirror
 from oracles import (adaptive_per_panel, bose_moment, differentiate,
                      lorentzian_alpha)
-from test_coefficients import float_bits, resonant_mirror
+from test_coefficients import float_bits, recording_gk_panels, resonant_mirror
 from thermaldrag import (ExtrapolationUnstable, GridTooCoarse,
                          GrowthBoundExceeded, LorentzianMirror,
                          QuadratureConfig, chi_total, compute_coefficients,
                          hilbert_transform_pv, integrate_finite,
                          integrate_thermal, quadrature, richardson_extrapolate)
+from thermaldrag.core import X_UNDERFLOW
 from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _THERMAL_BREAKS, _WG, _WK,
                                    DEFAULT_CONFIG, _adaptive, _gk_panels)
 
@@ -200,6 +202,126 @@ class TestThermalBreaks:
     def test_growth_guard_reads_the_same_outermost_nodes(self):
         with pytest.raises(GrowthBoundExceeded):
             integrate_thermal(lambda w: np.exp(0.9 * w), 1.0, cutoff=1e-3)
+        with pytest.raises(GrowthBoundExceeded):
+            integrate_thermal(lambda w: np.exp(0.9 * w), 1.0, cutoff=1e-3, peak=20.0)
+
+
+# a peak at x0 = peak/T in (2^-20, 32) adds x0 and the ladder x0 -+ s 2^k, s =
+# max(band, 2^-20), each side while its step is narrower than the panel it
+# lands in: at most 1 + 23 + 24 = 48 breaks, since steps stay below 8 left of
+# 32 and below 16 right of it, so with the first panel's 18 at most 85 panels
+_MAX_PEAK_BREAKS = 48
+
+
+def _peak_ladder(band, x0):
+    """Every point the peak at x0 may add, x0 and x0 -+ s 2^k, mapped to its step."""
+    step = max(band, 2.0**-20)
+    ladder = {x0 + sign * step * 2.0**k: step * 2.0**k
+              for sign in (-1.0, 1.0) for k in range(40)}
+    return {**ladder, x0: 0.0}
+
+
+class TestPeakBreaks:
+    def check_breaks(self, band, x0):
+        base = quadrature._thermal_breaks(band)
+        breaks = quadrature._thermal_breaks(band, x0)
+        # strictly increasing from 0 to X_UNDERFLOW: no panel of zero width
+        assert breaks[0] == 0.0 and breaks[-2:] == (256.0, X_UNDERFLOW)
+        assert all(b > a for a, b in zip(breaks, breaks[1:]))
+        added = set(breaks) - set(base)
+        ladder = _peak_ladder(band, x0)
+        assert set(base) <= set(breaks) and added <= ladder.keys()
+        assert x0 in breaks and len(added) <= _MAX_PEAK_BREAKS
+        # each added step is narrower than the base panel its point lands in
+        for x in added:
+            i = bisect.bisect_right(base, x)
+            assert ladder[x] < base[i] - base[i - 1]
+        return breaks, added
+
+    def test_drawn_bands_and_peaks(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.floats(-24.0, 10.0), st.floats(2.0**-20, 32.0, exclude_min=True,
+                                                           exclude_max=True))
+        def check(log2_band, x0):
+            self.check_breaks(2.0**log2_band, x0)
+
+        check()
+
+    @pytest.mark.parametrize("band, x0, shared", [
+        (1.0, 2.0, {2.0}),        # the peak is a break
+        (1.0, 5.0, {4.0, 6.0}),   # so are x0 -+ 1
+        (0.5, 24.5, {24.0}),      # and x0 - 0.5
+        (0.25, 1.25, {1.0, 1.5}),
+    ])
+    def test_points_on_existing_breaks_add_no_empty_panel(self, band, x0, shared):
+        breaks, _ = self.check_breaks(band, x0)
+        assert shared <= _peak_ladder(band, x0).keys() & set(quadrature._thermal_breaks(band))
+
+    @pytest.mark.parametrize("band", [20.0, 40.0, 250.0, 300.0, 1e3])
+    def test_a_wide_band_leaves_the_last_panel_whole(self, band):
+        # T far below the cutoff: x0 + band may land in [256, X_UNDERFLOW],
+        # which stays one panel, so the growth guard reads the same nodes
+        for x0 in (0.5, 10.0, 31.0):
+            self.check_breaks(band, x0)
+
+    def test_the_bound_is_reached(self):
+        # below 2^-20 the ladder starts at 2^-20: 23 steps left of 24.1, 24 right
+        breaks, added = self.check_breaks(2.0**-21, 24.1)
+        assert len(added) == _MAX_PEAK_BREAKS
+        assert len(breaks) - 1 == 19 + 18 + _MAX_PEAK_BREAKS
+
+    def test_the_bump_falls_on_its_own_panels(self):
+        # x0 = 5 with band 0.1: steps of 0.1 to 0.8 below it (1.6 is not
+        # narrower than [3, 4]) and 0.1 to 3.2 above it, where the panels
+        # widen (6.4 is not narrower than [8, 12])
+        breaks, added = self.check_breaks(0.1, 5.0)
+        assert sorted(added) == pytest.approx(
+            [4.2, 4.6, 4.8, 4.9, 5.0, 5.1, 5.2, 5.4, 5.8, 6.6, 8.2], abs=1e-15)
+
+    @pytest.mark.parametrize("peak", [None, -3.0, 0.0, -0.0, 5e-324, 2.0**-20,
+                                      32.0, 33.0, 1e300])
+    @pytest.mark.parametrize("cutoff", [0.01, 0.5, 3.0])
+    def test_no_peak_in_range_keeps_the_cutoff_breaks(self, monkeypatch, cutoff, peak):
+        # peak <= 2^-20 T, where the first panel's own split covers it and
+        # x0 itself could end a panel of roundoff width at 0, or peak >= 32
+        # T: the first call's panels are those of the cutoff alone
+        calls = recording_gk_panels(monkeypatch)
+        temp = 2.0
+        integrate_thermal(_band, temp, cutoff=cutoff,
+                          peak=None if peak is None else peak * temp)
+        with_peak = calls[0]
+        calls.clear()
+        integrate_thermal(_band, temp, cutoff=cutoff)
+        assert with_peak == calls[0]
+
+    @pytest.mark.parametrize("peak", [0.5, 5.0, 31.0])
+    def test_no_cutoff_adds_nothing(self, monkeypatch, peak):
+        calls = recording_gk_panels(monkeypatch)
+        integrate_thermal(_band, 1.0, peak=peak)
+        assert calls[0] == list(zip(_THERMAL_BREAKS, _THERMAL_BREAKS[1:]))
+
+    @pytest.mark.parametrize("peak", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_peak_that_is_not_finite(self, peak):
+        with pytest.raises(ValueError):
+            integrate_thermal(lambda w: w, 1.0, cutoff=1.0, peak=peak)
+
+    def test_a_bump_at_the_peak_converges_on_the_first_call(self, monkeypatch):
+        # a Lorentzian bump of width 0.05 at omega = 3 (x0 = 3 at T = 1),
+        # which the cutoff's breaks alone leave to bisection
+        def bump(w):
+            return w / ((w - 3.0) ** 2 + 0.0025)
+
+        calls = recording_gk_panels(monkeypatch)
+        plain = integrate_thermal(bump, 1.0, cutoff=0.05)
+        assert len(calls) > 1
+        calls.clear()
+        split = integrate_thermal(bump, 1.0, cutoff=0.05, peak=3.0)
+        assert split.converged and len(calls) == 1
+        assert abs(split.value - plain.value) <= split.error_estimate + plain.error_estimate
 
 
 # (integrand, breakpoints, config) on which the batched driver must make

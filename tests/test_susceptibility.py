@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import oracles
+from test_cli import quartic_rational_config
 from thermaldrag import (GridTooCoarse, LorentzianMirror, MirrorModel,
                          QuadratureConfig, RationalMirror, chi_total, cli,
                          compute_coefficients, correlation_spectrum,
                          correlation_zero_frequency, integrate_finite,
                          susceptibility, vacuum_cubic_coefficient)
+from thermaldrag.config import parse_config
 
 
 FOLD_MODELS = ["tau0=0.3", "tau0=1", "tau0=3", "weak", "perfect"]
@@ -127,14 +129,38 @@ class TestChiVacuumFold:
             assert np.isfinite(value.chi_vacuum) and np.isfinite(value.error_estimate)
 
     def test_one_integrand_call_in_the_benchmark_box(self, monkeypatch):
-        # chi_0's four initial panels converge on the first call, and the
-        # thermal integrals take 138 calls in all
+        # chi_0's four initial panels converge on the first call, and so do
+        # the thermal integrals, whose panels break at the mirror's pole
+        # near x = |omega|/T (138 calls in all when bisection found it)
         vacuum = record_runs(monkeypatch)
         thermal = record_runs(monkeypatch, "integrate_thermal")
         for tau0, omega_tau0, temp_tau0 in LORENTZIAN_BOX:
             chi_total(LorentzianMirror(tau0), omega_tau0 / tau0, temp_tau0 / tau0)
         assert [calls for calls, _ in vacuum] == [1] * len(LORENTZIAN_BOX)
-        assert sum(calls for calls, _ in thermal) == 138
+        assert [calls for calls, _ in thermal] == [1] * len(LORENTZIAN_BOX)
+
+    def test_one_thermal_call_across_the_benchmark_box(self):
+        # drawn from the whole box, not only its grid, with |omega| from 1e-4
+        # cutoffs up and omega = 0: below about 1e-5 cutoffs, at T near 10
+        # cutoffs, the thermal integral is limited by its own rounding and
+        # bisects with or without the breaks at the peak
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.floats(-0.5, 0.5),
+                          st.sampled_from((-1.0, 0.0, 1.0)), st.floats(-4.0, math.log10(40.0)),
+                          st.floats(-1.0, 1.0))
+        def check(log_tau0, sign, log_omega_tau0, log_temp_tau0):
+            tau0 = 10.0**log_tau0
+            with pytest.MonkeyPatch.context() as patch:
+                thermal = record_runs(patch, "integrate_thermal")
+                chi_total(LorentzianMirror(tau0), sign * 10.0**log_omega_tau0 / tau0,
+                          10.0**log_temp_tau0 / tau0)
+            assert [calls for calls, _ in thermal] == [1]
+
+        check()
 
     @pytest.mark.parametrize("model, code", [
         ("kind = lorentzian\ntau0 = 1.0", 0),
@@ -233,6 +259,28 @@ class TestChiThermal:
         vacuum = chi_total(lorentzian, omega, 0.0).chi_vacuum
         quad_error = 1e-10
         assert abs(half_version - vacuum) > 10.0 * quad_error
+
+
+class TestWithinClaimedError:
+    # the default tolerances against a run at rel_tol 1e-13 and abs_tol
+    # 1e-18: the two differ by no more than the default run's claimed error
+    TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18)
+
+    def check(self, model, omega, temp):
+        value = chi_total(model, omega, temp)
+        tight = chi_total(model, omega, temp, self.TIGHT)
+        assert abs(value.chi_total - tight.chi_total) <= value.error_estimate
+
+    @pytest.mark.parametrize("tau0, omega_tau0, temp_tau0", LORENTZIAN_BOX)
+    def test_lorentzian_benchmark_box(self, tau0, omega_tau0, temp_tau0):
+        self.check(LorentzianMirror(tau0), omega_tau0 / tau0, temp_tau0 / tau0)
+
+    def test_quartic_rational_golden_grid(self, tmp_path):
+        # the grid of test_cli's quartic chi golden, in natural units
+        config = parse_config(quartic_rational_config(tmp_path))
+        for omega in np.linspace(-2.0, 3.0, 6):
+            self.check(config.model, config.units.frequency_to_natural(omega),
+                       config.get_float("temperature"))
 
 
 class TestChiTotal:
@@ -347,9 +395,10 @@ class TestChiTotal:
 
 
 class TestHighTemperatureRange:
-    # chi_T is computed up to 1e4 x cutoff; above it the thermal quadrature
-    # misses the reflection band and its claimed error stopped covering the
-    # truth, so the thermal part and the error estimate are NaN
+    # chi_T is computed up to 1e4 x cutoff; above it the thermal part and
+    # the error estimate are NaN.  Without the limit the thermal integral
+    # spends its budget from 1e7 x cutoff on, and its claimed error stops
+    # covering the truth by 1e10 x cutoff
     @pytest.mark.parametrize("ratio", [1e5, 1e6])
     def test_nan_above_the_range(self, ratio):
         model = LorentzianMirror(0.5)
