@@ -3,8 +3,9 @@
 Subcommands: ``coeffs``, ``sweep``, ``chi``, ``verify``, ``force``,
 ``model-info``.  Each handler prints its output and returns the exit code;
 ``main`` alone sends that output to stdout or to the ``--out`` file.  All
-numeric CSV fields carry 17 significant digits and identical
-configurations produce byte-identical output.  Exit codes: 0 ok,
+numeric CSV fields carry 17 significant digits, and identical
+configurations produce byte-identical output on one machine and numpy
+build (other SIMD code paths may move the last digits).  Exit codes: 0 ok,
 2 config error (non-finite numbers and file I/O errors included),
 3 route discrepancy above tolerance or NaN, or a printed value that is
 not finite, 4 model validation failure, 5 verify failure.

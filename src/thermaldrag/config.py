@@ -9,6 +9,11 @@ Example::
     kind = lorentzian
     tau0 = 1.0
 
+Every key is declared here: ``MAIN_KEYS`` for the main section, the union
+of every subcommand's keys with the units and quadrature keys, and
+``MODEL_KEYS`` per model kind.  A key outside them is a ConfigError, raised
+before anything is computed, and the ``RunConfig`` getters refuse to read
+an undeclared key.
 Model parameters are given in user units: the model built from them moves
 to natural units by scaling its poles, residues and cutoff by hbar.  Every
 model is validated once, here, before use.
@@ -32,7 +37,21 @@ from .models import (LorentzianMirror, MirrorModel, ModelValidationReport,
                      PerfectMirror, RationalMirror, validate_model)
 from .quadrature import QuadratureConfig
 
-MODEL_KINDS = ("lorentzian", "perfect", "rational")
+MAIN_KEYS = frozenset((
+    "temperature",                                         # coeffs, chi, force, verify
+    "temp_min", "temp_max", "count", "spacing",            # sweep
+    "omega_min", "omega_max", "omega_count",               # chi
+    "trajectory",                                          # force
+    "kk_points", "einstein_tol",                           # verify
+    "hbar", "c", "rel_tol", "abs_tol", "max_subdivisions",  # units, quadrature
+))
+MODEL_KEYS = {
+    "lorentzian": ("kind", "tau0"),
+    "perfect": ("kind",),
+    "rational": ("kind", "r_numerator", "r_denominator", "s_numerator", "s_denominator",
+                 "cutoff"),
+}
+MODEL_KINDS = tuple(MODEL_KEYS)
 INTEGER_LIMIT = 10**6  # keeps counts and budgets below numpy's allocation limit
 _VALIDATION_GRID = np.logspace(-3, 3, 400)  # in units of the model's cutoff
 
@@ -57,6 +76,13 @@ def _number(keys: dict, key: str, default=None, integer: bool = False):
     return int(value)
 
 
+def _reject_unknown(keys: dict, known, where: str):
+    """ConfigError naming the first key of ``keys`` that is not in ``known``."""
+    for key in keys:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key '{key}' (known: {', '.join(sorted(known))})")
+
+
 def read_text(path, what: str) -> str:
     """The UTF-8 text of the ``what`` file at ``path``, or a ConfigError."""
     try:
@@ -76,8 +102,14 @@ class RunConfig:
     settings: dict = field(default_factory=dict)
     model_kind: str = "lorentzian"
 
+    def _declared(self, key: str) -> dict:
+        """The settings, once ``key`` is known to be one of MAIN_KEYS."""
+        if key not in MAIN_KEYS:
+            raise KeyError(f"config key '{key}' is not declared in MAIN_KEYS")
+        return self.settings
+
     def get_float(self, key: str, default: float | None = None) -> float | None:
-        return _number(self.settings, key, default)
+        return _number(self._declared(key), key, default)
 
     def require_float(self, key: str) -> float:
         value = self.get_float(key)
@@ -86,10 +118,10 @@ class RunConfig:
         return value
 
     def get_int(self, key: str, default: int | None = None) -> int | None:
-        return _number(self.settings, key, default, integer=True)
+        return _number(self._declared(key), key, default, integer=True)
 
     def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self.settings.get(key, default)
+        return self._declared(key).get(key, default)
 
 
 def _parse_sections(text: str, origin: str) -> tuple[dict, dict]:
@@ -132,13 +164,15 @@ def _coefficient_list(raw: str, key: str) -> list[float]:
 def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
     """The configured mirror in natural units, built from parameters in user units.
 
-    A parameter the model's constructor rejects raises its ValueError.
+    A key that is not in ``MODEL_KEYS`` of the kind raises ConfigError, and
+    a parameter the model's constructor rejects raises its ValueError.
     """
     kind = model_keys.get("kind", "").lower()
     if kind not in MODEL_KINDS:
         raise ConfigError(
             f"model kind must be one of {MODEL_KINDS}, got {kind!r}"
         )
+    _reject_unknown(model_keys, MODEL_KEYS[kind], f"{kind} model")
     if kind == "perfect":
         model = PerfectMirror()
     elif kind == "lorentzian":
@@ -165,6 +199,7 @@ def parse_config(path) -> RunConfig:
     main, model_keys = _parse_sections(read_text(path, "config"), str(path))
     if not model_keys:
         raise ConfigError("config needs a [model] section")
+    _reject_unknown(main, MAIN_KEYS, "config")
 
     # each constructor checks its own parameters: its ValueError is a config error
     try:

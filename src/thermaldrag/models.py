@@ -15,24 +15,27 @@ The kernels consumed by the susceptibility and coefficient integrals are
     b[w] = i (r'[w] r[-w] + r[w] r'[-w] - s'[w] s[-w] - s[w] s'[-w])
                                  (= 2 (1 - 2 R[w]) tau[w])
 
-A model declares three things: r and s, their analytic omega-derivatives
-up to a requested order in one call, and its reflection cutoff; a
-subclass without all three cannot be instantiated.  It may also override
-``alpha``, the kernel alpha from one stacked pair of frequencies, whose
-default multiplies the amplitudes; a pole mirror whose r and s share
-their residues computes it from its poles and residues.  Everything
-else, R0 and tau0 included, is derived from the amplitudes.  Every
-method and kernel here is array-only: an ndarray in gives an ndarray of
-the same shape out, and a scalar in gives a numpy scalar (a ``complex``
-or ``float`` instance) out.  Models are immutable after construction and
-all operations here are pure functions of their arguments.
+A model declares two things: ``amplitudes(omega, order=0)``, which gives
+r and s and, up to ``order`` 2, their analytic omega-derivatives from one
+evaluation, and its reflection cutoff; a subclass without both cannot be
+instantiated.  It may also override ``alpha``, the kernel alpha from one
+stacked pair of frequencies, whose default multiplies the amplitudes; a
+pole mirror whose r and s share their residues computes it from its poles
+and residues.  Everything else, R0 and tau0 included, is derived from the
+amplitudes.  Every method and kernel here is array-only: an ndarray in
+gives an ndarray of the same shape out, and a scalar in gives a numpy
+scalar (a ``complex`` or ``float`` instance) out.  Models are immutable
+after construction and all operations here are pure functions of their
+arguments.
 """
 
 from __future__ import annotations
 
 import abc
 import copy
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +47,12 @@ class MirrorModel(abc.ABC):
     """Unitary, causal, real scattering model of a point mirror."""
 
     @abc.abstractmethod
-    def amplitudes(self, omega):
-        """Return (r, s) at ``omega`` (scalar or ndarray; complex output)."""
+    def amplitudes(self, omega, order=0):
+        """(r, s) at ``omega`` (scalar or ndarray; complex output), then their derivatives.
 
-    @abc.abstractmethod
-    def amplitude_derivatives(self, omega, order=1):
-        """Return (r', s') at ``order`` 1 and (r', s', r'', s'') at ``order`` 2."""
+        At ``order`` 1 the tuple goes on with (r', s'), at ``order`` 2 with
+        (r', s', r'', s''); r and s are the same at every order.
+        """
 
     @property
     @abc.abstractmethod
@@ -77,11 +80,6 @@ class MirrorModel(abc.ABC):
         return float(reflection_and_delay(self, 0.0)[2]) + 0.0
 
 
-def _plus(total, term):
-    """total + term, where a None total is the empty sum: term itself, not 0.0 + term."""
-    return term if total is None else total + term
-
-
 class _PoleMirror(MirrorModel):
     """The one evaluator of every shipped mirror: a pole-residue sum in z = i omega.
 
@@ -94,40 +92,28 @@ class _PoleMirror(MirrorModel):
     """
 
     def __init__(self, constants, groups, cutoff, text):
-        # (c_r, c_s), None for a zero constant: amplitudes skips its add
-        self._constants = tuple(c if c else None for c in constants)
+        self._constants = tuple(constants)  # (c_r, c_s)
         # groups of (p_k, rho_r,k, rho_s,k), each a real pole or a conjugate
         # pair; a pole-free mirror gets one zero-residue term
         self._poles = tuple(groups) or (((1.0, 0.0, 0.0),),)
         self._cutoff = cutoff
         self._repr = text
 
-    def amplitudes(self, omega):
+    def amplitudes(self, omega, order=0):
         z = 1j * np.asarray(omega)
-        r, s = self._constants  # the terms below give them omega's shape
+        # r, s, then the sums of rho/(z - p)^2 and rho/(z - p)^3 for each
+        totals = [*self._constants, *[0.0] * (2 * order)]
         for group in self._poles:
-            group_r = group_s = None
+            parts = None
             for p, rho_r, rho_s in group:
                 inv = np.reciprocal(z - p)
-                group_r, group_s = _plus(group_r, rho_r * inv), _plus(group_s, rho_s * inv)
-            r, s = _plus(r, group_r), _plus(s, group_s)
-        return r, s
-
-    def amplitude_derivatives(self, omega, order=1):
-        z = 1j * np.asarray(omega)
-        # sums of rho/(z - p)^2 for r and s, then of rho/(z - p)^3 at order 2
-        sums = [0.0] * (2 * order)
-        for group in self._poles:
-            parts = [None] * (2 * order)
-            for p, *residues in group:
-                inv = np.reciprocal(z - p)
-                for k, rho in enumerate(residues):
-                    term = rho * inv * inv  # (rho inv) inv: inv^2 alone may overflow
-                    parts[k] = _plus(parts[k], term)
-                    if order > 1:
-                        parts[k + 2] = _plus(parts[k + 2], term * inv)
-            sums = [total + part for total, part in zip(sums, parts)]
-        return tuple(f * total for f, total in zip((-1j, -1j, -2.0, -2.0), sums))
+                terms = [rho_r * inv, rho_s * inv]
+                for _ in range(order):  # ((rho inv) inv) inv: inv^2 alone may overflow
+                    terms += [terms[-2] * inv, terms[-1] * inv]
+                parts = terms if parts is None else [a + b for a, b in zip(parts, terms)]
+            totals = [total + part for total, part in zip(totals, parts)]
+        r, s, *sums = totals
+        return (r, s, *(f * total for f, total in zip((-1j, -1j, -2.0, -2.0), sums)))
 
     def alpha(self, pair):
         """alpha = K + sum_k lam_k (I_k(w1) + I_k(w2)) if r and s share their residues.
@@ -143,20 +129,21 @@ class _PoleMirror(MirrorModel):
         if any(rho_r != rho_s for group in self._poles for _, rho_r, rho_s in group):
             return super().alpha(pair)
         z = 1j * np.asarray(pair)
-        c_r, c_s = (c or 0.0 for c in self._constants)
+        c_r, c_s = self._constants
         constant = 1.0 + c_r * c_r - c_s * c_s
-        out = None
+        parts = []
         for group in self._poles:
-            part = None
+            terms = []
             for p, rho_r, rho_s in group:
                 lam = c_r * rho_r - c_s * rho_s
                 if lam:
                     inv = np.reciprocal(z - p)
-                    part = _plus(part, lam * (inv[0] + inv[1]))
-            if part is not None:
-                out = _plus(out, part)
-        if out is None:
+                    terms.append(lam * (inv[0] + inv[1]))
+            if terms:
+                parts.append(functools.reduce(operator.add, terms))
+        if not parts:
             return np.full(z.shape[1:], complex(constant))[()]
+        out = functools.reduce(operator.add, parts)
         return out + constant if constant else out
 
     @property
@@ -292,7 +279,7 @@ def reflection_probability(model: MirrorModel, omega):
 
 
 def reflection_and_delay(model: MirrorModel, omega, order: int = 1):
-    """Return (R, dR/domega, tau, dtau/domega), calling each amplitude method once.
+    """Return (R, dR/domega, tau, dtau/domega) from one ``amplitudes`` call.
 
     tau = Delta'/2 = Im[(s^2 - r^2)' / (s^2 - r^2)] / 2 from the analytic
     amplitude derivatives, exact for unimodular determinants; R and tau
@@ -301,8 +288,7 @@ def reflection_and_delay(model: MirrorModel, omega, order: int = 1):
     second derivatives supply it.  This is the one place the determinant
     and delay algebra is written.
     """
-    r, s = model.amplitudes(omega)
-    dr, ds, *second = model.amplitude_derivatives(omega, order)
+    r, s, dr, ds, *second = model.amplitudes(omega, order)
     det = s * s - r * r
     logslope = 2.0 * (s * ds - r * dr) / det
     d_tau = None

@@ -37,7 +37,7 @@ checked numerically by :func:`kramers_kronig_window_doubling`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,13 +76,20 @@ def _ladder_limit(sample, temp: float, power: int) -> float:
 
 @dataclass(frozen=True)
 class SusceptibilityValue:
-    """chi at one frequency, decomposed into vacuum and thermal parts."""
+    """chi at one frequency, decomposed into vacuum and thermal parts.
+
+    ``converged`` is keyed ``chi_vacuum`` and ``chi_thermal``, as in
+    :class:`~thermaldrag.coefficients.CoefficientReport`: False when that
+    part's quadrature ran out of its subdivision budget before meeting the
+    tolerances, and for the NaN thermal part above ``_MAX_TEMP_PER_CUTOFF``.
+    """
 
     omega: float
     chi_vacuum: complex
     chi_thermal: complex
     chi_total: complex
     error_estimate: float
+    converged: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -110,9 +117,10 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     |alpha| <= 2, so no cutoff is needed (the perfect mirror gives
     i (2 pi/3) T^2 omega); a model's cutoff and |omega| only place the
     thermal breakpoints.  Above ``_MAX_TEMP_PER_CUTOFF`` times the
-    model's cutoff the thermal part and the error estimate are NaN.  The
-    dissipative part xi_T is ``chi_total.imag``, odd in omega.  A
-    non-finite ``omega`` or ``temp`` raises ValueError.
+    model's cutoff the thermal part and the error estimate are NaN, and
+    ``converged["chi_thermal"]`` is False.  The dissipative part xi_T is
+    ``chi_total.imag``, odd in omega.  A non-finite ``omega`` or ``temp``
+    raises ValueError.
     """
     require_finite(omega=omega, temp=temp)
     if not temp >= 0:
@@ -135,9 +143,9 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     vac = integrate_finite(vacuum, 0.0, math.log1p(half / g) if half else 0.0, cfg)
     chi_vacuum = 1j / math.pi * vac.value
     error = vac.error_estimate / math.pi
-    chi_thermal = 0j
+    chi_thermal, thermal_converged = 0j, True
     if cutoff is not None and temp > _MAX_TEMP_PER_CUTOFF * cutoff:
-        chi_thermal, error = complex(math.nan, math.nan), math.nan
+        chi_thermal, error, thermal_converged = complex(math.nan, math.nan), math.nan, False
     elif temp > 0:
         def thermal(wp):
             # (w - w') down + (w + w') up, grouped so w' cancels when down == up
@@ -147,6 +155,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
         res = integrate_thermal(thermal, temp, cfg, cutoff, width)
         chi_thermal = 1j / math.pi * res.value
         error += res.error_estimate / math.pi
+        thermal_converged = res.converged
     if omega < 0:  # reality: chi(-w) = conj chi(w)
         chi_vacuum, chi_thermal = chi_vacuum.conjugate(), chi_thermal.conjugate()
     return SusceptibilityValue(
@@ -155,6 +164,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
         chi_thermal=complex(chi_thermal),
         chi_total=complex(chi_vacuum + chi_thermal),
         error_estimate=error,
+        converged={"chi_vacuum": vac.converged, "chi_thermal": thermal_converged},
     )
 
 

@@ -99,10 +99,8 @@ def b_function_from_amplitudes(model, omega):
     i (r'[w] r[-w] + r[w] r'[-w]) - i (s'[w] s[-w] + s[w] s'[-w]); equals
     the real 2 (1 - 2 R[omega]) tau[omega] by unitarity plus reality.
     """
-    r_p, s_p = model.amplitudes(omega)
-    r_m, s_m = model.amplitudes(-np.asarray(omega))
-    dr_p, ds_p = model.amplitude_derivatives(omega)
-    dr_m, ds_m = model.amplitude_derivatives(-np.asarray(omega))
+    r_p, s_p, dr_p, ds_p = model.amplitudes(omega, 1)
+    r_m, s_m, dr_m, ds_m = model.amplitudes(-np.asarray(omega), 1)
     return 1j * (dr_p * r_m + r_p * dr_m) - 1j * (ds_p * s_m + s_p * ds_m)
 
 
@@ -237,25 +235,19 @@ class PerPolynomialRational:
             acc = c + acc * z
         return acc
 
-    def amplitudes(self, omega):
+    def amplitudes(self, omega, order=0):
         z = 1j * np.asarray(omega)
-        return tuple(self._eval(num[0], z) / self._eval(den[0], z)
-                     for num, den in (self._r_parts, self._s_parts))
-
-    def amplitude_derivatives(self, omega, order=1):
-        z = 1j * np.asarray(omega)
-        first, second = [], []
+        values, first, second = [], [], []
         for num, den in (self._r_parts, self._s_parts):
-            n, n1, *n2 = (self._eval(c, z) for c in num[:order + 1])
-            d, d1, *d2 = (self._eval(c, z) for c in den[:order + 1])
+            # every order from the same polynomial values; the tuple is cut to order
+            n, n1, n2 = (self._eval(c, z) for c in num)
+            d, d1, d2 = (self._eval(c, z) for c in den)
+            values.append(n / d)
             # d/domega = i d/dz for functions of z = i omega
             first.append(1j * (n1 * d - n * d1) / d**2)
-            if order > 1:
-                (n2,), (d2,) = n2, d2
-                # (i)^2 d^2/dz^2 of n/d
-                second.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2
-                                + 2.0 * n * d1**2 / d**3))
-        return (*first, *second)
+            # (i)^2 d^2/dz^2 of n/d
+            second.append(-(n2 / d - (n * d2 + 2.0 * n1 * d1) / d**2 + 2.0 * n * d1**2 / d**3))
+        return (*values, *first, *second)[:2 * (order + 1)]
 
 
 # --- brute-force trapezoid integrals --------------------------------------

@@ -131,6 +131,14 @@ s_denominator = 1, -1
         assert r == pytest.approx(-1.0 / (1.0 - 1.0j))
         assert s == pytest.approx(-1.0j / (1.0 - 1.0j))
 
+    def test_getters_refuse_an_undeclared_key(self, tmp_path):
+        # a reader of a key outside MAIN_KEYS is a program error, not a config one
+        cfg = parse_config(lorentzian_config(tmp_path))
+        for getter in (cfg.get_float, cfg.require_float, cfg.get_int, cfg.get_str):
+            with pytest.raises(KeyError, match="'omega_cout' is not declared"):
+                getter("omega_cout")
+        assert cfg.get_float("omega_count") is None
+
     def test_integer_key_in_exponent_form(self, tmp_path):
         cfg = parse_config(lorentzian_config(tmp_path, "max_subdivisions = 1e3\n"))
         assert cfg.quadrature.max_subdivisions == 1000
@@ -790,6 +798,12 @@ class TestRejections:
          "einstein_tol must be > 0, got -1.0"),
         ("verify", "einstein_tol = 0", "kind = perfect", None,
          "einstein_tol must be > 0, got 0.0"),
+        ("chi", "temperature = 1\nomega_min = -1\nomega_max = 1\nomega_cout = 5\n"
+         "reltol = 1e-3", "kind = perfect", None, "unknown config key 'omega_cout'"),
+        ("coeffs", "temperature = 1", "kind = lorentzian\ntau0 = 1\ntau = 3", None,
+         "unknown lorentzian model key 'tau'"),
+        ("coeffs", "temperature = 1", "kind = lorentzian\ntau0 = 1\ncutoff = 2", None,
+         "unknown lorentzian model key 'cutoff'"),
         ("model-info", "", "kind = perfect", None, "injected"),
     ], ids=["sweep-count", "sweep-spacing", "chi-omega-range", "chi-omega-count",
             "force-no-trajectory", "force-row-fields", "force-non-numeric",
@@ -798,7 +812,8 @@ class TestRejections:
             "config-empty-list", "config-unknown-kind", "config-lorentzian-without-tau0",
             "config-rational-missing-key", "rational-cutoff-zero",
             "verify-einstein-tol-negative", "verify-einstein-tol-zero",
-            "main-error-in-handler"])
+            "config-unknown-main-key", "config-unknown-model-key",
+            "config-key-of-another-kind", "main-error-in-handler"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, command, settings, model,
                      trajectory, message):
         if trajectory is not None:

@@ -193,29 +193,22 @@ class TestCoefficientReport:
         assert calls == [1.0] * 6
 
     def test_one_model_call_per_node_array(self, lorentzian):
-        # R, tau and their slopes at a node come from one call per amplitude order
+        # R, tau and their slopes at a node come from one amplitudes call
         class Recording(MirrorModel):
             low_frequency_reflection = lorentzian.low_frequency_reflection
             low_frequency_delay = lorentzian.low_frequency_delay
             cutoff_frequency = lorentzian.cutoff_frequency
-            received = {"amplitudes": [], "amplitude_derivatives": []}
+            received = []
 
-            def _call(self, name, omega, *order):
-                self.received[name].append(omega)  # kept alive: ids stay unique
-                return getattr(lorentzian, name)(omega, *order)
-
-            def amplitudes(self, omega):
-                return self._call("amplitudes", omega)
-
-            def amplitude_derivatives(self, omega, order=1):
-                return self._call("amplitude_derivatives", omega, order)
+            def amplitudes(self, omega, order=0):
+                self.received.append(omega)  # kept alive: ids stay unique
+                return lorentzian.amplitudes(omega, order)
 
         model = Recording()
         compute_coefficients(model, 1.0)
         asymptotics(model)
-        for name, nodes in model.received.items():
-            assert nodes, name
-            assert len({id(w) for w in nodes}) == len(nodes), name
+        assert model.received
+        assert len({id(w) for w in model.received}) == len(model.received)
 
 
 def resonant_mirror(a: float = 0.5, b: float = 1.0) -> RationalMirror:
@@ -242,9 +235,8 @@ def sharing_model(request, name):
 
 def counting_kernel_calls(monkeypatch):
     """Record the bytes of every node array that reaches the model or the kernel pass."""
-    seen = {"amplitudes": [], "amplitude_derivatives": [], "reflection_and_delay": []}
-    for owner, name in ((_PoleMirror, "amplitudes"), (_PoleMirror, "amplitude_derivatives"),
-                        (models, "reflection_and_delay")):
+    seen = {"amplitudes": [], "reflection_and_delay": []}
+    for owner, name in ((_PoleMirror, "amplitudes"), (models, "reflection_and_delay")):
         function, calls = getattr(owner, name), seen[name]
 
         def counted(first, omega, *args, function=function, calls=calls):
@@ -390,6 +382,18 @@ class TestConvergedFlags:
         for temp_per_cutoff in (1e-3, 1e-2, 0.1, 1.0, *ABOVE_THE_CUTOFF):
             report = compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
             assert report.converged == dict.fromkeys(report.error_estimates, True)
+
+    # the advertised low-temperature end, 1e-6 x cutoff, and the decades up to
+    # the grid above
+    @pytest.mark.parametrize("temp_per_cutoff", [1e-6, 1e-5, 1e-4])
+    @pytest.mark.parametrize("weak", [(e, t) for e in (0.1, 0.3, 0.5) for t in (0.5, 1.0, 2.0)]
+                             + [None], ids=lambda w: "lorentzian" if w is None else f"weak{w}")
+    def test_converge_and_agree_at_the_low_temperature_end(self, weak, temp_per_cutoff):
+        model = LorentzianMirror(1.0) if weak is None else weak_mirror(*weak)
+        report = compute_coefficients(model, temp_per_cutoff * model.cutoff_frequency)
+        assert report.converged == dict.fromkeys(report.error_estimates, True)
+        assert report.route_discrepancy_lambda <= ROUTE_TOLERANCE
+        assert report.route_discrepancy_mu <= ROUTE_TOLERANCE
 
     def test_lorentzian_mu_spectral_at_1e4_reports_its_spent_budget(self, lorentzian):
         # the spectral mu integrand cancels at T >> cutoff and exhausts its

@@ -231,19 +231,16 @@ class TestModelContract:
         assert repr(model) == ("LorentzianMirror(tau0=2.0)._in_natural_units("
                                "UnitSystem(hbar=0.5, c=1.0))")
 
-    def test_model_without_derivatives_rejected(self, lorentzian):
-        class NoDerivatives(MirrorModel):
+    def test_model_without_amplitudes_rejected(self):
+        class NoAmplitudes(MirrorModel):
             low_frequency_reflection = 1.0
             low_frequency_delay = 1.0
             cutoff_frequency = 1.0
 
-            def amplitudes(self, omega):
-                return lorentzian.amplitudes(omega)
+        with pytest.raises(TypeError, match="amplitudes"):
+            NoAmplitudes()
 
-        with pytest.raises(TypeError, match="amplitude_derivatives"):
-            NoDerivatives()
-
-    def test_three_declared_members_suffice(self):
+    def test_two_declared_members_suffice(self):
         # R0 and tau0 are derived from the amplitudes, not declared
         class InlineLorentzian(MirrorModel):
             # r = g/(z - g) and s = 1 + g/(z - g) with g = 1/tau0, z = i omega,
@@ -251,17 +248,12 @@ class TestModelContract:
             tau0 = 0.8
             cutoff_frequency = 1.0 / tau0
 
-            def amplitudes(self, omega):
-                g = self.cutoff_frequency
-                inv = np.reciprocal(1j * np.asarray(omega) - g)
-                return 0.0 + g * inv, 1.0 + g * inv
-
-            def amplitude_derivatives(self, omega, order):
+            def amplitudes(self, omega, order=0):
                 g = self.cutoff_frequency
                 inv = np.reciprocal(1j * np.asarray(omega) - g)
                 d = -1j * (0.0 + g * inv * inv)
                 d2 = -2.0 * (0.0 + g * inv * inv * inv)
-                return (d, d, d2, d2)[:2 * order]
+                return (0.0 + g * inv, 1.0 + g * inv, d, d, d2, d2)[:2 * order + 2]
 
         model = InlineLorentzian()
         assert compute_coefficients(model, 1.0) == compute_coefficients(
@@ -276,12 +268,22 @@ class TestModelContract:
         for model in (perfect, rational_perfect):
             assert str(model.low_frequency_delay) == "0.0"
 
+    @pytest.mark.parametrize("name", SHARING_MODELS)
+    def test_r_and_s_bit_identical_at_every_order(self, request, name):
+        model = sharing_model(request, name)
+        omega = np.random.default_rng(37).uniform(-50.0, 50.0, 64)
+        r, s = model.amplitudes(omega)
+        for order in (1, 2):
+            values = model.amplitudes(omega, order)
+            assert len(values) == 2 * order + 2
+            # bytes, not ==, so that a zero's sign counts too
+            assert [a.tobytes() for a in values[:2]] == [r.tobytes(), s.tobytes()]
+
     @pytest.mark.parametrize("fixture", ["perfect", "lorentzian", "weak"])
     def test_scalar_in_scalar_out_array_in_array_out(self, fixture, request):
         # the .17g CLI output relies on scalars staying complex/float instances
         model = request.getfixturevalue(fixture)
-        pairs = (model.amplitudes, model.amplitude_derivatives,
-                 lambda w: model.amplitude_derivatives(w, 2)[2:])
+        pairs = [lambda w, order=order: model.amplitudes(w, order) for order in range(3)]
         kernels = (reflection_probability, b_function)
         grid = np.array([[0.0, 0.5, 2.0], [-1.0, 3.0, 40.0]])
         cases = [(complex, m(0.5), m(grid)) for m in pairs]
@@ -317,8 +319,7 @@ class TestReality:
             assert len(group) == 1
             p, rho_r, rho_s = group[0]
             inv = np.reciprocal(z - p)
-            r = rho_r * inv if r is None else r + rho_r * inv
-            s = rho_s * inv if s is None else s + rho_s * inv
+            r, s = r + rho_r * inv, s + rho_s * inv
         ours = model.amplitudes(omega)
         assert np.array_equal(ours[0], r) and np.array_equal(ours[1], s)
 
@@ -341,13 +342,10 @@ class TestReality:
                                    s_den, cutoff=1.0)
             omega = 10.0 ** rng.uniform(-3.0, 3.0, 64)
             pair = np.array((omega, 0.7 * omega[::-1]))
-            (r, s), (r_m, s_m) = model.amplitudes(omega), model.amplitudes(-omega)
-            assert np.all(r_m == np.conj(r)) and np.all(s_m == np.conj(s))
             assert np.all(model.alpha(-pair) == np.conj(model.alpha(pair)))
-            # r' and s' are odd under the reflection, r'' and s'' even
-            for minus, plus, sign in zip(model.amplitude_derivatives(-omega, 2),
-                                         model.amplitude_derivatives(omega, 2),
-                                         (-1.0, -1.0, 1.0, 1.0)):
+            # r and s are even under the reflection, r' and s' odd, r'' and s'' even
+            for minus, plus, sign in zip(model.amplitudes(-omega, 2), model.amplitudes(omega, 2),
+                                         (1.0, 1.0, -1.0, -1.0, 1.0, 1.0), strict=True):
                 assert np.all(minus == sign * np.conj(plus))
 
 
@@ -398,12 +396,10 @@ class TestRationalMirror:
 
     def test_reproduces_lorentzian_derivatives(self, lorentzian, rational_lorentzian):
         for w in (-1.5, 0.2, 3.0):
-            da = lorentzian.amplitude_derivatives(w)
-            db = rational_lorentzian.amplitude_derivatives(w)
-            assert abs(da[0] - db[0]) < 1e-13 and abs(da[1] - db[1]) < 1e-13
-            d2a = lorentzian.amplitude_derivatives(w, 2)[2:]
-            d2b = rational_lorentzian.amplitude_derivatives(w, 2)[2:]
-            assert abs(d2a[0] - d2b[0]) < 1e-13 and abs(d2a[1] - d2b[1]) < 1e-13
+            da = lorentzian.amplitudes(w, 2)[2:]
+            db = rational_lorentzian.amplitudes(w, 2)[2:]
+            for a, b in zip(da, db, strict=True):
+                assert abs(a - b) < 1e-13
 
     def test_weak_mirror_is_unitary(self, weak):
         grid = np.geomspace(1e-3, 1e3, 500)
@@ -440,10 +436,8 @@ class TestRationalMirror:
         oracle = oracles.PerPolynomialRational(*coeffs)
         for shape in ((9,), (2, 9), ()):
             omega = 3.0 * rng.normal(size=shape)
-            for evaluate in (lambda m: m.amplitudes(omega),
-                             lambda m: m.amplitude_derivatives(omega, 1),
-                             lambda m: m.amplitude_derivatives(omega, 2)):
-                ours, reference = evaluate(model), evaluate(oracle)
+            for order in range(3):
+                ours, reference = model.amplitudes(omega, order), oracle.amplitudes(omega, order)
                 assert len(ours) == len(reference)
                 for a, b in zip(ours, reference):
                     assert type(a) is type(b)
@@ -468,8 +462,8 @@ class TestRationalMirror:
         padded = RationalMirror(r_num=[-1.0, 0.0], r_den=[1.0, -1.0],
                                 s_num=[0.0, -1.0, 0.0, 0.0], s_den=[1.0, -1.0])
         grid = np.linspace(-5.0, 5.0, 11)
-        for a, b in zip(padded.amplitude_derivatives(grid, 2),
-                        rational_lorentzian.amplitude_derivatives(grid, 2)):
+        for a, b in zip(padded.amplitudes(grid, 2), rational_lorentzian.amplitudes(grid, 2),
+                        strict=True):
             assert np.array_equal(a, b)
 
     def test_custom_epsilon_family_unitary(self):

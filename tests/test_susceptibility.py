@@ -325,9 +325,6 @@ class TestChiTotal:
                 r, s = lorentzian.amplitudes(omega)
                 return r * (1 + 1e-9j), s * (1 + 1e-9j)
 
-            def amplitude_derivatives(self, omega, order=1):
-                return lorentzian.amplitude_derivatives(omega, order)
-
             @property
             def cutoff_frequency(self):
                 return lorentzian.cutoff_frequency
@@ -353,9 +350,6 @@ class TestChiTotal:
             def alpha(self, pair):
                 model_calls.append("alpha")
                 return model.alpha(pair)
-
-            def amplitude_derivatives(self, omega, order=1):
-                return model.amplitude_derivatives(omega, order)
 
             @property
             def cutoff_frequency(self):
@@ -406,6 +400,7 @@ class TestHighTemperatureRange:
         assert np.isnan(value.chi_thermal.real) and np.isnan(value.chi_thermal.imag)
         assert np.isnan(value.chi_total.imag) and np.isnan(value.error_estimate)
         assert value.chi_vacuum == chi_total(model, 1.0, 0.0).chi_vacuum
+        assert value.converged == {"chi_vacuum": True, "chi_thermal": False}
 
     def test_inside_the_range_within_claimed_error(self):
         quad = pytest.importorskip("scipy.integrate").quad
@@ -435,6 +430,24 @@ class TestHighTemperatureRange:
         value = chi_total(perfect, 0.5, temp)
         assert value.chi_thermal.imag == pytest.approx(
             math.pi / 3.0 * temp**2, rel=1e-12)
+
+
+class TestConvergedFlags:
+    def test_benchmark_box_converges(self):
+        for tau0, omega_tau0, temp_tau0 in LORENTZIAN_BOX:
+            value = chi_total(LorentzianMirror(tau0), omega_tau0 / tau0, temp_tau0 / tau0)
+            assert value.converged == {"chi_vacuum": True, "chi_thermal": True}
+
+    def test_vacuum_alone_converges(self, lorentzian):
+        # at T = 0 the thermal part is exactly 0, without a quadrature
+        assert chi_total(lorentzian, 0.7, 0.0).converged == {"chi_vacuum": True,
+                                                             "chi_thermal": True}
+
+    def test_near_zero_frequency_on_a_hot_mirror_reports_its_spent_budget(self, lorentzian):
+        # the thermal integrand cancels as omega -> 0, so its rounding floor
+        # stays above rel_tol |chi|: the budget runs out and the flag says so
+        value = chi_total(lorentzian, 1e-7, 10.0)
+        assert value.converged == {"chi_vacuum": True, "chi_thermal": False}
 
 
 class TestDissipativePart:
