@@ -43,7 +43,7 @@ MAIN_KEYS = frozenset((
     "omega_min", "omega_max", "omega_count",               # chi
     "trajectory",                                          # force
     "kk_points", "einstein_tol",                           # verify
-    "hbar", "c", "rel_tol", "abs_tol", "max_subdivisions",  # units, quadrature
+    "hbar", "c", "rel_tol", "max_subdivisions",            # units, quadrature
 ))
 MODEL_KEYS = {
     "lorentzian": ("kind", "tau0"),
@@ -206,7 +206,6 @@ def parse_config(path) -> RunConfig:
         units = UnitSystem(hbar=_number(main, "hbar", 1.0), c=_number(main, "c", 1.0))
         quadrature = QuadratureConfig(
             rel_tol=_number(main, "rel_tol", 1e-10),
-            abs_tol=_number(main, "abs_tol", 1e-14),
             max_subdivisions=_number(main, "max_subdivisions", 200, integer=True),
         )
         model, kind = build_model(model_keys, units)

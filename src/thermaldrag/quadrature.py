@@ -90,7 +90,12 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and subdivision budget for the adaptive rules.
+    """Tolerance and subdivision budget for the adaptive rules.
+
+    The tolerance is relative only: an integral stops when its error meets
+    ``rel_tol`` times its value, not counting panels at their rounding
+    floor (see ``_adaptive``).  So a tiny integral is computed to the same
+    relative accuracy as a large one, and an exact zero stops on its floor.
 
     ``max_subdivisions`` caps an integral's panel count, but its initial 4
     (finite) or 19 (thermal) panels are always evaluated: a smaller budget
@@ -100,15 +105,12 @@ class QuadratureConfig:
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        require_finite(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
+        require_finite(rel_tol=self.rel_tol)
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be > 0")
         budget = self.max_subdivisions
         if not isinstance(budget, int) or isinstance(budget, bool):
             raise ValueError(f"max_subdivisions must be an int, got {budget!r}")
@@ -123,8 +125,12 @@ DEFAULT_CONFIG = QuadratureConfig()
 class QuadratureResult:
     """Value, claimed error bound and evaluation count of one integration.
 
-    ``converged`` is False when the subdivision budget ran out before the
-    tolerances were met (the value is still the best available estimate).
+    ``converged`` is True when the error that bisection can still reduce
+    met the tolerance: every panel's error but those at their rounding
+    floor, which halving cannot lower.  It is False when the subdivision
+    budget ran out first, or when a panel at roundoff width keeps an error
+    above its floor; the value is still the best available estimate.
+    ``error_estimate`` includes every floor.
     """
 
     value: complex | float
@@ -148,7 +154,9 @@ def _gk_panels(f, panels):
     array power takes a SIMD path that rounds differently from ``pow``;
     and the values and errors stay numpy scalars, so the driver's sums are
     plain additions (Python 3.12's ``sum`` compensates over exact floats).
-    Returns a list of (a, b, value, error), one per panel.
+    Returns a list of (a, b, value, error, floor), one per panel: the
+    error is never below the rounding floor 50 eps int |f|, and equals it
+    on a panel that is at its floor.
     """
     ends = np.array(panels, dtype=float)
     width = ends[:, 1] - ends[:, 0]
@@ -166,17 +174,22 @@ def _gk_panels(f, panels):
         if asc != 0.0 and err != 0.0:
             err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
         # roundoff floor on the claimed error
-        out.append((a, b, k, max(err, low)))
+        out.append((a, b, k, max(err, low), low))
     return out
 
 
 def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
     """Adaptive bisection over the initial panels given by ``breakpoints``.
 
-    Each round halves the worst panels, just enough of them that the error
-    of the others meets the tolerance, skipping panels at roundoff width
-    and never passing ``max_subdivisions`` panels.  A NaN error halves none.
-    The initial panels share one call of ``f``, and so do a round's halves.
+    The tolerance is ``rel_tol`` times the value.  When the total error
+    misses it, panels at their rounding floor (error equal to floor) are
+    left whole and their error is not compared with the tolerance:
+    halving cannot lower a floor (QUADPACK's roundoff stop).  Each round
+    halves the worst of the other panels, just enough of them that the
+    error of the rest meets the tolerance, skipping panels at roundoff
+    width and never passing ``max_subdivisions`` panels.  A NaN error
+    halves none.  The initial panels share one call of ``f``, and so do a
+    round's halves.
     """
     panels = _gk_panels(f, list(zip(breakpoints[:-1], breakpoints[1:])))
     evaluations = _NODES.size * len(panels)
@@ -185,9 +198,14 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
         panels.sort(key=_ERROR, reverse=True)
         total = sum(map(_VALUE, panels))
         total_err = sum(map(_ERROR, panels))
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = cfg.rel_tol * abs(total)
+        if total_err <= tol:
+            converged = True
+            break
+        # the error that halving can reduce; NaN != NaN keeps a NaN in it
+        left = sum(panel[3] for panel in panels if panel[3] != panel[4])
+        converged = bool(left <= tol)
         room = cfg.max_subdivisions - len(panels)
-        left = total_err
         kept, halves = [], []
         for i, panel in enumerate(panels):
             # left never grows (or stays NaN), so no later panel is halved
@@ -196,7 +214,7 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
                 break
             a, b = panel[0], panel[1]
             mid = 0.5 * (a + b)
-            if mid - a >= _EPS * max(abs(a), abs(b), 1.0):
+            if panel[3] != panel[4] and mid - a >= _EPS * max(abs(a), abs(b), 1.0):
                 halves += [(a, mid), (mid, b)]
                 left -= panel[3]
             else:
@@ -205,8 +223,7 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
             break
         panels = kept + _gk_panels(f, halves)
         evaluations += _NODES.size * len(halves)
-    return QuadratureResult(total, float(total_err), evaluations,
-                            bool(total_err <= tol))
+    return QuadratureResult(total, float(total_err), evaluations, converged)
 
 
 def integrate_finite(f, lo: float, hi: float,

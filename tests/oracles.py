@@ -332,10 +332,12 @@ def hilbert_transform_pv_at(samples, at: int) -> float:
 # one integrand call per 15-node panel, bisecting one worst panel at a time
 # from a heap.  The batched driver must make the same evaluations and
 # reach the same ``converged``; it sums the panels in another order, so
-# value and error agree to roundoff (rel 1e-15), not with ==.
+# value and error agree to roundoff (rel 1e-15), not with ==.  Both stop
+# on the same rule: the error of the panels that are not at their
+# rounding floor meets rel_tol times the value.
 
 def gk_panel_per_call(f, a: float, b: float):
-    """One Gauss-Kronrod 7/15 panel on [a, b]; returns (value, error)."""
+    """One Gauss-Kronrod 7/15 panel on [a, b]; returns (value, error, floor)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     y = np.asarray(f(mid + half * _NODES))
@@ -348,46 +350,50 @@ def gk_panel_per_call(f, a: float, b: float):
         if resasc != 0.0 and err != 0.0:
             err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     # roundoff floor on the claimed error
-    err = max(err, 50.0 * _EPS * resabs)
-    return resk, err
+    floor = 50.0 * _EPS * resabs
+    return resk, max(err, floor), floor
 
 
 def adaptive_per_panel(f, breakpoints, cfg) -> QuadratureResult:
     """Adaptive bisection over the initial panels given by ``breakpoints``."""
-    heap = []  # (-error, insertion counter, a, b, value, error)
+    heap = []  # (-error, insertion counter, a, b, value, error, floor)
     counter = 0
     evals = 0
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        value, err = gk_panel_per_call(f, a, b)
+        value, err, floor = gk_panel_per_call(f, a, b)
         evals += 15
-        heap.append((-err, counter, a, b, value, err))
+        heap.append((-err, counter, a, b, value, err, floor))
         counter += 1
     heapq.heapify(heap)
-    finished = []  # intervals too narrow to split further
+    finished = []  # intervals at their floor or too narrow to split further
 
     converged = True
     while True:
-        total = sum(item[4] for item in heap) + sum(item[4] for item in finished)
-        total_err = sum(item[5] for item in heap) + sum(item[5] for item in finished)
-        if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        items = heap + finished
+        total = sum(item[4] for item in items)
+        tol = cfg.rel_tol * abs(total)
+        if sum(item[5] for item in items) <= tol:
+            break
+        # panels at their rounding floor cannot be improved by halving
+        if sum(item[5] for item in items if item[5] != item[6]) <= tol:
             break
         if not heap:
             converged = False
             break
-        if len(heap) + len(finished) >= cfg.max_subdivisions:
+        if len(items) >= cfg.max_subdivisions:
             converged = False
             break
         item = heapq.heappop(heap)
         a, b = item[2], item[3]
         mid = 0.5 * (a + b)
-        if mid - a < _EPS * max(abs(a), abs(b), 1.0):
-            # interval at roundoff width; freeze it
+        if item[5] == item[6] or mid - a < _EPS * max(abs(a), abs(b), 1.0):
+            # at its floor, or at roundoff width; freeze it
             finished.append(item)
             continue
         for lo, hi in ((a, mid), (mid, b)):
-            value, err = gk_panel_per_call(f, lo, hi)
+            value, err, floor = gk_panel_per_call(f, lo, hi)
             evals += 15
-            heapq.heappush(heap, (-err, counter, lo, hi, value, err))
+            heapq.heappush(heap, (-err, counter, lo, hi, value, err, floor))
             counter += 1
 
     # deterministic final summation: left-to-right over the interval list
@@ -419,7 +425,8 @@ def gk_panels_rowwise(f, panels):
         resasc = h * (_WK @ np.abs(row - resk / (b - a)))
         if resasc != 0.0 and err != 0.0:
             err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-        out.append((a, b, resk, max(err, 50.0 * _EPS * resabs)))
+        floor = 50.0 * _EPS * resabs
+        out.append((a, b, resk, max(err, floor), floor))
     return out
 
 
@@ -431,14 +438,19 @@ def adaptive_rowwise(f, breakpoints, cfg) -> QuadratureResult:
         panels.sort(key=lambda panel: panel[3], reverse=True)
         total = sum(panel[2] for panel in panels)
         total_err = sum(panel[3] for panel in panels)
-        tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        tol = cfg.rel_tol * abs(total)
+        if total_err <= tol:
+            converged = True
+            break
+        # panels at their rounding floor are neither halved nor counted
+        left = sum(panel[3] for panel in panels if panel[3] != panel[4])
+        converged = bool(left <= tol)
         room = cfg.max_subdivisions - len(panels)
-        left = total_err
         kept, halves = [], []
         for panel in panels:
             a, b = panel[0], panel[1]
             mid = 0.5 * (a + b)
-            if (left > tol and len(halves) < 2 * room
+            if (panel[3] != panel[4] and left > tol and len(halves) < 2 * room
                     and mid - a >= _EPS * max(abs(a), abs(b), 1.0)):
                 halves += [(a, mid), (mid, b)]
                 left -= panel[3]
@@ -448,5 +460,4 @@ def adaptive_rowwise(f, breakpoints, cfg) -> QuadratureResult:
             break
         panels = kept + gk_panels_rowwise(f, halves)
         evaluations += _NODES.size * len(halves)
-    return QuadratureResult(total, float(total_err), evaluations,
-                            bool(total_err <= tol))
+    return QuadratureResult(total, float(total_err), evaluations, converged)

@@ -18,7 +18,6 @@ from thermaldrag import (LorentzianMirror, PerfectMirror, chi_total,
                          integrate_thermal, reflection_probability,
                          validate_model, vacuum_cubic_coefficient)
 from thermaldrag.models import reflection_and_delay
-from thermaldrag.quadrature import DEFAULT_CONFIG
 from thermaldrag.susceptibility import kramers_kronig_window_doubling
 
 LORENTZIAN = LorentzianMirror(1.0)
@@ -116,7 +115,7 @@ def test_criterion_09_zero_frequency_susceptibility():
     for model in (LORENTZIAN, PERFECT):
         for temp in (0.0, 1.0):
             worst = max(worst, abs(chi_total(model, 0.0, temp).chi_total))
-    allowed = 2.0 * DEFAULT_CONFIG.abs_tol
+    allowed = 2e-14
     assert report(9, worst < allowed,
                   f"|chi_T(0)| worst {worst:.2e} (allowed {allowed:.0e})")
 

@@ -256,6 +256,18 @@ s_denominator = 1, -1
         for name in ("route_discrepancy_lambda", "route_discrepancy_mu"):
             assert float(fields[name]) <= 1e-6
 
+    # the five temperatures of the 483 from 1e-3 to 10 (log-spaced) where an
+    # absolute quadrature tolerance of 1e-14 stopped one lambda route above
+    # 1e-6 of lambda = 1e-10, inside its claim, and the route gate exited 3
+    @pytest.mark.parametrize("temp", [0.027269969192078098, 0.028332321263905846,
+                                      0.02943605922497197, 0.030003949321170256,
+                                      0.030582795339113882])
+    def test_narrow_band_routes_agree_where_lambda_is_tiny(self, tmp_path, capsys, temp):
+        assert run(["coeffs", "--config", narrow_band_config(tmp_path, temp)]) == 0
+        fields = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+        for name in ("route_discrepancy_lambda", "route_discrepancy_mu"):
+            assert float(fields[name]) <= 1e-6
+
     def test_narrow_band_at_the_domain_edge_passes_the_growth_guard(self, tmp_path):
         # steps of 2.5e-7 in T move the band (x = 1/T = 692-704) across the
         # outermost nodes of the thermal domain, 688.7 and 698.1, in steps of
@@ -430,7 +442,8 @@ class TestVerifyCommand:
                      "temperature = 1.0\n[model]\nkind = perfect\n")
         assert run(["verify", "--config", path]) == 0
         out = capsys.readouterr().out
-        assert "mu_exact_zero: measured=0.000000e+00" in out
+        # the allowance is the report's claimed error of mu, exactly 0 here
+        assert "mu_exact_zero: measured=0.000000e+00 allowed=0.000000e+00 PASS" in out
         assert "dual_route_mu: measured=0.000000e+00" in out
 
     def test_weak_rational_mirror_passes(self, tmp_path, capsys):
@@ -749,6 +762,15 @@ class TestMain:
         assert run(["coeffs", "--config", path]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_tol_zero_is_accepted(self, tmp_path, capsys):
+        # 0 is a valid route tolerance: the report is printed, and the perfect
+        # mirror's lambda routes, 2e-16 apart, trip the gate
+        path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")
+        assert run(["coeffs", "--config", path, "--tol", "0"]) == 3
+        out, err = capsys.readouterr()
+        assert "route_discrepancy_lambda = " in out
+        assert "exceeds tolerance 0.000e+00" in err
+
 
 WEAK_RATIONAL_KEYS = ("r_numerator = 0, 0.3\nr_denominator = 1, -2.0223748416156684, 1\n"
                       "s_numerator = 1, 0, -1\ns_denominator = 1, -2.0223748416156684, 1\n")
@@ -762,6 +784,10 @@ class TestRejections:
          "count must be >= 2, got 1"),
         ("sweep", "temp_min = 1\ntemp_max = 2\nspacing = cubic", "kind = perfect", None,
          "spacing must be 'log' or 'linear', got 'cubic'"),
+        ("sweep", "temp_min = 0\ntemp_max = 2", "kind = perfect", None,
+         "need 0 < temp_min < temp_max, got [0.0, 2.0]"),
+        ("sweep", "temp_min = 2\ntemp_max = 2", "kind = perfect", None,
+         "need 0 < temp_min < temp_max, got [2.0, 2.0]"),
         ("chi", "temperature = 1\nomega_min = 1\nomega_max = -1", "kind = perfect", None,
          "need omega_max >= omega_min"),
         ("chi", "temperature = 1\nomega_min = -1\nomega_max = 1\nomega_count = 0",
@@ -802,10 +828,13 @@ class TestRejections:
          "reltol = 1e-3", "kind = perfect", None, "unknown config key 'omega_cout'"),
         ("coeffs", "temperature = 1", "kind = lorentzian\ntau0 = 1\ntau = 3", None,
          "unknown lorentzian model key 'tau'"),
+        ("coeffs", "temperature = 1\nabs_tol = 1e-14", "kind = perfect", None,
+         "unknown config key 'abs_tol'"),
         ("coeffs", "temperature = 1", "kind = lorentzian\ntau0 = 1\ncutoff = 2", None,
          "unknown lorentzian model key 'cutoff'"),
         ("model-info", "", "kind = perfect", None, "injected"),
-    ], ids=["sweep-count", "sweep-spacing", "chi-omega-range", "chi-omega-count",
+    ], ids=["sweep-count", "sweep-spacing", "sweep-temp-min-zero",
+            "sweep-temp-range-empty", "chi-omega-range", "chi-omega-count",
             "force-no-trajectory", "force-row-fields", "force-non-numeric",
             "config-not-a-number", "config-not-an-integer", "config-missing-temp-min",
             "config-unknown-section", "config-empty-key", "config-list-not-numbers",
@@ -813,7 +842,7 @@ class TestRejections:
             "config-rational-missing-key", "rational-cutoff-zero",
             "verify-einstein-tol-negative", "verify-einstein-tol-zero",
             "config-unknown-main-key", "config-unknown-model-key",
-            "config-key-of-another-kind", "main-error-in-handler"])
+            "config-retired-abs-tol", "config-key-of-another-kind", "main-error-in-handler"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, command, settings, model,
                      trajectory, message):
         if trajectory is not None:
@@ -928,8 +957,8 @@ GOLDEN_CHI_QUARTIC_SCALED = (
     '-1,0.0045268203856928093,-0.018772357110504793,0.12503787147617332,'
     '-0.17411513469364495,0.12956469186186614,-0.19288749180414974,'
     '5.9843545756085071e-15\n'
-    '0,0,0,-2.2259454596238617e-19,0,-2.2259454596238617e-19,0,'
-    '1.8121533483803503e-18\n'
+    '0,0,0,5.6575890794296933e-20,0,5.6575890794296933e-20,0,'
+    '1.7725986401061161e-18\n'
     '1,0.0045268203856928093,0.018772357110504793,0.12503787147617332,'
     '0.17411513469364495,0.12956469186186614,0.19288749180414974,'
     '5.9843545756085071e-15\n'

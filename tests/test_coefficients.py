@@ -10,7 +10,7 @@ from conftest import weak_mirror
 from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          RegimeViolation, asymptotics, chi_total,
                          compute_coefficients, einstein_check,
-                         quasistatic_force)
+                         integrate_thermal, quasistatic_force)
 from thermaldrag import cli, coefficients, models, quadrature
 from thermaldrag.coefficients import ROUTE_TOLERANCE
 from thermaldrag.core import X_UNDERFLOW
@@ -395,12 +395,35 @@ class TestConvergedFlags:
         assert report.route_discrepancy_lambda <= ROUTE_TOLERANCE
         assert report.route_discrepancy_mu <= ROUTE_TOLERANCE
 
-    def test_lorentzian_mu_spectral_at_1e4_reports_its_spent_budget(self, lorentzian):
-        # the spectral mu integrand cancels at T >> cutoff and exhausts its
-        # budget; the report says so instead of dropping the flag
+    # lambda is 1.4e-9 to 1.4e-13 here: an absolute quadrature tolerance of
+    # 1e-14 once stopped the routes 2e-6 to 5e-6 apart, each inside its
+    # claim, and more than ROUTE_TOLERANCE
+    @pytest.mark.parametrize("a", [0.01, 1e-3, 1e-4])
+    def test_resonant_routes_agree_where_lambda_is_tiny(self, a):
+        report = compute_coefficients(resonant_mirror(a), 0.03)
+        assert report.converged == dict.fromkeys(report.error_estimates, True)
+        assert report.route_discrepancy_lambda <= ROUTE_TOLERANCE
+
+    def test_lorentzian_mu_spectral_at_1e4_stops_on_its_floor(self, monkeypatch,
+                                                              lorentzian):
+        # the spectral mu integrand cancels at T >> cutoff, and its panels
+        # reach their rounding floor: bisection stops there instead of
+        # spending the budget of 200 panels, from 33 initial ones on the
+        # band's octaves: 15 (33 + 2 (200 - 33)) = 5505 evaluations
+        results = []
+
+        def recorded(*args, **kwargs):
+            results.append(integrate_thermal(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(coefficients, "integrate_thermal", recorded)
         report = compute_coefficients(lorentzian, 1e4)
-        assert report.converged == {**dict.fromkeys(report.error_estimates, True),
-                                    "mu_spectral": False}
+        assert report.converged == dict.fromkeys(report.error_estimates, True)
+        mu_spectral = results[list(report.error_estimates).index("mu_spectral")]
+        assert mu_spectral.evaluations < 5505
+        # 40-digit reference of the Lorentzian's mu at T = 1e4 (ROADMAP item 3)
+        exact = -0.15914661004931502
+        assert abs(report.mu_spectral - exact) <= report.error_estimates["mu_spectral"]
 
 
 class TestKernelMemo:
@@ -502,12 +525,12 @@ class TestAsymptotics:
         assert abs(report.omega_C_effective - 0.25) <= report.error_estimates[
             "omega_C_effective"]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "Delta_S is exactly 0 for every Lorentzian, and its claimed error is the "
-        "rounding floor 2.2e-14, above abs_tol: the driver halves panels until "
-        "the budget runs out (ROADMAP item 11, roundoff-limited integrals)"))
     def test_lorentzian_delay_sum_converges(self, lorentzian):
-        assert asymptotics(lorentzian).converged["delta_S"]
+        # Delta_S is exactly 0 for every Lorentzian: its panels stop on
+        # their rounding floor, which is also all of its claimed error
+        report = asymptotics(lorentzian)
+        assert report.converged["delta_S"]
+        assert abs(report.delta_S) <= report.error_estimates["delta_S"]
 
     def test_limit_laws_evaluate(self, lorentzian):
         report = asymptotics(lorentzian)

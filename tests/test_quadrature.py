@@ -85,7 +85,7 @@ class TestIntegrateFinite:
             integrate_finite(lambda x: x, 1.0, 0.0)
 
     def test_tolerance_not_reached_flag(self):
-        cfg = QuadratureConfig(rel_tol=1e-15, abs_tol=1e-300, max_subdivisions=4)
+        cfg = QuadratureConfig(rel_tol=1e-15, max_subdivisions=4)
         res = integrate_finite(lambda x: np.sqrt(np.abs(x)), 0.0, 1.0, cfg)
         assert not res.converged
         assert res.value == pytest.approx(2.0 / 3.0, rel=1e-3)
@@ -148,8 +148,7 @@ class TestIntegrateThermal:
         hits = trials = 0
         for _ in range(100):
             rel = 10.0 ** rng.uniform(-12, -4)
-            abs_tol = 10.0 ** rng.uniform(-16, -8)
-            cfg = QuadratureConfig(rel_tol=rel, abs_tol=abs_tol)
+            cfg = QuadratureConfig(rel_tol=rel)
             for k in (1, 3):
                 res = integrate_thermal(lambda w, k=k: w**k, 1.0, cfg)
                 trials += 1
@@ -335,16 +334,21 @@ _DRIVER_CASES = {
                    DEFAULT_CONFIG),
     "budget_exhausted": (lambda x: np.sqrt(np.abs(x - 1.0 / 3.0)), [0.0, 1.0],
                          QuadratureConfig(max_subdivisions=3)),
-    # a tolerance below the roundoff floor: both halves of the first split
-    # are too narrow to split again, so they freeze and nothing is left
-    "roundoff_frozen": (np.exp, [1.0, 1.0 + 4.0 * _EPS],
-                        QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300)),
-    # the worst panels are frozen, and the others must still be halved
-    # until the budget runs out
-    "frozen_worst": (lambda x: np.where(x < 1.0 + 4.0 * _EPS, 1e40, np.exp(x)),
+    # a jump inside a panel four ulps wide: both halves of the first split
+    # are too narrow to split again, so they freeze and nothing is left,
+    # while the half with the jump keeps an error above its rounding floor
+    "roundoff_frozen": (lambda x: np.where(x < 1.0 + 2.0 * _EPS, 1.0, 2.0),
+                        [1.0, 1.0 + 4.0 * _EPS], DEFAULT_CONFIG),
+    # the worst panels are frozen above their floor, and the others must
+    # still be halved until the budget runs out
+    "frozen_worst": (lambda x: np.where(x < 1.0 + 2.0 * _EPS, 1e40,
+                                        np.sqrt(np.abs(x - 1.0))),
                      [1.0, 1.0 + 4.0 * _EPS, 2.0],
-                     QuadratureConfig(rel_tol=1e-16, abs_tol=1e-300,
-                                      max_subdivisions=20)),
+                     QuadratureConfig(rel_tol=1e-16, max_subdivisions=20)),
+    # a tolerance below the rounding floor: the peak is halved until every
+    # panel that is left misses the tolerance only by its floor
+    "floor_stop": (lambda x: 1.0 / ((x - 0.3) ** 2 + 1e-4), [0.0, 1.0],
+                   QuadratureConfig(rel_tol=1e-16)),
 }
 
 
@@ -374,6 +378,12 @@ class TestBatchedDriver:
         # stopping at the first frozen worst panel would make 60
         frozen = _adaptive(*_DRIVER_CASES["frozen_worst"])
         assert not frozen.converged and frozen.evaluations == 570
+        # stopped on the floor: the claimed error misses the tolerance, the
+        # budget of 200 panels is not spent
+        f, breakpoints, cfg = _DRIVER_CASES["floor_stop"]
+        floored = _adaptive(f, breakpoints, cfg)
+        assert floored.converged and floored.evaluations == 795
+        assert floored.error_estimate > cfg.rel_tol * abs(floored.value)
 
     @staticmethod
     def recording(f):
@@ -536,17 +546,22 @@ class TestRichardson:
 
 
 class TestQuadratureConfig:
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("name", ["rel_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_tolerance(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             QuadratureConfig(**{name: value})
 
-    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("name", ["rel_tol"])
     @pytest.mark.parametrize("value", [0.0, -1e-10])
     def test_rejects_non_positive_tolerance(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             QuadratureConfig(**{name: value})
+
+    def test_absolute_tolerance_is_retired(self):
+        # the tolerance is relative only; a roundoff stop replaces the floor
+        with pytest.raises(TypeError, match="abs_tol"):
+            QuadratureConfig(abs_tol=1e-14)
 
     @pytest.mark.parametrize("value", [2.5, 200.0, True, False, "200", None])
     def test_rejects_budget_that_is_not_an_int(self, value):
@@ -633,10 +648,11 @@ class TestStackedReduction:
         panels = list(zip(ends[:-1].tolist(), ends[1:].tolist()))
         stacked = _gk_panels(f, panels)
         assert [panel[:2] for panel in stacked] == panels
-        for a, b, value, err in stacked:
-            lone_value, lone_err = oracles.gk_panel_per_call(f, a, b)
+        for a, b, value, err, floor in stacked:
+            lone_value, lone_err, lone_floor = oracles.gk_panel_per_call(f, a, b)
             assert _same(value, lone_value), (name, a, b, value, lone_value)
             assert _same(err, lone_err), (name, a, b, err, lone_err)
+            assert _same(floor, lone_floor), (name, a, b, floor, lone_floor)
 
     def test_stacked_dots_are_lone_dots(self):
         # canary for numpy's matmul dispatch: the stacked reduction relies on

@@ -88,7 +88,7 @@ class TestChiVacuumFold:
     @pytest.mark.parametrize("name", FOLD_MODELS)
     def test_matches_unfolded_integral(self, request, name):
         model = fold_model(request, name)
-        tight = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300, max_subdivisions=2000)
+        tight = QuadratureConfig(rel_tol=1e-13, max_subdivisions=2000)
         for omega in np.geomspace(1e-3, 80.0, 12) * (model.cutoff_frequency or 1.0):
             def unfolded(wp):
                 return wp * (omega - wp) * model.alpha(np.array((wp, omega - wp)))
@@ -262,9 +262,9 @@ class TestChiThermal:
 
 
 class TestWithinClaimedError:
-    # the default tolerances against a run at rel_tol 1e-13 and abs_tol
-    # 1e-18: the two differ by no more than the default run's claimed error
-    TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-18)
+    # the default tolerance against a run at rel_tol 1e-13: the two differ
+    # by no more than the default run's claimed error
+    TIGHT = QuadratureConfig(rel_tol=1e-13)
 
     def check(self, model, omega, temp):
         value = chi_total(model, omega, temp)
@@ -606,7 +606,7 @@ class TestErrorHandling:
             chi_total(request.getfixturevalue(name), 0.5, -1.0)
 
     def test_tight_config_converges(self, lorentzian):
-        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-15, max_subdivisions=400)
+        cfg = QuadratureConfig(rel_tol=1e-12, max_subdivisions=400)
         value = chi_total(lorentzian, 0.5, 1.0, cfg)
         loose = chi_total(lorentzian, 0.5, 1.0)
         assert value.chi_total == pytest.approx(loose.chi_total, rel=1e-9)
