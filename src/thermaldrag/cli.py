@@ -7,8 +7,9 @@ numeric CSV fields carry 17 significant digits, and identical
 configurations produce byte-identical output on one machine and numpy
 build (other SIMD code paths may move the last digits).  Exit codes: 0 ok,
 2 config error (non-finite numbers and file I/O errors included),
-3 route discrepancy above tolerance or NaN, or a printed value that is
-not finite, 4 model validation failure, 5 verify failure.
+3 route discrepancy above tolerance or NaN, a printed value that is not
+finite, or a printed value whose quadrature did not converge (named on
+stderr), 4 model validation failure, 5 verify failure.
 """
 
 from __future__ import annotations
@@ -96,12 +97,21 @@ def _route_gate(reports, tol: float) -> int:
     return EXIT_OK
 
 
-def _finite_gate(values) -> int:
-    """EXIT_ROUTE when a printed value is NaN or infinite."""
-    if np.all(np.isfinite(values)):
-        return EXIT_OK
-    print("a printed value is not a finite number", file=sys.stderr)
-    return EXIT_ROUTE
+def _output_gate(values, flags) -> int:
+    """EXIT_ROUTE when a printed value is NaN or infinite, or when a
+    quadrature behind it did not converge: ``flags`` are the ``converged``
+    dicts of the reports or values printed, and stderr names each
+    unconverged field once.
+    """
+    if not np.all(np.isfinite(values)):
+        print("a printed value is not a finite number", file=sys.stderr)
+        return EXIT_ROUTE
+    failed = dict.fromkeys(name for converged in flags
+                           for name, ok in converged.items() if not ok)
+    if failed:
+        print(f"quadrature did not converge: {', '.join(failed)}", file=sys.stderr)
+        return EXIT_ROUTE
+    return EXIT_OK
 
 
 def cmd_coeffs(args) -> int:
@@ -114,7 +124,8 @@ def cmd_coeffs(args) -> int:
         print(f"{name} = {_fmt(value)} +/- {_fmt(err)}")
     print(f"route_discrepancy_lambda = {_fmt(report.route_discrepancy_lambda)}")
     print(f"route_discrepancy_mu = {_fmt(report.route_discrepancy_mu)}")
-    return _route_gate([report], args.tol) or _finite_gate(list(user.values()))
+    return (_route_gate([report], args.tol)
+            or _output_gate(list(user.values()), [report.converged]))
 
 
 def cmd_sweep(args) -> int:
@@ -129,14 +140,12 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"count must be >= 2, got {count}")
     if spacing not in ("log", "linear"):
         raise ConfigError(f"spacing must be 'log' or 'linear', got {spacing!r}")
-    if spacing == "log":
-        temps = np.geomspace(t_min, t_max, count)
-    else:
-        temps = np.linspace(t_min, t_max, count)
+    temps = (np.geomspace if spacing == "log" else np.linspace)(t_min, t_max, count)
 
     rows, reports = zip(*(_sweep_row(config, float(temp)) for temp in temps))
     print(SWEEP_HEADER, *(",".join(_fmt(f) for f in row) for row in rows), sep="\n")
-    return _route_gate(reports, args.tol) or _finite_gate(rows)
+    return (_route_gate(reports, args.tol)
+            or _output_gate(rows, (r.converged for r in reports)))
 
 
 def cmd_chi(args) -> int:
@@ -152,19 +161,18 @@ def cmd_chi(args) -> int:
     units = config.units
     omegas = np.linspace(omega_min, omega_max, count)
 
-    table = []
+    table, flags = [], []
     for omega_user in omegas:
         value = suscept.chi_total(config.model,
                                   units.frequency_to_natural(float(omega_user)),
                                   temp, config.quadrature)
-        vac = units.susceptibility_from_natural(value.chi_vacuum)
-        thermal = units.susceptibility_from_natural(value.chi_thermal)
-        total = units.susceptibility_from_natural(value.chi_total)
-        err = units.susceptibility_from_natural(value.error_estimate)
+        vac, thermal, total, err = map(units.susceptibility_from_natural, (
+            value.chi_vacuum, value.chi_thermal, value.chi_total, value.error_estimate))
         table.append((omega_user, vac.real, vac.imag, thermal.real, thermal.imag,
                       total.real, total.imag, err))
+        flags.append(value.converged)
     print(CHI_HEADER, *(",".join(_fmt(f) for f in row) for row in table), sep="\n")
-    return _finite_gate(table)
+    return _output_gate(table, flags)
 
 
 def cmd_force(args) -> int:
@@ -208,7 +216,7 @@ def cmd_force(args) -> int:
     t_out = units.time_from_natural(t_nat)
     f_out = units.force_from_natural(force_nat)
     print("t,F", *(f"{_fmt(t)},{_fmt(f)}" for t, f in zip(t_out, f_out)), sep="\n")
-    return _finite_gate([t_out, f_out])
+    return _output_gate([t_out, f_out], [report.converged])
 
 
 def _verify_checks(config: RunConfig, tol: float):

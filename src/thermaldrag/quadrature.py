@@ -6,8 +6,9 @@ must return an array of values (real or complex) of the same shape.
 Integrands must be pointwise: the value at a node may depend on that node
 only, because one call carries the nodes of several panels (all initial
 panels at once, then all the halves of a round).  Results are
-deterministic for a fixed configuration: each round sorts the panels by
-error with a stable sort, and the sums run over the panels in that order.
+deterministic for a fixed configuration: the panels are kept as numpy
+arrays in interval order, and the totals are numpy's pairwise sums over
+them, whatever the interpreter's own ``sum`` does.
 
 A call of the integrand and its reduction cost far more than its nodes,
 so both public drivers start wide: a finite range on four equal panels,
@@ -20,15 +21,14 @@ their first call; fewer calls, not fewer evaluations, is what makes them
 fast.
 
 The panels of one call are reduced together, one stacked matmul per
-weighted sum, and each panel still rounds bit for bit as it would alone;
-``_gk_panels`` names the three roundings that this rests on.
+weighted sum, and each panel's value and floor still round bit for bit
+as they would alone (see ``_gk_panels``).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +82,6 @@ _WG = np.array([
     0.129484966168869693270611432679082,
 ])
 _GAUSS_IDX = np.arange(1, 15, 2)
-# the value and the error of a panel (a, b, value, error)
-_VALUE, _ERROR = operator.itemgetter(2), operator.itemgetter(3)
 
 _EPS = np.finfo(float).eps
 
@@ -139,43 +137,37 @@ class QuadratureResult:
     converged: bool = True
 
 
-def _gk_panels(f, panels):
-    """Gauss-Kronrod 7/15 on every (a, b) in ``panels`` from one call of f.
+def _gk_panels(f, a, b):
+    """Gauss-Kronrod 7/15 on the panels [a[i], b[i]] from one call of f.
 
     The nodes of all panels reach ``f`` as one array, so ``f`` must be
     pointwise.  The values are stacked as (panels, 15, 1) columns, so each
     weighted sum is one matmul whose stack entries are 1x15 @ 15x1 dots:
     numpy sends each to the same BLAS dot as a lone panel's ``_WK @ row``,
-    and every panel's sums are bit for bit those of a lone panel.  Three
-    roundings must not change on the way: the Gauss nodes are gathered
-    with ``take``, which stays C-ordered (the fancy index
-    ``y[:, _GAUSS_IDX]`` is not, and its dots round differently); the
-    ``** 1.5`` of the error formula stays a scalar power, because numpy's
-    array power takes a SIMD path that rounds differently from ``pow``;
-    and the values and errors stay numpy scalars, so the driver's sums are
-    plain additions (Python 3.12's ``sum`` compensates over exact floats).
-    Returns a list of (a, b, value, error, floor), one per panel: the
-    error is never below the rounding floor 50 eps int |f|, and equals it
-    on a panel that is at its floor.
+    so every panel's value and floor are bit for bit those of a lone panel
+    (the Gauss nodes are gathered with ``take``, which stays C-ordered; the
+    fancy index ``y[:, _GAUSS_IDX]`` is not, and its dots round
+    differently).  The error's ``** 1.5`` is taken as ``r * sqrt(r)``,
+    which rounds the same on every SIMD path, within an ulp of ``pow``.
+    Returns the arrays (value, error, floor): the error is never below the
+    rounding floor 50 eps int |f|, and equals it on a panel at its floor.
     """
-    ends = np.array(panels, dtype=float)
-    width = ends[:, 1] - ends[:, 0]
+    width = b - a
     half = 0.5 * width
-    mid = 0.5 * (ends[:, 0] + ends[:, 1])
-    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel()))
-    y = y.reshape(len(panels), _NODES.size, 1)
+    mid = 0.5 * (a + b)
+    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel())).reshape(a.size, 15, 1)
     resk = half * (_WK @ y)[:, 0]
     resg = half * (_WG @ y.take(_GAUSS_IDX, axis=1))[:, 0]
     floor = 50.0 * _EPS * (half * (_WK @ np.abs(y))[:, 0])
     resasc = half * (_WK @ np.abs(y - (resk / width)[:, None, None]))[:, 0]
-    out = []
-    for (a, b), k, g, asc, low in zip(panels, resk, resg, resasc, floor):
-        err = abs(k - g)
-        if asc != 0.0 and err != 0.0:
-            err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-        # roundoff floor on the claimed error
-        out.append((a, b, k, max(err, low), low))
-    return out
+    err = np.abs(resk - resg)
+    with np.errstate(all="ignore"):
+        ratio = 200.0 * err / resasc
+        # fmin, as Python's min(1.0, r), keeps 1.0 where r is NaN
+        scaled = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
+    # roundoff floor on the claimed error
+    return resk, np.maximum(err, floor), floor
 
 
 def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
@@ -185,44 +177,48 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
     misses it, panels at their rounding floor (error equal to floor) are
     left whole and their error is not compared with the tolerance:
     halving cannot lower a floor (QUADPACK's roundoff stop).  Each round
-    halves the worst of the other panels, just enough of them that the
-    error of the rest meets the tolerance, skipping panels at roundoff
-    width and never passing ``max_subdivisions`` panels.  A NaN error
-    halves none.  The initial panels share one call of ``f``, and so do a
-    round's halves.
+    halves the worst of the other panels (a stable sort, so equal errors
+    go left to right), just enough of them that the error of the rest
+    meets the tolerance, skipping panels at roundoff width and never
+    passing ``max_subdivisions`` panels.  A NaN error halves none.  The
+    initial panels share one call of ``f``, and so do a round's halves.
+    The panels stay in interval order, and the totals are numpy's
+    pairwise sums over them, so results are deterministic for a fixed
+    configuration.
     """
-    panels = _gk_panels(f, list(zip(breakpoints[:-1], breakpoints[1:])))
-    evaluations = _NODES.size * len(panels)
+    ends = np.asarray(breakpoints, dtype=float)
+    a, b = ends[:-1], ends[1:]
+    value, err, floor = _gk_panels(f, a, b)
+    evaluations = _NODES.size * a.size
     while True:
-        # stable, so panels of equal error keep their order
-        panels.sort(key=_ERROR, reverse=True)
-        total = sum(map(_VALUE, panels))
-        total_err = sum(map(_ERROR, panels))
+        total, total_err = value.sum(), err.sum()
         tol = cfg.rel_tol * abs(total)
         if total_err <= tol:
             converged = True
             break
         # the error that halving can reduce; NaN != NaN keeps a NaN in it
-        left = sum(panel[3] for panel in panels if panel[3] != panel[4])
+        free = err != floor
+        left = err[free].sum()
         converged = bool(left <= tol)
-        room = cfg.max_subdivisions - len(panels)
-        kept, halves = [], []
-        for i, panel in enumerate(panels):
-            # left never grows (or stays NaN), so no later panel is halved
-            if not (left > tol and len(halves) < 2 * room):
-                kept += panels[i:]
-                break
-            a, b = panel[0], panel[1]
-            mid = 0.5 * (a + b)
-            if panel[3] != panel[4] and mid - a >= _EPS * max(abs(a), abs(b), 1.0):
-                halves += [(a, mid), (mid, b)]
-                left -= panel[3]
-            else:
-                kept.append(panel)
-        if not halves:
+        mid = 0.5 * (a + b)
+        wide = mid - a >= _EPS * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+        worst = np.flatnonzero(free & wide)
+        worst = worst[np.argsort(-err[worst], kind="stable")]
+        # halve the worst in turn while the error not yet halved misses tol
+        spent = np.cumsum(np.concatenate(([0.0], err[worst[:-1]])))
+        count = min(np.count_nonzero(left - spent > tol), worst.size,
+                    cfg.max_subdivisions - a.size)
+        if count <= 0:
             break
-        panels = kept + _gk_panels(f, halves)
-        evaluations += _NODES.size * len(halves)
+        split = worst[:count]
+        lo = np.concatenate((a[split], mid[split]))
+        hi = np.concatenate((mid[split], b[split]))
+        evaluations += _NODES.size * lo.size
+        # the halves join the other panels, all in interval order again
+        parts = [np.concatenate((np.delete(old, split), new)) for old, new
+                 in zip((a, b, value, err, floor), (lo, hi, *_gk_panels(f, lo, hi)))]
+        order = np.argsort(parts[0], kind="stable")
+        a, b, value, err, floor = (part[order] for part in parts)
     return QuadratureResult(total, float(total_err), evaluations, converged)
 
 

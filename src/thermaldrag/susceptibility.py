@@ -112,11 +112,14 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     for every model.  chi_0 is twice the integral over [0, |omega|/2] in
     u, where w' = g (e^u - 1) and g is the cutoff (|omega|/2 without one;
     held within 1e-300 and 1e3 times |omega|/2); omega = 0 is an empty
-    range, 0 with no evaluation.  Every model takes the same two
-    quadratures: n_T cuts the thermal integral off and unitarity bounds
-    |alpha| <= 2, so no cutoff is needed (the perfect mirror gives
-    i (2 pi/3) T^2 omega); a model's cutoff and |omega| only place the
-    thermal breakpoints.  Above ``_MAX_TEMP_PER_CUTOFF`` times the
+    range, 0 with no evaluation.  The thermal part is 0 there too, also
+    without evaluation: its integrand w'^2 (alpha[-w', w'] - alpha[w', -w'])
+    vanishes because alpha is symmetric in its two frequencies, and its
+    rounding residue could never meet a relative tolerance.  Every model
+    takes the same two quadratures: n_T cuts the thermal integral off and
+    unitarity bounds |alpha| <= 2, so no cutoff is needed (the perfect
+    mirror gives i (2 pi/3) T^2 omega); a model's cutoff and |omega| only
+    place the thermal breakpoints.  Above ``_MAX_TEMP_PER_CUTOFF`` times the
     model's cutoff the thermal part and the error estimate are NaN, and
     ``converged["chi_thermal"]`` is False.  The dissipative part xi_T is
     ``chi_total.imag``, odd in omega.  A non-finite ``omega`` or ``temp``
@@ -146,7 +149,7 @@ def chi_total(model: MirrorModel, omega: float, temp: float,
     chi_thermal, thermal_converged = 0j, True
     if cutoff is not None and temp > _MAX_TEMP_PER_CUTOFF * cutoff:
         chi_thermal, error, thermal_converged = complex(math.nan, math.nan), math.nan, False
-    elif temp > 0:
+    elif temp > 0 and width > 0:
         def thermal(wp):
             # (w - w') down + (w + w') up, grouped so w' cancels when down == up
             down, up = model.alpha(np.array(((wp, -wp), (width - wp, width + wp))))

@@ -11,8 +11,9 @@ the kernels a, b from the literal amplitude products instead of R and
 tau.  The adaptive driver is kept twice, sharing only the rule's nodes
 and weights with the package: as the per-panel loop (one integrand call
 per 15-node panel), and as the batched driver that reduced its panels
-row by row, which the package's stacked reduction must match bit for
-bit.
+row by row and summed them left to right, which the package's array
+driver must match in evaluations and convergence, and in value and error
+within the claimed error.
 """
 
 import cmath
@@ -404,10 +405,12 @@ def adaptive_per_panel(f, breakpoints, cfg) -> QuadratureResult:
 
 
 # --- row-wise batched driver ----------------------------------------------
-# The batched driver as it was before its panels were reduced as one stack:
-# one integrand call per step, then each panel reduced on its own row with
-# 1-D dot products.  The stacked reduction must reproduce it bit for bit:
-# the same panels, values, errors, sums and evaluation counts.
+# The batched driver as it was before its panels became arrays: one
+# integrand call per step, then each panel reduced on its own row with 1-D
+# dot products, and the panels summed left to right in error order.  The
+# array driver sums pairwise in interval order, so it must make the same
+# evaluations and reach the same ``converged``, with value and error
+# within the error this driver claims.
 
 def gk_panels_rowwise(f, panels):
     """Gauss-Kronrod 7/15 on every (a, b) in ``panels`` from one call of f."""

@@ -280,9 +280,9 @@ def recording_gk_panels(monkeypatch):
     calls = []
     gk_panels = quadrature._gk_panels
 
-    def recorded(f, panels):
-        calls.append(list(panels))
-        return gk_panels(f, panels)
+    def recorded(f, a, b):
+        calls.append(list(zip(a.tolist(), b.tolist())))
+        return gk_panels(f, a, b)
 
     monkeypatch.setattr(quadrature, "_gk_panels", recorded)
     return calls

@@ -105,6 +105,18 @@ class TestChiVacuumFold:
                        + kernel_rounding)
             assert abs(value.chi_vacuum - 1j / (2.0 * math.pi) * reference.value) <= allowed
 
+    @pytest.mark.parametrize("name", FOLD_MODELS)
+    def test_zero_frequency_is_exactly_zero(self, request, monkeypatch, name):
+        # both integrands vanish at omega = 0, the thermal one by the symmetry
+        # of alpha; the weak mirror's rounding residue there once spent the
+        # whole thermal budget and came out unconverged
+        thermal = record_runs(monkeypatch, "integrate_thermal")
+        for temp in (0.1, 1.0, 10.0):
+            value = chi_total(fold_model(request, name), 0.0, temp)
+            assert (value.chi_total, value.error_estimate) == (0.0, 0.0)
+            assert all(value.converged.values())
+        assert thermal == []
+
     @pytest.mark.parametrize("tau0", [0.3, 1.0, 3.0])
     def test_few_integrand_calls_far_above_the_cutoff(self, monkeypatch, tau0):
         runs = record_runs(monkeypatch)
@@ -158,13 +170,16 @@ class TestChiVacuumFold:
                 thermal = record_runs(patch, "integrate_thermal")
                 chi_total(LorentzianMirror(tau0), sign * 10.0**log_omega_tau0 / tau0,
                           10.0**log_temp_tau0 / tau0)
-            assert [calls for calls, _ in thermal] == [1]
+            # omega = 0 takes no thermal integral: its integrand vanishes
+            assert [calls for calls, _ in thermal] == ([1] if sign else [])
 
         check()
 
     @pytest.mark.parametrize("model, code", [
         ("kind = lorentzian\ntau0 = 1.0", 0),
-        ("kind = lorentzian\ntau0 = 1e300", 0),
+        # alpha rounds to 0 at |omega| = 1e150, and chi_0 misses its tolerance:
+        # -1.6e-127 where the limit -omega^2/(2 pi tau0) is -0.159
+        ("kind = lorentzian\ntau0 = 1e300", 3),
         ("kind = perfect", 3),  # chi_0 = i omega^3 / 6 pi overflows
     ])
     def test_extreme_frequencies_on_the_cli(self, tmp_path, capsys, model, code):
