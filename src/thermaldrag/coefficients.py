@@ -101,14 +101,16 @@ class AsymptoticsReport:
 # ---------------------------------------------------------------------------
 # thermal integrals (Bose weight supplied by integrate_thermal)
 
-def _kernel_memo(model: MirrorModel, order: int):
-    """w -> ``models.reflection_and_delay(model, w, order)``, formed once per node array.
+def _kernel_memo(model: MirrorModel, order: int, temp: float | None = None):
+    """w -> (R, R', tau, tau', b, 1 + n_T), formed once per node array.
 
-    Integrals over the same range start on the same nodes (the initial
-    panels) and mostly bisect alike, so the integrals
-    of one call meet most node arrays several times.  The record (R, R',
-    tau, tau') of each distinct array, keyed on its dtype, shape and bytes,
-    is kept as long as the returned function: for one call.
+    The first four are ``models.reflection_and_delay(model, w, order)``,
+    b is their ``models._b_kernel`` and 1 + n_T(w) is taken at ``temp``
+    (None without one).  Integrals over the same range start on the same
+    nodes (the initial panels) and mostly bisect alike, so the integrals
+    of one call meet most node arrays several times.  The record of each
+    distinct array, keyed on its dtype, shape and bytes, is kept as long
+    as the returned function: for one call.
     """
     records = {}
 
@@ -116,7 +118,9 @@ def _kernel_memo(model: MirrorModel, order: int):
         omega = np.asarray(omega)
         key = omega.dtype.str, omega.shape, omega.tobytes()
         if key not in records:
-            records[key] = models.reflection_and_delay(model, omega, order)
+            record = models.reflection_and_delay(model, omega, order)
+            plus = None if temp is None else occupation_plus_one_from_ratio(omega / temp)
+            records[key] = (*record, models._b_kernel(record), plus)
         return records[key]
 
     return kernels
@@ -144,39 +148,37 @@ def compute_coefficients(model: MirrorModel, temp: float,
     first Bose panel, which is then split in octaves down to the band, so
     the integrals still converge on their first call (a perfect mirror has
     no cutoff and keeps the 19 panels).  All six share these x nodes, so
-    they read R, R', tau and tau' from one :func:`_kernel_memo`: each
-    distinct node array takes one kernel pass per call, and every value is
-    the one a lone integral would compute.  A temperature that is not
-    finite and > 0 raises ValueError from the first integral.
+    they read R, R', tau, tau', b and 1 + n_T from one :func:`_kernel_memo`:
+    each distinct node array takes one kernel pass, one b and one 1 + n_T
+    per call, and every value is the one a lone integral would compute.  A
+    temperature that is not finite and > 0 raises ValueError from the
+    first integral.
     """
-    kernels = _kernel_memo(model, 2)
+    kernels = _kernel_memo(model, 2, temp)
 
     def lambda_spectral_f(w):
-        big_r, d_big_r, _, _ = kernels(w)
+        big_r, d_big_r = kernels(w)[:2]
         a, da = 2.0 * big_r, 2.0 * d_big_r
         return (2.0 * w * a + w * w * da) / math.pi
 
     def lambda_entropic_f(w):
-        big_r = kernels(w)[0]
-        plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
+        big_r, *_, plus = kernels(w)
         return w * w * big_r * plus / (math.pi * (temp * temp))
 
     def mu_spectral_f(w):
-        big_r, d_big_r, tau, d_tau = kernels(w)
-        b = 2.0 * (1.0 - 2.0 * big_r) * tau
+        big_r, d_big_r, tau, d_tau, b, _ = kernels(w)
         db = 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
         return (2.0 * w * b + w * w * db) / (2.0 * math.pi)
 
     def mu_entropic_f(w):
-        b = models._b_kernel(kernels(w))
-        plus = occupation_plus_one_from_ratio(np.asarray(w) / temp)
+        *_, b, plus = kernels(w)
         return w * w * b * plus / (2.0 * math.pi * (temp * temp))
 
     def a_f(w):
         return w * kernels(w)[0] / math.pi
 
     def b_f(w):
-        return w * models._b_kernel(kernels(w)) / (2.0 * math.pi)
+        return w * kernels(w)[4] / (2.0 * math.pi)
 
     integrands = {
         "lambda_spectral": (lambda_spectral_f, 1.0),
@@ -219,7 +221,7 @@ def asymptotics(model: MirrorModel,
     dw (1 - 2 R[w]) 2 tau[w], both mapped to [0, 1) through w = w_C t/(1-t).
     A model without a cutoff, the perfect mirror included, has no finite
     bandwidth and raises DivergentBandwidth.  Both integrals start on the
-    same nodes and read R and tau from one :func:`_kernel_memo`; the
+    same nodes and read R and b from one :func:`_kernel_memo`; the
     report carries each one's claimed error and convergence flag.
     """
     cutoff = model.cutoff_frequency
@@ -236,7 +238,7 @@ def asymptotics(model: MirrorModel,
 
     kernels = _kernel_memo(model, 1)
     results = {"omega_C_effective": on_half_line(lambda w: kernels(w)[0]),
-               "delta_S": on_half_line(lambda w: models._b_kernel(kernels(w)))}
+               "delta_S": on_half_line(lambda w: kernels(w)[4])}
     return AsymptoticsReport(
         **{name: float(res.value / (2.0 * math.pi)) for name, res in results.items()},
         low_frequency_reflection=model.low_frequency_reflection,

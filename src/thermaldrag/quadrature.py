@@ -20,6 +20,14 @@ breaks x0 -+ (cutoff/T) 2^k around it.  Most integrals then converge on
 their first call; fewer calls, not fewer evaluations, is what makes them
 fast.
 
+What is left is each call's fixed cost, so a thermal integral without a
+peak builds nothing it has built before: its breaks are one of 19 sets,
+the first panel split 0 to 18 times, and each set's nodes and Bose
+weights n(x) are built once per process, on first use, as a read-only
+rule that the first call of the integrand takes.  A peak's breaks take
+any value, so its rule is built per call.  The growth guard's factors
+are one module constant, since the last panel never changes.
+
 The panels of one call are reduced together, one stacked matmul per
 weighted sum, and each panel's value and floor still round bit for bit
 as they would alone (see ``_gk_panels``).
@@ -28,6 +36,7 @@ as they would alone (see ``_gk_panels``).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -137,25 +146,33 @@ class QuadratureResult:
     converged: bool = True
 
 
-def _gk_panels(f, a, b):
+def _gk_nodes(a, b):
+    """The 15 Kronrod nodes of each panel [a[i], b[i]], panel after panel."""
+    return ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES).ravel()
+
+
+def _gk_panels(f, a, b, y=None):
     """Gauss-Kronrod 7/15 on the panels [a[i], b[i]] from one call of f.
 
     The nodes of all panels reach ``f`` as one array, so ``f`` must be
-    pointwise.  The values are stacked as (panels, 15, 1) columns, so each
-    weighted sum is one matmul whose stack entries are 1x15 @ 15x1 dots:
-    numpy sends each to the same BLAS dot as a lone panel's ``_WK @ row``,
-    so every panel's value and floor are bit for bit those of a lone panel
-    (the Gauss nodes are gathered with ``take``, which stays C-ordered; the
-    fancy index ``y[:, _GAUSS_IDX]`` is not, and its dots round
-    differently).  The error's ``** 1.5`` is taken as ``r * sqrt(r)``,
-    which rounds the same on every SIMD path, within an ulp of ``pow``.
+    pointwise; ``y``, when given, holds f on ``_gk_nodes(a, b)`` already,
+    and f is not called.  The values are stacked as (panels, 15, 1)
+    columns, so each weighted sum is one matmul whose stack entries are
+    1x15 @ 15x1 dots: numpy sends each to the same BLAS dot as a lone
+    panel's ``_WK @ row``, so every panel's value and floor are bit for bit
+    those of a lone panel (the Gauss nodes are gathered with ``take``,
+    which stays C-ordered; the fancy index ``y[:, _GAUSS_IDX]`` is not, and
+    its dots round differently).  The error's ``** 1.5`` is taken as ``r *
+    sqrt(r)``, which rounds the same on every SIMD path, within an ulp of
+    ``pow``.
     Returns the arrays (value, error, floor): the error is never below the
     rounding floor 50 eps int |f|, and equals it on a panel at its floor.
     """
     width = b - a
     half = 0.5 * width
-    mid = 0.5 * (a + b)
-    y = np.asarray(f((mid[:, None] + half[:, None] * _NODES).ravel())).reshape(a.size, 15, 1)
+    if y is None:
+        y = f(_gk_nodes(a, b))
+    y = np.asarray(y).reshape(a.size, 15, 1)
     resk = half * (_WK @ y)[:, 0]
     resg = half * (_WG @ y.take(_GAUSS_IDX, axis=1))[:, 0]
     floor = 50.0 * _EPS * (half * (_WK @ np.abs(y))[:, 0])
@@ -170,7 +187,7 @@ def _gk_panels(f, a, b):
     return resk, np.maximum(err, floor), floor
 
 
-def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
+def _adaptive(f, breakpoints, cfg: QuadratureConfig, first=None) -> QuadratureResult:
     """Adaptive bisection over the initial panels given by ``breakpoints``.
 
     The tolerance is ``rel_tol`` times the value.  When the total error
@@ -181,14 +198,15 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
     go left to right), just enough of them that the error of the rest
     meets the tolerance, skipping panels at roundoff width and never
     passing ``max_subdivisions`` panels.  A NaN error halves none.  The
-    initial panels share one call of ``f``, and so do a round's halves.
-    The panels stay in interval order, and the totals are numpy's
-    pairwise sums over them, so results are deterministic for a fixed
-    configuration.
+    initial panels share one call of ``f``, and so do a round's halves;
+    ``first``, when given, is f on the initial panels' ``_gk_nodes``
+    already and takes the place of that call.  The panels stay in
+    interval order, and the totals are numpy's pairwise sums over them,
+    so results are deterministic for a fixed configuration.
     """
     ends = np.asarray(breakpoints, dtype=float)
     a, b = ends[:-1], ends[1:]
-    value, err, floor = _gk_panels(f, a, b)
+    value, err, floor = _gk_panels(f, a, b, first)
     evaluations = _NODES.size * a.size
     while True:
         total, total_err = value.sum(), err.sum()
@@ -202,10 +220,11 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
         converged = bool(left <= tol)
         mid = 0.5 * (a + b)
         wide = mid - a >= _EPS * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-        worst = np.flatnonzero(free & wide)
-        worst = worst[np.argsort(-err[worst], kind="stable")]
+        # array methods, not their numpy wrappers: a round is many small calls
+        worst = (free & wide).nonzero()[0]
+        worst = worst[(-err[worst]).argsort(kind="stable")]
         # halve the worst in turn while the error not yet halved misses tol
-        spent = np.cumsum(np.concatenate(([0.0], err[worst[:-1]])))
+        spent = np.concatenate(([0.0], err[worst[:-1]])).cumsum()
         count = min(np.count_nonzero(left - spent > tol), worst.size,
                     cfg.max_subdivisions - a.size)
         if count <= 0:
@@ -214,11 +233,18 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig) -> QuadratureResult:
         lo = np.concatenate((a[split], mid[split]))
         hi = np.concatenate((mid[split], b[split]))
         evaluations += _NODES.size * lo.size
-        # the halves join the other panels, all in interval order again
-        parts = [np.concatenate((np.delete(old, split), new)) for old, new
-                 in zip((a, b, value, err, floor), (lo, hi, *_gk_panels(f, lo, hi)))]
-        order = np.argsort(parts[0], kind="stable")
-        a, b, value, err, floor = (part[order] for part in parts)
+        # each halved panel gives way to its two halves where it stood, so
+        # the panels stay in interval order: a halved panel is repeated,
+        # and its halves overwrite the copies (left halves, then right ones)
+        reps = np.ones(a.size, dtype=np.intp)
+        reps[split] = 2
+        slots = reps.cumsum()[split] - 2
+        slots = np.concatenate((slots, slots + 1))
+        panels = []
+        for old, new in zip((a, b, value, err, floor), (lo, hi, *_gk_panels(f, lo, hi))):
+            panels.append(old.repeat(reps))
+            panels[-1][slots] = new
+        a, b, value, err, floor = panels
     return QuadratureResult(total, float(total_err), evaluations, converged)
 
 
@@ -274,6 +300,36 @@ _PEAK_END = 32.0
 # gap (642.6 to 670.0), so only k > 18 could trip the guard.
 _GROWTH_RATE = 0.45
 _GROWTH_NODES = 4
+# e^(-_GROWTH_RATE dx) over those gaps: the last panel is always
+# [256, X_UNDERFLOW], so its nodes, and with them the factors, never change
+_GROWTH_FALL = np.exp(-_GROWTH_RATE * np.diff(
+    _gk_nodes(np.array(_THERMAL_BREAKS[-2:-1]), np.array(_THERMAL_BREAKS[-1:]))
+    [-_GROWTH_NODES:]))
+# n(x) of the cached rules, bound at import: a rule is built once per
+# process and belongs to no one request, so a call tracer that patches the
+# public name (bench/spans.py) counts only each request's own calls
+_occupation = occupation_from_ratio
+
+
+def _split_count(band: float) -> int:
+    """How often ``_thermal_breaks`` halves the first panel for ``band``.
+
+    The least k with 2^-k <= band, from 0 for a band >= 1 (or inf) to 18
+    for one <= 2^-18 (or 0): with band clamped to [2^-18, 1], and frexp
+    giving its exponent e, band in [2^(e-1), 2^e), k = 1 - e.
+    """
+    return 1 - math.frexp(min(max(band, 4.0 * _FINEST_FIRST_END), 1.0))[1]
+
+
+def _split_breaks(k: int) -> tuple:
+    """``_THERMAL_BREAKS`` with [0, 0.25] split k times, at 0.125, 0.0625, ..."""
+    return (0.0, *(math.ldexp(0.25, -j) for j in range(k, 0, -1)),
+            *_THERMAL_BREAKS[1:])
+
+
+def _adds_breaks(x0: float | None) -> bool:
+    """True when a peak at x0 adds breaks: x0 in (2^-20, 32)."""
+    return x0 is not None and _FINEST_FIRST_END < x0 < _PEAK_END
 
 
 def _thermal_breaks(band: float, x0: float | None = None) -> tuple:
@@ -288,11 +344,8 @@ def _thermal_breaks(band: float, x0: float | None = None) -> tuple:
     breaks above that it lands in: at most 48 breaks, 23 below x0 and 24
     above it when the steps start at 2^-20.
     """
-    ends = [_THERMAL_BREAKS[1]]
-    while ends[-1] > 0.25 * band and ends[-1] > _FINEST_FIRST_END:
-        ends.append(0.5 * ends[-1])
-    breaks = (0.0, *ends[:0:-1], *_THERMAL_BREAKS[1:])
-    if x0 is None or not _FINEST_FIRST_END < x0 < _PEAK_END:
+    breaks = _split_breaks(_split_count(band))
+    if not _adds_breaks(x0):
         return breaks
     added = {x0}
     for sign in (-1.0, 1.0):
@@ -307,6 +360,24 @@ def _thermal_breaks(band: float, x0: float | None = None) -> tuple:
             x = x0 + sign * step
     # a set, so a point on an existing break adds no empty panel
     return tuple(sorted(added.union(breaks)))
+
+
+def _thermal_rule(breaks, occupation) -> tuple:
+    """The first call of a thermal integral on ``breaks``, as read-only arrays:
+    the breaks, the panels' nodes x (``_gk_nodes``) and n(x) on them."""
+    ends = np.array(breaks, dtype=float)
+    x = _gk_nodes(ends[:-1], ends[1:])
+    rule = ends, x, occupation(x)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
+@functools.cache
+def _cached_rule(k: int) -> tuple:
+    """``_thermal_rule`` of ``_split_breaks(k)``, built once per process on
+    first use: k runs from 0 to 18, so at most 19 rules are ever kept."""
+    return _thermal_rule(_split_breaks(k), _occupation)
 
 
 def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
@@ -364,35 +435,34 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     require_finite(temp=temp)
     if not temp > 0:
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
-    x0 = None
+    x0, band = None, math.inf
     if peak is not None:
         require_finite(peak=peak)
         x0 = peak / temp
-    breaks = _THERMAL_BREAKS
     if cutoff is not None:
         require_finite(cutoff=cutoff)
         if not cutoff > 0:
             raise ValueError(f"integrate_thermal requires cutoff > 0, got {cutoff}")
-        breaks = _thermal_breaks(cutoff / temp, x0)
-    checked = False
+        band = cutoff / temp
+    if cutoff is not None and _adds_breaks(x0):
+        # a peak's breaks take any value: its rule is built for this call
+        ends, x, bose = _thermal_rule(_thermal_breaks(band, x0), occupation_from_ratio)
+    else:
+        ends, x, bose = _cached_rule(_split_count(band))
+    fs = np.asarray(f(temp * x))
+    # the outermost nodes, last of the last initial panel; scaling the
+    # outer value down keeps the product from overflowing
+    edge = np.abs(fs[-_GROWTH_NODES:])
+    if (edge[1:] * _GROWTH_FALL > edge[:-1]).all():
+        raise GrowthBoundExceeded(
+            f"integrand grows faster than e^({_GROWTH_RATE} x) "
+            f"at the edge of the thermal domain"
+        )
 
     def weighted(x):
-        nonlocal checked
-        fs = np.asarray(f(temp * x))
-        if not checked:
-            checked = True
-            # the outermost nodes, last of the last initial panel; scaling
-            # the outer value down keeps the product from overflowing
-            edge = np.abs(fs[-_GROWTH_NODES:])
-            fall = np.exp(-_GROWTH_RATE * np.diff(x[-_GROWTH_NODES:]))
-            if np.all(edge[1:] * fall > edge[:-1]):
-                raise GrowthBoundExceeded(
-                    f"integrand grows faster than e^({_GROWTH_RATE} x) "
-                    f"at the edge of the thermal domain"
-                )
-        return temp * fs * occupation_from_ratio(x)
+        return temp * np.asarray(f(temp * x)) * occupation_from_ratio(x)
 
-    return _adaptive(weighted, breaks, cfg)
+    return _adaptive(weighted, ends, cfg, temp * fs * bose)
 
 
 def hilbert_transform_pv(samples) -> np.ndarray:

@@ -13,7 +13,7 @@ from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          integrate_thermal, quasistatic_force)
 from thermaldrag import cli, coefficients, models, quadrature
 from thermaldrag.coefficients import ROUTE_TOLERANCE
-from thermaldrag.core import X_UNDERFLOW
+from thermaldrag.core import X_UNDERFLOW, occupation_plus_one_from_ratio
 from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
 from thermaldrag.susceptibility import _ladder_limit
 
@@ -247,13 +247,28 @@ def counting_kernel_calls(monkeypatch):
     return seen
 
 
+def counting_memo_terms(monkeypatch):
+    """Record every 1 + n and every b that the coefficient layer forms."""
+    seen = {"occupation_plus_one_from_ratio": [], "_b_kernel": []}
+    for owner, name in ((coefficients, "occupation_plus_one_from_ratio"),
+                        (models, "_b_kernel")):
+        function, calls = getattr(owner, name), seen[name]
+
+        def counted(arg, function=function, calls=calls):
+            calls.append(arg)
+            return function(arg)
+
+        monkeypatch.setattr(owner, name, counted)
+    return seen
+
+
 def recording_memo_nodes(monkeypatch):
     """Record the bytes of every node array that an integrand asks the kernel memo for."""
     nodes = []
     memo = coefficients._kernel_memo
 
-    def recording(model, order):
-        kernels = memo(model, order)
+    def recording(model, order, *temp):
+        kernels = memo(model, order, *temp)
 
         def recorded(w):
             nodes.append(np.asarray(w).tobytes())
@@ -264,9 +279,13 @@ def recording_memo_nodes(monkeypatch):
     return nodes
 
 
-def non_caching_memo(model, order):
+def non_caching_memo(model, order, temp=None):
     """The memo's contract without the memo: one kernel pass per integrand call."""
-    return lambda w: models.reflection_and_delay(model, w, order)
+    def kernels(w):
+        record = models.reflection_and_delay(model, w, order)
+        plus = None if temp is None else occupation_plus_one_from_ratio(np.asarray(w) / temp)
+        return (*record, models._b_kernel(record), plus)
+    return kernels
 
 
 def float_bits(report):
@@ -280,9 +299,9 @@ def recording_gk_panels(monkeypatch):
     calls = []
     gk_panels = quadrature._gk_panels
 
-    def recorded(f, a, b):
+    def recorded(f, a, b, *values):
         calls.append(list(zip(a.tolist(), b.tolist())))
-        return gk_panels(f, a, b)
+        return gk_panels(f, a, b, *values)
 
     monkeypatch.setattr(quadrature, "_gk_panels", recorded)
     return calls
@@ -451,17 +470,21 @@ class TestKernelMemo:
     def test_each_node_array_takes_one_kernel_pass(self, monkeypatch):
         model = resonant_mirror()
         seen = counting_kernel_calls(monkeypatch)
+        terms = counting_memo_terms(monkeypatch)
         nodes = recording_memo_nodes(monkeypatch)
         counts = []
         for _ in range(2):
-            for calls in (nodes, *seen.values()):
+            for calls in (nodes, *seen.values(), *terms.values()):
                 calls.clear()
             compute_coefficients(model, 1.0)
             distinct = sorted(set(nodes))
             assert len(distinct) < len(nodes)  # the integrals do share
             for name, calls in seen.items():
                 assert sorted(calls) == distinct, name
-            counts.append([len(calls) for calls in seen.values()])
+            # and one b and one 1 + n per node array, however many integrands read them
+            for name, calls in terms.items():
+                assert len(calls) == len(distinct), name
+            counts.append([len(calls) for calls in (*seen.values(), *terms.values())])
         # a second report evaluates as much again: nothing outlives a report
         assert counts[0] == counts[1]
 
@@ -478,6 +501,38 @@ class TestKernelMemo:
         scalar = np.asarray(0.0).tobytes()  # R0 and tau0 are read at omega = 0
         for name, calls in seen.items():
             assert sorted(c for c in calls if c != scalar) == distinct, name
+
+
+class TestRuleCache:
+    # a thermal integral's first-call nodes and Bose weights are cached per
+    # process (quadrature._cached_rule), the only state that outlives a
+    # request: a report must not depend on whether the cache was cold
+    @staticmethod
+    def cold_and_warm(model, temp):
+        quadrature._cached_rule.cache_clear()
+        cold = compute_coefficients(model, temp)
+        assert quadrature._cached_rule.cache_info().currsize == 1
+        return float_bits(cold), float_bits(compute_coefficients(model, temp))
+
+    @pytest.mark.parametrize("name", SHARING_MODELS)
+    @pytest.mark.parametrize("temp_per_cutoff", [1e-3, 1.0, 1e2])
+    def test_sharing_models_bit_identical_cold_and_warm(self, request, name,
+                                                        temp_per_cutoff):
+        model = sharing_model(request, name)
+        cold, warm = self.cold_and_warm(
+            model, temp_per_cutoff * (model.cutoff_frequency or 1.0))
+        assert cold == warm
+
+    # the corners of coeffs-rational's box: epsilon in [0.1, 0.5], tau in
+    # [0.5, 2] and T in [1e-3, 1e2] x cutoff
+    @pytest.mark.parametrize("epsilon", [0.1, 0.5])
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    @pytest.mark.parametrize("temp_per_cutoff", [1e-3, 1.0, 1e2])
+    def test_benchmark_box_bit_identical_cold_and_warm(self, epsilon, tau,
+                                                       temp_per_cutoff):
+        model = weak_mirror(epsilon, tau)
+        cold, warm = self.cold_and_warm(model, temp_per_cutoff * model.cutoff_frequency)
+        assert cold == warm
 
 
 class TestAsymptotics:

@@ -323,6 +323,91 @@ class TestPeakBreaks:
         assert abs(split.value - plain.value) <= split.error_estimate + plain.error_estimate
 
 
+def _halving_loop_breaks(band):
+    """The first panel's split as the halving loop that ``_thermal_breaks`` ran."""
+    ends = [0.25]
+    while ends[-1] > 0.25 * band and ends[-1] > 2.0**-20:
+        ends.append(0.5 * ends[-1])
+    return (0.0, *ends[:0:-1], *_THERMAL_BREAKS[1:])
+
+
+class TestSplitCount:
+    # the split count k comes from the band's exponent in O(1), not from a
+    # loop of halvings; the breaks must be the loop's, bit for bit
+    @pytest.mark.parametrize("band", [
+        0.0, 5e-324, float(np.nextafter(2.0**-18, 0.0)), 2.0**-18,
+        float(np.nextafter(2.0**-18, 1.0)), 2.0**-17, 0.5,
+        float(np.nextafter(1.0, 0.0)), 1.0, math.inf, 1e300])
+    def test_edges_match_the_halving_loop(self, band):
+        assert quadrature._thermal_breaks(band) == _halving_loop_breaks(band)
+        assert 0 <= quadrature._split_count(band) <= 18
+
+    def test_drawn_bands_match_the_halving_loop(self):
+        # log-uniform over 2^-30 to 2^10, every split count from 0 to 18
+        rng = np.random.default_rng(28)
+        bands = 2.0 ** rng.uniform(-30.0, 10.0, 10**5)
+        counts = set()
+        for band in bands.tolist():
+            breaks = quadrature._thermal_breaks(band)
+            assert breaks == _halving_loop_breaks(band), band
+            counts.add(len(breaks) - len(_THERMAL_BREAKS))
+        assert counts == set(range(19))
+
+
+class TestThermalRules:
+    # without a peak, a thermal integral starts on one of 19 breakpoint sets;
+    # each one's nodes and Bose weights are built once per process
+
+    @pytest.mark.parametrize("k", [0, 7, 18])
+    def test_cached_arrays_are_read_only(self, k):
+        for array in quadrature._cached_rule(k):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_at_most_19_rules(self):
+        quadrature._cached_rule.cache_clear()
+        model = weak_mirror()
+        for k in range(-12, 9):
+            compute_coefficients(model, 10.0 ** (k / 2) * model.cutoff_frequency)
+        assert 0 < quadrature._cached_rule.cache_info().currsize <= 19
+        # every band lands on one of the 19, from the least double to one
+        # that overflows to inf
+        for band in (*(2.0 ** -k for k in range(-4, 40)), 5e-324):
+            integrate_thermal(_band, 1.0, cutoff=band)
+        integrate_thermal(_band, 1e-10, cutoff=1e300)
+        integrate_thermal(_band, 1.0)
+        assert quadrature._cached_rule.cache_info().currsize == 19
+
+    def test_chi_with_a_peak_adds_no_rule(self):
+        quadrature._cached_rule.cache_clear()
+        model = LorentzianMirror(1.0)
+        # |omega|/T in (2^-20, 32): the peak's breaks are built per call
+        for omega, temp in ((1e-3, 1.0), (0.4, 0.05), (2.5, 1.0), (-3.0, 20.0)):
+            chi_total(model, omega, temp)
+        assert quadrature._cached_rule.cache_info().currsize == 0
+        # beyond 32 T the peak adds nothing, and the call takes a cached rule
+        chi_total(model, 40.0, 1.0)
+        assert quadrature._cached_rule.cache_info().currsize == 1
+
+    def test_hoisted_growth_factors_equal_the_per_call_ones(self):
+        # the last panel is [256, X_UNDERFLOW] in every rule, with a peak too
+        rules = [quadrature._cached_rule(k) for k in range(19)]
+        rules.append(quadrature._thermal_rule(quadrature._thermal_breaks(0.1, 5.0),
+                                              quadrature.occupation_from_ratio))
+        for _, x, _ in rules:
+            fall = np.exp(-quadrature._GROWTH_RATE * np.diff(x[-quadrature._GROWTH_NODES:]))
+            assert fall.tobytes() == quadrature._GROWTH_FALL.tobytes()
+
+    @pytest.mark.parametrize("peak", [None, 20.0], ids=["cached", "peak"])
+    def test_growth_guard_fires_on_both_paths(self, peak):
+        quadrature._cached_rule.cache_clear()
+        for _ in range(2):  # a cold cache, then a warm one
+            with pytest.raises(GrowthBoundExceeded):
+                integrate_thermal(lambda w: np.exp(0.9 * w), 1.0, cutoff=1e-3, peak=peak)
+        assert quadrature._cached_rule.cache_info().currsize == (1 if peak is None else 0)
+
+
 # (integrand, breakpoints, config) on which the batched driver must make
 # the per-panel driver's evaluations
 _DRIVER_CASES = {
@@ -725,8 +810,12 @@ class TestWholeDriver:
     @classmethod
     def compare_drivers(cls, compute):
         """Run compute() on each driver and compare every quadrature it makes."""
+        def rowwise(f, breakpoints, cfg, first=None):
+            # the row-wise driver makes the first call itself, on the same nodes
+            return oracles.adaptive_rowwise(f, breakpoints, cfg)
+
         runs = []
-        for driver in (quadrature._adaptive, oracles.adaptive_rowwise):
+        for driver in (quadrature._adaptive, rowwise):
             results = []
 
             def recorded(*args, driver=driver, results=results):
