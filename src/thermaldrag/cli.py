@@ -88,8 +88,10 @@ def _sweep_row(config: RunConfig,
 
 def _route_gate(reports, tol: float) -> int:
     """EXIT_ROUTE when a route discrepancy exceeds ``tol`` or is NaN."""
-    worst = np.max([(r.route_discrepancy_lambda, r.route_discrepancy_mu)
-                    for r in reports])
+    # a NaN discrepancy is the worst one
+    worst = max((d for r in reports
+                 for d in (r.route_discrepancy_lambda, r.route_discrepancy_mu)),
+                key=lambda d: (math.isnan(d), d))
     if not worst <= tol:
         print(f"route discrepancy {worst:.3e} exceeds tolerance {tol:.3e}",
               file=sys.stderr)
@@ -99,11 +101,11 @@ def _route_gate(reports, tol: float) -> int:
 
 def _output_gate(values, flags) -> int:
     """EXIT_ROUTE when a printed value is NaN or infinite, or when a
-    quadrature behind it did not converge: ``flags`` are the ``converged``
-    dicts of the reports or values printed, and stderr names each
-    unconverged field once.
+    quadrature behind it did not converge: ``values`` are the printed rows,
+    ``flags`` the ``converged`` dicts of the reports or values printed, and
+    stderr names each unconverged field once.
     """
-    if not np.all(np.isfinite(values)):
+    if not all(math.isfinite(v) for row in values for v in row):
         print("a printed value is not a finite number", file=sys.stderr)
         return EXIT_ROUTE
     failed = dict.fromkeys(name for converged in flags

@@ -201,31 +201,66 @@ class LorentzianMirror(_PoleMirror):
 _MIN_POLE_SEPARATION = 1e-2
 
 
+def _coefficients(name, c):
+    """``c`` as a list of floats, or ValueError unless a non-empty 1-D finite
+    list, tuple or array."""
+    c = c.tolist() if isinstance(c, np.ndarray) else c  # nested when not 1-D
+    try:
+        c = [float(v) for v in c] if isinstance(c, (list, tuple)) else []
+    except TypeError:  # a sequence of sequences
+        c = []
+    if not c or not all(map(math.isfinite, c)):
+        raise ValueError(f"{name} must be a non-empty 1-D finite coefficient list")
+    return c
+
+
+def _roots(den):
+    """The roots of ascending ``den``, last coefficient nonzero, as ``np.roots`` gives them.
+
+    They are the eigenvalues of the companion matrix that ``np.roots``
+    forms, from one ``np.linalg.eigvals`` call: floats when every root is
+    real, complex numbers otherwise, followed by one zero root per leading
+    zero coefficient of ``den``.
+    """
+    zeros = next(k for k, c in enumerate(den) if c)
+    row = [-c / den[-1] for c in reversed(den[zeros:-1])]
+    companion = [row] + [[float(j == i) for j in range(len(row))] for i in range(len(row) - 1)]
+    poles = np.linalg.eigvals(companion).tolist() if row else []
+    return poles + [0j if poles and isinstance(poles[0], complex) else 0.0] * zeros
+
+
 def _partial_fractions(name, num, den, poles=None):
-    """(c, groups, poles) of num/den, ascending coefficients in z, simple poles only.
+    """(c, groups, poles) of num/den, ascending float lists in z, simple poles only.
 
     ``poles`` are den's roots, found and checked here when not given.  Each
-    group is a real pole's (p, rho), as floats, or an upper-half-plane
-    pole's (p, rho) with its conjugate term (p*, rho*): numpy's ``roots``
-    gives a real polynomial's complex roots as exact conjugate pairs, upper
-    root first, so the lower root is taken from the upper one.
+    residue is n(p)/d'(p), both by Horner, with d' from the coefficients
+    k c_k.  Each group is a real pole's (p, rho), as floats, or an
+    upper-half-plane pole's (p, rho) with its conjugate term (p*, rho*):
+    the eigenvalues of a real matrix come as exact conjugate pairs, upper
+    root first, so the lower root is taken from the upper one.  The complex
+    residues use CPython's complex arithmetic.
     """
-    if np.any(num[den.size:]):
+    if any(num[len(den):]):
         raise ValueError(f"{name} is improper: numerator degree above denominator degree")
-    num = num[:den.size]
+    num = num[:len(den)]
     if poles is None:
-        poles = np.roots(den[::-1])
-        gaps = np.abs(poles[:, None] - poles) + np.diag(np.full(poles.size, np.inf))
-        if np.any(gaps <= _MIN_POLE_SEPARATION * np.maximum.outer(abs(poles), abs(poles))):
+        poles = _roots(den)
+        if any(abs(p - q) <= _MIN_POLE_SEPARATION * max(abs(p), abs(q))
+               for i, p in enumerate(poles) for q in poles[:i]):
             raise ValueError(f"{name} has a repeated or nearly repeated pole (relative "
-                             f"separation below {_MIN_POLE_SEPARATION:g}): {poles.tolist()}")
-    residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
-    constant = num[-1] / den[-1] if num.size == den.size else 0.0
-    # real poles and residues stay floats: a float times a complex array is cheaper
-    pairs = zip(poles.astype(complex), residues.astype(complex))
-    return float(constant), [((p.real, rho.real),) if p.imag == 0 else
-                             ((p, rho), (p.conjugate(), rho.conjugate()))
-                             for p, rho in pairs if p.imag >= 0], poles
+                             f"separation below {_MIN_POLE_SEPARATION:g}): {poles}")
+    slope = [k * c for k, c in enumerate(den[1:], 1)]
+    groups = []
+    for p in [q for q in poles if q.imag >= 0]:
+        z = p if p.imag else p.real
+        n = d = 0.0  # n(z) and d'(z) by Horner from the top coefficient
+        for c in reversed(num):
+            n = n * z + c
+        for c in reversed(slope):
+            d = d * z + c
+        rho = n / d
+        groups.append(((z, rho), (z.conjugate(), rho.conjugate())) if p.imag else ((z, rho),))
+    return num[-1] / den[-1] if len(num) == len(den) else 0.0, groups, poles
 
 
 class RationalMirror(_PoleMirror):
@@ -237,21 +272,18 @@ class RationalMirror(_PoleMirror):
     denominator (shared when r_den == s_den), each residue is n(p)/d'(p),
     and the constant the ratio of the leading coefficients at equal degree;
     a conjugate pair is built from its upper root, exact by construction.
-    An improper r or s, or a repeated or nearly repeated pole, raises
-    ValueError.  Unitarity is *not* automatic: check it with
-    :func:`validate_model`.
+    Everything but the roots is Python float and complex arithmetic on
+    the few coefficients.  An improper r or s, or a repeated or nearly
+    repeated pole, raises ValueError.  Unitarity is *not* automatic: check
+    it with :func:`validate_model`.
     """
 
     def __init__(self, r_num, r_den, s_num, s_den, cutoff: float | None = None):
-        coeffs = {name: np.asarray(c, dtype=float) for name, c in
-                  (("r_num", r_num), ("r_den", r_den), ("s_num", s_num), ("s_den", s_den))}
-        for name, c in coeffs.items():
-            if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
-                raise ValueError(f"{name} must be a non-empty 1-D finite coefficient list")
-        rn, rd, sn, sd = coeffs.values()
+        rn, rd, sn, sd = map(_coefficients, ("r_num", "r_den", "s_num", "s_den"),
+                             (r_num, r_den, s_num, s_den))
         if rd[-1] == 0 or sd[-1] == 0:
             raise ValueError("denominator leading coefficients must be nonzero")
-        shared = np.array_equal(rd, sd)  # then s takes r's poles, rooted once
+        shared = rd == sd  # then s takes r's poles, rooted once
         c_r, r_groups, r_poles = _partial_fractions("r", rn, rd)
         c_s, s_groups, _ = _partial_fractions("s", sn, sd, r_poles if shared else None)
         if shared:
@@ -261,12 +293,11 @@ class RationalMirror(_PoleMirror):
             groups = ([tuple((p, a, 0.0) for p, a in group) for group in r_groups]
                       + [tuple((p, 0.0, b) for p, b in group) for group in s_groups])
         if cutoff is None and r_groups:
-            cutoff = float(max(abs(group[0][0]) for group in r_groups))
+            cutoff = max(abs(group[0][0]) for group in r_groups)
         if cutoff is not None and not (cutoff > 0 and math.isfinite(cutoff)):
             raise ValueError(f"cutoff must be finite and > 0, got {cutoff}")
         super().__init__((c_r, c_s), groups, cutoff,
-                         f"RationalMirror(r_num={rn.tolist()}, r_den={rd.tolist()}, "
-                         f"s_num={sn.tolist()}, s_den={sd.tolist()})")
+                         f"RationalMirror(r_num={rn}, r_den={rd}, s_num={sn}, s_den={sd})")
 
 
 # ---------------------------------------------------------------------------
@@ -360,32 +391,33 @@ def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     :class:`ValidationFailed`.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if omegas.size == 0 or not np.all(np.isfinite(omegas)):
+    if omegas.size == 0 or not np.isfinite(omegas).all():
         raise ValueError("validation grid must be non-empty and finite")
 
     # +-omega and the transparency probe far above the cutoff, in one call
     cutoff = model.cutoff_frequency
-    high = np.empty(0) if cutoff is None else cutoff * np.array([100.0, 316.0, 1000.0])
+    high = [] if cutoff is None else [cutoff * k for k in (100.0, 316.0, 1000.0)]
     n = omegas.size
     r_all, s_all = model.amplitudes(np.concatenate((omegas, -omegas, high)))
-    r, r_neg, r_high = np.split(r_all, (n, 2 * n))
-    s, s_neg, _ = np.split(s_all, (n, 2 * n))
+    r, r_neg, r_high = r_all[:n], r_all[n:2 * n], r_all[2 * n:]
+    s, s_neg = s_all[:n], s_all[n:2 * n]
 
     def worst(violation):
-        idx = int(np.argmax(violation))
+        idx = violation.argmax()
         return float(violation[idx]), float(omegas[idx])
 
     checks = []
-    v, w = worst(np.abs(np.abs(r) ** 2 + np.abs(s) ** 2 - 1.0))
+    v, w = worst(abs(abs(r) ** 2 + abs(s) ** 2 - 1.0))
     checks.append(CheckResult("unitarity_modulus", v, w, UNITARITY_TOL))
-    v, w = worst(np.abs(s * np.conj(r) + r * np.conj(s)))
+    v, w = worst(abs(s * r.conj() + r * s.conj()))
     checks.append(CheckResult("unitarity_orthogonality", v, w, UNITARITY_TOL))
-    v, w = worst(np.maximum(np.abs(r_neg - np.conj(r)), np.abs(s_neg - np.conj(s))))
+    v, w = worst(np.maximum(abs(r_neg - r.conj()), abs(s_neg - s.conj())))
     checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
 
     if cutoff is not None:
-        idx = int(np.argmax(np.abs(r_high) ** 2))
+        idx = (abs(r_high) ** 2).argmax()
+        # np.abs as on the array: abs() of a numpy complex scalar rounds otherwise
         checks.append(CheckResult("transparency", float(np.abs(r_high[idx]) ** 2),
-                                  float(high[idx]), TRANSPARENCY_TOL))
+                                  high[idx], TRANSPARENCY_TOL))
 
     return ModelValidationReport(tuple(checks))

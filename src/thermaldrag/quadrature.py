@@ -305,6 +305,7 @@ _GROWTH_NODES = 4
 _GROWTH_FALL = np.exp(-_GROWTH_RATE * np.diff(
     _gk_nodes(np.array(_THERMAL_BREAKS[-2:-1]), np.array(_THERMAL_BREAKS[-1:]))
     [-_GROWTH_NODES:]))
+_FALL_AB, _FALL_BC, _FALL_CD = _GROWTH_FALL.tolist()
 # n(x) of the cached rules, bound at import: a rule is built once per
 # process and belongs to no one request, so a call tracer that patches the
 # public name (bench/spans.py) counts only each request's own calls
@@ -380,6 +381,16 @@ def _cached_rule(k: int) -> tuple:
     return _thermal_rule(_split_breaks(k), _occupation)
 
 
+def _grows_at_edge(edge) -> bool:
+    """Whether |f| at the four outermost nodes, Python numbers, trips the growth guard.
+
+    Scaling the outer value down keeps the product from overflowing; a NaN
+    never trips the guard.
+    """
+    a, b, c, d = map(abs, edge)
+    return b * _FALL_AB > a and c * _FALL_BC > b and d * _FALL_CD > c
+
+
 def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
                       cutoff: float | None = None,
                       peak: float | None = None) -> QuadratureResult:
@@ -450,10 +461,8 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     else:
         ends, x, bose = _cached_rule(_split_count(band))
     fs = np.asarray(f(temp * x))
-    # the outermost nodes, last of the last initial panel; scaling the
-    # outer value down keeps the product from overflowing
-    edge = np.abs(fs[-_GROWTH_NODES:])
-    if (edge[1:] * _GROWTH_FALL > edge[:-1]).all():
+    # the outermost nodes, last of the last initial panel
+    if _grows_at_edge(fs[-_GROWTH_NODES:].tolist()):
         raise GrowthBoundExceeded(
             f"integrand grows faster than e^({_GROWTH_RATE} x) "
             f"at the edge of the thermal domain"

@@ -6,9 +6,11 @@ integrals from brute-force trapezoid rules, the discrete Hilbert
 transform one grid point at a time, derivatives from central
 differences, lorentzian scattering quantities from their explicit
 rational closed forms, the lorentzian's A and lambda from Binet's
-digamma closed forms, rational mirrors one polynomial at a time, and
-the kernels a, b from the literal amplitude products instead of R and
-tau.  The adaptive driver is kept twice, sharing only the rule's nodes
+digamma closed forms, rational mirrors one polynomial at a time, a
+rational mirror's construction and validation and the thermal growth
+guard on numpy arrays, and the kernels a, b from the literal amplitude
+products instead of R and tau.
+The adaptive driver is kept twice, sharing only the rule's nodes
 and weights with the package: as the per-panel loop (one integrand call
 per 15-node panel), and as the batched driver that reduced its panels
 row by row and summed them left to right, which the package's array
@@ -22,7 +24,9 @@ import math
 
 import numpy as np
 
-from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _NODES, _WG, _WK,
+from thermaldrag.models import (_MIN_POLE_SEPARATION, TRANSPARENCY_TOL, UNITARITY_TOL,
+                               CheckResult, ModelValidationReport)
+from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _GROWTH_FALL, _NODES, _WG, _WK,
                                    QuadratureResult)
 
 
@@ -251,6 +255,92 @@ class PerPolynomialRational:
         return (*values, *first, *second)[:2 * (order + 1)]
 
 
+# --- rational mirror construction and validation on numpy arrays ----------
+# RationalMirror's constructor and validate_model as they were when both ran
+# on numpy arrays: poles from np.roots, residues from np.polyval over
+# np.polyder, the validation grid cut with np.split.  The package's
+# construction on Python scalars must give the same poles, real-pole
+# residues, constants, groups, cutoff and repr bit for bit, and the
+# conjugate-pair residues to within roundoff; its validation must give every
+# CheckResult field bit for bit.
+
+def numpy_partial_fractions(name, num, den, poles=None):
+    """(c, groups, poles) of num/den, ascending coefficients in z, simple poles only."""
+    if np.any(num[den.size:]):
+        raise ValueError(f"{name} is improper: numerator degree above denominator degree")
+    num = num[:den.size]
+    if poles is None:
+        poles = np.roots(den[::-1])
+        gaps = np.abs(poles[:, None] - poles) + np.diag(np.full(poles.size, np.inf))
+        if np.any(gaps <= _MIN_POLE_SEPARATION * np.maximum.outer(abs(poles), abs(poles))):
+            raise ValueError(f"{name} has a repeated or nearly repeated pole (relative "
+                             f"separation below {_MIN_POLE_SEPARATION:g}): {poles.tolist()}")
+    residues = np.polyval(num[::-1], poles) / np.polyval(np.polyder(den[::-1]), poles)
+    constant = num[-1] / den[-1] if num.size == den.size else 0.0
+    pairs = zip(poles.astype(complex), residues.astype(complex))
+    return float(constant), [((p.real, rho.real),) if p.imag == 0 else
+                             ((p, rho), (p.conjugate(), rho.conjugate()))
+                             for p, rho in pairs if p.imag >= 0], poles
+
+
+def numpy_rational_parts(r_num, r_den, s_num, s_den, cutoff=None):
+    """(constants, groups, cutoff, repr) that RationalMirror gave its pole evaluator."""
+    coeffs = {name: np.asarray(c, dtype=float) for name, c in
+              (("r_num", r_num), ("r_den", r_den), ("s_num", s_num), ("s_den", s_den))}
+    for name, c in coeffs.items():
+        if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+            raise ValueError(f"{name} must be a non-empty 1-D finite coefficient list")
+    rn, rd, sn, sd = coeffs.values()
+    if rd[-1] == 0 or sd[-1] == 0:
+        raise ValueError("denominator leading coefficients must be nonzero")
+    shared = np.array_equal(rd, sd)
+    c_r, r_groups, r_poles = numpy_partial_fractions("r", rn, rd)
+    c_s, s_groups, _ = numpy_partial_fractions("s", sn, sd, r_poles if shared else None)
+    if shared:
+        groups = [tuple((p, a, b) for (p, a), (_, b) in zip(r_group, s_group))
+                  for r_group, s_group in zip(r_groups, s_groups)]
+    else:
+        groups = ([tuple((p, a, 0.0) for p, a in group) for group in r_groups]
+                  + [tuple((p, 0.0, b) for p, b in group) for group in s_groups])
+    if cutoff is None and r_groups:
+        cutoff = float(max(abs(group[0][0]) for group in r_groups))
+    if cutoff is not None and not (cutoff > 0 and math.isfinite(cutoff)):
+        raise ValueError(f"cutoff must be finite and > 0, got {cutoff}")
+    return ((c_r, c_s), groups, cutoff,
+            f"RationalMirror(r_num={rn.tolist()}, r_den={rd.tolist()}, "
+            f"s_num={sn.tolist()}, s_den={sd.tolist()})")
+
+
+def numpy_validate_model(model, omegas) -> ModelValidationReport:
+    """validate_model's checks, each a reduction over numpy arrays."""
+    omegas = np.asarray(omegas, dtype=float)
+    if omegas.size == 0 or not np.all(np.isfinite(omegas)):
+        raise ValueError("validation grid must be non-empty and finite")
+    cutoff = model.cutoff_frequency
+    high = np.empty(0) if cutoff is None else cutoff * np.array([100.0, 316.0, 1000.0])
+    n = omegas.size
+    r_all, s_all = model.amplitudes(np.concatenate((omegas, -omegas, high)))
+    r, r_neg, r_high = np.split(r_all, (n, 2 * n))
+    s, s_neg, _ = np.split(s_all, (n, 2 * n))
+
+    def worst(violation):
+        idx = int(np.argmax(violation))
+        return float(violation[idx]), float(omegas[idx])
+
+    checks = []
+    v, w = worst(np.abs(np.abs(r) ** 2 + np.abs(s) ** 2 - 1.0))
+    checks.append(CheckResult("unitarity_modulus", v, w, UNITARITY_TOL))
+    v, w = worst(np.abs(s * np.conj(r) + r * np.conj(s)))
+    checks.append(CheckResult("unitarity_orthogonality", v, w, UNITARITY_TOL))
+    v, w = worst(np.maximum(np.abs(r_neg - np.conj(r)), np.abs(s_neg - np.conj(s))))
+    checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
+    if cutoff is not None:
+        idx = int(np.argmax(np.abs(r_high) ** 2))
+        checks.append(CheckResult("transparency", float(np.abs(r_high[idx]) ** 2),
+                                  float(high[idx]), TRANSPARENCY_TOL))
+    return ModelValidationReport(tuple(checks))
+
+
 # --- brute-force trapezoid integrals --------------------------------------
 
 def trapezoid_chi_vacuum(omega: float, tau0: float = 1.0,
@@ -402,6 +492,19 @@ def adaptive_per_panel(f, breakpoints, cfg) -> QuadratureResult:
     total = sum(item[4] for item in segments)
     total_err = sum(item[5] for item in segments)
     return QuadratureResult(total, float(total_err), evals, converged)
+
+
+# --- the thermal growth guard on numpy arrays -----------------------------
+
+def growth_guard_on_arrays(edge) -> bool:
+    """integrate_thermal's growth guard as a reduction over numpy arrays.
+
+    True when |f| at the four outermost nodes, ``edge``, rises faster than
+    e^(0.45 x) across each gap; a NaN comparison is false.
+    """
+    edge = np.abs(np.asarray(edge))
+    with np.errstate(invalid="ignore"):
+        return bool((edge[1:] * _GROWTH_FALL > edge[:-1]).all())
 
 
 # --- row-wise batched driver ----------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -598,6 +599,47 @@ class TestConvergedGate:
         assert err == "quadrature did not converge: chi_thermal\n"
 
 
+class TestGates:
+    # the gates test a request's printed floats in Python, array rows (the
+    # force series) too; a NaN or an infinity anywhere trips them as numpy's
+    # reductions did
+    @pytest.mark.parametrize("pairs", [
+        [(1e-9, 1e-8)],
+        [(1e-9, math.nan), (5.0, 0.0)],
+        [(5.0, 0.0), (np.float64(math.nan), 1e-9)],
+        [(2e-6, 1e-9), (1e-9, 3e-6)],
+        [(0.0, math.inf)],
+    ], ids=["pass", "nan-first", "nan-last", "largest", "inf"])
+    def test_route_gate(self, capsys, pairs):
+        reports = [SimpleNamespace(route_discrepancy_lambda=lam, route_discrepancy_mu=mu)
+                   for lam, mu in pairs]
+        worst = np.max(pairs)
+        expected = "" if worst <= 1e-6 else (
+            f"route discrepancy {worst:.3e} exceeds tolerance {1e-6:.3e}\n")
+        assert cli._route_gate(reports, 1e-6) == (3 if expected else 0)
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 2.0), (np.float64(3.0), 4.0)],
+        [(1.0, 2.0), (3.0, math.nan)],
+        [[np.float64(-math.inf), 1.0]],
+        [np.array([0.0, 1.0]), np.array([1.0, 2.0])],
+        [np.array([0.0, 1.0]), np.array([1.0, math.nan])],
+    ], ids=["finite", "nan", "minus-inf", "arrays", "array-nan"])
+    def test_output_gate_on_values(self, capsys, rows):
+        finite = all(np.isfinite(row).all() for row in rows)
+        assert cli._output_gate(rows, [{"lambda_spectral": False}]) == 3
+        assert capsys.readouterr().err == (
+            "quadrature did not converge: lambda_spectral\n" if finite
+            else "a printed value is not a finite number\n")
+
+    def test_output_gate_names_each_field_once(self, capsys):
+        flags = [{"A": True, "B": False}, {"B": False, "mu_spectral": False}]
+        assert cli._output_gate([(1.0, 2.0)], flags) == 3
+        assert capsys.readouterr().err == "quadrature did not converge: B, mu_spectral\n"
+        assert cli._output_gate([(1.0, 2.0)], [{"A": True}]) == 0
+
+
 class TestExtremeTemperature:
     # at T = 1e200 the integrands overflow to NaN: every subcommand that
     # prints a value must say so with exit 3, not crash or exit 0
@@ -979,34 +1021,34 @@ GOLDEN_SWEEP_WEAK_RATIONAL = (
 # real ones and a complex-conjugate pair
 GOLDEN_COEFFS_QUARTIC_SCALED = (
     'temperature = 1\n'
-    'lambda_spectral = 0.0020205044817363459 +/- 1.0268496371170391e-16\n'
-    'lambda_entropic = 0.0020205044817363468 +/- 7.9639954040191809e-17\n'
-    'mu_spectral = 0.28228732199122752 +/- 3.9197196857134409e-15\n'
-    'mu_entropic = 0.28228732199122747 +/- 5.2833307219638665e-15\n'
-    'A = 0.0023978017978532312 +/- 1.0523782203478377e-16\n'
-    'B = 0.6947463251555237 +/- 9.865713387726066e-15\n'
-    'route_discrepancy_lambda = 4.2927978919553048e-16\n'
-    'route_discrepancy_mu = 1.966476951203034e-16\n'
+    'lambda_spectral = 0.0020205044817363689 +/- 1.0268662535519781e-16\n'
+    'lambda_entropic = 0.0020205044817363689 +/- 7.9635008927712043e-17\n'
+    'mu_spectral = 0.28228732199122741 +/- 3.9197529904323038e-15\n'
+    'mu_entropic = 0.28228732199122741 +/- 5.2833307106593178e-15\n'
+    'A = 0.0023978017978532576 +/- 1.0523490048269836e-16\n'
+    'B = 0.69474632515552326 +/- 9.8657133877260565e-15\n'
+    'route_discrepancy_lambda = 0\n'
+    'route_discrepancy_mu = 0\n'
 )
 GOLDEN_CHI_QUARTIC_SCALED = (
     'omega,re_chi_vacuum,im_chi_vacuum,re_chi_thermal,im_chi_thermal,'
     're_chi_total,im_chi_total,err\n'
-    '-2,-0.077148039692658377,-0.081800898553283624,0.032457969232230231,'
-    '-0.44978433115162719,-0.044690070460428145,-0.53158522970491084,'
-    '3.7062241526876997e-13\n'
-    '-1,0.0045268203856928093,-0.0187723571105048,0.12503787147617332,'
-    '-0.1741151346936449,0.12956469186186614,-0.19288749180414971,'
-    '5.9843545756085078e-15\n'
+    '-2,-0.077148039692658335,-0.081800898553283791,0.032457969232229975,'
+    '-0.44978433115162741,-0.044690070460428361,-0.53158522970491118,'
+    '3.7062194069047359e-13\n'
+    '-1,0.0045268203856928327,-0.0187723571105048,0.12503787147617326,'
+    '-0.17411513469364509,0.12956469186186612,-0.19288749180414991,'
+    '5.9843132093041843e-15\n'
     '0,0,0,0,0,0,0,0\n'
-    '1,0.0045268203856928093,0.0187723571105048,0.12503787147617332,'
-    '0.1741151346936449,0.12956469186186614,0.19288749180414971,'
-    '5.9843545756085078e-15\n'
-    '2,-0.077148039692658377,0.081800898553283624,0.032457969232230231,'
-    '0.44978433115162719,-0.044690070460428145,0.53158522970491084,'
-    '3.7062241526876997e-13\n'
-    '3,-0.041495413167833665,0.028853291645878614,-0.019220000866976235,'
-    '0.55315001013277754,-0.060715414034809893,0.58200330177865611,'
-    '1.9600352744676538e-12\n'
+    '1,0.0045268203856928327,0.0187723571105048,0.12503787147617326,'
+    '0.17411513469364509,0.12956469186186612,0.19288749180414991,'
+    '5.9843132093041843e-15\n'
+    '2,-0.077148039692658335,0.081800898553283791,0.032457969232229975,'
+    '0.44978433115162741,-0.044690070460428361,0.53158522970491118,'
+    '3.7062194069047359e-13\n'
+    '3,-0.041495413167833992,0.028853291645879058,-0.019220000866976877,'
+    '0.55315001013277787,-0.060715414034810872,0.582003301778657,'
+    '1.960034508263396e-12\n'
 )
 
 # R0 and tau0 are derived from the amplitudes, not declared by each model

@@ -1,13 +1,15 @@
+import struct
+
 import numpy as np
 import pytest
 
 import oracles
 from conftest import ORACLE_RTOL, separated_denominator, weak_mirror
-from test_coefficients import SHARING_MODELS, sharing_model
+from test_coefficients import SHARING_MODELS, resonant_mirror, sharing_model
 from thermaldrag import (LorentzianMirror, MirrorModel, RationalMirror, UnitSystem,
                          ValidationFailed, b_function, compute_coefficients,
                          reflection_probability, validate_model)
-from thermaldrag.config import build_model
+from thermaldrag.config import _VALIDATION_GRID, build_model
 from thermaldrag.models import reflection_and_delay
 
 
@@ -471,3 +473,171 @@ class TestRationalMirror:
             model = weak_mirror(epsilon=eps, tau=2.0)
             report = validate_model(model, np.geomspace(1e-3, 1e3, 200))
             assert report.passed
+
+
+def bits(x):
+    """The bytes of a float or complex number: signed zeros and NaNs count."""
+    return struct.pack("dd", x.real, x.imag)
+
+
+class TestScalarConstruction:
+    # RationalMirror's poles, residues, constants, groups, cutoff and repr
+    # against oracles.numpy_rational_parts, the same construction on numpy
+    # arrays: bit for bit, except the residues of a denominator with complex
+    # roots, which numpy's vectorized complex arithmetic rounds differently
+    # from CPython's, real ones included
+    PAIR_RTOL = 1e-13
+
+    def compare(self, coeffs, cutoff=None):
+        """Assert the match; return the worst pair residue deviation, relative."""
+        model = RationalMirror(*coeffs, cutoff=cutoff)
+        constants, groups, oracle_cutoff, text = oracles.numpy_rational_parts(
+            *coeffs, cutoff=cutoff)
+        assert repr(model) == text
+        assert [bits(c) for c in model._constants] == [bits(c) for c in constants]
+        assert (model._cutoff is None) == (oracle_cutoff is None)
+        if oracle_cutoff is not None:
+            assert bits(model._cutoff) == bits(oracle_cutoff)
+        groups = tuple(groups) or (((1.0, 0.0, 0.0),),)
+        assert [len(group) for group in model._poles] == [len(group) for group in groups]
+        scale = max(abs(rho) for group in groups for _, *rhos in group for rho in rhos)
+        # per column, r's and s's: whether that denominator has complex roots
+        mixed = [np.iscomplexobj(np.roots(np.asarray(den, dtype=float)[::-1]))
+                 for den in coeffs[1:4:2]]
+        worst = 0.0
+        for ours, theirs in zip(model._poles, groups):
+            for (p, *rhos), (q, *oracle_rhos) in zip(ours, theirs):
+                # a real pole stays a float, a complex one a complex number
+                assert isinstance(p, complex) == isinstance(q, complex)
+                assert bits(p) == bits(q)
+                for rho, oracle_rho, complex_roots in zip(rhos, oracle_rhos, mixed, strict=True):
+                    assert isinstance(rho, complex) == isinstance(oracle_rho, complex)
+                    if len(theirs) == 1 and not complex_roots:
+                        assert bits(rho) == bits(oracle_rho)
+                    else:
+                        worst = max(worst, abs(rho - oracle_rho) / scale)
+        assert worst <= self.PAIR_RTOL
+        return worst
+
+    def test_drawn_denominators(self):
+        # degrees 0-6; every other draw gives s a denominator of its own, and
+        # every third leaves the cutoff to the constructor
+        rng = np.random.default_rng(41)
+        pairs = 0
+        for draw in range(3000):
+            r_den = separated_denominator(rng, int(rng.integers(0, 7)))
+            s_den = (r_den if draw % 2 else
+                     separated_denominator(rng, int(rng.integers(0, 7))))
+            coeffs = [rng.normal(size=int(rng.integers(1, r_den.size + 1))), r_den,
+                      rng.normal(size=int(rng.integers(1, s_den.size + 1))), s_den]
+            if draw % 3:
+                coeffs = [c.tolist() for c in coeffs]
+            pairs += self.compare(coeffs, None if draw % 3 else 1.0) > 0.0
+        assert pairs > 0  # the pairs' residues round differently, within PAIR_RTOL
+
+    @pytest.mark.parametrize("coeffs", [
+        # ascending denominators with a zero constant term: a pole at z = 0,
+        # among real poles and beside a complex pair
+        ([1.0, 0.5], [0.0, 2.0, -3.0, 1.0], [0.3], [0.0, 2.0, -3.0, 1.0]),
+        ([0.3, 0.5, 0.2], [0.0, 0.7, 0.7, 0.7], [0.3], [2.0, 1.0]),
+        # a constant denominator: no poles at all
+        ([0.5], [2.5], [1.0], [4.0]),
+        # integers, negative zeros and a numerator padded with zeros
+        ([1, -0.0, 0.0], [2, -3, 1], [-0.0], [1, 1]),
+    ], ids=["zero-pole-real", "zero-pole-complex", "constant", "integers"])
+    def test_special_denominators(self, coeffs):
+        self.compare(coeffs)
+
+    @pytest.mark.parametrize("coeffs", [
+        ([0.0, 0.0, 1.0], [1.0, -1.0], [1.0], [1.0, -1.0]),
+        ([0.0], [1.0], [1.0, 2.0], [1.0]),
+        ([0.0, 1.0], [1.0, -2.0, 1.0], [1.0], [1.0, -2.0, 1.0]),
+        ([0.0], [1.0], [1.0], [1.001, -2.001, 1.0]),
+        ([0.0], [0.0, 0.0, 1.0], [1.0], [1.0]),
+        ([0.0], [0.0, 0.0, 1.0, 1.0, 1.0], [1.0], [1.0]),
+        ([0.0], [1.0], [1.0], np.real(np.poly([1 + 1j, 1 - 1j, 1.001 + 1j, 1.001 - 1j]))[::-1]),
+        ([-1.0], [1.0, -1.0], [0.0, -1.0], [1.0, -1.0], np.inf),
+        ([-1.0], [1.0, -1.0], [0.0, -1.0], [1.0, -1.0], -1.0),
+        ([1.0], [1.0, 0.0], [1.0], [1.0]),
+        ([[1.0]], [1.0], [1.0], [1.0]),
+        ([1.0], np.ones((2, 1)), [1.0], [1.0]),
+        ([1.0], [1.0], 1.0, [1.0]),
+        ([1.0], [1.0], [1.0], np.float64(1.0)),
+        ([], [1.0], [1.0], [1.0]),
+        ([1.0], [1.0], np.array([]), [1.0]),
+        ([np.nan], [1.0], [1.0], [1.0]),
+        ([1.0], [1.0, np.inf], [1.0], [1.0]),
+        ([1.0], [1.0], [1.0], [-np.inf, 1.0]),
+        ("12", [1.0], [1.0], [1.0]),
+        ([1.0], b"12", [1.0], [1.0]),
+    ], ids=["improper-r", "improper-s", "double-pole", "near-double-pole", "double-zero-pole",
+            "double-zero-pole-beside-a-pair", "near-double-complex-pairs", "infinite-cutoff",
+            "negative-cutoff", "zero-leading-coefficient", "nested-list", "2-d-array", "scalar",
+            "0-d-array", "empty-list", "empty-array", "nan", "inf", "minus-inf", "string",
+            "bytes"])
+    def test_rejections_match_the_oracle(self, coeffs):
+        with pytest.raises(ValueError) as expected:
+            oracles.numpy_rational_parts(*coeffs)
+        with pytest.raises(ValueError) as raised:
+            RationalMirror(*coeffs)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("coeffs", [{1.0, 2.0}, {1.0: 2.0}, (c for c in [1.0]), range(1, 3)],
+                             ids=["set", "dict", "generator", "range"])
+    def test_only_lists_tuples_and_arrays_are_coefficients(self, coeffs):
+        # numpy read a set, dict or generator as an object and raised
+        # TypeError, and read a range as a list; all now raise ValueError
+        with pytest.raises(ValueError, match="^r_den must be a non-empty 1-D finite"):
+            RationalMirror([1.0], coeffs, [1.0], [1.0])
+
+
+class TestValidationOracle:
+    # validate_model against oracles.numpy_validate_model, the same checks
+    # reduced with numpy's functions: every CheckResult field bit for bit
+
+    @staticmethod
+    def compare(model, grid):
+        ours, theirs = validate_model(model, grid), oracles.numpy_validate_model(model, grid)
+        assert [c.name for c in ours.checks] == [c.name for c in theirs.checks]
+        for a, b in zip(ours.checks, theirs.checks):
+            for field in ("max_violation", "worst_omega", "allowed"):
+                value, expected = getattr(a, field), getattr(b, field)
+                assert type(value) is type(expected) is float
+                assert bits(value) == bits(expected)
+
+    @pytest.mark.parametrize("fixture", ["lorentzian", "perfect", "rational_lorentzian",
+                                         "weak", "transparent_model"])
+    def test_fixtures(self, fixture, request):
+        model = request.getfixturevalue(fixture)
+        for grid in ((model.cutoff_frequency or 1.0) * _VALIDATION_GRID,
+                     np.geomspace(1e-3, 1e3, 200), [0.5]):
+            self.compare(model, grid)
+
+    def test_corrupted_transmission(self):
+        bad = RationalMirror(r_num=[-1.0], r_den=[1.0, -1.0],
+                             s_num=[0.0, -1.01], s_den=[1.0, -1.0])
+        self.compare(bad, np.geomspace(1e-3, 1e3, 200))
+
+    def test_drawn_mirrors(self):
+        # weak and resonant mirrors, and quartic denominators with random
+        # numerators, which need not be unitary, in natural units of hbar = 1.5
+        rng = np.random.default_rng(43)
+        for draw in range(50):
+            kind = draw % 3
+            if kind == 0:
+                model = weak_mirror(rng.uniform(0.05, 0.9), rng.uniform(0.3, 3.0))
+            elif kind == 1:
+                b = rng.uniform(0.3, 3.0)
+                model = resonant_mirror(rng.uniform(0.01, 1.9) * np.sqrt(b), b)
+            else:
+                den = separated_denominator(rng, 4)
+                model = RationalMirror(rng.normal(size=4), den, rng.normal(size=5), den)
+            for m in (model, model._in_natural_units(UnitSystem(hbar=1.5))):
+                self.compare(m, m.cutoff_frequency * _VALIDATION_GRID)
+
+    @pytest.mark.parametrize("grid", [[], np.array([]), [1.0, np.nan], [np.inf], [-np.inf]])
+    def test_bad_grids_raise(self, lorentzian, grid):
+        with pytest.raises(ValueError, match="validation grid must be non-empty and finite"):
+            oracles.numpy_validate_model(lorentzian, grid)
+        with pytest.raises(ValueError, match="validation grid must be non-empty and finite"):
+            validate_model(lorentzian, grid)

@@ -408,6 +408,50 @@ class TestThermalRules:
         assert quadrature._cached_rule.cache_info().currsize == (1 if peak is None else 0)
 
 
+
+class TestGrowthGuard:
+    # the guard on the four edge values as Python numbers gives the verdict
+    # of oracles.growth_guard_on_arrays, the same test on numpy arrays
+    SPECIALS = (0.0, -0.0, 5e-324, 1e-310, 1e308, math.inf, -math.inf, math.nan,
+                complex(math.inf, 1.0), complex(1.0, -math.inf), complex(math.nan, 0.0),
+                complex(0.0, math.nan), complex(math.inf, math.nan))
+
+    @staticmethod
+    def check(edge):
+        verdict = oracles.growth_guard_on_arrays(edge)
+        assert quadrature._grows_at_edge(np.array(edge).tolist()) is verdict
+        return verdict
+
+    def test_drawn_edges(self):
+        # values growing at rates around the guard's 0.45 over the edge nodes,
+        # from subnormal to near overflow, real or complex; every fourth draw
+        # puts a special value in a random position
+        rng = np.random.default_rng(53)
+        x = quadrature._cached_rule(0)[1][-quadrature._GROWTH_NODES:]
+        verdicts = []
+        for draw in range(4000):
+            scale = 10.0 ** rng.uniform(-323.0, 290.0)
+            edge = scale * np.exp(rng.uniform(0.3, 0.6) * (x - x[0]))
+            edge = edge * rng.choice((-1.0, 1.0), edge.size)
+            if draw % 2:
+                edge = edge * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, edge.size))
+            edge = edge.tolist()
+            if draw % 4 == 0:
+                edge[rng.integers(4)] = self.SPECIALS[rng.integers(len(self.SPECIALS))]
+            verdicts.append(self.check(edge))
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_special_values_in_each_position(self, position):
+        x = quadrature._cached_rule(0)[1][-quadrature._GROWTH_NODES:]
+        for rate in (0.0, 0.9):  # a flat edge and one the guard rejects
+            for special in self.SPECIALS:
+                edge = np.exp(rate * (x - x[0])).tolist()
+                edge[position] = special
+                self.check(edge)
+                self.check([1j * value for value in edge])
+
+
 # (integrand, breakpoints, config) on which the batched driver must make
 # the per-panel driver's evaluations
 _DRIVER_CASES = {
