@@ -121,11 +121,10 @@ def cmd_coeffs(args) -> int:
     temp = _temperature(config)
     report = coeff.compute_coefficients(config.model, temp, config.quadrature)
     user = _in_user_units(report, config.units)
-    print(f"temperature = {_fmt(temp)}")
-    for name, (value, err) in user.items():
-        print(f"{name} = {_fmt(value)} +/- {_fmt(err)}")
-    print(f"route_discrepancy_lambda = {_fmt(report.route_discrepancy_lambda)}")
-    print(f"route_discrepancy_mu = {_fmt(report.route_discrepancy_mu)}")
+    print(f"temperature = {_fmt(temp)}",
+          *(f"{name} = {_fmt(value)} +/- {_fmt(err)}" for name, (value, err) in user.items()),
+          f"route_discrepancy_lambda = {_fmt(report.route_discrepancy_lambda)}",
+          f"route_discrepancy_mu = {_fmt(report.route_discrepancy_mu)}", sep="\n")
     return (_route_gate([report], args.tol)
             or _output_gate(list(user.values()), [report.converged]))
 
@@ -153,11 +152,14 @@ def cmd_sweep(args) -> int:
 def cmd_chi(args) -> int:
     config = parse_config(args.config)
     temp = _temperature(config, allow_zero=True)
-    omega_min = config.require_float("omega_min")
-    omega_max = config.require_float("omega_max")
+    omega_min = config.require_frequency("omega_min")
+    omega_max = config.require_frequency("omega_max")
     count = config.get_int("omega_count", 2)
     if not omega_max >= omega_min:
         raise ConfigError("need omega_max >= omega_min")
+    if not math.isfinite(omega_max - omega_min):  # linspace's step would overflow
+        raise ConfigError(f"need a finite omega_max - omega_min, "
+                          f"got [{omega_min}, {omega_max}]")
     if count < 1:
         raise ConfigError("omega_count must be >= 1")
     units = config.units
@@ -303,19 +305,23 @@ def cmd_model_info(args) -> int:
     model = config.model
     units = config.units
     cutoff = model.cutoff_frequency
+    with np.errstate(all="ignore"):  # an overflowing delay is judged by the gate below
+        delay = model.low_frequency_delay
+    values = [model.low_frequency_reflection, units.time_from_natural(delay)]
+    if cutoff is not None:
+        values.append(units.frequency_from_natural(cutoff))
     lines = [
         f"kind = {config.model_kind}",
-        f"low_frequency_reflection = {_fmt(model.low_frequency_reflection)}",
-        f"low_frequency_delay = {_fmt(units.time_from_natural(model.low_frequency_delay))}",
-        "cutoff_frequency = " + (
-            "none" if cutoff is None else _fmt(units.frequency_from_natural(cutoff))),
+        f"low_frequency_reflection = {_fmt(values[0])}",
+        f"low_frequency_delay = {_fmt(values[1])}",
+        "cutoff_frequency = " + ("none" if cutoff is None else _fmt(values[2])),
     ]
     for check in config.validation.checks:
         lines.append(f"validation.{check.name} = {check.max_violation:.6e} "
                      f"(allowed {check.allowed:.1e}, "
                      f"{'PASS' if check.passed else 'FAIL'})")
     print(*lines, sep="\n")
-    return EXIT_OK
+    return _output_gate([values], [])
 
 
 def _tolerance(text: str) -> float:
@@ -330,8 +336,8 @@ def _tolerance(text: str) -> float:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and {command: its own parser}, built once per process."""
     parser = argparse.ArgumentParser(
         prog="thermaldrag",
         description="Motional viscosity and inertia of a mirror in a thermal field",
@@ -353,11 +359,35 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("coeffs", "sweep", "verify"):  # the commands with a route gate
             cmd.add_argument("--tol", type=_tolerance, default=coeff.ROUTE_TOLERANCE,
                              help="allowed relative route discrepancy")
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
+    return _parsers()[0]
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it, help and errors included.
+
+    When argv starts with a command, that command's own parser reads the
+    rest, as the full parser would hand it over.  Anything left unparsed
+    then, and an argv that starts with no command, goes to the full
+    parser, which prints its usage and errors as always.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # looked up at call time, so a replaced cmd_* function is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

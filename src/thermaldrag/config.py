@@ -18,16 +18,17 @@ Model parameters are given in user units: the model built from them moves
 to natural units by scaling its poles, residues and cutoff by hbar.  Every
 model is validated once, here, before use.
 Every key's number is read by ``_number``, which rejects NaN, infinities
-and integer keys above INTEGER_LIMIT; coefficient lists and trajectory
-rows have their own readers.  Every file is read by ``read_text``, which
-turns an unreadable or non-UTF-8 file into a ConfigError.
+and integer keys above INTEGER_LIMIT, and a frequency read by
+``RunConfig.require_frequency`` must stay finite in natural units too;
+coefficient lists and trajectory rows have their own readers.  Every
+file is read by ``read_text``, which turns an unreadable or non-UTF-8
+file into a ConfigError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -86,7 +87,8 @@ def _reject_unknown(keys: dict, known, where: str):
 def read_text(path, what: str) -> str:
     """The UTF-8 text of the ``what`` file at ``path``, or a ConfigError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
 
@@ -115,6 +117,14 @@ class RunConfig:
         value = self.get_float(key)
         if value is None:
             raise ConfigError(f"missing required key '{key}'")
+        return value
+
+    def require_frequency(self, key: str) -> float:
+        """A required frequency in user units that stays finite in natural units."""
+        value = self.require_float(key)
+        if not math.isfinite(self.units.frequency_to_natural(value)):
+            raise ConfigError(f"key '{key}' = {value!r} is not finite in natural units "
+                              f"(hbar = {self.units.hbar!r})")
         return value
 
     def get_int(self, key: str, default: int | None = None) -> int | None:

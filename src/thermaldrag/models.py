@@ -21,12 +21,14 @@ evaluation, and its reflection cutoff; a subclass without both cannot be
 instantiated.  It may also override ``alpha``, the kernel alpha from one
 stacked pair of frequencies, whose default multiplies the amplitudes; a
 pole mirror whose r and s share their residues computes it from its poles
-and residues.  Everything else, R0 and tau0 included, is derived from the
-amplitudes.  Every method and kernel here is array-only: an ndarray in
-gives an ndarray of the same shape out, and a scalar in gives a numpy
-scalar (a ``complex`` or ``float`` instance) out.  Models are immutable
-after construction and all operations here are pure functions of their
-arguments.
+and residues.  It may declare ``exact_reality`` when reality holds bit for
+bit by construction, as for every pole mirror; ``validate_model`` then
+takes that check as passed.  Everything else, R0 and tau0 included, is
+derived from the amplitudes.  Every method and kernel here is
+array-only: an ndarray in gives an ndarray of the same shape out, and a
+scalar in gives a numpy scalar (a ``complex`` or ``float`` instance)
+out.  Models are immutable after construction and all operations here
+are pure functions of their arguments.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ from .errors import ValidationFailed
 
 class MirrorModel(abc.ABC):
     """Unitary, causal, real scattering model of a point mirror."""
+
+    # True when r[-omega] == conj r[omega], and the same for s, hold bit for
+    # bit by construction: validate_model then takes reality as exact
+    exact_reality = False
 
     @abc.abstractmethod
     def amplitudes(self, omega, order=0):
@@ -88,16 +94,19 @@ class _PoleMirror(MirrorModel):
     poles come alone, complex ones with their exact conjugate term, as the
     caller groups them.  A pair's two terms are added together before the
     running sum takes them, so r[-omega] == conj r[omega] holds bit for
-    bit, as for s and alpha.
+    bit, as for s and alpha.  ``describe`` returns the mirror's repr,
+    formatted only when it is asked for.
     """
 
-    def __init__(self, constants, groups, cutoff, text):
+    exact_reality = True
+
+    def __init__(self, constants, groups, cutoff, describe):
         self._constants = tuple(constants)  # (c_r, c_s)
         # groups of (p_k, rho_r,k, rho_s,k), each a real pole or a conjugate
         # pair; a pole-free mirror gets one zero-residue term
         self._poles = tuple(groups) or (((1.0, 0.0, 0.0),),)
         self._cutoff = cutoff
-        self._repr = text
+        self._describe = describe
 
     def amplitudes(self, omega, order=0):
         z = 1j * np.asarray(omega)
@@ -157,11 +166,12 @@ class _PoleMirror(MirrorModel):
         model._poles = tuple(tuple(tuple(map(to_natural, term)) for term in group)
                              for group in self._poles)
         model._cutoff = None if self._cutoff is None else to_natural(self._cutoff)
-        model._repr = f"{self._repr}._in_natural_units({units!r})"
+        model._describe = functools.partial("{!r}._in_natural_units({!r})".format,
+                                            self, units)
         return model
 
     def __repr__(self):
-        return self._repr
+        return self._describe()
 
 
 class PerfectMirror(_PoleMirror):
@@ -172,7 +182,7 @@ class PerfectMirror(_PoleMirror):
     """
 
     def __init__(self):
-        super().__init__((-1.0, 0.0), (), None, "PerfectMirror()")
+        super().__init__((-1.0, 0.0), (), None, "PerfectMirror()".format)
 
 
 class LorentzianMirror(_PoleMirror):
@@ -187,7 +197,8 @@ class LorentzianMirror(_PoleMirror):
         if not (tau0 > 0 and math.isfinite(tau0) and math.isfinite(1.0 / tau0)):
             raise ValueError(f"tau0 must be finite and > 0 with 1/tau0 finite, got {tau0}")
         g = 1.0 / tau0
-        super().__init__((0.0, 1.0), (((g, g, g),),), g, f"LorentzianMirror(tau0={tau0!r})")
+        super().__init__((0.0, 1.0), (((g, g, g),),), g,
+                         functools.partial("LorentzianMirror(tau0={!r})".format, tau0))
 
     @property
     def tau0(self) -> float:
@@ -296,8 +307,8 @@ class RationalMirror(_PoleMirror):
             cutoff = max(abs(group[0][0]) for group in r_groups)
         if cutoff is not None and not (cutoff > 0 and math.isfinite(cutoff)):
             raise ValueError(f"cutoff must be finite and > 0, got {cutoff}")
-        super().__init__((c_r, c_s), groups, cutoff,
-                         f"RationalMirror(r_num={rn}, r_den={rd}, s_num={sn}, s_den={sd})")
+        super().__init__((c_r, c_s), groups, cutoff, functools.partial(
+            "RationalMirror(r_num={}, r_den={}, s_num={}, s_den={})".format, rn, rd, sn, sd))
 
 
 # ---------------------------------------------------------------------------
@@ -383,24 +394,33 @@ TRANSPARENCY_TOL = 1e-3
 def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     """Check unitarity (both relations), reality, and high-frequency transparency.
 
-    Unitarity and reality are held to ``UNITARITY_TOL``.  Transparency (R
-    -> 0 well above the cutoff, to ``TRANSPARENCY_TOL``) is only checked
-    when the model declares a finite cutoff; the perfect mirror skips it.
-    Returns the per-check maximal violation and the frequency where it
-    occurs; use ``report.raise_for_failure()`` to turn failures into
+    Unitarity and reality are held to ``UNITARITY_TOL``.  Reality compares
+    the amplitudes at -omega with the conjugates of those at omega, unless
+    the model declares ``exact_reality`` (every pole mirror does, as its
+    conjugate terms are summed together): then it reads 0.0 at the grid's
+    first frequency, which is what the comparison gives, and -omega is not
+    evaluated.  Transparency (R -> 0 well above the cutoff, to
+    ``TRANSPARENCY_TOL``) is only checked when the model declares a finite
+    cutoff; the perfect mirror skips it.  Returns the per-check maximal
+    violation and the frequency where it occurs; use
+    ``report.raise_for_failure()`` to turn failures into
     :class:`ValidationFailed`.
     """
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size == 0 or not np.isfinite(omegas).all():
         raise ValueError("validation grid must be non-empty and finite")
 
-    # +-omega and the transparency probe far above the cutoff, in one call
+    # omega, -omega unless reality is exact, and the transparency probe far
+    # above the cutoff, in one call
     cutoff = model.cutoff_frequency
     high = [] if cutoff is None else [cutoff * k for k in (100.0, 316.0, 1000.0)]
+    exact = model.exact_reality
     n = omegas.size
-    r_all, s_all = model.amplitudes(np.concatenate((omegas, -omegas, high)))
-    r, r_neg, r_high = r_all[:n], r_all[n:2 * n], r_all[2 * n:]
-    s, s_neg = s_all[:n], s_all[n:2 * n]
+    m = n if exact else 2 * n  # where the probe starts
+    r_all, s_all = model.amplitudes(
+        np.concatenate((omegas, high) if exact else (omegas, -omegas, high)))
+    r, r_neg, r_high = r_all[:n], r_all[n:m], r_all[m:]
+    s, s_neg = s_all[:n], s_all[n:m]
 
     def worst(violation):
         idx = violation.argmax()
@@ -411,7 +431,10 @@ def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     checks.append(CheckResult("unitarity_modulus", v, w, UNITARITY_TOL))
     v, w = worst(abs(s * r.conj() + r * s.conj()))
     checks.append(CheckResult("unitarity_orthogonality", v, w, UNITARITY_TOL))
-    v, w = worst(np.maximum(abs(r_neg - r.conj()), abs(s_neg - s.conj())))
+    if exact:
+        v, w = 0.0, float(omegas[0])
+    else:
+        v, w = worst(np.maximum(abs(r_neg - r.conj()), abs(s_neg - s.conj())))
     checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
 
     if cutoff is not None:

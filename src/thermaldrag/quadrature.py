@@ -209,14 +209,15 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig, first=None) -> QuadratureRe
     value, err, floor = _gk_panels(f, a, b, first)
     evaluations = _NODES.size * a.size
     while True:
-        total, total_err = value.sum(), err.sum()
+        # the ufunc itself: ndarray.sum is a Python wrapper around it
+        total, total_err = np.add.reduce(value), np.add.reduce(err)
         tol = cfg.rel_tol * abs(total)
         if total_err <= tol:
             converged = True
             break
         # the error that halving can reduce; NaN != NaN keeps a NaN in it
         free = err != floor
-        left = err[free].sum()
+        left = np.add.reduce(err[free])
         converged = bool(left <= tol)
         mid = 0.5 * (a + b)
         wide = mid - a >= _EPS * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)

@@ -535,6 +535,18 @@ class TestModelInfoCommand:
         assert run(["model-info", "--config", path]) == 0
         assert "cutoff_frequency = none" in capsys.readouterr().out
 
+    def test_non_finite_delay_exits_3(self, tmp_path, capsys):
+        # tau0 = 1e308 puts the pole at 1e-308: the delay at omega = 0
+        # overflows, and is printed, judged by the output gate and not warned
+        path = write(tmp_path, "c.cfg", "[model]\nkind = lorentzian\ntau0 = 1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["model-info", "--config", path]) == 3
+        out, err = capsys.readouterr()
+        assert "low_frequency_delay = inf\n" in out
+        assert "validation.transparency" in out
+        assert err == "a printed value is not a finite number\n"
+
     def test_out_writes_stdout_text(self, tmp_path, capsys):
         # --out means the same on every subcommand: the file gets exactly
         # the stdout text, stdout stays empty and the exit code is unchanged
@@ -854,6 +866,90 @@ class TestMain:
         assert ("exceeds tolerance 0.000e+00" in err) == (code == 3)
 
 
+USAGE = "usage: thermaldrag [-h] {coeffs,sweep,chi,verify,force,model-info} ..."
+COEFFS_USAGE = "usage: thermaldrag coeffs [-h] --config CONFIG [--out OUT] [--tol TOL]"
+
+
+class TestArgumentParsing:
+    # main hands argv to the named command's own parser, and to the full
+    # parser whenever argv names no command or that parser leaves anything
+    # unparsed: stdout, stderr and the exit code must be the full parser's,
+    # byte for byte.  {config} is a valid perfect-mirror config
+    ARGVS = {
+        "no-arguments": [],
+        "help": ["-h"],
+        "help-after-command": ["-h", "coeffs"],
+        "command-help": ["coeffs", "-h"],
+        "command-help-abbreviated": ["coeffs", "--config", "{config}", "--he"],
+        "unknown-command": ["bogus"],
+        "option-before-command": ["--config", "{config}", "coeffs"],
+        "missing-config": ["coeffs"],
+        "config-without-value": ["coeffs", "--config"],
+        "unknown-option": ["coeffs", "--config", "{config}", "--bogus"],
+        "stray-positional": ["coeffs", "--config", "{config}", "y"],
+        "command-twice": ["coeffs", "coeffs", "--config", "{config}"],
+        "double-dash": ["coeffs", "--config", "{config}", "--", "y"],
+        "trailing-double-dash": ["coeffs", "--config", "{config}", "--"],
+        "double-dash-first": ["coeffs", "--", "--config", "{config}"],
+        "tol-without-route-gate": ["chi", "--config", "{config}", "--tol", "1"],
+        "bad-tol": ["coeffs", "--config", "{config}", "--tol", "x"],
+        "bad-tol-with-equals": ["sweep", "--config={config}", "--tol=-1"],
+        "tol-twice": ["coeffs", "--config", "{config}", "--tol", "1", "--tol", "2"],
+        "abbreviated-config": ["model-info", "--conf", "{config}"],
+        "valid": ["coeffs", "--config", "{config}"],
+        "valid-with-out": ["model-info", "--out", "{out}", "--config", "{config}"],
+    }
+
+    @staticmethod
+    def outcome(argv, tmp_path, capsys):
+        """(exit code, stdout, stderr, --out text) of ``main`` on ``argv``."""
+        config = write(tmp_path, "c.cfg", "temperature = 1\n[model]\nkind = perfect\n")
+        out = tmp_path / "out.txt"
+        try:
+            code = run([arg.format(config=config, out=out) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+        text = out.read_text() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return (code, *capsys.readouterr(), text)
+
+    @pytest.mark.parametrize("argv", ARGVS.values(), ids=ARGVS.keys())
+    def test_output_is_the_full_parsers(self, argv, tmp_path, capsys, monkeypatch):
+        ours = self.outcome(argv, tmp_path, capsys)
+        monkeypatch.setattr(cli, "_parse_args",
+                            lambda argv: cli.build_parser().parse_args(argv))
+        assert ours == self.outcome(argv, tmp_path, capsys)
+
+    # recorded with the full parser; help and usage text come from argparse,
+    # whose wording may change between Python versions, so the lines pinned
+    # here are the ones this program's arguments decide
+    @pytest.mark.parametrize("name, code, first, last", [
+        ("no-arguments", 2, USAGE,
+         "thermaldrag: error: the following arguments are required: command"),
+        ("unknown-command", 2, USAGE,
+         "thermaldrag: error: argument command: invalid choice: 'bogus'"),
+        ("missing-config", 2, COEFFS_USAGE,
+         "thermaldrag coeffs: error: the following arguments are required: --config"),
+        ("unknown-option", 2, USAGE, "thermaldrag: error: unrecognized arguments: --bogus"),
+        ("tol-without-route-gate", 2, USAGE,
+         "thermaldrag: error: unrecognized arguments: --tol 1"),
+        ("bad-tol", 2, COEFFS_USAGE,
+         "thermaldrag coeffs: error: argument --tol: must be a finite number >= 0, got 'x'"),
+    ], ids=["no-arguments", "unknown-command", "missing-config", "unknown-option",
+            "tol-without-route-gate", "bad-tol"])
+    def test_usage_errors(self, tmp_path, capsys, name, code, first, last):
+        found, out, err, _ = self.outcome(self.ARGVS[name], tmp_path, capsys)
+        lines = err.splitlines()
+        assert (found, out, len(lines), lines[0]) == (code, "", 2, first)
+        assert lines[1].startswith(last)
+
+    @pytest.mark.parametrize("name, first", [("help", USAGE), ("command-help", COEFFS_USAGE),
+                                             ("command-help-abbreviated", COEFFS_USAGE)])
+    def test_help(self, tmp_path, capsys, name, first):
+        code, out, err, _ = self.outcome(self.ARGVS[name], tmp_path, capsys)
+        assert (code, err) == (0, "") and out.splitlines()[0] == first
+
+
 WEAK_RATIONAL_KEYS = ("r_numerator = 0, 0.3\nr_denominator = 1, -2.0223748416156684, 1\n"
                       "s_numerator = 1, 0, -1\ns_denominator = 1, -2.0223748416156684, 1\n")
 
@@ -915,6 +1011,15 @@ class TestRejections:
         ("coeffs", "temperature = 1", "kind = lorentzian\ntau0 = 1\ncutoff = 2", None,
          "unknown lorentzian model key 'cutoff'"),
         ("model-info", "", "kind = perfect", None, "injected"),
+        ("chi", "hbar = 7\ntemperature = 1e150\nomega_min = 2.5\nomega_max = 1e308\n"
+         "omega_count = 5", "kind = perfect", None,
+         "key 'omega_max' = 1e+308 is not finite in natural units (hbar = 7.0)"),
+        ("chi", "hbar = 1e75\ntemperature = 1\nomega_min = -1e300\nomega_max = 1",
+         "kind = perfect", None,
+         "key 'omega_min' = -1e+300 is not finite in natural units (hbar = 1e+75)"),
+        ("chi", "temperature = 1\nomega_min = -1e308\nomega_max = 1e308\nomega_count = 3",
+         "kind = perfect", None,
+         "need a finite omega_max - omega_min, got [-1e+308, 1e+308]"),
     ], ids=["sweep-count", "sweep-spacing", "sweep-temp-min-zero",
             "sweep-temp-range-empty", "chi-omega-range", "chi-omega-count",
             "force-no-trajectory", "force-row-fields", "force-non-numeric",
@@ -924,7 +1029,9 @@ class TestRejections:
             "config-rational-missing-key", "rational-cutoff-zero",
             "verify-einstein-tol-negative", "verify-einstein-tol-zero",
             "config-unknown-main-key", "config-unknown-model-key",
-            "config-retired-abs-tol", "config-key-of-another-kind", "main-error-in-handler"])
+            "config-retired-abs-tol", "config-key-of-another-kind", "main-error-in-handler",
+            "chi-omega-max-overflows-in-natural-units",
+            "chi-omega-min-overflows-in-natural-units", "chi-omega-span-overflows"])
     def test_exits_2(self, tmp_path, capsys, monkeypatch, command, settings, model,
                      trajectory, message):
         if trajectory is not None:

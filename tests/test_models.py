@@ -641,3 +641,51 @@ class TestValidationOracle:
             oracles.numpy_validate_model(lorentzian, grid)
         with pytest.raises(ValueError, match="validation grid must be non-empty and finite"):
             validate_model(lorentzian, grid)
+
+
+class TestExactReality:
+    # a pole mirror declares exact reality, so validate_model takes its
+    # reality check as 0 without evaluating -omega; any other model keeps
+    # the evaluated check
+
+    class Twisted(MirrorModel):
+        """Unitary, but r[-omega] = r[omega] = -exp(i omega^2) is not conj r[omega]."""
+
+        cutoff_frequency = None
+
+        def amplitudes(self, omega, order=0):
+            r = -np.exp(1j * np.square(omega))
+            return r, np.zeros_like(r)
+
+    def test_a_user_model_keeps_the_evaluated_check(self):
+        assert not self.Twisted.exact_reality
+        grid = np.linspace(0.1, 1.2, 12)
+        report = validate_model(self.Twisted(), grid)
+        # |r[-w] - conj r[w]| = 2 |sin w^2|, which grows up to the grid's top
+        assert report["reality"].max_violation == pytest.approx(2.0 * np.sin(1.2 ** 2))
+        assert report["reality"].worst_omega == 1.2
+        assert [c.name for c in report.checks if not c.passed] == ["reality"]
+        with pytest.raises(ValidationFailed, match="reality"):
+            report.raise_for_failure()
+
+    @pytest.mark.parametrize("fixture", ["lorentzian", "perfect", "rational_lorentzian",
+                                         "weak", "transparent_model"])
+    def test_pole_mirrors_evaluate_the_grid_and_probe_once(self, fixture, request,
+                                                           monkeypatch):
+        model = request.getfixturevalue(fixture)
+        assert model.exact_reality
+        grid = (model.cutoff_frequency or 1.0) * _VALIDATION_GRID
+        calls = []
+        evaluate = type(model).amplitudes
+
+        def counted(self, omega, order=0):
+            calls.append(np.shape(omega))
+            return evaluate(self, omega, order)
+
+        monkeypatch.setattr(type(model), "amplitudes", counted)
+        report = validate_model(model, grid)
+        # 400 grid frequencies and 3 transparency probes; no probe without a cutoff
+        assert calls == [(403,) if model.cutoff_frequency is not None else (400,)]
+        reality = report["reality"]
+        assert (reality.max_violation, reality.worst_omega) == (0.0, float(grid[0]))
+        assert type(reality.max_violation) is type(reality.worst_omega) is float

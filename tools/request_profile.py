@@ -12,7 +12,8 @@ It prints, per phase, the mean over requests of each request's fastest
 time in those passes (in us), so that other load on the machine, which
 only adds time, mostly drops out:
 
-- ``argparse``: the argument parser's ``parse_args``;
+- ``argparse``: ``cli._parse_args``, the argument parsing as ``cli.main``
+  calls it (the named subcommand's own parser, or the full parser);
 - ``read_text``, ``build_model`` and ``validate_model`` inside
   ``config.parse_config``, and the rest of ``parse_config`` (the key
   parsing and the run settings);
@@ -84,8 +85,7 @@ def instrument(clock: PhaseClock, patches: list):
         patches.append((owner, name, original))
         setattr(owner, name, clock.wrap(phase, original))
 
-    parser = cli.build_parser()
-    patch(parser, "parse_args", "argparse")
+    patch(cli, "_parse_args", "argparse")
     for name in PARSE_PHASES:
         patch(config, name, name)
     patch(cli, "parse_config", "parse_config")
