@@ -1,7 +1,8 @@
 """Command-line interface: coefficient reports, sweeps, spectra and checks.
 
 Subcommands: ``coeffs``, ``sweep``, ``chi``, ``verify``, ``force``,
-``model-info``.  Each handler prints its output and returns the exit code;
+``model-info``.  ``main`` alone reads the config, once, and hands it to
+the command's handler, which prints its output and returns the exit code;
 ``main`` alone sends that output to stdout or to the ``--out`` file.  All
 numeric CSV fields carry 17 significant digits, and identical
 configurations produce byte-identical output on one machine and numpy
@@ -116,8 +117,7 @@ def _output_gate(values, flags) -> int:
     return EXIT_OK
 
 
-def cmd_coeffs(args) -> int:
-    config = parse_config(args.config)
+def cmd_coeffs(config: RunConfig, args) -> int:
     temp = _temperature(config)
     report = coeff.compute_coefficients(config.model, temp, config.quadrature)
     user = _in_user_units(report, config.units)
@@ -129,8 +129,7 @@ def cmd_coeffs(args) -> int:
             or _output_gate(list(user.values()), [report.converged]))
 
 
-def cmd_sweep(args) -> int:
-    config = parse_config(args.config)
+def cmd_sweep(config: RunConfig, args) -> int:
     t_min = config.require_float("temp_min")
     t_max = config.require_float("temp_max")
     count = config.get_int("count", 2)
@@ -149,8 +148,7 @@ def cmd_sweep(args) -> int:
             or _output_gate(rows, (r.converged for r in reports)))
 
 
-def cmd_chi(args) -> int:
-    config = parse_config(args.config)
+def cmd_chi(config: RunConfig, args) -> int:
     temp = _temperature(config, allow_zero=True)
     omega_min = config.require_frequency("omega_min")
     omega_max = config.require_frequency("omega_max")
@@ -179,8 +177,7 @@ def cmd_chi(args) -> int:
     return _output_gate(table, flags)
 
 
-def cmd_force(args) -> int:
-    config = parse_config(args.config)
+def cmd_force(config: RunConfig, args) -> int:
     temp = _temperature(config)
     traj_path = config.get_str("trajectory")
     if traj_path is None:
@@ -288,8 +285,7 @@ def _verify_checks(config: RunConfig, tol: float):
         yield "mu_exact_zero", mu, allowed, mu <= allowed
 
 
-def cmd_verify(args) -> int:
-    config = parse_config(args.config)
+def cmd_verify(config: RunConfig, args) -> int:
     lines = []
     all_pass = True
     for name, measured, allowed, passed in _verify_checks(config, args.tol):
@@ -300,8 +296,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all_pass else EXIT_VERIFY
 
 
-def cmd_model_info(args) -> int:
-    config = parse_config(args.config)
+def cmd_model_info(config: RunConfig, args) -> int:
     model = config.model
     units = config.units
     cutoff = model.cutoff_frequency
@@ -391,12 +386,13 @@ def main(argv=None) -> int:
     # looked up at call time, so a replaced cmd_* function is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
+        config = parse_config(args.config)
         if not args.out:
-            return handler(args)
+            return handler(config, args)
         # the file is written whenever the handler returns, whatever its
         # exit code, and never when it raises
         with contextlib.redirect_stdout(io.StringIO()) as text:
-            code = handler(args)
+            code = handler(config, args)
         try:
             Path(args.out).write_text(text.getvalue())
         except OSError as exc:

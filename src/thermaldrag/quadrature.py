@@ -151,27 +151,23 @@ def _gk_nodes(a, b):
     return ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * _NODES).ravel()
 
 
-def _gk_panels(f, a, b, y=None):
-    """Gauss-Kronrod 7/15 on the panels [a[i], b[i]] from one call of f.
+def _gk_panels(y, a, b):
+    """Gauss-Kronrod 7/15 on the panels [a[i], b[i]] from their values ``y``.
 
-    The nodes of all panels reach ``f`` as one array, so ``f`` must be
-    pointwise; ``y``, when given, holds f on ``_gk_nodes(a, b)`` already,
-    and f is not called.  The values are stacked as (panels, 15, 1)
-    columns, so each weighted sum is one matmul whose stack entries are
-    1x15 @ 15x1 dots: numpy sends each to the same BLAS dot as a lone
-    panel's ``_WK @ row``, so every panel's value and floor are bit for bit
-    those of a lone panel (the Gauss nodes are gathered with ``take``,
-    which stays C-ordered; the fancy index ``y[:, _GAUSS_IDX]`` is not, and
-    its dots round differently).  The error's ``** 1.5`` is taken as ``r *
-    sqrt(r)``, which rounds the same on every SIMD path, within an ulp of
-    ``pow``.
+    ``y`` holds the integrand on ``_gk_nodes(a, b)``, panel after panel.
+    The values are stacked as (panels, 15, 1) columns, so each weighted
+    sum is one matmul whose stack entries are 1x15 @ 15x1 dots: numpy
+    sends each to the same BLAS dot as a lone panel's ``_WK @ row``, so
+    every panel's value and floor are bit for bit those of a lone panel
+    (the Gauss nodes are gathered with ``take``, which stays C-ordered;
+    the fancy index ``y[:, _GAUSS_IDX]`` is not, and its dots round
+    differently).  The error's ``** 1.5`` is taken as ``r * sqrt(r)``,
+    which rounds the same on every SIMD path, within an ulp of ``pow``.
     Returns the arrays (value, error, floor): the error is never below the
     rounding floor 50 eps int |f|, and equals it on a panel at its floor.
     """
     width = b - a
     half = 0.5 * width
-    if y is None:
-        y = f(_gk_nodes(a, b))
     y = np.asarray(y).reshape(a.size, 15, 1)
     resk = half * (_WK @ y)[:, 0]
     resg = half * (_WG @ y.take(_GAUSS_IDX, axis=1))[:, 0]
@@ -198,15 +194,16 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig, first=None) -> QuadratureRe
     go left to right), just enough of them that the error of the rest
     meets the tolerance, skipping panels at roundoff width and never
     passing ``max_subdivisions`` panels.  A NaN error halves none.  The
-    initial panels share one call of ``f``, and so do a round's halves;
-    ``first``, when given, is f on the initial panels' ``_gk_nodes``
-    already and takes the place of that call.  The panels stay in
-    interval order, and the totals are numpy's pairwise sums over them,
-    so results are deterministic for a fixed configuration.
+    initial panels share one call of ``f`` on their ``_gk_nodes``, and so
+    do a round's halves; ``first``, when given, is f on the initial
+    panels' nodes already and takes the place of that call.  After each
+    round one stable sort on the left ends puts the kept panels and the
+    halves back in interval order, and the totals are numpy's pairwise
+    sums over them, so results are deterministic for a fixed configuration.
     """
     ends = np.asarray(breakpoints, dtype=float)
     a, b = ends[:-1], ends[1:]
-    value, err, floor = _gk_panels(f, a, b, first)
+    value, err, floor = _gk_panels(f(_gk_nodes(a, b)) if first is None else first, a, b)
     evaluations = _NODES.size * a.size
     while True:
         # the ufunc itself: ndarray.sum is a Python wrapper around it
@@ -234,18 +231,12 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig, first=None) -> QuadratureRe
         lo = np.concatenate((a[split], mid[split]))
         hi = np.concatenate((mid[split], b[split]))
         evaluations += _NODES.size * lo.size
-        # each halved panel gives way to its two halves where it stood, so
-        # the panels stay in interval order: a halved panel is repeated,
-        # and its halves overwrite the copies (left halves, then right ones)
-        reps = np.ones(a.size, dtype=np.intp)
-        reps[split] = 2
-        slots = reps.cumsum()[split] - 2
-        slots = np.concatenate((slots, slots + 1))
-        panels = []
-        for old, new in zip((a, b, value, err, floor), (lo, hi, *_gk_panels(f, lo, hi))):
-            panels.append(old.repeat(reps))
-            panels[-1][slots] = new
-        a, b, value, err, floor = panels
+        kept = np.ones(a.size, dtype=bool)
+        kept[split] = False
+        halves = lo, hi, *_gk_panels(f(_gk_nodes(lo, hi)), lo, hi)
+        order = np.concatenate((a[kept], lo)).argsort(kind="stable")
+        a, b, value, err, floor = (np.concatenate((old[kept], new))[order]
+                                   for old, new in zip((a, b, value, err, floor), halves))
     return QuadratureResult(total, float(total_err), evaluations, converged)
 
 

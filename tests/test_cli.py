@@ -804,7 +804,7 @@ class TestMain:
         path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = perfect\n")
         assert run(["coeffs", "--config", path]) == 0
         seen = []
-        monkeypatch.setattr(cli, "cmd_coeffs", lambda args: seen.append(args) or 7)
+        monkeypatch.setattr(cli, "cmd_coeffs", lambda config, args: seen.append(args) or 7)
         assert run(["coeffs", "--config", path]) == 7
         assert [args.config for args in seen] == [path]
 
@@ -1042,7 +1042,7 @@ class TestRejections:
             # a package error that is not a ConfigError, raised inside a handler
             prefix = "error: "
 
-            def failing(args):
+            def failing(config, args):
                 raise ThermalDragError(message)
 
             monkeypatch.setattr(cli, "cmd_model_info", failing)

@@ -299,9 +299,9 @@ def recording_gk_panels(monkeypatch):
     calls = []
     gk_panels = quadrature._gk_panels
 
-    def recorded(f, a, b, *values):
+    def recorded(y, a, b):
         calls.append(list(zip(a.tolist(), b.tolist())))
-        return gk_panels(f, a, b, *values)
+        return gk_panels(y, a, b)
 
     monkeypatch.setattr(quadrature, "_gk_panels", recorded)
     return calls

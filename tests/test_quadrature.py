@@ -17,7 +17,7 @@ from thermaldrag import (ExtrapolationUnstable, GridTooCoarse,
                          integrate_thermal, quadrature, richardson_extrapolate)
 from thermaldrag.core import X_UNDERFLOW
 from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _THERMAL_BREAKS, _WG, _WK,
-                                   DEFAULT_CONFIG, _adaptive, _gk_panels)
+                                   DEFAULT_CONFIG, _adaptive, _gk_nodes, _gk_panels)
 
 
 class TestIntegrateFinite:
@@ -796,7 +796,7 @@ class TestStackedReduction:
     def test_each_panel_equals_a_lone_panel(self, name, count):
         f = _PANEL_INTEGRANDS[name]
         ends = np.linspace(0.0, 1.0, count + 1) ** 1.5
-        stacked = _gk_panels(f, ends[:-1], ends[1:])
+        stacked = _gk_panels(f(_gk_nodes(ends[:-1], ends[1:])), ends[:-1], ends[1:])
         assert all(part.shape == (count,) for part in stacked)
         for a, b, value, err, floor in zip(ends[:-1], ends[1:], *stacked):
             lone_value, lone_err, lone_floor = oracles.gk_panel_per_call(f, a, b)
