@@ -241,7 +241,11 @@ def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: floa
     of them, so the window doubles at fixed spacing.  Each gap is the
     largest |Re chi_T - H[xi_T]| over the central half of its window,
     relative to the window's peak |chi_T|, with H the discrete Hilbert
-    transform.  Fewer than 64 ``points`` raises GridTooCoarse, and a
+    transform.  The grid's coefficients of h are integers or half-integers
+    symmetric about 0, so the grid is exactly symmetric, and chi_T(-w) =
+    chi_T(w)* holds bit for bit (see :func:`chi_total`): chi_T is computed
+    on the non-negative half, 0 once for odd ``points``, and the rest is
+    its conjugate.  Fewer than 64 ``points`` raises GridTooCoarse, and a
     ``window`` that is not > 0 ValueError.
     """
     if points < 64:
@@ -250,6 +254,8 @@ def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: floa
         raise ValueError(f"window must be > 0, got {window}")
     k = points // 2
     h = 2.0 * window / (points - 1)
-    grid = (np.arange(points + 2 * k) - k - 0.5 * (points - 1)) * h
-    chi = np.array([chi_total(model, w, temp, cfg).chi_total for w in grid])
+    size = points + 2 * k
+    upper = (np.arange(size // 2, size) - k - 0.5 * (points - 1)) * h
+    half = np.array([chi_total(model, w, temp, cfg).chi_total for w in upper])
+    chi = np.concatenate((half[size % 2:][::-1].conj(), half))
     return _dispersion_gap(chi[k:k + points]), _dispersion_gap(chi)

@@ -417,8 +417,9 @@ class TestVerifyCommand:
         assert "dual_route_mu" in out and "einstein_relation" in out
 
     def test_each_check_quantity_is_computed_once(self, tmp_path, capsys, monkeypatch):
-        # one chi sweep of 2 kk_points samples serves both dispersion windows
-        # and the Einstein ladder adds its 7 rungs; the reports are those at
+        # one chi sweep of 2 kk_points samples serves both dispersion windows,
+        # computed on its non-negative half (the rest is its conjugate), and
+        # the Einstein ladder adds its 7 rungs; the reports are those at
         # T, T_hi and T_lo, the Einstein check reading lambda from the one at T
         from thermaldrag import coefficients, susceptibility
         calls = {"chi_total": 0, "compute_coefficients": 0}
@@ -436,7 +437,7 @@ class TestVerifyCommand:
         assert run(["verify", "--config",
                     lorentzian_config(tmp_path, "kk_points = 256\n")]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert calls == {"chi_total": 2 * 256 + 7, "compute_coefficients": 3}
+        assert calls == {"chi_total": 256 + 7, "compute_coefficients": 3}
 
     def test_perfect_mirror_reports_zero_mass_terms(self, tmp_path, capsys):
         path = write(tmp_path, "c.cfg",

@@ -583,8 +583,9 @@ class TestKramersKronig:
 
     def test_window_doubling_base_is_the_check_on_the_middle_samples(
             self, lorentzian, monkeypatch):
-        # one sweep of 2 x 256 samples at the base spacing 2 x 20/255; the
-        # base gap is the gap of chi recomputed on its middle 256, bit for bit
+        # one sweep of 2 x 256 samples at the base spacing 2 x 20/255, of
+        # which chi is computed on the non-negative 256; the base gap is the
+        # gap of chi recomputed at both signs on the middle 256, bit for bit
         omegas = []
 
         def recorded(model, omega, temp, cfg):
@@ -595,14 +596,27 @@ class TestKramersKronig:
         base, _ = susceptibility.kramers_kronig_window_doubling(
             lorentzian, 1.0, 20.0, 256)
         monkeypatch.undo()
-        grid = np.array(omegas)
+        upper = np.array(omegas)
+        assert upper.size == 256 and upper[0] > 0.0
+        grid = np.concatenate((-upper[::-1], upper))
         middle = grid[128:384]
         chi = np.array([chi_total(lorentzian, w, 1.0).chi_total for w in middle])
         assert base == susceptibility._dispersion_gap(chi)
-        assert grid.size == 512
         assert np.allclose(np.diff(grid), 40.0 / 255, rtol=1e-12, atol=0.0)
         assert middle[0] == pytest.approx(-20.0, rel=1e-14)
         assert middle[-1] == pytest.approx(20.0, rel=1e-14)
+
+    @pytest.mark.parametrize("points", [64, 65])
+    def test_half_sweep_gives_the_gaps_of_the_full_sweep(self, lorentzian, points):
+        # the grid of an even and an odd point count (which holds omega = 0),
+        # rebuilt and swept whole: both gaps agree bit for bit
+        k, h = points // 2, 40.0 / (points - 1)
+        grid = (np.arange(points + 2 * k) - k - 0.5 * (points - 1)) * h
+        chi = np.array([chi_total(lorentzian, w, 1.0).chi_total for w in grid])
+        full = (susceptibility._dispersion_gap(chi[k:k + points]),
+                susceptibility._dispersion_gap(chi))
+        assert susceptibility.kramers_kronig_window_doubling(
+            lorentzian, 1.0, 20.0, points) == full
 
     def test_grid_requirements(self, lorentzian):
         with pytest.raises(GridTooCoarse):
