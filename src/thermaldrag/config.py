@@ -219,8 +219,10 @@ def parse_config(path) -> RunConfig:
             max_subdivisions=_number(main, "max_subdivisions", 200, integer=True),
         )
         model, kind = build_model(model_keys, units)
-        # mandatory validation before any use, on one grid around the cutoff
-        grid = (model.cutoff_frequency or 1.0) * _VALIDATION_GRID
+        # mandatory validation before any use, on one grid around the cutoff;
+        # validate_model rejects a grid that overflows
+        with np.errstate(over="ignore"):
+            grid = (model.cutoff_frequency or 1.0) * _VALIDATION_GRID
         validation = validate_model(model, grid)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -417,30 +417,33 @@ def validate_model(model: MirrorModel, omegas) -> ModelValidationReport:
     exact = model.exact_reality
     n = omegas.size
     m = n if exact else 2 * n  # where the probe starts
-    r_all, s_all = model.amplitudes(
-        np.concatenate((omegas, high) if exact else (omegas, -omegas, high)))
-    r, r_neg, r_high = r_all[:n], r_all[n:m], r_all[m:]
-    s, s_neg = s_all[:n], s_all[n:m]
 
     def worst(violation):
         idx = violation.argmax()
         return float(violation[idx]), float(omegas[idx])
 
     checks = []
-    v, w = worst(abs(abs(r) ** 2 + abs(s) ** 2 - 1.0))
-    checks.append(CheckResult("unitarity_modulus", v, w, UNITARITY_TOL))
-    v, w = worst(abs(s * r.conj() + r * s.conj()))
-    checks.append(CheckResult("unitarity_orthogonality", v, w, UNITARITY_TOL))
-    if exact:
-        v, w = 0.0, float(omegas[0])
-    else:
-        v, w = worst(np.maximum(abs(r_neg - r.conj()), abs(s_neg - s.conj())))
-    checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
+    # an amplitude near the float range may overflow: a non-finite
+    # violation fails its check
+    with np.errstate(all="ignore"):
+        r_all, s_all = model.amplitudes(
+            np.concatenate((omegas, high) if exact else (omegas, -omegas, high)))
+        r, r_neg, r_high = r_all[:n], r_all[n:m], r_all[m:]
+        s, s_neg = s_all[:n], s_all[n:m]
+        v, w = worst(abs(abs(r) ** 2 + abs(s) ** 2 - 1.0))
+        checks.append(CheckResult("unitarity_modulus", v, w, UNITARITY_TOL))
+        v, w = worst(abs(s * r.conj() + r * s.conj()))
+        checks.append(CheckResult("unitarity_orthogonality", v, w, UNITARITY_TOL))
+        if exact:
+            v, w = 0.0, float(omegas[0])
+        else:
+            v, w = worst(np.maximum(abs(r_neg - r.conj()), abs(s_neg - s.conj())))
+        checks.append(CheckResult("reality", v, w, UNITARITY_TOL))
 
-    if cutoff is not None:
-        idx = (abs(r_high) ** 2).argmax()
-        # np.abs as on the array: abs() of a numpy complex scalar rounds otherwise
-        checks.append(CheckResult("transparency", float(np.abs(r_high[idx]) ** 2),
-                                  high[idx], TRANSPARENCY_TOL))
+        if cutoff is not None:
+            idx = (abs(r_high) ** 2).argmax()
+            # np.abs as on the array: abs() of a numpy complex scalar rounds otherwise
+            checks.append(CheckResult("transparency", float(np.abs(r_high[idx]) ** 2),
+                                      high[idx], TRANSPARENCY_TOL))
 
     return ModelValidationReport(tuple(checks))

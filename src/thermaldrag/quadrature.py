@@ -165,6 +165,8 @@ def _gk_panels(y, a, b):
     which rounds the same on every SIMD path, within an ulp of ``pow``.
     Returns the arrays (value, error, floor): the error is never below the
     rounding floor 50 eps int |f|, and equals it on a panel at its floor.
+    A panel without error gives 0/0 in the error's ratio: the caller,
+    ``_adaptive``, turns numpy's floating-point warnings off.
     """
     width = b - a
     half = 0.5 * width
@@ -174,10 +176,9 @@ def _gk_panels(y, a, b):
     floor = 50.0 * _EPS * (half * (_WK @ np.abs(y))[:, 0])
     resasc = half * (_WK @ np.abs(y - (resk / width)[:, None, None]))[:, 0]
     err = np.abs(resk - resg)
-    with np.errstate(all="ignore"):
-        ratio = 200.0 * err / resasc
-        # fmin, as Python's min(1.0, r), keeps 1.0 where r is NaN
-        scaled = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
+    ratio = 200.0 * err / resasc
+    # fmin, as Python's min(1.0, r), keeps 1.0 where r is NaN
+    scaled = resasc * np.fmin(1.0, ratio * np.sqrt(ratio))
     err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     # roundoff floor on the claimed error
     return resk, np.maximum(err, floor), floor
@@ -195,48 +196,52 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig, first=None) -> QuadratureRe
     meets the tolerance, skipping panels at roundoff width and never
     passing ``max_subdivisions`` panels.  A NaN error halves none.  The
     initial panels share one call of ``f`` on their ``_gk_nodes``, and so
-    do a round's halves; ``first``, when given, is f on the initial
-    panels' nodes already and takes the place of that call.  After each
-    round one stable sort on the left ends puts the kept panels and the
-    halves back in interval order, and the totals are numpy's pairwise
-    sums over them, so results are deterministic for a fixed configuration.
+    do a round's halves; ``first``, when given, is called without
+    arguments in place of that first call and returns f on those nodes.
+    After each round one stable sort on the left ends puts the kept
+    panels and the halves back in interval order, and the totals are
+    numpy's pairwise sums over them, so results are deterministic for a
+    fixed configuration.  Every call of f and every reduction runs with
+    numpy's floating-point warnings off: an overflow or an invalid value
+    is judged by the ``converged`` flag and by the caller's gates.
     """
     ends = np.asarray(breakpoints, dtype=float)
     a, b = ends[:-1], ends[1:]
-    value, err, floor = _gk_panels(f(_gk_nodes(a, b)) if first is None else first, a, b)
     evaluations = _NODES.size * a.size
-    while True:
-        # the ufunc itself: ndarray.sum is a Python wrapper around it
-        total, total_err = np.add.reduce(value), np.add.reduce(err)
-        tol = cfg.rel_tol * abs(total)
-        if total_err <= tol:
-            converged = True
-            break
-        # the error that halving can reduce; NaN != NaN keeps a NaN in it
-        free = err != floor
-        left = np.add.reduce(err[free])
-        converged = bool(left <= tol)
-        mid = 0.5 * (a + b)
-        wide = mid - a >= _EPS * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
-        # array methods, not their numpy wrappers: a round is many small calls
-        worst = (free & wide).nonzero()[0]
-        worst = worst[(-err[worst]).argsort(kind="stable")]
-        # halve the worst in turn while the error not yet halved misses tol
-        spent = np.concatenate(([0.0], err[worst[:-1]])).cumsum()
-        count = min(np.count_nonzero(left - spent > tol), worst.size,
-                    cfg.max_subdivisions - a.size)
-        if count <= 0:
-            break
-        split = worst[:count]
-        lo = np.concatenate((a[split], mid[split]))
-        hi = np.concatenate((mid[split], b[split]))
-        evaluations += _NODES.size * lo.size
-        kept = np.ones(a.size, dtype=bool)
-        kept[split] = False
-        halves = lo, hi, *_gk_panels(f(_gk_nodes(lo, hi)), lo, hi)
-        order = np.concatenate((a[kept], lo)).argsort(kind="stable")
-        a, b, value, err, floor = (np.concatenate((old[kept], new))[order]
-                                   for old, new in zip((a, b, value, err, floor), halves))
+    with np.errstate(all="ignore"):
+        value, err, floor = _gk_panels(first() if first else f(_gk_nodes(a, b)), a, b)
+        while True:
+            # the ufunc itself: ndarray.sum is a Python wrapper around it
+            total, total_err = np.add.reduce(value), np.add.reduce(err)
+            tol = cfg.rel_tol * abs(total)
+            if total_err <= tol:
+                converged = True
+                break
+            # the error that halving can reduce; NaN != NaN keeps a NaN in it
+            free = err != floor
+            left = np.add.reduce(err[free])
+            converged = bool(left <= tol)
+            mid = 0.5 * (a + b)
+            wide = mid - a >= _EPS * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+            # array methods, not their numpy wrappers: a round is many small calls
+            worst = (free & wide).nonzero()[0]
+            worst = worst[(-err[worst]).argsort(kind="stable")]
+            # halve the worst in turn while the error not yet halved misses tol
+            spent = np.concatenate(([0.0], err[worst[:-1]])).cumsum()
+            count = min(np.count_nonzero(left - spent > tol), worst.size,
+                        cfg.max_subdivisions - a.size)
+            if count <= 0:
+                break
+            split = worst[:count]
+            lo = np.concatenate((a[split], mid[split]))
+            hi = np.concatenate((mid[split], b[split]))
+            evaluations += _NODES.size * lo.size
+            kept = np.ones(a.size, dtype=bool)
+            kept[split] = False
+            halves = lo, hi, *_gk_panels(f(_gk_nodes(lo, hi)), lo, hi)
+            order = np.concatenate((a[kept], lo)).argsort(kind="stable")
+            a, b, value, err, floor = (np.concatenate((old[kept], new))[order]
+                                       for old, new in zip((a, b, value, err, floor), halves))
     return QuadratureResult(total, float(total_err), evaluations, converged)
 
 
@@ -452,18 +457,21 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
         ends, x, bose = _thermal_rule(_thermal_breaks(band, x0), occupation_from_ratio)
     else:
         ends, x, bose = _cached_rule(_split_count(band))
-    fs = np.asarray(f(temp * x))
-    # the outermost nodes, last of the last initial panel
-    if _grows_at_edge(fs[-_GROWTH_NODES:].tolist()):
-        raise GrowthBoundExceeded(
-            f"integrand grows faster than e^({_GROWTH_RATE} x) "
-            f"at the edge of the thermal domain"
-        )
+
+    def first():
+        fs = np.asarray(f(temp * x))
+        # the outermost nodes, last of the last initial panel
+        if _grows_at_edge(fs[-_GROWTH_NODES:].tolist()):
+            raise GrowthBoundExceeded(
+                f"integrand grows faster than e^({_GROWTH_RATE} x) "
+                f"at the edge of the thermal domain"
+            )
+        return temp * fs * bose
 
     def weighted(x):
         return temp * np.asarray(f(temp * x)) * occupation_from_ratio(x)
 
-    return _adaptive(weighted, ends, cfg, temp * fs * bose)
+    return _adaptive(weighted, ends, cfg, first)
 
 
 def hilbert_transform_pv(samples) -> np.ndarray:

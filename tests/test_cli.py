@@ -666,9 +666,10 @@ class TestExtremeTemperature:
         traj_path = write(tmp_path, "traj.csv", "t,q\n0,0\n1,1e-3\n2,2e-3\n3,3e-3\n")
         path = write(tmp_path, "c.cfg", f"{settings}\ntrajectory = {traj_path}\n"
                      "[model]\nkind = lorentzian\ntau0 = 1.0\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run([command, "--config", path]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "not a finite number" in err or "route discrepancy nan" in err
 
@@ -733,9 +734,10 @@ class TestExtremeModels:
     ], ids=["tau0-1e200", "rational-cutoff-1e307", "hbar-1e75-six-coefficients"])
     def test_exit_code(self, tmp_path, capsys, settings, model, code):
         path = write(tmp_path, "c.cfg", f"temperature = 1.0\n{settings}\n[model]\n{model}")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run(["coeffs", "--config", path]) == code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert (out == "") == (code == 2)

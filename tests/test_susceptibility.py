@@ -186,9 +186,10 @@ class TestChiVacuumFold:
         path = tmp_path / "chi.cfg"
         path.write_text("temperature = 0\nomega_min = -1e150\nomega_max = 1e150\n"
                         f"omega_count = 3\n[model]\n{model}\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert cli.main(["chi", "--config", str(path)]) == code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         rows = capsys.readouterr().out.splitlines()[1:]
         assert len(rows) == 3
         if code == 0:
