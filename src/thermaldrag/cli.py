@@ -208,14 +208,17 @@ def cmd_force(config: RunConfig, args) -> int:
     t_user = np.array([r[0] for r in rows])
     q_user = np.array([r[1] for r in rows])
     report = coeff.compute_coefficients(config.model, temp, config.quadrature)
-    try:
-        t_nat, force_nat = coeff.quasistatic_force(
-            report, units.time_to_natural(t_user),
-            units.displacement_to_natural(q_user))
-    except (ValueError, GridTooCoarse) as exc:
-        raise ConfigError(f"bad trajectory: {exc}") from exc
-    t_out = units.time_from_natural(t_nat)
-    f_out = units.force_from_natural(force_nat)
+    # a sample or a force near the float range may overflow on conversion:
+    # the time grid's check or the output gate judges it
+    with np.errstate(all="ignore"):
+        try:
+            t_nat, force_nat = coeff.quasistatic_force(
+                report, units.time_to_natural(t_user),
+                units.displacement_to_natural(q_user))
+        except (ValueError, GridTooCoarse) as exc:
+            raise ConfigError(f"bad trajectory: {exc}") from exc
+        t_out = units.time_from_natural(t_nat)
+        f_out = units.force_from_natural(force_nat)
     print("t,F", *(f"{_fmt(t)},{_fmt(f)}" for t, f in zip(t_out, f_out)), sep="\n")
     return _output_gate([t_out, f_out], [report.converged])
 
@@ -251,8 +254,10 @@ def _verify_checks(config: RunConfig, tol: float):
         # The window scales with the wider of the reflection band and the
         # thermal frequency.
         window = 40.0 * max(model.cutoff_frequency, temp)
-        base, doubled = suscept.kramers_kronig_window_doubling(
-            model, temp, window, points, cfg)
+        base, doubled = math.nan, math.nan  # a window that overflows has no grid: FAIL
+        if window < math.inf:
+            base, doubled = suscept.kramers_kronig_window_doubling(
+                model, temp, window, points, cfg)
         ratio = doubled / base if base != 0 else 0.0  # NaN chi: NaN ratio, FAIL
         yield "kramers_kronig_window_doubling", ratio, 1.0, ratio < 1.0
 
@@ -300,9 +305,10 @@ def cmd_model_info(config: RunConfig, args) -> int:
     model = config.model
     units = config.units
     cutoff = model.cutoff_frequency
-    with np.errstate(all="ignore"):  # an overflowing delay is judged by the gate below
-        delay = model.low_frequency_delay
-    values = [model.low_frequency_reflection, units.time_from_natural(delay)]
+    # a pole at omega = 0 or an overflowing delay is judged by the gate below
+    with np.errstate(all="ignore"):
+        values = [model.low_frequency_reflection,
+                  units.time_from_natural(model.low_frequency_delay)]
     if cutoff is not None:
         values.append(units.frequency_from_natural(cutoff))
     lines = [

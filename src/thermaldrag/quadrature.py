@@ -242,7 +242,7 @@ def _adaptive(f, breakpoints, cfg: QuadratureConfig, first=None) -> QuadratureRe
             order = np.concatenate((a[kept], lo)).argsort(kind="stable")
             a, b, value, err, floor = (np.concatenate((old[kept], new))[order]
                                        for old, new in zip((a, b, value, err, floor), halves))
-    return QuadratureResult(total, float(total_err), evaluations, converged)
+    return QuadratureResult(total.item(), float(total_err), evaluations, converged)
 
 
 def integrate_finite(f, lo: float, hi: float,

@@ -256,6 +256,7 @@ def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: floa
     h = 2.0 * window / (points - 1)
     size = points + 2 * k
     upper = (np.arange(size // 2, size) - k - 0.5 * (points - 1)) * h
-    half = np.array([chi_total(model, w, temp, cfg).chi_total for w in upper])
+    # Python floats, as the chi command passes: their arithmetic never warns
+    half = np.array([chi_total(model, w, temp, cfg).chi_total for w in upper.tolist()])
     chi = np.concatenate((half[size % 2:][::-1].conj(), half))
     return _dispersion_gap(chi[k:k + points]), _dispersion_gap(chi)
