@@ -458,6 +458,7 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     else:
         ends, x, bose = _cached_rule(_split_count(band))
 
+    # the first call of f, on the rule's nodes: _adaptive makes it, under its errstate
     def first():
         fs = np.asarray(f(temp * x))
         # the outermost nodes, last of the last initial panel
