@@ -25,6 +25,7 @@ rather than by finite differences.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -86,12 +87,12 @@ class AsymptoticsReport:
 
     def lambda_low_temperature(self, temp: float) -> float:
         """T << cutoff: lambda = 4 A = R0 2 pi T^2 / 3."""
-        return self.low_frequency_reflection * 2.0 * math.pi * temp**2 / 3.0
+        return self.low_frequency_reflection * 2.0 * math.pi * (temp * temp) / 3.0
 
     def mu_low_temperature(self, temp: float) -> float:
         """T << cutoff: mu = 2 B = (1 - 2 R0) tau0 pi T^2 / 3."""
         return ((1.0 - 2.0 * self.low_frequency_reflection)
-                * self.low_frequency_delay * math.pi * temp**2 / 3.0)
+                * self.low_frequency_delay * math.pi * (temp * temp) / 3.0)
 
     def mu_high_temperature(self, temp: float) -> float:
         """T >> cutoff: mu = B = T Delta_S."""
@@ -101,29 +102,50 @@ class AsymptoticsReport:
 # ---------------------------------------------------------------------------
 # thermal integrals (Bose weight supplied by integrate_thermal)
 
-def _kernel_memo(model: MirrorModel, order: int, temp: float | None = None):
-    """w -> (R, R', tau, tau', b, 1 + n_T), formed once per node array.
+def _memoised(evaluate):
+    """(name, w) -> evaluate(w)[name], with one ``evaluate`` per distinct node array.
 
-    The first four are ``models.reflection_and_delay(model, w, order)``,
-    b is their ``models._b_kernel`` and 1 + n_T(w) is taken at ``temp``
-    (None without one).  Integrals over the same range start on the same
-    nodes (the initial panels) and mostly bisect alike, so the integrals
-    of one call meet most node arrays several times.  The record of each
-    distinct array, keyed on its dtype, shape and bytes, is kept as long
-    as the returned function: for one call.
+    Integrals over the same range start on the same nodes (the initial
+    panels) and mostly bisect alike, so the integrals of one call meet
+    most node arrays several times.  The record of each distinct array,
+    keyed on its dtype, shape and bytes, is kept as long as the returned
+    function: for one call.
     """
     records = {}
 
-    def kernels(omega):
-        omega = np.asarray(omega)
-        key = omega.dtype.str, omega.shape, omega.tobytes()
+    def entry(name, w):
+        w = np.asarray(w)
+        key = w.dtype.str, w.shape, w.tobytes()
         if key not in records:
-            record = models.reflection_and_delay(model, omega, order)
-            plus = None if temp is None else occupation_plus_one_from_ratio(omega / temp)
-            records[key] = (*record, models._b_kernel(record), plus)
-        return records[key]
+            records[key] = evaluate(w)
+        return records[key][name]
 
-    return kernels
+    return entry
+
+
+def _report_integrands(model: MirrorModel, temp: float, w) -> dict:
+    """The six integrands of :func:`compute_coefficients` on the nodes w.
+
+    Keyed by the report fields, from one order-2 kernel pass, one b and
+    one 1 + n_T(w); the entropic two still lack their route factors.
+    """
+    record = models.reflection_and_delay(model, w, 2)
+    big_r, d_big_r, tau, d_tau = record
+    b, plus = models._b_kernel(record), occupation_plus_one_from_ratio(w / temp)
+    a, da = 2.0 * big_r, 2.0 * d_big_r
+    db = 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
+    return {"lambda_spectral": (2.0 * w * a + w * w * da) / math.pi,
+            "lambda_entropic": w * w * big_r * plus / (math.pi * (temp * temp)),
+            "mu_spectral": (2.0 * w * b + w * w * db) / (2.0 * math.pi),
+            "mu_entropic": w * w * b * plus / (2.0 * math.pi * (temp * temp)),
+            "A": w * big_r / math.pi,
+            "B": w * b / (2.0 * math.pi)}
+
+
+def _bandwidth_integrands(model: MirrorModel, w) -> dict:
+    """R and b on the nodes w, keyed by the :func:`asymptotics` fields."""
+    record = models.reflection_and_delay(model, w, 1)
+    return {"omega_C_effective": record[0], "delta_S": models._b_kernel(record)}
 
 
 def relative_gap(gap: float, scale: float) -> float:
@@ -148,49 +170,20 @@ def compute_coefficients(model: MirrorModel, temp: float,
     first Bose panel, which is then split in octaves down to the band, so
     the integrals still converge on their first call (a perfect mirror has
     no cutoff and keeps the 19 panels).  All six share these x nodes, so
-    they read R, R', tau, tau', b and 1 + n_T from one :func:`_kernel_memo`:
-    each distinct node array takes one kernel pass, one b and one 1 + n_T
-    per call, and every value is the one a lone integral would compute.  A
+    their integrands are one function of the node array,
+    :func:`_report_integrands`, memoised for the call: each distinct node
+    array takes one kernel pass, one b and one 1 + n_T, and every value is
+    the one a lone integral would compute.  A
     temperature that is not finite and > 0 raises ValueError from the
     first integral.
     """
-    kernels = _kernel_memo(model, 2, temp)
-
-    def lambda_spectral_f(w):
-        big_r, d_big_r = kernels(w)[:2]
-        a, da = 2.0 * big_r, 2.0 * d_big_r
-        return (2.0 * w * a + w * w * da) / math.pi
-
-    def lambda_entropic_f(w):
-        big_r, *_, plus = kernels(w)
-        return w * w * big_r * plus / (math.pi * (temp * temp))
-
-    def mu_spectral_f(w):
-        big_r, d_big_r, tau, d_tau, b, _ = kernels(w)
-        db = 2.0 * (-2.0 * d_big_r * tau + (1.0 - 2.0 * big_r) * d_tau)
-        return (2.0 * w * b + w * w * db) / (2.0 * math.pi)
-
-    def mu_entropic_f(w):
-        *_, b, plus = kernels(w)
-        return w * w * b * plus / (2.0 * math.pi * (temp * temp))
-
-    def a_f(w):
-        return w * kernels(w)[0] / math.pi
-
-    def b_f(w):
-        return w * kernels(w)[4] / (2.0 * math.pi)
-
-    integrands = {
-        "lambda_spectral": (lambda_spectral_f, 1.0),
-        "lambda_entropic": (lambda_entropic_f, 2.0 * temp),
-        "mu_spectral": (mu_spectral_f, 1.0),
-        "mu_entropic": (mu_entropic_f, temp),
-        "A": (a_f, 1.0),
-        "B": (b_f, 1.0),
-    }
+    integrand = _memoised(functools.partial(_report_integrands, model, temp))
+    factors = dict(lambda_spectral=1.0, lambda_entropic=2.0 * temp, mu_spectral=1.0,
+                   mu_entropic=temp, A=1.0, B=1.0)
     value, error, converged = {}, {}, {}
-    for name, (f, factor) in integrands.items():
-        res = integrate_thermal(f, temp, cfg, model.cutoff_frequency)
+    for name, factor in factors.items():
+        res = integrate_thermal(functools.partial(integrand, name), temp, cfg,
+                                model.cutoff_frequency)
         value[name], error[name] = factor * res.value, factor * res.error_estimate
         converged[name] = res.converged
 
@@ -221,7 +214,8 @@ def asymptotics(model: MirrorModel,
     dw (1 - 2 R[w]) 2 tau[w], both mapped to [0, 1) through w = w_C t/(1-t).
     A model without a cutoff, the perfect mirror included, has no finite
     bandwidth and raises DivergentBandwidth.  Both integrals start on the
-    same nodes and read R and b from one :func:`_kernel_memo`; the
+    same nodes and read R and b from one memoised
+    :func:`_bandwidth_integrands`; the
     report carries each one's claimed error and convergence flag.
     """
     cutoff = model.cutoff_frequency
@@ -230,15 +224,15 @@ def asymptotics(model: MirrorModel,
             "bandwidth integrals require a high-frequency transparent model"
         )
 
-    def on_half_line(g):
+    integrand = _memoised(functools.partial(_bandwidth_integrands, model))
+
+    def on_half_line(name):
         def mapped(t):
             w = cutoff * t / (1.0 - t)
-            return g(w) * cutoff / (1.0 - t) ** 2
+            return integrand(name, w) * cutoff / (1.0 - t) ** 2
         return integrate_finite(mapped, 0.0, 1.0, cfg)
 
-    kernels = _kernel_memo(model, 1)
-    results = {"omega_C_effective": on_half_line(lambda w: kernels(w)[0]),
-               "delta_S": on_half_line(lambda w: kernels(w)[4])}
+    results = {name: on_half_line(name) for name in ("omega_C_effective", "delta_S")}
     return AsymptoticsReport(
         **{name: float(res.value / (2.0 * math.pi)) for name, res in results.items()},
         low_frequency_reflection=model.low_frequency_reflection,

@@ -76,14 +76,16 @@ class MirrorModel(abc.ABC):
 
     @property
     def low_frequency_reflection(self) -> float:
-        """R0 = |r[0]|^2."""
-        return float(reflection_probability(self, 0.0))
+        """R0 = |r[0]|^2; NaN for a pole at omega = 0, which the callers' gates judge."""
+        with np.errstate(all="ignore"):
+            return float(reflection_probability(self, 0.0))
 
     @property
     def low_frequency_delay(self) -> float:
-        """tau0, the scattering delay at omega = 0."""
+        """tau0, the scattering delay at omega = 0; it may overflow or be NaN, as R0."""
         # + 0.0 turns the -0.0 of a delay-free mirror into 0.0
-        return float(reflection_and_delay(self, 0.0)[2]) + 0.0
+        with np.errstate(all="ignore"):
+            return float(reflection_and_delay(self, 0.0)[2]) + 0.0
 
 
 class _PoleMirror(MirrorModel):

@@ -66,10 +66,13 @@ def _ladder_limit(sample, temp: float, power: int) -> float:
     frequency even for cold runs; at T >= 1 and at T = 0 (the vacuum
     ladder) it is 0.1.  Richardson extrapolation with error powers power,
     2 power, 3 power, ... of the ladder step; raises ExtrapolationUnstable
-    if the samples stop contracting.
+    if the samples stop contracting.  A T so small that the ladder
+    underflows to 0 has no limit: NaN.
     """
     start = _LADDER_START * min(1.0, temp) if temp > 0 else _LADDER_START
     ladder = start / 2.0 ** np.arange(_LADDER_STEPS)
+    if not ladder[-1] > 0:
+        return math.nan
     value, _ = richardson_extrapolate([sample(w) for w in ladder], power)
     return float(value)
 

@@ -66,6 +66,10 @@ RATIONAL_OVERFLOW = {"kind": "rational", "r_numerator": "0, 0.3",
                      "r_denominator": "1, -5.008991914547277, 6.25",
                      "s_numerator": "1, 0, -1e300",
                      "s_denominator": "1, -5.008991914547277, 6.25"}
+RATIONAL_POLE_AT_ZERO = {"kind": "rational", "r_numerator": "0, 1e300",
+                         "r_denominator": "1, 1e300, 1e300",
+                         "s_numerator": "1, 0, 1e300",
+                         "s_denominator": "1, 1e300, 1e300"}
 FIXED_CASES = {
     "coeffs-perfect-1e-300": ("coeffs", {"temperature": "1e-300"}, PERFECT, None, 3),
     "sweep-perfect-1e-300-to-1e300": (
@@ -86,10 +90,7 @@ FIXED_CASES = {
     # integrals; and verify's dispersion window 40 T, which overflows at
     # T = 1e308 (a ValueError traceback before) or puts |omega|/T there
     "model-info-rational-pole-at-zero": (
-        "model-info", {}, {"kind": "rational", "r_numerator": "0, 1e300",
-                           "r_denominator": "1, 1e300, 1e300",
-                           "s_numerator": "1, 0, 1e300",
-                           "s_denominator": "1, 1e300, 1e300"}, None, 3),
+        "model-info", {}, RATIONAL_POLE_AT_ZERO, None, 3),
     "force-c-1e-20": ("force", {"temperature": "1", "c": "1e-20"}, PERFECT,
                       "0,1\n1,1\n2,1e300\n", 3),
     "chi-omega-1e308": (
@@ -101,6 +102,27 @@ FIXED_CASES = {
     "verify-lorentzian-1e-300": (
         "verify", {"temperature": "1e-300", "kk_points": "64"},
         {"kind": "lorentzian", "tau0": "1e-8"}, None, 5),
+    # found by a fuzz of verify: the Einstein ladder's start 0.1 T, which
+    # underflows to 0 (a ValueError traceback before); the T^2 of a
+    # low-temperature law at T = 1e-3 cutoff = 1e297 (an OverflowError);
+    # that T, which underflows to 0 at cutoff = 5e-324 (a ValueError); and
+    # R0 and tau0 at omega = 0, which overflow or meet a pole there (numpy
+    # warnings).  Each line that cannot be evaluated FAILs
+    "verify-lorentzian-5e-324": (
+        "verify", {"temperature": "5e-324", "kk_points": "64"},
+        {"kind": "lorentzian", "tau0": "2.5"}, None, 5),
+    "verify-lorentzian-tau0-1e-300": (
+        "verify", {"temperature": "1", "kk_points": "64"},
+        {"kind": "lorentzian", "tau0": "1e-300"}, None, 5),
+    "verify-rational-cutoff-5e-324": (
+        "verify", {"temperature": "2.5", "kk_points": "64"},
+        {"kind": "rational", "r_numerator": "5e-324, 1", "r_denominator": "1, 0.5",
+         "s_numerator": "1, 30", "s_denominator": "1, 0.5", "cutoff": "5e-324"}, None, 5),
+    "verify-lorentzian-tau0-1e308": (
+        "verify", {"temperature": "2.5", "kk_points": "64"},
+        {"kind": "lorentzian", "tau0": "1e308"}, None, 5),
+    "verify-rational-pole-at-zero": (
+        "verify", {"temperature": "2.5", "kk_points": "64"}, RATIONAL_POLE_AT_ZERO, None, 5),
 }
 
 
@@ -119,10 +141,13 @@ def test_drawn_configs_keep_the_contract(tmp_path):
 
     @st.composite
     def requests(draw):
-        command = draw(st.sampled_from(("coeffs", "sweep", "chi", "force", "model-info")))
+        command = draw(st.sampled_from(("coeffs", "sweep", "chi", "force", "model-info",
+                                        "verify")))
         settings = {key: draw(value) for key in ("hbar", "c") if draw(st.booleans())}
-        if command in ("coeffs", "chi", "force"):
+        if command in ("coeffs", "chi", "force", "verify"):
             settings["temperature"] = draw(value)
+        if command == "verify":
+            settings["kk_points"] = "64"  # the smallest dispersion grid
         if command == "sweep":
             settings.update(temp_min=draw(value), temp_max=draw(value),
                             count=draw(st.integers(0, 5)))

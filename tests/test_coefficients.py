@@ -13,7 +13,7 @@ from thermaldrag import (DivergentBandwidth, GridTooCoarse, LorentzianMirror,
                          integrate_thermal, quasistatic_force)
 from thermaldrag import cli, coefficients, models, quadrature
 from thermaldrag.coefficients import ROUTE_TOLERANCE
-from thermaldrag.core import X_UNDERFLOW, occupation_plus_one_from_ratio
+from thermaldrag.core import X_UNDERFLOW
 from thermaldrag.models import MirrorModel, RationalMirror, _PoleMirror
 from thermaldrag.susceptibility import _ladder_limit
 
@@ -263,29 +263,25 @@ def counting_memo_terms(monkeypatch):
 
 
 def recording_memo_nodes(monkeypatch):
-    """Record the bytes of every node array that an integrand asks the kernel memo for."""
+    """Record the bytes of every node array that an integrand asks the memo for."""
     nodes = []
-    memo = coefficients._kernel_memo
+    memoised = coefficients._memoised
 
-    def recording(model, order, *temp):
-        kernels = memo(model, order, *temp)
+    def recording(evaluate):
+        integrand = memoised(evaluate)
 
-        def recorded(w):
+        def recorded(name, w):
             nodes.append(np.asarray(w).tobytes())
-            return kernels(w)
+            return integrand(name, w)
         return recorded
 
-    monkeypatch.setattr(coefficients, "_kernel_memo", recording)
+    monkeypatch.setattr(coefficients, "_memoised", recording)
     return nodes
 
 
-def non_caching_memo(model, order, temp=None):
-    """The memo's contract without the memo: one kernel pass per integrand call."""
-    def kernels(w):
-        record = models.reflection_and_delay(model, w, order)
-        plus = None if temp is None else occupation_plus_one_from_ratio(np.asarray(w) / temp)
-        return (*record, models._b_kernel(record), plus)
-    return kernels
+def non_caching_memo(evaluate):
+    """The memo's contract without the memo: one evaluation per integrand call."""
+    return lambda name, w: evaluate(np.asarray(w))[name]
 
 
 def float_bits(report):
@@ -446,8 +442,9 @@ class TestConvergedFlags:
 
 
 class TestKernelMemo:
-    # the integrals of one report, or of asymptotics, read R, R', tau and
-    # tau' from one memo, which must not change a bit of any value or error
+    # the integrands of one report, or of asymptotics, are one function of
+    # the node array, memoised for the call, which must not change a bit of
+    # any value or error
     @pytest.mark.parametrize("name", SHARING_MODELS)
     @pytest.mark.parametrize("temp_per_cutoff", [1e-3, 1.0, 1e2])
     def test_bit_identical_to_a_non_caching_memo(self, request, monkeypatch,
@@ -455,7 +452,7 @@ class TestKernelMemo:
         model = sharing_model(request, name)
         temp = temp_per_cutoff * (model.cutoff_frequency or 1.0)
         memoized = compute_coefficients(model, temp)
-        monkeypatch.setattr(coefficients, "_kernel_memo", non_caching_memo)
+        monkeypatch.setattr(coefficients, "_memoised", non_caching_memo)
         bare = compute_coefficients(model, temp)
         assert float_bits(memoized) == float_bits(bare)
 
@@ -464,7 +461,7 @@ class TestKernelMemo:
                                                              name):
         model = sharing_model(request, name)
         memoized = asymptotics(model)
-        monkeypatch.setattr(coefficients, "_kernel_memo", non_caching_memo)
+        monkeypatch.setattr(coefficients, "_memoised", non_caching_memo)
         assert float_bits(memoized) == float_bits(asymptotics(model))
 
     def test_each_node_array_takes_one_kernel_pass(self, monkeypatch):
