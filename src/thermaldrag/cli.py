@@ -27,7 +27,7 @@ import numpy as np
 
 from . import coefficients as coeff
 from . import susceptibility as suscept
-from .config import RunConfig, parse_config, read_text
+from .config import RunConfig, parse_config, read_trajectory
 from .core import UnitSystem
 from .errors import ConfigError, GridTooCoarse, ThermalDragError, ValidationFailed
 
@@ -60,9 +60,8 @@ def _fmt(x: float) -> str:
 
 def _temperature(config: RunConfig, allow_zero: bool = False,
                  default: float | None = None) -> float:
-    temp = config.get_float("temperature", default)
-    if temp is None:
-        raise ConfigError("missing required key 'temperature'")
+    temp = (config.require("temperature") if default is None
+            else config.get("temperature", default))
     if temp < 0 or (temp == 0 and not allow_zero):
         raise ConfigError(f"temperature must be {'>= 0' if allow_zero else '> 0'},"
                           f" got {temp}")
@@ -130,10 +129,10 @@ def cmd_coeffs(config: RunConfig, args) -> int:
 
 
 def cmd_sweep(config: RunConfig, args) -> int:
-    t_min = config.require_float("temp_min")
-    t_max = config.require_float("temp_max")
-    count = config.get_int("count", 2)
-    spacing = config.get_str("spacing", "log")
+    t_min = config.require("temp_min")
+    t_max = config.require("temp_max")
+    count = config.get("count", 2)
+    spacing = config.get("spacing", "log")
     if not (t_min > 0 and t_max > t_min):
         raise ConfigError(f"need 0 < temp_min < temp_max, got [{t_min}, {t_max}]")
     if count < 2:
@@ -150,9 +149,9 @@ def cmd_sweep(config: RunConfig, args) -> int:
 
 def cmd_chi(config: RunConfig, args) -> int:
     temp = _temperature(config, allow_zero=True)
-    omega_min = config.require_frequency("omega_min")
-    omega_max = config.require_frequency("omega_max")
-    count = config.get_int("omega_count", 2)
+    omega_min = config.require("omega_min")
+    omega_max = config.require("omega_max")
+    count = config.get("omega_count", 2)
     if not omega_max >= omega_min:
         raise ConfigError("need omega_max >= omega_min")
     if not math.isfinite(omega_max - omega_min):  # linspace's step would overflow
@@ -179,34 +178,8 @@ def cmd_chi(config: RunConfig, args) -> int:
 
 def cmd_force(config: RunConfig, args) -> int:
     temp = _temperature(config)
-    traj_path = config.get_str("trajectory")
-    if traj_path is None:
-        raise ConfigError("missing required key 'trajectory'")
-
-    rows = []
-    text = read_text(traj_path, "trajectory")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if lineno == 1 and line.lower().replace(" ", "") in ("t,q", "time,q"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{traj_path}:{lineno}: expected 't,q', got {raw!r}")
-        try:
-            sample = (float(parts[0]), float(parts[1]))
-        except ValueError as exc:
-            raise ConfigError(f"{traj_path}:{lineno}: non-numeric entry {raw!r}") from exc
-        if not all(map(math.isfinite, sample)):
-            raise ConfigError(f"{traj_path}:{lineno}: non-finite entry {raw!r}")
-        rows.append(sample)
-    if len(rows) < 3:
-        raise ConfigError(f"trajectory needs >= 3 points, got {len(rows)}")
-
+    t_user, q_user = read_trajectory(config.require("trajectory"))
     units = config.units
-    t_user = np.array([r[0] for r in rows])
-    q_user = np.array([r[1] for r in rows])
     report = coeff.compute_coefficients(config.model, temp, config.quadrature)
     # a sample or a force near the float range may overflow on conversion:
     # the time grid's check or the output gate judges it
@@ -228,10 +201,10 @@ def _verify_checks(config: RunConfig, tol: float):
     model = config.model
     cfg = config.quadrature
     temp = _temperature(config, default=1.0)
-    points = config.get_int("kk_points", 1024)
+    points = config.get("kk_points", 1024)
     if points < 64:
         raise ConfigError(f"kk_points must be >= 64, got {points}")
-    einstein_tol = config.get_float("einstein_tol", 1e-3)
+    einstein_tol = config.get("einstein_tol", 1e-3)
     if not einstein_tol > 0:
         raise ConfigError(f"einstein_tol must be > 0, got {einstein_tol}")
 
@@ -364,11 +337,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict]:
             cmd.add_argument("--tol", type=_tolerance, default=coeff.ROUTE_TOLERANCE,
                              help="allowed relative route discrepancy")
     return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process."""
-    return _parsers()[0]
 
 
 def _parse_args(argv) -> argparse.Namespace:

@@ -9,20 +9,21 @@ Example::
     kind = lorentzian
     tau0 = 1.0
 
-Every key is declared here: ``MAIN_KEYS`` for the main section, the union
-of every subcommand's keys with the units and quadrature keys, and
-``MODEL_KEYS`` per model kind.  A key outside them is a ConfigError, raised
-before anything is computed, and the ``RunConfig`` getters refuse to read
-an undeclared key.
+Every key is declared here: ``MAIN_KEYS`` maps each main-section key (the
+union of every subcommand's keys with the units and quadrature keys) to
+its kind, and ``MODEL_KEYS`` lists the keys of each model kind.  A key
+outside them is a ConfigError, raised before anything is computed.
+``RunConfig.get`` and ``RunConfig.require`` read a main key as its kind
+says, and refuse to read an undeclared key.
 Model parameters are given in user units: the model built from them moves
 to natural units by scaling its poles, residues and cutoff by hbar.  Every
 model is validated once, here, before use.
 Every key's number is read by ``_number``, which rejects NaN, infinities
-and integer keys above INTEGER_LIMIT, and a frequency read by
-``RunConfig.require_frequency`` must stay finite in natural units too;
-coefficient lists and trajectory rows have their own readers.  Every
-file is read by ``read_text``, which turns an unreadable or non-UTF-8
-file into a ConfigError.
+and integer keys above INTEGER_LIMIT, and a frequency key must stay
+finite in natural units too; coefficient lists have their own reader,
+and ``read_trajectory`` reads a force trajectory's rows.  Every file is
+read by ``read_text``, which drops a UTF-8 byte-order mark and turns an
+unreadable or non-UTF-8 file into a ConfigError.
 """
 
 from __future__ import annotations
@@ -38,14 +39,17 @@ from .models import (LorentzianMirror, MirrorModel, ModelValidationReport,
                      PerfectMirror, RationalMirror, validate_model)
 from .quadrature import QuadratureConfig
 
-MAIN_KEYS = frozenset((
-    "temperature",                                         # coeffs, chi, force, verify
-    "temp_min", "temp_max", "count", "spacing",            # sweep
-    "omega_min", "omega_max", "omega_count",               # chi
-    "trajectory",                                          # force
-    "kk_points", "einstein_tol",                           # verify
-    "hbar", "c", "rel_tol", "max_subdivisions",            # units, quadrature
-))
+# each main-section key and its kind: a frequency is a float in user units
+# that must stay finite in natural units
+MAIN_KEYS = {
+    "temperature": "float",                                   # coeffs, chi, force, verify
+    "temp_min": "float", "temp_max": "float", "count": "int", "spacing": "string",  # sweep
+    "omega_min": "frequency", "omega_max": "frequency", "omega_count": "int",  # chi
+    "trajectory": "string",                                   # force
+    "kk_points": "int", "einstein_tol": "float",              # verify
+    "hbar": "float", "c": "float",                            # units
+    "rel_tol": "float", "max_subdivisions": "int",            # quadrature
+}
 MODEL_KEYS = {
     "lorentzian": ("kind", "tau0"),
     "perfect": ("kind",),
@@ -57,11 +61,11 @@ INTEGER_LIMIT = 10**6  # keeps counts and budgets below numpy's allocation limit
 _VALIDATION_GRID = np.logspace(-3, 3, 400)  # in units of the model's cutoff
 
 
-def _number(keys: dict, key: str, default=None, integer: bool = False):
-    """Read ``key`` as a finite number; integral, within INTEGER_LIMIT, if ``integer``."""
+def _number(keys: dict, key: str, integer: bool = False):
+    """``key`` as a finite number, or None; integral, within INTEGER_LIMIT, if ``integer``."""
     raw = keys.get(key)
     if raw is None:
-        return default
+        return None
     try:
         value = float(raw)
     except ValueError as exc:
@@ -77,6 +81,25 @@ def _number(keys: dict, key: str, default=None, integer: bool = False):
     return int(value)
 
 
+def _main_value(keys: dict, key: str, default=None, units: UnitSystem | None = None):
+    """Main-section ``key`` read as its MAIN_KEYS kind says, or ``default``."""
+    kind = MAIN_KEYS.get(key)
+    if kind is None:
+        raise KeyError(f"config key '{key}' is not declared in MAIN_KEYS")
+    if key not in keys or kind == "string":
+        return keys.get(key, default)
+    value = _number(keys, key, integer=kind == "int")
+    if kind == "frequency" and not math.isfinite(units.frequency_to_natural(value)):
+        raise ConfigError(f"key '{key}' = {value!r} is not finite in natural units "
+                          f"(hbar = {units.hbar!r})")
+    return value
+
+
+def _given(keys: dict, *names: str) -> dict:
+    """{name: value} of those ``names`` that ``keys`` sets, each read as declared."""
+    return {name: _main_value(keys, name) for name in names if name in keys}
+
+
 def _reject_unknown(keys: dict, known, where: str):
     """ConfigError naming the first key of ``keys`` that is not in ``known``."""
     for key in keys:
@@ -85,9 +108,10 @@ def _reject_unknown(keys: dict, known, where: str):
 
 
 def read_text(path, what: str) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``, or a ConfigError."""
+    """The UTF-8 text of the ``what`` file at ``path``, less any byte-order mark,
+    or a ConfigError."""
     try:
-        with open(path, encoding="utf-8") as file:
+        with open(path, encoding="utf-8-sig") as file:
             return file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
@@ -104,34 +128,15 @@ class RunConfig:
     settings: dict = field(default_factory=dict)
     model_kind: str = "lorentzian"
 
-    def _declared(self, key: str) -> dict:
-        """The settings, once ``key`` is known to be one of MAIN_KEYS."""
-        if key not in MAIN_KEYS:
-            raise KeyError(f"config key '{key}' is not declared in MAIN_KEYS")
-        return self.settings
+    def get(self, key: str, default=None):
+        """The main-section ``key`` read as MAIN_KEYS declares it, or ``default``."""
+        return _main_value(self.settings, key, default, self.units)
 
-    def get_float(self, key: str, default: float | None = None) -> float | None:
-        return _number(self._declared(key), key, default)
-
-    def require_float(self, key: str) -> float:
-        value = self.get_float(key)
+    def require(self, key: str):
+        value = self.get(key)
         if value is None:
             raise ConfigError(f"missing required key '{key}'")
         return value
-
-    def require_frequency(self, key: str) -> float:
-        """A required frequency in user units that stays finite in natural units."""
-        value = self.require_float(key)
-        if not math.isfinite(self.units.frequency_to_natural(value)):
-            raise ConfigError(f"key '{key}' = {value!r} is not finite in natural units "
-                              f"(hbar = {self.units.hbar!r})")
-        return value
-
-    def get_int(self, key: str, default: int | None = None) -> int | None:
-        return _number(self._declared(key), key, default, integer=True)
-
-    def get_str(self, key: str, default: str | None = None) -> str | None:
-        return self._declared(key).get(key, default)
 
 
 def _parse_sections(text: str, origin: str) -> tuple[dict, dict]:
@@ -169,6 +174,34 @@ def _coefficient_list(raw: str, key: str) -> list[float]:
     if not values:
         raise ConfigError(f"model key '{key}' is empty")
     return values
+
+
+def read_trajectory(path) -> tuple[np.ndarray, np.ndarray]:
+    """The times and displacements, in user units, of the trajectory CSV at ``path``.
+
+    Each non-blank line is ``t,q``, two finite numbers; a first line
+    ``t,q`` or ``time,q`` is a header.  Fewer than 3 points is a ConfigError.
+    """
+    rows = []
+    for lineno, raw in enumerate(read_text(path, "trajectory").splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if lineno == 1 and line.lower().replace(" ", "") in ("t,q", "time,q"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected 't,q', got {raw!r}")
+        try:
+            sample = (float(parts[0]), float(parts[1]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: non-numeric entry {raw!r}") from exc
+        if not all(map(math.isfinite, sample)):
+            raise ConfigError(f"{path}:{lineno}: non-finite entry {raw!r}")
+        rows.append(sample)
+    if len(rows) < 3:
+        raise ConfigError(f"trajectory needs >= 3 points, got {len(rows)}")
+    return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
 
 def build_model(model_keys: dict, units: UnitSystem) -> tuple[MirrorModel, str]:
@@ -213,11 +246,8 @@ def parse_config(path) -> RunConfig:
 
     # each constructor checks its own parameters: its ValueError is a config error
     try:
-        units = UnitSystem(hbar=_number(main, "hbar", 1.0), c=_number(main, "c", 1.0))
-        quadrature = QuadratureConfig(
-            rel_tol=_number(main, "rel_tol", 1e-10),
-            max_subdivisions=_number(main, "max_subdivisions", 200, integer=True),
-        )
+        units = UnitSystem(**_given(main, "hbar", "c"))
+        quadrature = QuadratureConfig(**_given(main, "rel_tol", "max_subdivisions"))
         model, kind = build_model(model_keys, units)
         # mandatory validation before any use, on one grid around the cutoff;
         # validate_model rejects a grid that overflows

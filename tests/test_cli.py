@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from types import SimpleNamespace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from thermaldrag import UnitSystem, cli
-from thermaldrag.config import parse_config
+from thermaldrag.config import MAIN_KEYS, parse_config
 from thermaldrag.errors import ConfigError, ThermalDragError
 
 
@@ -83,7 +84,7 @@ class TestConfigParsing:
         assert cfg.model_kind == "lorentzian"
         assert cfg.units == UnitSystem()
         assert cfg.quadrature.rel_tol == 1e-10
-        assert cfg.get_float("temperature") == 1.0
+        assert cfg.get("temperature") == 1.0
 
     def test_comments_and_blanks(self, tmp_path):
         path = write(tmp_path, "c.cfg", """
@@ -94,7 +95,7 @@ temperature = 2.0   # trailing comment
 kind = perfect
 """)
         cfg = parse_config(path)
-        assert cfg.get_float("temperature") == 2.0
+        assert cfg.get("temperature") == 2.0
         assert cfg.model_kind == "perfect"
 
     def test_missing_model_section(self, tmp_path):
@@ -135,10 +136,41 @@ s_denominator = 1, -1
     def test_getters_refuse_an_undeclared_key(self, tmp_path):
         # a reader of a key outside MAIN_KEYS is a program error, not a config one
         cfg = parse_config(lorentzian_config(tmp_path))
-        for getter in (cfg.get_float, cfg.require_float, cfg.get_int, cfg.get_str):
+        for getter in (cfg.get, cfg.require):
             with pytest.raises(KeyError, match="'omega_cout' is not declared"):
                 getter("omega_cout")
-        assert cfg.get_float("omega_count") is None
+        assert cfg.get("omega_count") is None
+
+    @pytest.mark.parametrize("key", MAIN_KEYS)
+    def test_each_key_is_read_as_declared(self, tmp_path, key):
+        # the readers follow MAIN_KEYS: a key added there is tested here
+        cfg = parse_config(lorentzian_config(tmp_path, "hbar = 7\n"))
+
+        def read(raw):
+            return dataclasses.replace(cfg, settings={key: raw}).get(key)
+
+        kind = MAIN_KEYS[key]
+        if kind == "string":
+            assert read("2.5 abc") == "2.5 abc"
+        else:
+            with pytest.raises(ConfigError, match=f"key '{key}' is not a number: 'abc'"):
+                read("abc")
+        if kind == "int":
+            with pytest.raises(ConfigError, match=f"key '{key}' is not an integer: '2.5'"):
+                read("2.5")
+            assert read("3") == 3 and type(read("3")) is int
+        if kind in ("float", "frequency"):
+            assert read("2.5") == 2.5
+        if kind == "frequency":
+            with pytest.raises(ConfigError, match=f"key '{key}' = 1e\\+308 is not finite "
+                                                  r"in natural units \(hbar = 7.0\)"):
+                read("1e308")
+        unset = dataclasses.replace(cfg, settings={})
+        assert unset.get(key) is None and unset.get(key, "default") == "default"
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            unset.require(key)
+        with pytest.raises(KeyError, match="is not declared"):
+            cfg.get(key.upper())
 
     def test_integer_key_in_exponent_form(self, tmp_path):
         cfg = parse_config(lorentzian_config(tmp_path, "max_subdivisions = 1e3\n"))
@@ -800,7 +832,7 @@ class TestExtremeUnits:
 
 class TestMain:
     def test_parser_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
+        assert cli._parsers()[0] is cli._parsers()[0]
 
     def test_patched_handler_called_after_earlier_request(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -920,7 +952,7 @@ class TestArgumentParsing:
     def test_output_is_the_full_parsers(self, argv, tmp_path, capsys, monkeypatch):
         ours = self.outcome(argv, tmp_path, capsys)
         monkeypatch.setattr(cli, "_parse_args",
-                            lambda argv: cli.build_parser().parse_args(argv))
+                            lambda argv: cli._parsers()[0].parse_args(argv))
         assert ours == self.outcome(argv, tmp_path, capsys)
 
     # recorded with the full parser; help and usage text come from argparse,
@@ -1063,6 +1095,23 @@ class TestRejections:
             assert run(["force", "--config", path]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0].splitlines()) == 2
+
+    @pytest.mark.parametrize("marked", ["config", "trajectory"])
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path, capsys, marked):
+        # an editor may save either file with a BOM; it is not part of the
+        # first key or of the header
+        outputs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            traj_path = tmp_path / "traj.csv"
+            traj_path.write_bytes((bom if marked == "trajectory" else b"")
+                                  + b"t,q\n0,0\n1,1e-3\n2,2e-3\n")
+            path = tmp_path / "c.cfg"
+            path.write_bytes((bom if marked == "config" else b"")
+                             + f"temperature = 1.0\ntrajectory = {traj_path}\n".encode()
+                             + b"[model]\nkind = lorentzian\ntau0 = 1.0\n")
+            assert run(["force", "--config", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 2
 
 
 # any change in rounding anywhere in the stack shows up in these pins;

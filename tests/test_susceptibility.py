@@ -296,7 +296,7 @@ class TestWithinClaimedError:
         config = parse_config(quartic_rational_config(tmp_path))
         for omega in np.linspace(-2.0, 3.0, 6):
             self.check(config.model, config.units.frequency_to_natural(omega),
-                       config.get_float("temperature"))
+                       config.get("temperature"))
 
 
 class TestChiTotal:

@@ -1,4 +1,5 @@
-"""tools/request_profile.py: every phase is timed where ``cli.main`` spends it."""
+"""tools/request_profile.py: every phase is timed where ``cli.main`` spends it;
+tools/source_size.py: what counts as a code line, and that the counts add up."""
 
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from thermaldrag import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import request_profile  # noqa: E402
+import source_size  # noqa: E402
 
 
 def test_every_phase_of_a_coeffs_request_is_timed(tmp_path):
@@ -20,3 +22,37 @@ def test_every_phase_of_a_coeffs_request_is_timed(tmp_path):
         assert all(phases[name] > 0 for name in request_profile.PHASES), phases
         assert phases["argparse"] < total
     assert cli._parse_args is before
+
+
+def test_code_lines_skip_docstrings_comments_and_blanks():
+    snippet = '''"""Module docstring,
+over two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """Function docstring."""
+    return math.hypot(
+        x,
+        1.0,
+    )
+'''
+    # the import, the def and the four lines of the return statement
+    assert source_size.code_lines(snippet) == 6
+
+
+def test_module_counts_add_up_to_the_total(capsys):
+    assert source_size.main() == 0
+    *modules, total = capsys.readouterr().out.splitlines()
+    counts = {}
+    for line in modules:
+        count, path = line.split()
+        counts[path] = int(count)
+    package = sorted(source_size.PACKAGE.glob("*.py"))
+    assert list(counts) == [str(path.relative_to(source_size.ROOT)) for path in package]
+    assert counts["src/thermaldrag/cli.py"] == source_size.code_lines(
+        (source_size.PACKAGE / "cli.py").read_text())
+    assert total == f"{sum(counts.values()):8d} code lines in total"
