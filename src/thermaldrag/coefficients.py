@@ -304,7 +304,8 @@ def einstein_check(model: MirrorModel, report: CoefficientReport,
     """Relative residual of the Einstein relation C_T[0]/2 = T lambda_T.
 
     T and lambda_T are the report's ``temp`` and ``lambda_spectral``.  The
-    residual is absolute for a mirror with lambda_T = 0.
+    residual is absolute for a mirror with lambda_T = 0, and NaN when a
+    chi of C_T[0]'s ladder did not converge.
     """
     temp, lam = report.temp, report.lambda_spectral
     half_c0 = 0.5 * suscept.correlation_zero_frequency(model, temp, cfg)

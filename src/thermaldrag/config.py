@@ -144,7 +144,11 @@ def _parse_sections(text: str, origin: str) -> tuple[dict, dict]:
     model: dict[str, str] = {}
     current = main
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # a '#' starts a comment at the start of a line or after whitespace
+        cut = raw.find("#")
+        while cut > 0 and not raw[cut - 1].isspace():
+            cut = raw.find("#", cut + 1)
+        line = (raw if cut < 0 else raw[:cut]).strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):

@@ -13,16 +13,18 @@ them, whatever the interpreter's own ``sum`` does.
 A call of the integrand and its reduction cost far more than its nodes,
 so both public drivers start wide: a finite range on four equal panels,
 a thermal integral on 19 panels, half-octave ones near the Bose peak.
-When the caller names the integrand's cutoff, the first of them is split
-in octaves down to a band at x = cutoff/T below 1, and a peak that the
-caller names at x0 = peak/T gets a break of its own with a ladder of
-breaks x0 -+ (cutoff/T) 2^k around it.  Most integrals then converge on
-their first call; fewer calls, not fewer evaluations, is what makes them
-fast.
+A feature of a thermal integrand gets breaks of its own by one rule, the
+ladder of ``_thermal_breaks``: a break at the feature's x0 and at x0 -+
+s 2^k around it, while each step is narrower than the panel it lands in.
+When the caller names the integrand's cutoff, the ladder at x0 = 0 splits
+the first panel in octaves down to a band at x = cutoff/T below 1, and a
+peak that the caller names at x0 = peak/T gets the ladder with s =
+cutoff/T (at least 2^-20) on top.  Most integrals then converge on their
+first call; fewer calls, not fewer evaluations, is what makes them fast.
 
 What is left is each call's fixed cost, so a thermal integral without a
 peak builds nothing it has built before: its breaks are one of 19 sets,
-the first panel split 0 to 18 times, and each set's nodes and Bose
+the first panel split 0 to 18 times, and each set, its nodes and its Bose
 weights n(x) are built once per process, on first use, as a read-only
 rule that the first call of the integrand takes.  A peak's breaks take
 any value, so its rule is built per call.  The growth guard's factors
@@ -310,7 +312,7 @@ _occupation = occupation_from_ratio
 
 
 def _split_count(band: float) -> int:
-    """How often ``_thermal_breaks`` halves the first panel for ``band``.
+    """How often the first panel is halved for ``band``: ``_split_breaks``' k.
 
     The least k with 2^-k <= band, from 0 for a band >= 1 (or inf) to 18
     for one <= 2^-18 (or 0): with band clamped to [2^-18, 1], and frexp
@@ -319,45 +321,36 @@ def _split_count(band: float) -> int:
     return 1 - math.frexp(min(max(band, 4.0 * _FINEST_FIRST_END), 1.0))[1]
 
 
-def _split_breaks(k: int) -> tuple:
-    """``_THERMAL_BREAKS`` with [0, 0.25] split k times, at 0.125, 0.0625, ..."""
-    return (0.0, *(math.ldexp(0.25, -j) for j in range(k, 0, -1)),
-            *_THERMAL_BREAKS[1:])
+def _thermal_breaks(breaks: tuple, x0: float, step: float) -> tuple:
+    """``breaks`` with a ladder around x0: x0 and x0 -+ step 2^k, k = 0, 1, ...
 
-
-def _adds_breaks(x0: float | None) -> bool:
-    """True when a peak at x0 adds breaks: x0 in (2^-20, 32)."""
-    return x0 is not None and _FINEST_FIRST_END < x0 < _PEAK_END
-
-
-def _thermal_breaks(band: float, x0: float | None = None) -> tuple:
-    """``_THERMAL_BREAKS`` with [0, 0.25] split at 0.125, 0.0625, ... until
-    it ends at most a quarter of ``band`` or at ``_FINEST_FIRST_END``;
-    a band at x >= 1 splits nothing.
-
-    A peak at ``x0`` in (``_FINEST_FIRST_END``, ``_PEAK_END``) adds x0 and
-    x0 -+ s 2^k, k = 0, 1, ..., with s = max(band, ``_FINEST_FIRST_END``),
-    on each side while the point lies between 0 and the last panel
-    [256, X_UNDERFLOW] and its step is narrower than the panel of the
-    breaks above that it lands in: at most 48 breaks, 23 below x0 and 24
-    above it when the steps start at 2^-20.
+    On each side a point is added while it lies between 0 and the last
+    panel [256, X_UNDERFLOW] and its step is narrower than the panel of
+    ``breaks`` that it lands in.  The one rule for every feature: at x0 = 0
+    with step 0.25 2^-k it is the first panel's split (``_split_breaks``);
+    at a peak x0 in (2^-20, 32) with step >= 2^-20 it adds at most 48
+    breaks, 23 below x0 and 24 above it.
     """
-    breaks = _split_breaks(_split_count(band))
-    if not _adds_breaks(x0):
-        return breaks
     added = {x0}
     for sign in (-1.0, 1.0):
-        step = max(band, _FINEST_FIRST_END)
-        x = x0 + sign * step
+        rung = step
+        x = x0 + sign * rung
         while 0.0 < x < breaks[-2]:
             i = bisect.bisect_right(breaks, x)
-            if not step < breaks[i] - breaks[i - 1]:
+            if not rung < breaks[i] - breaks[i - 1]:
                 break
             added.add(x)
-            step *= 2.0
-            x = x0 + sign * step
+            rung *= 2.0
+            x = x0 + sign * rung
     # a set, so a point on an existing break adds no empty panel
     return tuple(sorted(added.union(breaks)))
+
+
+@functools.cache
+def _split_breaks(k: int) -> tuple:
+    """``_THERMAL_BREAKS`` with [0, 0.25] split k times, at 0.125, 0.0625, ...:
+    the ladder at x = 0 with step 0.25 2^-k, built once per k (0 to 18)."""
+    return _thermal_breaks(_THERMAL_BREAKS, 0.0, math.ldexp(0.25, -k))
 
 
 def _thermal_rule(breaks, occupation) -> tuple:
@@ -401,17 +394,18 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
     ``f`` is called only on panel nodes, once per step of the adaptive
     driver, which starts on the 19 panels between the breakpoints
-    ``_THERMAL_BREAKS``.  Given the integrand's own frequency scale
-    ``cutoff`` below T, the first panel [0, 0.25] is split in octaves
-    until it ends between an eighth and a quarter of the band's x =
-    cutoff/T (at most 18 more panels, none ending below 2^-20), so a
-    narrow band near x = 0 falls on panels of its own width on the first
-    call instead of being found by bisection.  Given also a ``peak``, a
-    feature of width about ``cutoff`` at x0 = peak/T in (2^-20, 32) gets
-    the same: x0 becomes a break, and so do x0 -+ s 2^k, k = 0, 1, ...,
-    s = max(cutoff/T, 2^-20), on each side while the step s 2^k is
-    narrower than the panel that its point lands in (at most 48 more
-    panels).  Beyond x = 32, n(x) < 1.3e-14 and nothing is added.  The
+    ``_THERMAL_BREAKS``; each feature that the caller names adds the
+    ladder of ``_thermal_breaks``.  Given the integrand's own frequency
+    scale ``cutoff`` below T, the ladder at x = 0 splits the first panel
+    [0, 0.25] in octaves until it ends between an eighth and a quarter of
+    the band's x = cutoff/T (at most 18 more panels, none ending below
+    2^-20), so a narrow band near x = 0 falls on panels of its own width
+    on the first call instead of being found by bisection.  Given also a
+    ``peak``, a feature of width about ``cutoff`` at x0 = peak/T in
+    (2^-20, 32) gets the same: x0 becomes a break, and so do x0 -+ s 2^k,
+    k = 0, 1, ..., s = max(cutoff/T, 2^-20), on each side while the step
+    s 2^k is narrower than the panel that its point lands in (at most 48
+    more panels).  Beyond x = 32, n(x) < 1.3e-14 and nothing is added.  The
     last panel stays [256, X_UNDERFLOW], and with it the growth guard's
     nodes.
 
@@ -443,20 +437,21 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
     require_finite(temp=temp)
     if not temp > 0:
         raise ValueError(f"integrate_thermal requires temp > 0, got {temp}")
-    x0, band = None, math.inf
     if peak is not None:
         require_finite(peak=peak)
-        x0 = peak / temp
+    band = math.inf
     if cutoff is not None:
         require_finite(cutoff=cutoff)
         if not cutoff > 0:
             raise ValueError(f"integrate_thermal requires cutoff > 0, got {cutoff}")
         band = cutoff / temp
-    if cutoff is not None and _adds_breaks(x0):
+    k = _split_count(band)
+    if cutoff is not None and peak is not None and _FINEST_FIRST_END < peak / temp < _PEAK_END:
         # a peak's breaks take any value: its rule is built for this call
-        ends, x, bose = _thermal_rule(_thermal_breaks(band, x0), occupation_from_ratio)
+        breaks = _thermal_breaks(_split_breaks(k), peak / temp, max(band, _FINEST_FIRST_END))
+        ends, x, bose = _thermal_rule(breaks, occupation_from_ratio)
     else:
-        ends, x, bose = _cached_rule(_split_count(band))
+        ends, x, bose = _cached_rule(k)
 
     # the first call of f, on the rule's nodes: _adaptive makes it, under its errstate
     def first():

@@ -97,11 +97,15 @@ class SusceptibilityValue:
 
 @dataclass(frozen=True)
 class CorrelationValue:
-    """Force-noise spectrum C and dissipative part xi at one frequency."""
+    """Force-noise spectrum C and dissipative part xi at one frequency.
+
+    ``converged`` is True when both of chi's quadratures converged.
+    """
 
     omega: float
     c_spectrum: float
     xi: float
+    converged: bool = True
 
 
 def chi_total(model: MirrorModel, omega: float, temp: float,
@@ -186,13 +190,15 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
         raise ValueError("use correlation_zero_frequency for the omega -> 0 limit")
     if not temp > 0:
         raise ValueError(f"requires temp > 0, got {temp}")
-    xi = chi_total(model, omega, temp, cfg).chi_total.imag
+    chi = chi_total(model, omega, temp, cfg)
+    xi = chi.chi_total.imag
     x = omega / temp
     if x < -X_UNDERFLOW:
         prefactor = -2.0 * math.exp(x)  # spectrum dies out exponentially
     else:
         prefactor = 2.0 / -math.expm1(-x)
-    return CorrelationValue(omega=omega, c_spectrum=prefactor * xi, xi=xi)
+    return CorrelationValue(omega=omega, c_spectrum=prefactor * xi, xi=xi,
+                            converged=all(chi.converged.values()))
 
 
 def correlation_zero_frequency(model: MirrorModel, temp: float,
@@ -200,11 +206,15 @@ def correlation_zero_frequency(model: MirrorModel, temp: float,
     """C_T[0], extrapolated over a shrinking ladder of quasistatic frequencies.
 
     C has a linear leading correction in omega, so the Richardson table
-    assumes error powers 1, 2, 3, ...  Raises ExtrapolationUnstable if the
-    estimates stop contracting.
+    assumes error powers 1, 2, 3, ...  A ladder sample whose chi did not
+    converge is taken as NaN, and so is the limit.  Raises
+    ExtrapolationUnstable if the estimates stop contracting.
     """
-    return _ladder_limit(
-        lambda w: correlation_spectrum(model, w, temp, cfg).c_spectrum, temp, 1)
+    def sample(w):
+        value = correlation_spectrum(model, w, temp, cfg)
+        return value.c_spectrum if value.converged else math.nan
+
+    return _ladder_limit(sample, temp, 1)
 
 
 def vacuum_cubic_coefficient(model: MirrorModel,

@@ -8,8 +8,9 @@ differences, lorentzian scattering quantities from their explicit
 rational closed forms, the lorentzian's A and lambda from Binet's
 digamma closed forms, rational mirrors one polynomial at a time, a
 rational mirror's construction and validation and the thermal growth
-guard on numpy arrays, and the kernels a, b from the literal amplitude
-products instead of R and tau.
+guard on numpy arrays, the first call's thermal breaks as the octave split
+and the peak loop they were before one ladder built both, and the kernels
+a, b from the literal amplitude products instead of R and tau.
 The adaptive driver is kept twice, sharing only the rule's nodes
 and weights with the package: as the per-panel loop (one integrand call
 per 15-node panel), and as the batched driver that reduced its panels
@@ -18,12 +19,14 @@ driver must match in evaluations and convergence, and in value and error
 within the claimed error.
 """
 
+import bisect
 import cmath
 import heapq
 import math
 
 import numpy as np
 
+from thermaldrag.core import X_UNDERFLOW
 from thermaldrag.models import (_MIN_POLE_SEPARATION, TRANSPARENCY_TOL, UNITARITY_TOL,
                                CheckResult, ModelValidationReport)
 from thermaldrag.quadrature import (_EPS, _GAUSS_IDX, _GROWTH_FALL, _NODES, _WG, _WK,
@@ -505,6 +508,37 @@ def growth_guard_on_arrays(edge) -> bool:
     edge = np.abs(np.asarray(edge))
     with np.errstate(invalid="ignore"):
         return bool((edge[1:] * _GROWTH_FALL > edge[:-1]).all())
+
+
+# --- the first call's thermal breaks as two rules -------------------------
+# The first panel's octave split and the peak's ladder as they were built
+# before one ladder rule made both: the split from a generator of halvings,
+# then the peak's loop over it.  The package must give the same floats in
+# the same order.
+
+_THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
+                   16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0, X_UNDERFLOW)
+
+
+def thermal_breaks_two_rules(band: float, x0: float | None = None) -> tuple:
+    """The breaks for a band at x = cutoff/T and a peak at x0 = peak/T."""
+    k = 1 - math.frexp(min(max(band, 2.0**-18), 1.0))[1]
+    breaks = (0.0, *(math.ldexp(0.25, -j) for j in range(k, 0, -1)),
+              *_THERMAL_BREAKS[1:])
+    if x0 is None or not 2.0**-20 < x0 < 32.0:
+        return breaks
+    added = {x0}
+    for sign in (-1.0, 1.0):
+        step = max(band, 2.0**-20)
+        x = x0 + sign * step
+        while 0.0 < x < breaks[-2]:
+            i = bisect.bisect_right(breaks, x)
+            if not step < breaks[i] - breaks[i - 1]:
+                break
+            added.add(x)
+            step *= 2.0
+            x = x0 + sign * step
+    return tuple(sorted(added.union(breaks)))
 
 
 # --- row-wise batched driver ----------------------------------------------

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import weak_mirror
 from thermaldrag import UnitSystem, cli
 from thermaldrag.config import MAIN_KEYS, parse_config
 from thermaldrag.errors import ConfigError, ThermalDragError
@@ -97,6 +98,26 @@ kind = perfect
         cfg = parse_config(path)
         assert cfg.get("temperature") == 2.0
         assert cfg.model_kind == "perfect"
+
+    def test_a_hash_inside_a_value_is_part_of_it(self, tmp_path, capsys):
+        # '#' starts a comment only at a line's start or after whitespace, so
+        # run#3.csv is read whole, not as a file named run (which exists here)
+        traj = "t,q\n" + "".join(f"{t},{1e-4 * t}\n" for t in range(0, 400, 50))
+        write(tmp_path, "run", "t,q\n" + "".join(f"{t},0\n" for t in range(0, 400, 50)))
+        printed = []
+        for name in ("run3.csv", "run#3.csv"):
+            path = lorentzian_config(tmp_path, f"trajectory = {write(tmp_path, name, traj)}\n")
+            assert run(["force", "--config", path]) == 0
+            out, err = capsys.readouterr()
+            printed.append(out)
+            assert err == ""
+        assert printed[0] == printed[1] != ""
+
+    def test_a_hash_glued_to_a_number_is_not_a_comment(self, tmp_path, capsys):
+        path = write(tmp_path, "c.cfg", "temperature = 1.0\n[model]\nkind = lorentzian\n"
+                                        "tau0 = 1.0#x\n")
+        assert run(["coeffs", "--config", path]) == 2
+        assert "key 'tau0' is not a number: '1.0#x'" in capsys.readouterr().err
 
     def test_missing_model_section(self, tmp_path):
         path = write(tmp_path, "c.cfg", "temperature = 1\n")
@@ -542,6 +563,24 @@ class TestVerifyCommand:
         for name in ("einstein_relation", "kramers_kronig_window_doubling"):
             line, = (line for line in lines if line.startswith(name + ":"))
             assert "measured=nan" in line and line.endswith("FAIL")
+
+    def test_einstein_line_fails_on_an_unconverged_chi(self, tmp_path, capsys):
+        # the weak mirror at T = 100 x cutoff: every chi of the Einstein
+        # ladder is unconverged, so the line has no value to pass on
+        eps, root = 0.3, math.sqrt(0.09 + 4.0)
+        path = write(tmp_path, "hot.cfg", f"""temperature = {100 * weak_mirror().cutoff_frequency!r}
+kk_points = 64
+[model]
+kind = rational
+r_numerator = 0, {eps}
+r_denominator = 1, {-root}, 1
+s_numerator = 1, 0, -1
+s_denominator = 1, {-root}, 1
+""")
+        assert run(["verify", "--config", path]) == 5
+        line, = (line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("einstein_relation:"))
+        assert "measured=nan" in line and line.endswith("FAIL")
 
     @pytest.mark.parametrize("points", ["-5", "0", "10"])
     def test_too_few_kk_points_exits_2_before_computing(self, tmp_path, capsys,

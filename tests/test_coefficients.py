@@ -603,6 +603,12 @@ class TestEinsteinRelation:
         report = compute_coefficients(lorentzian, temp)
         assert einstein_check(lorentzian, report) < 1e-3
 
+    def test_nan_when_a_ladder_chi_is_unconverged(self, weak):
+        # at T = 100 x cutoff every chi of the weak mirror's ladder is
+        # unconverged: a residual from them would pass on values it cannot vouch for
+        report = compute_coefficients(weak, 100.0 * weak.cutoff_frequency)
+        assert math.isnan(einstein_check(weak, report))
+
     def test_detects_injected_inconsistency(self, lorentzian):
         # halving lambda by hand must produce a discrepancy near 1
         from thermaldrag.susceptibility import correlation_zero_frequency

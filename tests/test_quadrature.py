@@ -133,6 +133,18 @@ class TestIntegrateThermal:
         with pytest.raises(GrowthBoundExceeded):
             integrate_thermal(f, 1.0)
 
+    @pytest.mark.parametrize("rate, trips", [(0.46, True), (0.44, False)])
+    def test_growth_guard_threshold_is_045(self, rate, trips):
+        # w e^(rate w) grows at rate + 1/x near x = 700: the guard's documented
+        # threshold lies between these two, and not at 0.4 or 0.5
+        f = lambda w: w * np.exp(rate * w)
+        if trips:
+            with pytest.raises(GrowthBoundExceeded):
+                integrate_thermal(f, 1.0)
+        else:
+            res = integrate_thermal(f, 1.0)
+            assert res.converged and math.isfinite(res.value)
+
     @pytest.mark.parametrize("temp", [1e-3, 1.0, 1e3])
     def test_polynomial_growth_passes_the_guard(self, temp):
         # a power grows at the rate 12/x, about 0.02 near x = 700, far below 0.45
@@ -170,12 +182,21 @@ def _band(w):
     return w / (1.0 + w * w)
 
 
+def _breaks(band, x0=None):
+    """The first call's breaks for a band at x = cutoff/T and a peak at x0 in
+    (2^-20, 32), as ``integrate_thermal`` builds them."""
+    breaks = quadrature._split_breaks(quadrature._split_count(band))
+    if x0 is None:
+        return breaks
+    return quadrature._thermal_breaks(breaks, x0, max(band, 2.0**-20))
+
+
 class TestThermalBreaks:
     # a band at x = cutoff/T below 1 splits the first panel [0, 0.25] in
     # octaves until it ends in (band/8, band/4], never below 2^-20
     @pytest.mark.parametrize("band", [0.99, 0.5, 0.3, 0.25, 1e-2, 1e-4, 2.0**-17])
     def test_first_panel_ends_between_an_eighth_and_a_quarter_of_the_band(self, band):
-        breaks = quadrature._thermal_breaks(band)
+        breaks = _breaks(band)
         added = len(breaks) - len(_THERMAL_BREAKS)
         assert breaks[added + 1:] == _THERMAL_BREAKS[1:]
         assert breaks[1:added + 2] == tuple(0.25 * 0.5**k for k in range(added, -1, -1))
@@ -183,12 +204,12 @@ class TestThermalBreaks:
 
     @pytest.mark.parametrize("band", [2.0**-18, 1e-7, 0.0])
     def test_at_most_18_panels_are_added(self, band):
-        breaks = quadrature._thermal_breaks(band)
+        breaks = _breaks(band)
         assert breaks[1] == 2.0**-20 and len(breaks) - len(_THERMAL_BREAKS) == 18
 
     @pytest.mark.parametrize("band", [1.0, 3.0, math.inf])
     def test_a_band_at_x_from_1_splits_nothing(self, band):
-        assert quadrature._thermal_breaks(band) == _THERMAL_BREAKS
+        assert _breaks(band) == _THERMAL_BREAKS
 
     def test_a_narrow_band_converges_on_the_first_call(self):
         # the band at x = 1e-3 sits in [0, 0.25], split 10 times to end at 2^-12
@@ -222,8 +243,8 @@ def _peak_ladder(band, x0):
 
 class TestPeakBreaks:
     def check_breaks(self, band, x0):
-        base = quadrature._thermal_breaks(band)
-        breaks = quadrature._thermal_breaks(band, x0)
+        base = _breaks(band)
+        breaks = _breaks(band, x0)
         # strictly increasing from 0 to X_UNDERFLOW: no panel of zero width
         assert breaks[0] == 0.0 and breaks[-2:] == (256.0, X_UNDERFLOW)
         assert all(b > a for a, b in zip(breaks, breaks[1:]))
@@ -258,7 +279,7 @@ class TestPeakBreaks:
     ])
     def test_points_on_existing_breaks_add_no_empty_panel(self, band, x0, shared):
         breaks, _ = self.check_breaks(band, x0)
-        assert shared <= _peak_ladder(band, x0).keys() & set(quadrature._thermal_breaks(band))
+        assert shared <= _peak_ladder(band, x0).keys() & set(_breaks(band))
 
     @pytest.mark.parametrize("band", [20.0, 40.0, 250.0, 300.0, 1e3])
     def test_a_wide_band_leaves_the_last_panel_whole(self, band):
@@ -324,7 +345,7 @@ class TestPeakBreaks:
 
 
 def _halving_loop_breaks(band):
-    """The first panel's split as the halving loop that ``_thermal_breaks`` ran."""
+    """The first panel's split as the halving loop that built it before the ladder."""
     ends = [0.25]
     while ends[-1] > 0.25 * band and ends[-1] > 2.0**-20:
         ends.append(0.5 * ends[-1])
@@ -339,7 +360,7 @@ class TestSplitCount:
         float(np.nextafter(2.0**-18, 1.0)), 2.0**-17, 0.5,
         float(np.nextafter(1.0, 0.0)), 1.0, math.inf, 1e300])
     def test_edges_match_the_halving_loop(self, band):
-        assert quadrature._thermal_breaks(band) == _halving_loop_breaks(band)
+        assert _breaks(band) == _halving_loop_breaks(band)
         assert 0 <= quadrature._split_count(band) <= 18
 
     def test_drawn_bands_match_the_halving_loop(self):
@@ -348,10 +369,52 @@ class TestSplitCount:
         bands = 2.0 ** rng.uniform(-30.0, 10.0, 10**5)
         counts = set()
         for band in bands.tolist():
-            breaks = quadrature._thermal_breaks(band)
+            breaks = _breaks(band)
             assert breaks == _halving_loop_breaks(band), band
             counts.add(len(breaks) - len(_THERMAL_BREAKS))
         assert counts == set(range(19))
+
+
+_ULP_BANDS = (0.0, 5e-324, float(np.nextafter(2.0**-18, 0.0)), 2.0**-18,
+              float(np.nextafter(2.0**-18, 1.0)), 1.0, math.inf)
+
+
+class TestOneLadder:
+    # the split and the peak's breaks come from one ladder rule; they must be
+    # the floats, in order, that the two rules before it gave (the oracle)
+
+    def test_drawn_bands_and_peaks_match_the_two_rules(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True,
+                             database=None)
+        @hypothesis.given(st.floats(-30.0, 12.0), st.floats(2.0**-20, 32.0, exclude_min=True,
+                                                           exclude_max=True))
+        def check(log2_band, x0):
+            band = 2.0**log2_band
+            assert _breaks(band) == oracles.thermal_breaks_two_rules(band)
+            assert _breaks(band, x0) == oracles.thermal_breaks_two_rules(band, x0)
+
+        check()
+
+    @pytest.mark.parametrize("x0", [
+        float(np.nextafter(2.0**-20, 1.0)), float(np.nextafter(32.0, 0.0)),
+        0.25, 2.0, 24.0, 2.0**-16])  # next to the range's ends, or on a break
+    @pytest.mark.parametrize("band", _ULP_BANDS)
+    def test_edges_match_the_two_rules(self, band, x0):
+        assert _breaks(band) == oracles.thermal_breaks_two_rules(band)
+        assert _breaks(band, x0) == oracles.thermal_breaks_two_rules(band, x0)
+
+    @pytest.mark.parametrize("peak", [None, 0.0, 2.0**-20, 1e-3, 3.0, 24.0,
+                                      float(np.nextafter(32.0, 0.0)), 32.0, 1e3])
+    @pytest.mark.parametrize("cutoff", [1e-7, 0.01, 1.0, 1e3])
+    def test_first_call_panels_match_the_two_rules(self, monkeypatch, cutoff, peak):
+        # through integrate_thermal itself, so its gate on the peak is checked too
+        calls = recording_gk_panels(monkeypatch)
+        integrate_thermal(_band, 1.0, cutoff=cutoff, peak=peak)
+        breaks = oracles.thermal_breaks_two_rules(cutoff, peak)
+        assert calls[0] == list(zip(breaks, breaks[1:]))
 
 
 class TestThermalRules:
@@ -393,7 +456,7 @@ class TestThermalRules:
     def test_hoisted_growth_factors_equal_the_per_call_ones(self):
         # the last panel is [256, X_UNDERFLOW] in every rule, with a peak too
         rules = [quadrature._cached_rule(k) for k in range(19)]
-        rules.append(quadrature._thermal_rule(quadrature._thermal_breaks(0.1, 5.0),
+        rules.append(quadrature._thermal_rule(_breaks(0.1, 5.0),
                                               quadrature.occupation_from_ratio))
         for _, x, _ in rules:
             fall = np.exp(-quadrature._GROWTH_RATE * np.diff(x[-quadrature._GROWTH_NODES:]))

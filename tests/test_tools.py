@@ -1,5 +1,6 @@
 """tools/request_profile.py: every phase is timed where ``cli.main`` spends it;
-tools/source_size.py: what counts as a code line, and that the counts add up."""
+tools/source_size.py: what counts as a code line, and that the counts add up;
+tools/output_digest.py: a digest that repeats, and moves with one printed byte."""
 
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 from thermaldrag import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import output_digest  # noqa: E402
 import request_profile  # noqa: E402
 import source_size  # noqa: E402
 
@@ -56,3 +58,13 @@ def test_module_counts_add_up_to_the_total(capsys):
     assert counts["src/thermaldrag/cli.py"] == source_size.code_lines(
         (source_size.PACKAGE / "cli.py").read_text())
     assert total == f"{sum(counts.values()):8d} code lines in total"
+
+
+def test_output_digest_repeats_and_moves_with_one_printed_byte():
+    requests = output_digest.generate("chi-lorentzian", 1)[:2]
+    first, second = output_digest.outputs(requests), output_digest.outputs(requests)
+    assert [code for code, _, _ in first] == [0, 0]
+    assert output_digest.digest(first) == output_digest.digest(second)
+    code, out, err = second[1]
+    second[1] = code, out[:-2] + chr(ord(out[-2]) ^ 1) + out[-1], err
+    assert output_digest.digest(first) != output_digest.digest(second)
