@@ -197,7 +197,11 @@ def cmd_force(config: RunConfig, args) -> int:
 
 
 def _verify_checks(config: RunConfig, tol: float):
-    """Yield (name, measured, allowed, passed) for the invariant suite."""
+    """Yield (name, measured, allowed, passed) for the invariant suite.
+
+    A line whose quadratures did not all converge has no value to pass on:
+    it reads NaN and FAILs.
+    """
     model = config.model
     cfg = config.quadrature
     temp = _temperature(config, default=1.0)
@@ -208,16 +212,21 @@ def _verify_checks(config: RunConfig, tol: float):
     if not einstein_tol > 0:
         raise ConfigError(f"einstein_tol must be > 0, got {einstein_tol}")
 
+    def converged(value, *flags):
+        return value if all(flags) else math.nan
+
     for check in config.validation.checks:
         yield check.name, check.max_violation, check.allowed, check.passed
 
     report = coeff.compute_coefficients(model, temp, cfg)
-    yield ("dual_route_lambda", report.route_discrepancy_lambda, tol,
-           report.route_discrepancy_lambda <= tol)
-    yield ("dual_route_mu", report.route_discrepancy_mu, tol,
-           report.route_discrepancy_mu <= tol)
+    flags = report.converged.values()
+    for name, gap in (("dual_route_lambda", report.route_discrepancy_lambda),
+                      ("dual_route_mu", report.route_discrepancy_mu)):
+        gap = converged(gap, *flags)
+        yield name, gap, tol, gap <= tol
 
-    measured = coeff.einstein_check(model, report, cfg)
+    measured = converged(coeff.einstein_check(model, report, cfg),
+                         report.converged["lambda_spectral"])
     yield "einstein_relation", measured, einstein_tol, measured <= einstein_tol
 
     if model.cutoff_frequency is not None:
@@ -238,32 +247,37 @@ def _verify_checks(config: RunConfig, tol: float):
         cutoff = model.cutoff_frequency
         t_hi, t_lo = 100.0 * cutoff, 1e-3 * cutoff
         hi = coeff.compute_coefficients(model, t_hi, cfg)
-        gap = coeff.relative_gap(
+        hi_flags = [*limits.converged.values(), *hi.converged.values()]
+        gap = converged(coeff.relative_gap(
             abs(hi.lambda_spectral - limits.lambda_high_temperature(t_hi)),
-            abs(hi.lambda_spectral))
+            abs(hi.lambda_spectral)), *hi_flags)
         yield "asymptotic_lambda_high", gap, 0.02, gap <= 0.02
         # the low-temperature laws are leading order in R0 and (1-2R0)tau0;
         # when a law degenerates to zero there is nothing to compare against.
         # A t_lo that underflows to 0 has no report: both lines FAIL on NaN
         lo_lambda = lo_mu = lam_law = mu_law = math.nan
+        lo_flags = [*limits.converged.values()]
         if t_lo > 0:
             lo = coeff.compute_coefficients(model, t_lo, cfg)
             lo_lambda, lo_mu = lo.lambda_spectral, lo.mu_spectral
+            lo_flags += lo.converged.values()
             lam_law = limits.lambda_low_temperature(t_lo)
             mu_law = limits.mu_low_temperature(t_lo)
         if lam_law != 0.0:
-            gap = coeff.relative_gap(abs(lo_lambda - lam_law), abs(lo_lambda))
+            gap = converged(coeff.relative_gap(abs(lo_lambda - lam_law), abs(lo_lambda)),
+                            *lo_flags)
             yield "asymptotic_lambda_low", gap, 0.01, gap <= 0.01
         if mu_law != 0.0:
-            gap = coeff.relative_gap(abs(lo_mu - mu_law), abs(mu_law))
+            gap = converged(coeff.relative_gap(abs(lo_mu - mu_law), abs(mu_law)), *lo_flags)
             yield "asymptotic_mu_low", gap, 0.02, gap <= 0.02
         bound = 0.01 * t_hi  # next-order corrections are O(cutoff) at T = 100 cutoff
-        gap = abs(hi.mu_spectral - limits.mu_high_temperature(t_hi))
+        gap = converged(abs(hi.mu_spectral - limits.mu_high_temperature(t_hi)), *hi_flags)
         yield "asymptotic_mu_high", gap, bound, gap <= bound
     else:
         # no transparency cutoff: mass corrections are exact zeros, up to
         # the integral's own claimed error
-        mu, allowed = abs(report.mu_spectral), report.error_estimates["mu_spectral"]
+        mu = converged(abs(report.mu_spectral), *flags)
+        allowed = report.error_estimates["mu_spectral"]
         yield "mu_exact_zero", mu, allowed, mu <= allowed
 
 

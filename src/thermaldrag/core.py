@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Guards for the Bose-Einstein occupation n(x) = 1/(e^x - 1), x = hbar*omega/T.
-X_UNDERFLOW = 700.0  # beyond this the occupation underflows double precision
-X_LAURENT = 1e-8     # below this, use the Laurent expansion 1/x - 1/2 + x/12
+# End of the thermal domain x = hbar*omega/T in [0, X_UNDERFLOW]: n(700) =
+# 9.9e-305 is still a normal double, so the cut drops a tail of about e^-700
+# of the integrand's scale, unless the integrand grows (the quadrature's
+# growth guard checks that)
+X_UNDERFLOW = 700.0
 UNIT_RANGE = (1e-75, 1e75)  # allowed hbar and c of a user unit system
 
 
@@ -74,37 +76,22 @@ class UnitSystem:
         return chi / (self.hbar**2 * self.c**2)
 
 
-def _guarded(x, underflowed, exact, laurent):
-    """The one guard structure of n(x) and 1 + n(x) on x = hbar*omega/T > 0.
-
-    ``underflowed`` (np.zeros or np.ones) fills x > ``X_UNDERFLOW``, where
-    the value has reached its limit in double precision; ``laurent`` takes
-    x < ``X_LAURENT``, preserving the relative accuracy in the classical
-    limit; ``exact`` takes the rest.  Array in, array out; a 0-d input
-    gives a numpy scalar.  When every x lies in the exact range, as the
-    thermal quadrature's nodes do unless its first panel is bisected below
-    a width of about 2e-6, ``exact`` takes the whole array without masks;
-    a NaN fails both bounds and takes the masked path.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.size and X_LAURENT <= x.min() and x.max() <= X_UNDERFLOW:
-        return exact(x)[()]
-    out = underflowed(x.shape)
-    tiny = x < X_LAURENT
-    mid = ~tiny & (x <= X_UNDERFLOW)
-    out[mid] = exact(x[mid])
-    with np.errstate(divide="ignore"):
-        out[tiny] = laurent(x[tiny])
-    return out[()]
-
-
 def occupation_from_ratio(x):
-    """Bose-Einstein occupation n = 1/(e^x - 1) as a function of x = hbar*omega/T."""
-    return _guarded(x, np.zeros, lambda xm: 1.0 / np.expm1(xm),
-                    lambda xt: 1.0 / xt - 0.5 + xt / 12.0)
+    """Bose-Einstein occupation n = 1/(e^x - 1) as a function of x = hbar*omega/T.
+
+    Array in, array out; a 0-d input gives a numpy scalar.  The one
+    expression covers every x: it is inf at x = 0 and at subnormal x, 0
+    once e^x overflows (x > 709.78), and NaN for a NaN.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / np.expm1(x)
 
 
 def occupation_plus_one_from_ratio(x):
-    """1 + n(x) = 1/(1 - e^{-x}) with the same guard structure."""
-    return _guarded(x, np.ones, lambda xm: -1.0 / np.expm1(-xm),
-                    lambda xt: 1.0 / xt + 0.5 + xt / 12.0)
+    """1 + n(x) = 1/(1 - e^{-x}), so that n(-x) = -(1 + n(x)) bit for bit.
+
+    The same single expression as :func:`occupation_from_ratio`: 1 once
+    e^{-x} underflows, inf at x = 0 and NaN for a NaN.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        return -1.0 / np.expm1(-x)

@@ -284,7 +284,7 @@ def integrate_finite(f, lo: float, hi: float,
 # bisection rounds, since a call's fixed cost outweighs many extra panels
 _FINITE_PANELS = 4
 # breakpoints in x = omega/T matched to the Bose weight: half-octave panels
-# to 32, then wider ones out to X_UNDERFLOW, beyond which n(x) underflows to 0
+# to 32, then wider ones out to X_UNDERFLOW, the chosen end of the domain
 _THERMAL_BREAKS = (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0,
                    16.0, 24.0, 32.0, 48.0, 64.0, 128.0, 256.0, X_UNDERFLOW)
 # the finest end of the first thermal panel, 2^-20: at most 18 halvings of 0.25
@@ -388,9 +388,12 @@ def integrate_thermal(f, temp: float, cfg: QuadratureConfig = DEFAULT_CONFIG,
 
     Evaluates ``int_0^inf f(omega) n_T(omega) domega`` by substituting
     x = omega/T, which makes the exponential decay temperature independent,
-    over the fixed domain x in [0, X_UNDERFLOW]: beyond it n(x) underflows
-    to 0, so nothing is discarded.  Any 1/(2 pi) style normalization is the
-    caller's responsibility.
+    over the fixed domain x in [0, X_UNDERFLOW = 700].  That end is chosen,
+    not an underflow (n(700) = 9.9e-305 is a normal double): the tail it
+    drops, about e^-700 of the integrand's scale, is not in the error
+    estimate, and only a growing integrand could make it matter, which
+    the growth guard below checks.  Any 1/(2 pi) style normalization is
+    the caller's responsibility.
 
     ``f`` is called only on panel nodes, once per step of the adaptive
     driver, which starts on the 19 panels between the breakpoints

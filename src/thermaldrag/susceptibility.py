@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import X_UNDERFLOW
+from .core import occupation_plus_one_from_ratio
 from .errors import GridTooCoarse, require_finite
 from .models import MirrorModel
 from .quadrature import (DEFAULT_CONFIG, QuadratureConfig, hilbert_transform_pv,
@@ -182,8 +182,9 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
                          cfg: QuadratureConfig = DEFAULT_CONFIG) -> CorrelationValue:
     """Force-noise spectrum from the fluctuation-dissipation relation.
 
-    C_T[omega] = 2 xi_T[omega] / (1 - e^{-omega/T}) in natural units.  The
-    omega = 0 limit is delivered by :func:`correlation_zero_frequency`.
+    C_T[omega] = 2 xi_T[omega] / (1 - e^{-omega/T}) = 2 (1 + n_T) xi_T[omega]
+    in natural units.  The omega = 0 limit is delivered by
+    :func:`correlation_zero_frequency`.
     """
     require_finite(omega=omega, temp=temp)
     if omega == 0:
@@ -192,11 +193,7 @@ def correlation_spectrum(model: MirrorModel, omega: float, temp: float,
         raise ValueError(f"requires temp > 0, got {temp}")
     chi = chi_total(model, omega, temp, cfg)
     xi = chi.chi_total.imag
-    x = omega / temp
-    if x < -X_UNDERFLOW:
-        prefactor = -2.0 * math.exp(x)  # spectrum dies out exponentially
-    else:
-        prefactor = 2.0 / -math.expm1(-x)
+    prefactor = 2.0 * float(occupation_plus_one_from_ratio(omega / temp))
     return CorrelationValue(omega=omega, c_spectrum=prefactor * xi, xi=xi,
                             converged=all(chi.converged.values()))
 
@@ -258,8 +255,10 @@ def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: floa
     symmetric about 0, so the grid is exactly symmetric, and chi_T(-w) =
     chi_T(w)* holds bit for bit (see :func:`chi_total`): chi_T is computed
     on the non-negative half, 0 once for odd ``points``, and the rest is
-    its conjugate.  Fewer than 64 ``points`` raises GridTooCoarse, and a
-    ``window`` that is not > 0 ValueError.
+    its conjugate.  A chi_T of the sweep whose quadratures did not both
+    converge is taken as NaN, as in :func:`correlation_zero_frequency`, and
+    so is every gap that reads it.  Fewer than 64 ``points`` raises
+    GridTooCoarse, and a ``window`` that is not > 0 ValueError.
     """
     if points < 64:
         raise GridTooCoarse(f"need >= 64 grid points, got {points}")
@@ -269,7 +268,12 @@ def kramers_kronig_window_doubling(model: MirrorModel, temp: float, window: floa
     h = 2.0 * window / (points - 1)
     size = points + 2 * k
     upper = (np.arange(size // 2, size) - k - 0.5 * (points - 1)) * h
+
+    def sample(w):
+        value = chi_total(model, w, temp, cfg)
+        return value.chi_total if all(value.converged.values()) else complex(math.nan, math.nan)
+
     # Python floats, as the chi command passes: their arithmetic never warns
-    half = np.array([chi_total(model, w, temp, cfg).chi_total for w in upper.tolist()])
+    half = np.array([sample(w) for w in upper.tolist()])
     chi = np.concatenate((half[size % 2:][::-1].conj(), half))
     return _dispersion_gap(chi[k:k + points]), _dispersion_gap(chi)

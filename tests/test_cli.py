@@ -582,6 +582,30 @@ s_denominator = 1, {-root}, 1
                  if line.startswith("einstein_relation:"))
         assert "measured=nan" in line and line.endswith("FAIL")
 
+    @pytest.mark.parametrize("kind, unconverged", [
+        # on one subdivision at rel_tol 1e-15, five of the six integrals of
+        # the T = 1 report (lambda_spectral converges), every integral of
+        # the two asymptotic reports, delta_S and the sweep's chi run out
+        ("lorentzian\ntau0 = 1", {"dual_route_lambda", "dual_route_mu",
+                                  "kramers_kronig_window_doubling",
+                                  "asymptotic_lambda_high", "asymptotic_lambda_low",
+                                  "asymptotic_mu_low", "asymptotic_mu_high"}),
+        # the perfect mirror's Einstein ladder is unconverged as well
+        ("perfect", {"dual_route_lambda", "dual_route_mu", "einstein_relation",
+                     "mu_exact_zero"}),
+    ], ids=["lorentzian", "perfect"])
+    def test_lines_on_unconverged_quadratures_fail(self, tmp_path, capsys, kind, unconverged):
+        path = write(tmp_path, "c.cfg", "temperature = 1\nkk_points = 64\nrel_tol = 1e-15\n"
+                     f"max_subdivisions = 1\n[model]\nkind = {kind}\n")
+        assert run(["verify", "--config", path]) == 5
+        failed = set()
+        for line in capsys.readouterr().out.splitlines():
+            name = line.split(":")[0]
+            if line.endswith("FAIL"):
+                assert "measured=nan" in line
+                failed.add(name)
+        assert failed == unconverged
+
     @pytest.mark.parametrize("points", ["-5", "0", "10"])
     def test_too_few_kk_points_exits_2_before_computing(self, tmp_path, capsys,
                                                         monkeypatch, points):

@@ -1,10 +1,13 @@
-"""Package-wide contracts: the public surface, the non-finite input guard
-and the numpy-only rule."""
+"""Package-wide contracts: the public surface, the non-finite input guard,
+the numpy-only rule and the README's library quick start."""
 
+import contextlib
+import io
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -90,3 +93,17 @@ print(codes, sorted(m for m in sys.modules
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     assert out == "[0, 0] []\n"
+
+
+def test_readme_library_quick_start_runs():
+    # the first python block under the heading, run as a reader would paste
+    # it; a renamed public name or a changed signature fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("error")
+        exec(compile(code, "README.md", "exec"), {})
+    # the last value printed is the Einstein residual
+    assert float(out.getvalue().split()[-1]) < 1e-12
